@@ -49,9 +49,11 @@ audit:
 # produce byte-identical results and canonical event logs at any shard
 # count), the event-queue order fuzz (calendar queue vs a reference heap),
 # the queue-journal recovery fuzz (truncated/bit-flipped/torn journals
-# must never panic or resurrect partial records), and the trace-store
+# must never panic or resurrect partial records), the trace-store
 # round-trip fuzz (random event streams and writer geometries must dump
-# back byte-identical JSONL). FUZZTIME=10m for a soak.
+# back byte-identical JSONL), and the victim-selection fuzz (bounded
+# write-back and sorted page-out vs the full-scan references, on random
+# touch/reclaim/crash sequences). FUZZTIME=10m for a soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditedRun -fuzztime $(FUZZTIME) .
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzVictimSelection -fuzztime $(FUZZTIME) ./internal/vm
 
 # End-to-end smoke of the gangsimd service: boot on a random port, submit
 # a two-run sweep over HTTP, poll to completion, assert the served results
@@ -72,9 +75,10 @@ serve-smoke:
 # equivalence test under the race detector (the determinism contract of the
 # parallel experiment runner), the audited policy matrix + fault soak, the
 # live-observer smoke (all three HTTP endpoints scraped mid-run), fuzz
-# smokes of randomised audited runs, event-queue ordering and queue-journal
-# recovery, the gangsimd end-to-end serve smoke (served results must match
-# CLI goldens, SIGTERM must drain cleanly), the
+# smokes of randomised audited runs, event-queue ordering, queue-journal
+# recovery, trace-store round trips and victim selection, the gangsimd
+# end-to-end serve smoke (served results must match CLI goldens, SIGTERM
+# must drain cleanly), the
 # bench-regression gate (Fig7Serial + the sharded pair + the PolicyRun
 # audit pair + the engine microbenchmarks vs the committed BENCH_sim.json,
 # so event-core wins cannot silently erode; on hosts with >=4 CPUs
@@ -98,6 +102,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzVictimSelection -fuzztime 10s ./internal/vm
 	./scripts/serve_smoke.sh
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	{ $(GO) test -run NONE -bench 'BenchmarkFig7Serial$$|BenchmarkFig7Sharded(1|4)$$' -benchtime 1x -benchmem . \
@@ -122,9 +127,11 @@ check:
 # full tracing), BenchmarkRunStored the same run with the binary trace
 # store as its sink, BenchmarkStore{Encode,Decode,RangeQuery} the store
 # itself (bytes/event and the JSONL comparison ride along as custom
-# metrics), BenchmarkFigAttribution the ledger-driven figure, and
+# metrics), BenchmarkFigAttribution the ledger-driven figure,
 # BenchmarkQueueEnqueueDispatch the durable queue's per-job cycle
-# (journaled enqueue + lease + journaled completion, fsync off).
+# (journaled enqueue + lease + journaled completion, fsync off), and
+# BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep the VM's victim and
+# write-back selection on one large address space.
 # BenchmarkFig7Sharded{1,2,4,8} price the sharded event engine on an
 # eight-node gang pair (Sharded1 is the serial baseline the `make check`
 # speedup gate divides by), and BenchmarkScale512 records the
@@ -137,7 +144,8 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkRunObs|BenchmarkRunTraced|BenchmarkRunStored' -benchmem . \
 	  && $(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem ./internal/sim \
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
-	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve; } \
+	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
+	  && $(GO) test -run NONE -bench 'BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm; } \
 	  | bin/benchjson -o BENCH_sim.json
 
 # The obs pair: RunObsDisabled is the zero-overhead claim (parity with the

@@ -302,7 +302,9 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 	var reverted []*Job
 	for _, j := range q.jobs {
 		if j.State == StateLeased {
-			q.setState(j, StatePending)
+			q.depths[j.State]--
+			j.State = StatePending
+			q.depths[j.State]++
 			j.Worker = ""
 			j.LeaseDeadline = time.Time{}
 			j.NotBefore = time.Time{}
@@ -365,14 +367,12 @@ func (q *Queue) rebuildReady() {
 	heap.Init(&q.ready)
 }
 
-// setState moves j between states, maintaining depth counts.
-func (q *Queue) setState(j *Job, s State) {
-	q.depths[j.State]--
-	j.State = s
-	q.depths[s]++
-}
-
-// append journals one entry and triggers auto-compaction.
+// append journals one entry. Every mutation follows the append-before-
+// install rule: it builds the new job versions on copies, appends them,
+// and changes in-memory state (job, depths, ready heap) only once the
+// append has succeeded. A failed operation therefore leaves nothing the
+// journal did not receive: Get, Depths and the event stream all stay as
+// they were. The mutation then calls compact.
 func (q *Queue) append(e entry) error {
 	payload, err := json.Marshal(e)
 	if err != nil {
@@ -382,12 +382,30 @@ func (q *Queue) append(e entry) error {
 		return err
 	}
 	q.recsSinceCheckpoint++
-	if q.opts.CheckpointEvery > 0 && q.recsSinceCheckpoint >= int64(q.opts.CheckpointEvery) {
-		if err := q.checkpointLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// install copies a journaled job version over the live job, maintaining
+// the depth counts, and queues the job for dispatch when it became pending.
+func (q *Queue) install(j, next *Job) {
+	q.depths[j.State]--
+	*j = *next
+	q.depths[j.State]++
+	if j.State == StatePending {
+		heap.Push(&q.ready, j)
+	}
+}
+
+// compact cuts the automatic checkpoint once CheckpointEvery records have
+// accumulated. It runs after the mutation is installed, so the snapshot
+// holds every record the checkpoint truncates away. It is best-effort: the
+// mutation is already durable in the journal, a failed checkpoint leaves
+// that journal intact, the next append retries it, and the explicit
+// Checkpoint that a graceful drain cuts reports the error.
+func (q *Queue) compact() {
+	if q.opts.CheckpointEvery > 0 && q.recsSinceCheckpoint >= int64(q.opts.CheckpointEvery) {
+		_ = q.checkpointLocked()
+	}
 }
 
 // emit delivers an event (with depth snapshot) to the configured sink.
@@ -434,7 +452,7 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 	jobs := make([]*Job, len(batch))
 	for i, nj := range batch {
 		j := &Job{
-			Seq:        q.nextSeq,
+			Seq:        q.nextSeq + uint64(i),
 			Kind:       nj.Kind,
 			Spec:       nj.Spec,
 			State:      StatePending,
@@ -442,7 +460,6 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 			EnqueuedAt: now,
 			UpdatedAt:  now,
 		}
-		q.nextSeq++
 		j.ID = fmt.Sprintf("j%06d", j.Seq)
 		if nj.Waiting {
 			j.State = StateWaiting
@@ -458,6 +475,7 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 	if err := q.append(entry{Jobs: jobs}); err != nil {
 		return nil, err
 	}
+	q.nextSeq += uint64(len(jobs))
 	out := make([]*Job, len(jobs))
 	for i, j := range jobs {
 		q.jobs[j.ID] = j
@@ -467,6 +485,7 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 		}
 		out[i] = snapshotJob(j)
 	}
+	q.compact()
 	for _, j := range jobs {
 		q.emit(q.eventFor(EvEnqueued, j))
 	}
@@ -484,7 +503,9 @@ func (q *Queue) Lease(worker string) (job *Job, ok bool, retryAt time.Time, err 
 		return nil, false, time.Time{}, ErrClosed
 	}
 	now := q.opts.Clock()
-	q.reclaimLocked(now)
+	if _, err := q.reclaimLocked(now); err != nil {
+		return nil, false, time.Time{}, err
+	}
 	for q.ready.Len() > 0 {
 		head := q.ready[0]
 		if head.State != StatePending {
@@ -494,18 +515,21 @@ func (q *Queue) Lease(worker string) (job *Job, ok bool, retryAt time.Time, err 
 		if head.NotBefore.After(now) {
 			return nil, false, head.NotBefore, nil
 		}
-		j := heap.Pop(&q.ready).(*Job)
-		q.setState(j, StateLeased)
-		j.Worker = worker
-		j.LeaseDeadline = now.Add(q.opts.LeaseTTL)
-		j.NotBefore = time.Time{}
-		j.Version++
-		j.UpdatedAt = now
-		if err := q.append(entry{Jobs: []*Job{j}}); err != nil {
+		next := *head
+		next.State = StateLeased
+		next.Worker = worker
+		next.LeaseDeadline = now.Add(q.opts.LeaseTTL)
+		next.NotBefore = time.Time{}
+		next.Version++
+		next.UpdatedAt = now
+		if err := q.append(entry{Jobs: []*Job{&next}}); err != nil {
 			return nil, false, time.Time{}, err
 		}
-		q.emit(q.eventFor(EvLeased, j))
-		return snapshotJob(j), true, time.Time{}, nil
+		heap.Pop(&q.ready)
+		q.install(head, &next)
+		q.compact()
+		q.emit(q.eventFor(EvLeased, head))
+		return snapshotJob(head), true, time.Time{}, nil
 	}
 	return nil, false, time.Time{}, nil
 }
@@ -532,7 +556,7 @@ func (q *Queue) Heartbeat(id, worker string) error {
 // Complete marks worker's leased job done with the given result.
 func (q *Queue) Complete(id, worker string, result json.RawMessage) error {
 	return q.settle(id, worker, func(j *Job, now time.Time) string {
-		q.setState(j, StateDone)
+		j.State = StateDone
 		j.Result = result
 		j.Error = ""
 		j.Worker = ""
@@ -555,17 +579,16 @@ func (q *Queue) Fail(id, worker, cause string) error {
 // untouched.
 func (q *Queue) Release(id, worker string) error {
 	return q.settle(id, worker, func(j *Job, now time.Time) string {
-		q.setState(j, StatePending)
+		j.State = StatePending
 		j.Worker = ""
 		j.LeaseDeadline = time.Time{}
 		j.NotBefore = time.Time{}
-		heap.Push(&q.ready, j)
 		return EvReleased
 	})
 }
 
-// settle is the shared leased-job transition: validate ownership, mutate,
-// journal, emit.
+// settle is the shared leased-job transition: validate ownership, apply fn
+// to a copy, journal the copy, install it, emit.
 func (q *Queue) settle(id, worker string, fn func(j *Job, now time.Time) string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -580,29 +603,32 @@ func (q *Queue) settle(id, worker string, fn func(j *Job, now time.Time) string)
 		return ErrNotLeased
 	}
 	now := q.opts.Clock()
-	kind := fn(j, now)
-	j.Version++
-	j.UpdatedAt = now
-	if err := q.append(entry{Jobs: []*Job{j}}); err != nil {
+	next := *j
+	kind := fn(&next, now)
+	next.Version++
+	next.UpdatedAt = now
+	if err := q.append(entry{Jobs: []*Job{&next}}); err != nil {
 		return err
 	}
+	q.install(j, &next)
+	q.compact()
 	q.emit(q.eventFor(kind, j))
 	return nil
 }
 
-// failLocked applies the retry/dead-letter policy to a leased job.
+// failLocked applies the retry/dead-letter policy to a copy of a leased
+// job.
 func (q *Queue) failLocked(j *Job, now time.Time, cause string) string {
 	j.Attempts++
 	j.Error = cause
 	j.Worker = ""
 	j.LeaseDeadline = time.Time{}
 	if j.Attempts >= q.opts.MaxAttempts {
-		q.setState(j, StateDead)
+		j.State = StateDead
 		return EvDead
 	}
-	q.setState(j, StatePending)
+	j.State = StatePending
 	j.NotBefore = now.Add(q.backoff(j.Attempts))
-	heap.Push(&q.ready, j)
 	return EvFailed
 }
 
@@ -636,20 +662,22 @@ func (q *Queue) Finalize(id string, result json.RawMessage, errMsg string) error
 	if j.State != StateWaiting && j.State != StatePending {
 		return fmt.Errorf("%w: finalize of %s job %s", ErrBadState, j.State, id)
 	}
-	now := q.opts.Clock()
+	next := *j
 	if errMsg == "" {
-		q.setState(j, StateDone)
-		j.Result = result
-		j.Error = ""
+		next.State = StateDone
+		next.Result = result
+		next.Error = ""
 	} else {
-		q.setState(j, StateDead)
-		j.Error = errMsg
+		next.State = StateDead
+		next.Error = errMsg
 	}
-	j.Version++
-	j.UpdatedAt = now
-	if err := q.append(entry{Jobs: []*Job{j}}); err != nil {
+	next.Version++
+	next.UpdatedAt = q.opts.Clock()
+	if err := q.append(entry{Jobs: []*Job{&next}}); err != nil {
 		return err
 	}
+	q.install(j, &next)
+	q.compact()
 	q.emit(q.eventFor(EvFinalized, j))
 	return nil
 }
@@ -677,14 +705,21 @@ func (q *Queue) reclaimLocked(now time.Time) (int, error) {
 		return 0, nil
 	}
 	sort.Slice(expired, func(a, b int) bool { return expired[a].Seq < expired[b].Seq })
-	for _, j := range expired {
-		q.failLocked(j, now, "lease expired: worker silent past deadline")
-		j.Version++
-		j.UpdatedAt = now
+	next := make([]*Job, len(expired))
+	for i, j := range expired {
+		cp := *j
+		q.failLocked(&cp, now, "lease expired: worker silent past deadline")
+		cp.Version++
+		cp.UpdatedAt = now
+		next[i] = &cp
 	}
-	if err := q.append(entry{Jobs: expired}); err != nil {
+	if err := q.append(entry{Jobs: next}); err != nil {
 		return 0, err
 	}
+	for i, j := range expired {
+		q.install(j, next[i])
+	}
+	q.compact()
 	for _, j := range expired {
 		q.emit(q.eventFor(EvReclaimed, j))
 	}

@@ -3,6 +3,7 @@ package queue
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -403,13 +404,18 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	if ck == 0 {
 		t.Fatal("no auto checkpoint after 18 records with CheckpointEvery=4")
 	}
+	// Records 19 and 20 enqueue two more jobs, and record 20 triggers a
+	// checkpoint: its snapshot must hold the job that record adds, because
+	// the checkpoint truncates the record away.
+	mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
+	mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
 	q.Close()
 	q2, stats := openTest(t, dir, nil)
 	if !stats.FromCheckpoint {
 		t.Fatal("auto checkpoint not used on reopen")
 	}
-	if got := len(q2.List()); got != 6 {
-		t.Fatalf("job count after reopen = %d, want 6", got)
+	if got := len(q2.List()); got != 8 {
+		t.Fatalf("job count after reopen = %d, want 8", got)
 	}
 }
 
@@ -461,5 +467,80 @@ func TestClosedQueueRejectsEverything(t *testing.T) {
 	}
 	if err := q.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestFailedAppendChangesNothing drives every mutating call into the
+// injected crash point and requires that the refused call left no trace:
+// the job, the depth counts and the event stream are what they were, as
+// they would be after a restart from the journal that never received it.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	enqueue := func(t *testing.T, q *Queue, _ *fakeClock) string {
+		return mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})[0].ID
+	}
+	leased := func(t *testing.T, q *Queue, _ *fakeClock) string {
+		enqueue(t, q, nil)
+		return mustLease(t, q, "w").ID
+	}
+	expired := func(t *testing.T, q *Queue, clock *fakeClock) string {
+		id := leased(t, q, clock)
+		clock.Advance(time.Hour)
+		return id
+	}
+	for _, tc := range []struct {
+		name    string
+		records int64                                             // journal records the set-up writes
+		setup   func(t *testing.T, q *Queue, c *fakeClock) string // returns the job to watch
+		op      func(q *Queue, id string) error
+	}{
+		{"lease", 1, enqueue, func(q *Queue, _ string) error {
+			_, _, _, err := q.Lease("w")
+			return err
+		}},
+		{"complete", 2, leased, func(q *Queue, id string) error {
+			return q.Complete(id, "w", json.RawMessage(`"ok"`))
+		}},
+		{"fail", 2, leased, func(q *Queue, id string) error { return q.Fail(id, "w", "boom") }},
+		{"release", 2, leased, func(q *Queue, id string) error { return q.Release(id, "w") }},
+		{"finalize", 1, func(t *testing.T, q *Queue, _ *fakeClock) string {
+			return mustEnqueue(t, q, NewJob{Kind: "sweep", ParentIndex: -1, Waiting: true})[0].ID
+		}, func(q *Queue, id string) error {
+			return q.Finalize(id, json.RawMessage(`[]`), "")
+		}},
+		{"reclaim", 2, expired, func(q *Queue, _ string) error {
+			_, err := q.Reclaim()
+			return err
+		}},
+		{"reclaim inside lease", 2, expired, func(q *Queue, _ string) error {
+			_, _, _, err := q.Lease("w2")
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			var events []Event
+			q, _ := openTest(t, t.TempDir(), func(o *Options) {
+				o.Clock = clock.Now
+				o.Sink = func(ev Event) { events = append(events, ev) }
+				o.CrashAfterRecords = tc.records
+			})
+			id := tc.setup(t, q, clock)
+			job, _ := q.Get(id)
+			depths := q.Depths()
+			nEvents := len(events)
+
+			if err := tc.op(q, id); !errors.Is(err, ErrCrashPoint) {
+				t.Fatalf("op returned %v, want ErrCrashPoint", err)
+			}
+			if got, _ := q.Get(id); !reflect.DeepEqual(got, job) {
+				t.Errorf("Get after the refused op:\n%+v\nwant\n%+v", got, job)
+			}
+			if got := q.Depths(); !reflect.DeepEqual(got, depths) {
+				t.Errorf("Depths after the refused op = %v, want %v", got, depths)
+			}
+			if len(events) != nEvents {
+				t.Errorf("refused op emitted %+v", events[nEvents:])
+			}
+		})
 	}
 }

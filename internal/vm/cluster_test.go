@@ -103,7 +103,7 @@ func TestExpandClusters(t *testing.T) {
 			pass.reset()
 			victims := make([]victim, 0, len(c.seed))
 			for _, vp := range c.seed {
-				pass.add(1, vp)
+				pass.add(as, vp)
 				victims = append(victims, victim{as, vp})
 			}
 			got := r.vm.expandClusters(victims, pass)
@@ -121,7 +121,7 @@ func TestExpandClusters(t *testing.T) {
 			// Every expanded page must be marked taken, so a later sweep of
 			// the same pass cannot double-select it.
 			for _, vp := range pages {
-				if !pass.has(1, vp) {
+				if !pass.has(as, vp) {
 					t.Fatalf("expanded page %d not recorded in the pass", vp)
 				}
 			}

@@ -71,6 +71,7 @@ func (v *VM) TouchResidentAt(pid, vpage, n int, write bool, at sim.Time) {
 			as.touched++
 		}
 	}
+	as.raiseDirtyBound(vpage, vpage+n, now)
 }
 
 // TouchRun touches up to max consecutive resident pages starting at vpage
@@ -115,6 +116,7 @@ func (v *VM) TouchRun(pid, vpage, max int, write bool, at sim.Time) int {
 		}
 		vp++
 	}
+	as.raiseDirtyBound(vpage, vp, at)
 	return vp - vpage
 }
 

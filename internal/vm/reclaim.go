@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/disk"
@@ -26,8 +28,9 @@ type aged struct {
 
 // agedLess orders the write-back selection min-heap by (LastUse, descending
 // vpage): the root is the oldest entry of the kept set, displaced first.
-// These are package-level (not closures inside WriteBackDirty) so the
-// compiler can inline the comparison and keep the heap slice off the heap.
+// These and the word-heap helpers below are package-level (not closures
+// inside the selection) so the compiler can inline the comparisons and
+// keep the heap slices off the heap.
 func agedLess(a, b aged) bool {
 	if a.last != b.last {
 		return a.last < b.last
@@ -62,6 +65,49 @@ func agedSiftDown(heap []aged) {
 		}
 		heap[i], heap[small] = heap[small], heap[i]
 		i = small
+	}
+}
+
+// oldestFirst orders the page-out candidates by (LastUse, vpage). It is a
+// total order, so the sorted prefix does not depend on the sort algorithm.
+func oldestFirst(a, b aged) int {
+	if c := cmp.Compare(a.last, b.last); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.vp, b.vp)
+}
+
+// dirtyWord is one non-empty dirty-map word queued for the write-back
+// selection, keyed by its bound on the LastUse of its dirty pages.
+type dirtyWord struct {
+	bound sim.Time
+	wi    int
+}
+
+// wordFirst orders the write-back word heap: youngest bound first, lower
+// word index first among equal bounds.
+func wordFirst(a, b dirtyWord) bool {
+	if a.bound != b.bound {
+		return a.bound > b.bound
+	}
+	return a.wi < b.wi
+}
+
+func wordSiftDown(heap []dirtyWord, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		first := i
+		if l < len(heap) && wordFirst(heap[l], heap[first]) {
+			first = l
+		}
+		if r < len(heap) && wordFirst(heap[r], heap[first]) {
+			first = r
+		}
+		if first == i {
+			break
+		}
+		heap[i], heap[first] = heap[first], heap[i]
+		i = first
 	}
 }
 
@@ -146,14 +192,14 @@ func (v *VM) expandClusters(victims []victim, pass *reclaimPass) []victim {
 					break
 				}
 				fid := as.frames[vp]
-				if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as.pid, vp) {
+				if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as, vp) {
 					break
 				}
 				f := v.phys.Frame(fid)
 				if f.Referenced || f.Age > 0 {
 					break
 				}
-				pass.add(as.pid, vp)
+				pass.add(as, vp)
 				out = append(out, victim{as, vp})
 				added++
 			}
@@ -164,41 +210,45 @@ func (v *VM) expandClusters(victims []victim, pass *reclaimPass) []victim {
 
 // reclaimPass tracks pages already chosen during one reclaim pass so that
 // successive sweeps (selective + fallback, or repeated clock sweeps of the
-// same process) never select a page twice before eviction happens. The VM
-// keeps one instance and resets it per pass, reusing the map storage.
+// same process) never select a page twice before eviction happens. The
+// taken sets live on the address spaces, stamped with the pass generation:
+// starting a pass is one increment, and an address space's bitmap is
+// cleared only when the pass first adds to it. The generation is a uint64,
+// so it cannot wrap round to a stale stamp.
 type reclaimPass struct {
-	taken   map[int64]struct{} // pid<<32|vpage set
-	perPid  map[int]int        // pages selected per pid
-	scanned int                // pages examined across all sweeps of the pass
+	gen     uint64
+	scanned int // pages examined across all sweeps of the pass
 }
 
-func passKey(pid, vp int) int64 { return int64(pid)<<32 | int64(uint32(vp)) }
-
 func (rp *reclaimPass) reset() {
-	if rp.taken == nil {
-		rp.taken = make(map[int64]struct{})
-		rp.perPid = make(map[int]int)
-	}
-	clear(rp.taken)
-	clear(rp.perPid)
+	rp.gen++
 	rp.scanned = 0
 }
 
-func (rp *reclaimPass) has(pid, vp int) bool {
-	_, ok := rp.taken[passKey(pid, vp)]
-	return ok
+func (rp *reclaimPass) has(as *AddressSpace, vp int) bool {
+	return as.passGen == rp.gen && as.passTaken[vp>>6]&(1<<(uint(vp)&63)) != 0
 }
 
-func (rp *reclaimPass) add(pid, vp int) {
-	k := passKey(pid, vp)
-	if _, ok := rp.taken[k]; !ok {
-		rp.taken[k] = struct{}{}
-		rp.perPid[pid]++
+func (rp *reclaimPass) add(as *AddressSpace, vp int) {
+	if as.passGen != rp.gen {
+		as.passGen = rp.gen
+		clear(as.passTaken)
+		as.passCount = 0
+	}
+	w, bit := vp>>6, uint64(1)<<(uint(vp)&63)
+	if as.passTaken[w]&bit == 0 {
+		as.passTaken[w] |= bit
+		as.passCount++
 	}
 }
 
-// takenFrom reports how many pages of pid this pass has already selected.
-func (rp *reclaimPass) takenFrom(pid int) int { return rp.perPid[pid] }
+// takenFrom reports how many pages of as this pass has already selected.
+func (rp *reclaimPass) takenFrom(as *AddressSpace) int {
+	if as.passGen != rp.gen {
+		return 0
+	}
+	return as.passCount
+}
 
 // selectDefault implements the Linux 2.2 swap_out heuristic: scanning
 // effort rotates across processes via per-process swap counters. Each scan
@@ -272,7 +322,7 @@ func (v *VM) resetSwapCnt() {
 // become victims — the dynamics behind the paper's false-eviction
 // observation.
 func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass *reclaimPass) (scanned, got int) {
-	if as.resident-pass.takenFrom(as.pid) <= 0 || max <= 0 || scanMax <= 0 {
+	if as.resident-pass.takenFrom(as) <= 0 || max <= 0 || scanMax <= 0 {
 		return 0, 0
 	}
 	hand := v.hands[as.pid]
@@ -285,7 +335,7 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 			hand = 0
 		}
 		fid := frames[vp]
-		if fid == mem.NoFrame || inFlight[vp] || pass.has(as.pid, vp) {
+		if fid == mem.NoFrame || inFlight[vp] || pass.has(as, vp) {
 			continue
 		}
 		scanned++
@@ -307,7 +357,7 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 			continue
 		}
 		*out = append(*out, victim{as, vp})
-		pass.add(as.pid, vp)
+		pass.add(as, vp)
 		got++
 	}
 	v.hands[as.pid] = hand
@@ -341,25 +391,21 @@ func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass
 	cand := v.agedScratch[:0]
 	table := v.phys.Frames()
 	for vp, fid := range as.frames {
-		if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as.pid, vp) {
+		if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as, vp) {
 			continue
 		}
 		cand = append(cand, aged{vp, table[fid].LastUse})
 	}
 	pass.scanned += len(cand)
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].last != cand[j].last {
-			return cand[i].last < cand[j].last
-		}
-		return cand[i].vp < cand[j].vp
-	})
+	// A top-k would not pay here: page-out usually keeps most candidates.
+	slices.SortFunc(cand, oldestFirst)
 	v.agedScratch = cand[:0]
 	if len(cand) > max {
 		cand = cand[:max]
 	}
 	for _, c := range cand {
 		out = append(out, victim{as, c.vp})
-		pass.add(as.pid, c.vp)
+		pass.add(as, c.vp)
 	}
 	return out
 }
@@ -576,36 +622,13 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	if max <= 0 {
 		return 0
 	}
-	// Select the `max` youngest dirty pages with a bounded min-heap keyed
-	// on LastUse (root = oldest of the kept set, displaced by younger
-	// pages): O(dirty·log max) per pass — the daemon runs every ~100 ms, so
-	// a full sort of the dirty set would dominate the simulation. The dirty
-	// bitmap supplies the candidates directly (ascending vpage, like the
-	// address-space scan it replaces), so the pass costs nothing per clean
-	// page.
-	heap := v.agedScratch[:0]
-	frames := as.frames
-	table := v.phys.Frames()
-	for wi, word := range as.dirtyMap {
-		for word != 0 {
-			vp := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			entry := aged{vp, table[frames[vp]].LastUse}
-			if len(heap) < max {
-				heap = append(heap, entry)
-				agedSiftUp(heap, len(heap)-1)
-			} else if agedLess(heap[0], entry) {
-				heap[0] = entry
-				agedSiftDown(heap)
-			}
-		}
-	}
-	if len(heap) == 0 {
-		v.agedScratch = heap[:0]
+	kept, scanned := v.youngestDirty(as, max)
+	if len(kept) == 0 {
 		return 0
 	}
+	frames, table := as.frames, v.phys.Frames()
 	pages := v.getGroup()
-	for _, d := range heap {
+	for _, d := range kept {
 		vp := d.vp
 		f := &table[frames[vp]]
 		f.Dirty = false
@@ -617,7 +640,7 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	if v.acct != nil {
 		v.acct.PagesCleaned(len(pages))
 	}
-	v.agedScratch = heap[:0]
+	v.tightenDirtyBounds(as, scanned)
 	n := int64(len(pages))
 	if prio == disk.Background {
 		v.stats.BGPagesOut += n
@@ -644,4 +667,76 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	}
 	v.submitWriteBack(as, pages, prio)
 	return int(n)
+}
+
+// youngestDirty selects as's max youngest dirty pages — the top max by
+// (LastUse descending, vpage ascending) — into a bounded min-heap whose
+// root, the oldest kept page, is displaced by younger ones. The daemon
+// runs every ~100 ms, so the selection must cost in proportion to what it
+// keeps, not to the dirty set: it visits dirty-map words youngest bound
+// first, lower index first among equal bounds, and stops once the heap is
+// full and the next word cannot hold a page that would get in. Later words
+// are no better than that one, and the root only gets younger, so the kept
+// set is exactly what a scan of every dirty page would keep. The tie rule
+// matters because a whole touch chunk shares one timestamp: among its
+// words only the lowest few can hold a kept page. It returns the kept heap
+// and the indexes of the words it scanned, both VM scratch.
+func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []int) {
+	words := v.wordScratch[:0]
+	for wi, w := range as.dirtyMap {
+		if w != 0 {
+			words = append(words, dirtyWord{as.dirtyBound[wi], wi})
+		}
+	}
+	for i := len(words)/2 - 1; i >= 0; i-- {
+		wordSiftDown(words, i)
+	}
+	heap := v.agedScratch[:0]
+	scanned = v.scanScratch[:0]
+	frames, table := as.frames, v.phys.Frames()
+	for len(words) > 0 {
+		next := words[0]
+		if len(heap) == max {
+			oldest := heap[0]
+			if next.bound < oldest.last || next.bound == oldest.last && next.wi<<6 > oldest.vp {
+				break
+			}
+		}
+		last := len(words) - 1
+		words[0] = words[last]
+		words = words[:last]
+		wordSiftDown(words, 0)
+		scanned = append(scanned, next.wi)
+		for word := as.dirtyMap[next.wi]; word != 0; word &= word - 1 {
+			vp := next.wi<<6 + bits.TrailingZeros64(word)
+			entry := aged{vp, table[frames[vp]].LastUse}
+			if len(heap) < max {
+				heap = append(heap, entry)
+				agedSiftUp(heap, len(heap)-1)
+			} else if agedLess(heap[0], entry) {
+				heap[0] = entry
+				agedSiftDown(heap)
+			}
+		}
+	}
+	v.wordScratch = words[:0]
+	v.agedScratch = heap[:0]
+	v.scanScratch = scanned[:0]
+	return heap, scanned
+}
+
+// tightenDirtyBounds lowers the bound of each scanned word to the youngest
+// LastUse among its remaining dirty pages, or zero when none remain.
+func (v *VM) tightenDirtyBounds(as *AddressSpace, scanned []int) {
+	frames, table := as.frames, v.phys.Frames()
+	for _, wi := range scanned {
+		var bound sim.Time
+		for word := as.dirtyMap[wi]; word != 0; word &= word - 1 {
+			vp := wi<<6 + bits.TrailingZeros64(word)
+			if t := table[frames[vp]].LastUse; t > bound {
+				bound = t
+			}
+		}
+		as.dirtyBound[wi] = bound
+	}
 }

@@ -151,6 +151,22 @@ type AddressSpace struct {
 	// are never dirty — only non-resident pages are read in, onto fresh
 	// clean frames). Validate cross-checks it against the frame table.
 	dirtyMap []uint64
+	// dirtyBound holds one time per dirtyMap word: an upper bound on the
+	// LastUse of that word's dirty pages. The background writer visits
+	// words youngest bound first and stops once no remaining word can hold
+	// a page younger than its kept set (DESIGN §16). Only the touch paths
+	// stamp LastUse on resident pages, and they raise the bound of every
+	// word they touch; the writer tightens the words it scans. Cleaning,
+	// eviction and crashes leave bounds stale-high, which stays sound.
+	dirtyBound []sim.Time
+
+	// passGen, passTaken and passCount are the reclaim pass set for this
+	// address space: the pages the pass numbered passGen has selected (one
+	// bit per vpage) and how many. A stale generation means an empty set;
+	// the bitmap is cleared when a new pass first adds to it.
+	passGen   uint64
+	passTaken []uint64
+	passCount int
 
 	// Working-set estimation: distinct pages touched this quantum.
 	touchGen   []uint32
@@ -208,6 +224,21 @@ func (as *AddressSpace) backed(vpage int) bool {
 // invoke them exactly at the clean/dirty transitions of resident pages.
 func (as *AddressSpace) setDirtyBit(vp int)   { as.dirtyMap[vp>>6] |= 1 << (uint(vp) & 63) }
 func (as *AddressSpace) clearDirtyBit(vp int) { as.dirtyMap[vp>>6] &^= 1 << (uint(vp) & 63) }
+
+// raiseDirtyBound lifts the bound of every dirty-map word overlapping
+// [lo, hi) to at. The touch paths call it once per call, read or write,
+// after stamping LastUse = at on those pages.
+func (as *AddressSpace) raiseDirtyBound(lo, hi int, at sim.Time) {
+	if lo >= hi {
+		return
+	}
+	bounds := as.dirtyBound[lo>>6 : (hi-1)>>6+1]
+	for i, b := range bounds {
+		if b < at {
+			bounds[i] = at
+		}
+	}
+}
 
 // Frame reports the frame mapped at vpage (NoFrame when not resident).
 // Audit accessor.
@@ -290,6 +321,8 @@ type VM struct {
 	pass          reclaimPass
 	victimScratch []victim
 	agedScratch   []aged
+	wordScratch   []dirtyWord
+	scanScratch   []int
 	slotScratch   []disk.Slot
 	runScratch    []disk.Run
 	splitScratch  []disk.Run
@@ -462,19 +495,22 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: creating pid %d: %w", pid, err)
 	}
+	words := (numPages + 63) / 64
 	as := &AddressSpace{
-		pid:       pid,
-		numPages:  numPages,
-		frames:    make([]mem.FrameID, numPages),
-		onDisk:    make([]bool, numPages),
-		bgClean:   make([]bool, numPages),
-		inFlight:  make([]bool, numPages),
-		wbPending: make([]uint16, numPages),
-		dirtyMap:  make([]uint64, (numPages+63)/64),
-		region:    region,
-		touchGen:  make([]uint32, numPages),
-		curGen:    1,
-		waiters:   make(map[int][]func()),
+		pid:        pid,
+		numPages:   numPages,
+		frames:     make([]mem.FrameID, numPages),
+		onDisk:     make([]bool, numPages),
+		bgClean:    make([]bool, numPages),
+		inFlight:   make([]bool, numPages),
+		wbPending:  make([]uint16, numPages),
+		dirtyMap:   make([]uint64, words),
+		dirtyBound: make([]sim.Time, words),
+		passTaken:  make([]uint64, words),
+		region:     region,
+		touchGen:   make([]uint32, numPages),
+		curGen:     1,
+		waiters:    make(map[int][]func()),
 	}
 	for i := range as.frames {
 		as.frames[i] = mem.NoFrame
@@ -734,12 +770,17 @@ func (v *VM) Validate() error {
 			return fmt.Errorf("vm: pid %d resident counter %d, PTEs say %d", pid, as.resident, res)
 		}
 		for vp := 0; vp < as.numPages; vp++ {
-			want := false
+			var f *mem.Frame
 			if fid := as.frames[vp]; fid != mem.NoFrame && !as.inFlight[vp] {
-				want = v.phys.Frame(fid).Dirty
+				f = v.phys.Frame(fid)
 			}
+			want := f != nil && f.Dirty
 			if got := as.dirtyMap[vp>>6]&(1<<(uint(vp)&63)) != 0; got != want {
 				return fmt.Errorf("vm: pid %d vpage %d dirty bit %v, frame table says %v", pid, vp, got, want)
+			}
+			if want && f.LastUse > as.dirtyBound[vp>>6] {
+				return fmt.Errorf("vm: pid %d dirty-map word %d bound %d is below the LastUse %d of its dirty vpage %d",
+					pid, vp>>6, as.dirtyBound[vp>>6], f.LastUse, vp)
 			}
 		}
 		if v.phys.Resident(pid) != mapped {

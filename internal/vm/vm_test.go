@@ -19,7 +19,7 @@ type rig struct {
 	vm    *VM
 }
 
-func newRig(t *testing.T, frames, freeMin, freeHigh int, cfg Config) *rig {
+func newRig(t testing.TB, frames, freeMin, freeHigh int, cfg Config) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, freeMin, freeHigh)
@@ -41,7 +41,7 @@ func reclaimUntil(v *VM, n int) int {
 
 // touchAll synchronously touches pages [0,n) of pid, driving the engine
 // through any faults, and returns when all are resident.
-func (r *rig) touchAll(t *testing.T, pid, n int, write bool) {
+func (r *rig) touchAll(t testing.TB, pid, n int, write bool) {
 	t.Helper()
 	pos := 0
 	for pos < n {
