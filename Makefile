@@ -19,14 +19,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full race tier, restored: intra-run sharding (GANGSIM_SHARDS=4
-# splits every expt study's cluster into four event shards, results
-# byte-identical) plus a generous timeout bring `go test -race
-# ./internal/expt` back inside the budget on 2-core CI, so this target no
-# longer passes -short. The -short guards remain in the tests themselves
-# for interactive runs on tiny hosts.
+# The full race tier: a generous timeout keeps `go test -race
+# ./internal/expt` (about 9 minutes on a 2-vCPU host) inside the budget, so
+# this target does not pass -short. The -short guards remain in the tests
+# themselves for interactive runs on tiny hosts.
 check-race-short:
-	GANGSIM_SHARDS=4 $(GO) test -race -timeout 40m ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Fault-injection soak: the crash/disk-error/straggler mix under the race
 # detector, repeated so scheduling nondeterminism in the host (not the
@@ -45,9 +43,7 @@ audit:
 # conservation check after every engine event, the differential-vs-oracle
 # audit fuzz (O(delta) checking must give the same verdict and byte-identical
 # results as sweeping the page tables every event, and as not auditing at
-# all), the sharded-vs-serial engine equivalence fuzz (random specs must
-# produce byte-identical results and canonical event logs at any shard
-# count), the event-queue order fuzz (calendar queue vs a reference heap),
+# all), the event-queue order fuzz (calendar queue vs a reference heap),
 # the queue-journal recovery fuzz (truncated/bit-flipped/torn journals
 # must never panic or resurrect partial records), the trace-store
 # round-trip fuzz (random event streams and writer geometries must dump
@@ -58,7 +54,6 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditedRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzShardEquivalence -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime $(FUZZTIME) ./internal/store
@@ -78,17 +73,16 @@ serve-smoke:
 # smokes of randomised audited runs, event-queue ordering, queue-journal
 # recovery, trace-store round trips and victim selection, the gangsimd
 # end-to-end serve smoke (served results must match CLI goldens, SIGTERM
-# must drain cleanly), the
-# bench-regression gate (Fig7Serial + the sharded pair + the PolicyRun
-# audit pair + the engine microbenchmarks vs the committed BENCH_sim.json,
-# so event-core wins cannot silently erode; on hosts with >=4 CPUs
-# benchjson additionally enforces the >=1.6x four-shard speedup floor, and
-# whenever the PolicyRun pair is present the <=2x always-on audit budget,
-# and whenever BenchmarkStoreEncode is present the trace store's >=5x
-# bytes-per-event compression floor plus bytes/event growth), and the two
-# overhead gates: RunTraced and RunStored may each cost at most 10% over
-# RunObsEnabled (spans/ledgers and the store's delta encoder both ride the
-# existing instrument points).
+# must drain cleanly), the report check (`figures -md` must reproduce the
+# committed EXPERIMENTS.md exactly), the bench-regression gate (Fig7Serial +
+# the PolicyRun audit pair + the engine microbenchmarks vs the committed
+# BENCH_sim.json, so event-core wins cannot silently erode; whenever the
+# PolicyRun pair is present benchjson also enforces the <=2x always-on
+# audit budget, and whenever BenchmarkStoreEncode is present the trace
+# store's >=5x bytes-per-event compression floor plus bytes/event growth),
+# and the two overhead gates: RunTraced and RunStored may each cost at most
+# 10% over RunObsEnabled (spans/ledgers and the store's delta encoder both
+# ride the existing instrument points).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -98,14 +92,16 @@ check:
 	$(GO) test -race -run 'TestHTTPObserverServes|TestTraceDeterministicAcrossParallel' -count 1 .
 	$(GO) test -run '^$$' -fuzz FuzzAuditedRun -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzShardEquivalence -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzVictimSelection -fuzztime 10s ./internal/vm
 	./scripts/serve_smoke.sh
+	$(GO) build -o bin/figures ./cmd/figures
+	bin/figures -md bin/EXPERIMENTS.md
+	diff -u EXPERIMENTS.md bin/EXPERIMENTS.md
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	{ $(GO) test -run NONE -bench 'BenchmarkFig7Serial$$|BenchmarkFig7Sharded(1|4)$$' -benchtime 1x -benchmem . \
+	{ $(GO) test -run NONE -bench 'BenchmarkFig7Serial$$' -benchtime 1x -benchmem . \
 	  && $(GO) test -run NONE -bench 'BenchmarkPolicyRun$$|BenchmarkPolicyRunAudited$$' -benchmem -count 3 . \
 	  && $(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem ./internal/sim \
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem -count 3 ./internal/store; } \
@@ -131,11 +127,8 @@ check:
 # BenchmarkQueueEnqueueDispatch the durable queue's per-job cycle
 # (journaled enqueue + lease + journaled completion, fsync off), and
 # BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep the VM's victim and
-# write-back selection on one large address space.
-# BenchmarkFig7Sharded{1,2,4,8} price the sharded event engine on an
-# eight-node gang pair (Sharded1 is the serial baseline the `make check`
-# speedup gate divides by), and BenchmarkScale512 records the
-# 512-node/128-gang scale study (set GANGSIM_SHARDS to run it sharded).
+# write-back selection on one large address space. BenchmarkScale512
+# records the 512-node/128-gang scale study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	{ $(GO) test -run NONE -bench 'BenchmarkFig' -benchtime 1x -benchmem -timeout 60m . \

@@ -241,3 +241,18 @@ func BenchmarkMemoryPressure(b *testing.B) {
 		b.ReportMetric(res.Slowdown, "slowdown_x")
 	}
 }
+
+// BenchmarkScale512 runs the 512-node/128-gang scale study, far past the
+// paper's four machines: the engine's throughput on a large cluster.
+func BenchmarkScale512(b *testing.B) {
+	var r expt.ScaleResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		r, err = expt.ScaleStudy(benchConfig(), 512, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(r.MakespanSec, "sim_makespan_s")
+	b.ReportMetric(float64(r.Events), "engine_events")
+}

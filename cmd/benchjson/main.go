@@ -16,16 +16,13 @@
 // -threshold percent (derived *AuditOverhead records and benchmarks absent
 // from the baseline are skipped). `make check` runs it against the committed
 // BENCH_sim.json so queue- or figure-level slowdowns fail the gate. When the
-// BenchmarkFig7Sharded1/BenchmarkFig7Sharded4 pair appears on stdin the gate
-// also enforces the shard-speedup floor (four shards must beat serial by
-// >=1.6x), skipped with a note on hosts with fewer than four CPUs; when the
-// BenchmarkPolicyRun/BenchmarkPolicyRunAudited pair appears it enforces the
-// always-on audit budget (Every=1 differential auditing must cost <=2x the
-// unaudited run); when BenchmarkStoreEncode appears it enforces the trace
-// store's compression floor (binary bytes/event must be <=1/5 of the same
-// events' JSONL bytes/event) and, against the baseline, gates bytes/event
-// growth past -threshold percent alongside ns/op. Records written with -o
-// carry the measuring host's CPU count under "cpus".
+// BenchmarkPolicyRun/BenchmarkPolicyRunAudited pair appears on stdin the gate
+// also enforces the always-on audit budget (Every=1 differential auditing
+// must cost <=2x the unaudited run); when BenchmarkStoreEncode appears it
+// enforces the trace store's compression floor (binary bytes/event must be
+// <=1/5 of the same events' JSONL bytes/event) and, against the baseline,
+// gates bytes/event growth past -threshold percent alongside ns/op. Records
+// written with -o carry the measuring host's CPU count under "cpus".
 //
 // With -overhead NEW/BASE the tool gates one stdin benchmark against
 // another from the same stream: it fails when NEW's ns/op exceeds BASE's by
@@ -49,9 +46,8 @@ import (
 )
 
 // Result is one benchmark line in machine-readable form. Cpus records the
-// measuring host's CPU count: wall-clock speedup claims (the shard-speedup
-// gate) are only meaningful when the host could actually run the shards in
-// parallel, so gates consult it before judging.
+// measuring host's CPU count, so a wall-clock record names the hardware it
+// was taken on.
 type Result struct {
 	Name     string             `json:"name"`
 	Iters    int64              `json:"iters"`
@@ -194,9 +190,6 @@ func compareAgainst(path string, results []Result, threshold float64) error {
 	if len(regressions) > 0 {
 		return fmt.Errorf("ns/op regression past threshold:\n  %s", strings.Join(regressions, "\n  "))
 	}
-	if err := gateShardSpeedup(results); err != nil {
-		return err
-	}
 	if err := gateAuditOverhead(results); err != nil {
 		return err
 	}
@@ -204,49 +197,6 @@ func compareAgainst(path string, results []Result, threshold float64) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of %s\n", compared, threshold, path)
-	return nil
-}
-
-// Shard-speedup floor: at four shards the sharded engine must beat the
-// serial engine by this factor on the Fig7-class pair workload. A lower
-// ratio means the conservative-synchronization windows are too short (or
-// the rendezvous too expensive) to win anything back.
-const (
-	shardSerialBench  = "BenchmarkFig7Sharded1"
-	shardSharded4     = "BenchmarkFig7Sharded4"
-	shardSpeedupFloor = 1.6
-)
-
-// gateShardSpeedup enforces the shard-speedup floor when both the serial
-// and four-shard Fig7 benchmarks appear on stdin. Both runs were produced
-// on this host moments ago, so the host's own CPU count decides whether a
-// wall-clock speedup is even physically possible: with fewer than four
-// CPUs the shards time-slice one another and the gate is skipped.
-func gateShardSpeedup(results []Result) error {
-	minNs := func(name string) float64 {
-		best := -1.0
-		for _, r := range results {
-			if r.Name == name && r.NsPerOp > 0 && (best < 0 || r.NsPerOp < best) {
-				best = r.NsPerOp
-			}
-		}
-		return best
-	}
-	serial, sharded := minNs(shardSerialBench), minNs(shardSharded4)
-	if serial < 0 || sharded < 0 {
-		return nil // pair not on stdin; nothing to judge
-	}
-	if cpus := runtime.NumCPU(); cpus < 4 {
-		fmt.Fprintf(os.Stderr, "benchjson: shard-speedup gate skipped: %d CPU(s) < 4 shards\n", cpus)
-		return nil
-	}
-	speedup := serial / sharded
-	fmt.Fprintf(os.Stderr, "benchjson: shard speedup %s/%s = %.2fx (floor %.1fx)\n",
-		shardSerialBench, shardSharded4, speedup, shardSpeedupFloor)
-	if speedup < shardSpeedupFloor {
-		return fmt.Errorf("shard speedup %.2fx below %.1fx floor (%s %.0f ns/op vs %s %.0f ns/op)",
-			speedup, shardSpeedupFloor, shardSerialBench, serial, shardSharded4, sharded)
-	}
 	return nil
 }
 
@@ -261,9 +211,9 @@ const (
 )
 
 // gateAuditOverhead enforces the always-on audit budget when both halves of
-// the Every=1 pair appear on stdin. Unlike the shard-speedup gate there is
-// no CPU floor to respect — both runs are single-threaded on the same host —
-// but the same per-name minimum keeps the ratio robust under `-count N`.
+// the Every=1 pair appear on stdin. Both runs are single-threaded on the
+// same host, and the per-name minimum keeps the ratio robust under
+// `-count N`.
 func gateAuditOverhead(results []Result) error {
 	minNs := func(name string) float64 {
 		best := -1.0

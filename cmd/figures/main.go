@@ -32,14 +32,12 @@ func main() {
 	md := flag.String("md", "", "write the full paper-vs-measured markdown report to this file ('-' for stdout)")
 	svg := flag.String("svg", "", "also render every figure as SVG files into this directory")
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "parallel event shards inside each run (0/1 = serial engine; results are byte-identical at any count)")
 	flag.Parse()
 
 	cfg := expt.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Quantum = sim.DurationOf(*quantum)
 	cfg.Parallel = *parallel
-	cfg.Shards = *shards
 
 	if *svg != "" {
 		if err := expt.RenderSVGs(cfg, *svg); err != nil {

@@ -92,7 +92,6 @@ func run() (err error) {
 	parallel := flag.Int("parallel", 0, "worker goroutines for -compare baseline runs (0 = one per CPU, 1 = serial)")
 	auditOn := flag.Bool("audit", false, "cross-check simulation invariants (conservation laws) during the run, failing fast on the first violation")
 	auditEvery := flag.Int("audit-every", 0, "audit sweep interval in engine events (0 = every event; implies -audit when positive)")
-	shards := flag.Int("shards", 0, "parallel event shards for the run (0/1 = serial engine; results are byte-identical at any count)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -143,9 +142,6 @@ func run() (err error) {
 	}
 	if *auditOn || *auditEvery > 0 {
 		spec.Audit = &gangsched.AuditSpec{Every: *auditEvery}
-	}
-	if *shards > 0 {
-		spec.Shards = *shards
 	}
 
 	// Observability plumbing: a JSONL sink for -events, a binary store sink
@@ -232,9 +228,6 @@ func run() (err error) {
 			log.Printf("store: run %q: %d events in %d segment(s), %.1f bytes/event",
 				runName, st.Events, st.Segments, st.BytesPerEvent())
 		}
-	}
-	if note := gangsched.ShardClampNote(spec.Shards, h.Result.ShardsUsed); note != "" {
-		log.Print(note)
 	}
 	if h.Observer != nil {
 		// Serve the post-run state for the linger window (cut short by a

@@ -41,10 +41,7 @@ type SpecConfig struct {
 	LockedMB int    `json:"lockedMB,omitempty"`
 	Policy   string `json:"policy,omitempty"`
 	Batch    bool   `json:"batch,omitempty"`
-	// Shards splits the cluster into this many parallel event shards
-	// (0 or 1 = serial engine; see Spec.Shards).
-	Shards  int    `json:"shards,omitempty"`
-	Quantum string `json:"quantum,omitempty"`
+	Quantum  string `json:"quantum,omitempty"`
 	// TimeLimit aborts wedged runs, e.g. "24h" (0 = the library default).
 	TimeLimit string  `json:"timeLimit,omitempty"`
 	BGFrac    float64 `json:"bgWriteFraction,omitempty"`
@@ -90,7 +87,6 @@ func (sc SpecConfig) Spec() (Spec, error) {
 		LockedMB:        sc.LockedMB,
 		Policy:          sc.Policy,
 		Batch:           sc.Batch,
-		Shards:          sc.Shards,
 		BGWriteFraction: sc.BGFrac,
 		RecordTraces:    sc.Traces,
 		FreeMinPages:    sc.FreeMinPages,

@@ -1,8 +1,11 @@
 package gangsched
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -110,5 +113,35 @@ func TestParseSpecJitter(t *testing.T) {
 	}
 	if spec.Jobs[0].Workload.Jitter != 0.2 {
 		t.Fatalf("jitter = %v", spec.Jobs[0].Workload.Jitter)
+	}
+}
+
+// TestParseSpecRetiredField: a spec (or gangsimd journal record) written
+// while the schema still carried the retired intra-run engine-split field
+// decodes to exactly the Spec the same document gives without it, so old
+// specs and journals keep replaying on the one serial engine.
+func TestParseSpecRetiredField(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "retired_field_spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := json.NewDecoder(bytes.NewReader(legacy))
+	strict.DisallowUnknownFields()
+	if strict.Decode(&SpecConfig{}) == nil {
+		t.Fatal("testdata spec carries no retired field; the check is vacuous")
+	}
+	got, err := ParseSpec(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseSpec([]byte(`{
+		"nodes": 4, "memoryMB": 8, "policy": "so/ao/ai/bg",
+		"jobs": [{"name": "a", "footprintMB": 2, "iterations": 3, "touchCostUs": 50}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired field changed the spec\nwith:    %+v\nwithout: %+v", got, want)
 	}
 }

@@ -152,6 +152,61 @@ func TestFaultLiveness(t *testing.T) {
 	}
 }
 
+// TestCrashResumeFinishDuringSwitch pins a crash-resume handover: after
+// node 2's restart, starting job b's last unfinished rank inside the switch
+// completes it on the spot, and the completion hands the cluster to job a
+// from within that switch. The outer switch must then stop touching b,
+// whose processes are gone: going on to the next node's member panics with
+// "vm: no process 2". The audited run, with a full sweep at every event,
+// must agree with the plain run byte for byte.
+func TestCrashResumeFinishDuringSwitch(t *testing.T) {
+	build := func(audit *AuditSpec) Spec {
+		return Spec{
+			Seed:      -87,
+			Nodes:     3,
+			MemoryMB:  5,
+			Policy:    "so",
+			Quantum:   280 * time.Millisecond,
+			TimeLimit: 10 * time.Minute,
+			Audit:     audit,
+			Faults: &FaultsSpec{
+				DiskErrRate:  0.01,
+				DiskSlowRate: 0.02,
+				Crashes:      []FaultCrash{{Node: 2, At: 5 * time.Second, Downtime: 2 * time.Second}},
+			},
+			Jobs: []JobSpec{
+				{Name: "a", Workload: parallelJob(1065, 11), HintWorkingSet: true},
+				{Name: "b", Workload: fastJob(795, 11), HintWorkingSet: true},
+			},
+		}
+	}
+	run := func(audit *AuditSpec) Result {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("run panicked: %v", r)
+			}
+		}()
+		res, err := Run(build(audit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(nil)
+	for _, j := range plain.Jobs {
+		if !j.Done {
+			t.Errorf("job %s did not complete (%d/%d iterations)", j.Name, j.Iterations, j.TotalIters)
+		}
+	}
+	if plain.Faults.Crashes != 1 || plain.Faults.Restarts != 1 {
+		t.Fatalf("crashes/restarts = %d/%d, want 1/1", plain.Faults.Crashes, plain.Faults.Restarts)
+	}
+	if a, b := resultJSON(t, plain), resultJSON(t, run(&AuditSpec{Every: 1, CrossEvery: 1})); a != b {
+		t.Errorf("audited result diverged\nplain:   %s\naudited: %s", a, b)
+	}
+}
+
 // TestNilFaultPlanIsInert verifies the zero-change guarantee: a nil (or
 // empty) fault plan must leave the event log byte-identical to a run
 // without the field at all — the injector consumes no model entropy.

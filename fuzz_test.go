@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // FuzzAuditedRun drives random workload / policy / fault combinations
@@ -66,21 +64,21 @@ func FuzzAuditedRun(f *testing.F) {
 
 // FuzzAuditDifferential pits the differential auditor against the
 // full-sweep oracle and an unaudited baseline: for any spec — policies,
-// faults, shard counts, tight time limits — a run checked O(delta) per
-// event must produce the same verdict (success, time limit, or violation)
-// and a byte-identical result as the same run swept from the page tables
-// at every event, and both must match the unaudited run. A divergence
+// faults, tight time limits — a run checked O(delta) per event must
+// produce the same verdict (success, time limit, or violation) and a
+// byte-identical result as the same run swept from the page tables at
+// every event, and both must match the unaudited run. A divergence
 // means a delta law is unsound, an emitting layer posts the wrong delta,
 // or auditing perturbed the simulation.
 func FuzzAuditDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(300), uint8(4), uint8(5), uint8(0), uint8(0), false)
-	f.Add(int64(2), uint8(1), uint16(1150), uint8(8), uint8(0), uint8(3), uint8(2), true)
-	f.Add(int64(3), uint8(7), uint16(700), uint8(2), uint8(3), uint8(9), uint8(1), true)
-	f.Add(int64(42), uint8(3), uint16(64), uint8(12), uint8(2), uint8(7), uint8(2), false)
+	f.Add(int64(1), uint8(0), uint16(300), uint8(4), uint8(5), uint8(0), false)
+	f.Add(int64(2), uint8(1), uint16(1150), uint8(8), uint8(0), uint8(3), true)
+	f.Add(int64(3), uint8(7), uint16(700), uint8(2), uint8(3), uint8(9), true)
+	f.Add(int64(42), uint8(3), uint16(64), uint8(12), uint8(2), uint8(7), false)
 
 	policies := []string{"orig", "ai", "so", "so/ao", "so/ao/bg", "so/ao/ai/bg"}
 	crossEveries := []int{-1, 7, 0} // differential-only, tight interleave, default cadence
-	f.Fuzz(func(t *testing.T, seed int64, memB uint8, pagesU uint16, itersB, policyB, quantumB, shardB uint8, faults bool) {
+	f.Fuzz(func(t *testing.T, seed int64, memB uint8, pagesU uint16, itersB, policyB, quantumB uint8, faults bool) {
 		nodes := 1 + int(seed&3)
 		build := func(audit *AuditSpec) Spec {
 			spec := Spec{
@@ -90,7 +88,6 @@ func FuzzAuditDifferential(f *testing.F) {
 				Policy:    policies[int(policyB)%len(policies)],
 				Quantum:   time.Duration(100+int(quantumB)*20) * time.Millisecond,
 				TimeLimit: 10 * time.Minute,
-				Shards:    int(shardB) % 3,
 				Audit:     audit,
 				Jobs: []JobSpec{
 					{Name: "a", Workload: parallelJob(100+int(pagesU)%1100, 1+int(itersB)%12), HintWorkingSet: true},
@@ -141,72 +138,6 @@ func FuzzAuditDifferential(f *testing.F) {
 		}
 		if diff.AuditChecks == 0 {
 			t.Fatal("audited run performed no checks")
-		}
-	})
-}
-
-// FuzzShardEquivalence generates random small specs and checks that the
-// sharded engine reproduces the serial engine's results and canonical event
-// log byte for byte at every shard count. Any divergence is a hole in the
-// conservative synchronization protocol's coupling set.
-func FuzzShardEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(300), uint8(4), uint8(5), uint8(0), uint8(2), false)
-	f.Add(int64(2), uint8(1), uint16(1150), uint8(8), uint8(0), uint8(3), uint8(3), true)
-	f.Add(int64(3), uint8(7), uint16(700), uint8(2), uint8(3), uint8(9), uint8(4), true)
-	f.Add(int64(42), uint8(3), uint16(64), uint8(12), uint8(2), uint8(7), uint8(2), false)
-
-	policies := []string{"orig", "ai", "so", "so/ao", "so/ao/bg", "so/ao/ai/bg"}
-	f.Fuzz(func(t *testing.T, seed int64, memB uint8, pagesU uint16, itersB, policyB, quantumB, shardB uint8, faults bool) {
-		nodes := 2 + int(seed&3) // 2..5 nodes so multiple shards exist
-		build := func(shards int) Spec {
-			spec := Spec{
-				Seed:      seed,
-				Nodes:     nodes,
-				MemoryMB:  4 + int(memB%8),
-				Policy:    policies[int(policyB)%len(policies)],
-				Quantum:   time.Duration(100+int(quantumB)*20) * time.Millisecond,
-				TimeLimit: 10 * time.Minute,
-				Shards:    shards,
-				Jobs: []JobSpec{
-					{Name: "a", Workload: parallelJob(100+int(pagesU)%1100, 1+int(itersB)%12), HintWorkingSet: true},
-					{Name: "b", Workload: fastJob(100+int(pagesU*3)%1100, 1+int(itersB)%12), HintWorkingSet: true},
-				},
-			}
-			if faults {
-				spec.Faults = &FaultsSpec{
-					DiskErrRate:  float64(memB%4) / 100,
-					DiskSlowRate: float64(itersB%4) / 100,
-					Crashes: []FaultCrash{
-						{Node: int(policyB) % nodes, At: time.Duration(1+quantumB%5) * time.Second, Downtime: 2 * time.Second},
-					},
-				}
-			}
-			return spec
-		}
-		shards := 2 + int(shardB)%3 // 2..4
-		serSpec := build(1)
-		if err := serSpec.Validate(); err != nil {
-			t.Skipf("spec rejected: %v", err)
-		}
-		serSpec.Observe = &obs.Options{KeepEvents: true, EventCap: 1 << 18}
-		ser, serErr := RunDetailed(serSpec)
-		shSpec := build(shards)
-		shSpec.Observe = &obs.Options{KeepEvents: true, EventCap: 1 << 18}
-		sh, shErr := RunDetailed(shSpec)
-		if (serErr == nil) != (shErr == nil) || (serErr != nil && serErr.Error() != shErr.Error()) {
-			t.Fatalf("shards=%d: error mismatch: serial %v, sharded %v", shards, serErr, shErr)
-		}
-		if serErr != nil {
-			return // both cut short identically (e.g. time limit)
-		}
-		if a, b := resultJSON(t, ser.Result), resultJSON(t, sh.Result); a != b {
-			t.Fatalf("shards=%d diverged from serial\nserial:  %s\nsharded: %s", shards, a, b)
-		}
-		a := eventsJSONL(t, canonicalEvents(ser.Events))
-		b := eventsJSONL(t, canonicalEvents(sh.Events))
-		if a != b {
-			t.Fatalf("shards=%d: canonical event log diverged (serial %d events, sharded %d)",
-				shards, len(ser.Events), len(sh.Events))
 		}
 	})
 }

@@ -143,18 +143,6 @@ type Spec struct {
 	// Batch runs the jobs back to back instead of gang-scheduling them.
 	Batch bool
 
-	// Shards splits the cluster's nodes into this many contiguous groups,
-	// each advanced by its own event engine on its own goroutine;
-	// cross-shard couplings (barrier arrivals, gang switch epochs, job
-	// completion) rendezvous under a conservative time-window protocol
-	// (DESIGN.md §13). 0 or 1 runs the proven serial engine. Results are
-	// byte-identical to the serial engine at any shard count; shard counts
-	// above Nodes are clamped. Jobs with compute Jitter consume the model
-	// RNG in node order, which sharding cannot reproduce — such specs are
-	// clamped to the serial engine. Either clamp is visible after the run
-	// as Result.ShardsUsed < Shards (ShardClampNote renders the warning).
-	Shards int
-
 	Quantum         time.Duration // default 5 minutes
 	BGWriteFraction float64       // default 0.1 (last 10% of the quantum)
 
@@ -214,20 +202,6 @@ type AuditSpec struct {
 	TraceTail int
 }
 
-// ShardClampNote describes a silently reduced engine-shard count, for
-// surfacing in CLI and service logs: requested is Spec.Shards, used is the
-// effective count reported on Result.ShardsUsed. It returns "" when nothing
-// was clamped (including when sharding was never requested).
-func ShardClampNote(requested, used int) string {
-	if requested <= 1 || used >= requested {
-		return ""
-	}
-	if used <= 1 {
-		return fmt.Sprintf("gangsched: %d shards requested but the run executed serially (jittered workloads require the serial engine)", requested)
-	}
-	return fmt.Sprintf("gangsched: %d shards requested but only %d used (shard count is clamped to the node count)", requested, used)
-}
-
 // Violation is a broken conservation law reported by the auditor; run
 // errors match it under errors.As.
 type Violation = audit.Violation
@@ -276,9 +250,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Audit != nil && s.Audit.Every < 0 {
 		return fmt.Errorf("gangsched: negative audit interval %d", s.Audit.Every)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("gangsched: negative shard count %d", s.Shards)
 	}
 	if s.Quantum < 0 {
 		return fmt.Errorf("gangsched: negative quantum %v", s.Quantum)
@@ -416,22 +387,7 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 	if spec.RecordTraces {
 		nc.TraceBin = sim.Second
 	}
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 {
-		// Compute jitter draws from the model RNG in node order, which
-		// independently advancing shards cannot reproduce: fall back to
-		// the serial engine (see Spec.Shards).
-		for _, j := range spec.Jobs {
-			if j.Workload.Jitter != 0 {
-				shards = 1
-				break
-			}
-		}
-	}
-	cl, err := cluster.NewSharded(spec.Seed, spec.Nodes, shards, nc, features, core.Config{})
+	cl, err := cluster.New(spec.Seed, spec.Nodes, nc, features, core.Config{})
 	if err != nil {
 		return nil, err
 	}

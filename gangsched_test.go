@@ -1,6 +1,7 @@
 package gangsched
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -100,6 +101,34 @@ func parallelJob(pages, iters int) Behavior {
 	b.SyncEveryIter = true
 	b.MsgBytes = 1024
 	return b
+}
+
+// fourNodeSpec is the golden-equivalence workhorse: a 4-node cluster under
+// over-commit running two synchronized parallel jobs, small enough that the
+// full §4.3 policy matrix times every variant stays inside a unit-test
+// budget.
+func fourNodeSpec(policy string) Spec {
+	return Spec{
+		Seed:     1,
+		Nodes:    4,
+		MemoryMB: 8,
+		Policy:   policy,
+		Quantum:  time.Second,
+		Jobs: []JobSpec{
+			{Name: "a", Workload: parallelJob(1000, 40), HintWorkingSet: true},
+			{Name: "b", Workload: parallelJob(1000, 40), HintWorkingSet: true},
+		},
+	}
+}
+
+// resultJSON renders a run result for byte-level comparison.
+func resultJSON(t *testing.T, res Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestCompareReportsReduction(t *testing.T) {

@@ -11,10 +11,9 @@
 // what makes an Every=1 audit cadence affordable.
 //
 // Counts follow the same single-writer discipline as the rest of a node's
-// state: the node's owning goroutine (the shard worker inside a window, the
-// coordinator during aligned phases) posts transitions, and the auditor
-// reads only at aligned instants, so no synchronization is needed beyond
-// the engine's own handoffs.
+// state: the simulation goroutine posts transitions between events, and the
+// auditor reads them at step boundaries on that same goroutine, so no
+// synchronization is needed.
 package acct
 
 // Counts is one node's running conservation aggregates. All fields are

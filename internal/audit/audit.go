@@ -169,10 +169,9 @@ type Auditor struct {
 	crossEvery int
 	sinceSweep int
 
-	// Differential state: engines and lastVer are sized once (zero-garbage
-	// contract); lastVer[i] is Nodes[i].Acct.Version as of its last check,
-	// so unchanged nodes are skipped entirely.
-	engines []*sim.Engine
+	// Differential state: lastVer is sized once (zero-garbage contract);
+	// lastVer[i] is Nodes[i].Acct.Version as of its last check, so
+	// unchanged nodes are skipped entirely.
 	lastVer []uint64
 
 	// Scratch reused across sweeps (the zero-garbage contract). Frame
@@ -183,7 +182,7 @@ type Auditor struct {
 	ownerPID []int32
 	ownerVP  []int32
 	gen      uint32
-	prevNow  []sim.Time // per engine (cluster.Engines order)
+	prevNow  sim.Time // engine clock at the previous check
 }
 
 // New builds an Auditor over c. The cluster is inspected, never mutated.
@@ -213,8 +212,6 @@ func New(c *cluster.Cluster, cfg Config) *Auditor {
 	default:
 		a.crossEvery = cfg.CrossEvery
 	}
-	a.engines = c.Engines()
-	a.prevNow = make([]sim.Time, len(a.engines))
 	a.lastVer = make([]uint64, len(c.Nodes))
 	return a
 }
@@ -424,27 +421,24 @@ func (a *Auditor) checkDelta() error {
 	return nil
 }
 
-// checkEngine enforces time monotonicity on every engine in the cluster —
-// the coordinator plus each shard, one on a serial cluster: no clock of a
-// discrete-event simulation may retreat, and no pending event may be in
-// the past. Checks run at aligned boundaries, where shard clocks are never
-// behind the coordinator's.
+// checkEngine enforces time monotonicity on the cluster's engine: the clock
+// of a discrete-event simulation may never retreat, and no pending event
+// may be in the past.
 func (a *Auditor) checkEngine() error {
-	for i, eng := range a.engines {
-		now := eng.Now()
-		if now < a.prevNow[i] {
-			return a.fail(&Violation{
-				Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("engine %d clock ran backwards: %v after %v", i, now, a.prevNow[i]),
-			})
-		}
-		a.prevNow[i] = now
-		if at, ok := eng.NextEventTime(); ok && at < now {
-			return a.fail(&Violation{
-				Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("engine %d pending event at %v is before now %v", i, at, now),
-			})
-		}
+	eng := a.c.Eng
+	now := eng.Now()
+	if now < a.prevNow {
+		return a.fail(&Violation{
+			Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
+			Detail: fmt.Sprintf("engine 0 clock ran backwards: %v after %v", now, a.prevNow),
+		})
+	}
+	a.prevNow = now
+	if at, ok := eng.NextEventTime(); ok && at < now {
+		return a.fail(&Violation{
+			Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
+			Detail: fmt.Sprintf("engine 0 pending event at %v is before now %v", at, now),
+		})
 	}
 	return nil
 }
@@ -733,15 +727,8 @@ func (a *Auditor) checkLedgers() error {
 		return nil
 	}
 	// Conservation holds at any instant at or after a ledger's last
-	// transition; sweep at the farthest clock so shards that free-ran past
-	// the rendezvous instant still reconcile. Serial clusters have one
-	// engine, making this exactly Eng.Now().
+	// transition, so the sweep reconciles at the current clock.
 	now := a.c.Eng.Now()
-	for _, eng := range a.engines {
-		if n := eng.Now(); n > now {
-			now = n
-		}
-	}
 	for _, j := range sched.Jobs() {
 		for i := range j.Members {
 			p := j.Members[i].Proc

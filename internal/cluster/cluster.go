@@ -89,7 +89,6 @@ func (nc *NodeConfig) fillDefaults() error {
 // Node is one simulated machine.
 type Node struct {
 	ID     int
-	Eng    *sim.Engine // the engine this node's events run on (the shard's, or Cluster.Eng when serial)
 	Phys   *mem.Physical
 	Disk   *disk.Disk
 	Swap   *swap.Space
@@ -133,12 +132,6 @@ type Cluster struct {
 	finalCheck func() error // overrides stepCheck at quiescence when set
 
 	drain <-chan func() // live-observer requests, run at step boundaries
-
-	// rt is the sharded runtime (nil for a serial cluster). With shards > 1
-	// each node group owns its own engine and free-runs between cross-shard
-	// coupling points; Eng becomes the pure coordinator engine carrying
-	// scheduler timers, barrier releases and fault events. See shard.go.
-	rt *shardRuntime
 }
 
 // FaultStats tallies fault-recovery activity across the run.
@@ -150,33 +143,14 @@ type FaultStats struct {
 // New builds a cluster of nNodes identical machines running the given
 // adaptive-paging feature set, simulated serially on one engine.
 func New(seed int64, nNodes int, ncfg NodeConfig, features core.Features, kcfg core.Config) (*Cluster, error) {
-	return NewSharded(seed, nNodes, 1, ncfg, features, kcfg)
-}
-
-// NewSharded is New with intra-run parallelism: the nodes are split into
-// shards contiguous groups, each owning a private event engine that
-// free-runs between cross-shard coupling points (barrier releases, gang
-// switch epochs, fault events), while Cluster.Eng coordinates. shards <= 1
-// builds the exact serial cluster New always built — same engine, same
-// event order, byte-identical outputs — and shards is clamped to nNodes.
-// For a fixed shard count runs are deterministic, and results are
-// equivalent to the serial engine's (see DESIGN.md §13 for the
-// synchronization protocol and its ordering guarantees).
-func NewSharded(seed int64, nNodes, shards int, ncfg NodeConfig, features core.Features, kcfg core.Config) (*Cluster, error) {
 	if nNodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", nNodes)
-	}
-	if shards > nNodes {
-		shards = nNodes
 	}
 	if err := ncfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine(seed)
 	c := &Cluster{Eng: eng, Net: mpi.DefaultNetwork(eng), nextPID: 1}
-	if shards > 1 {
-		c.rt = newShardRuntime(c, nNodes, shards, seed)
-	}
 	frames := mem.PagesFromMB(ncfg.MemoryMB)
 	for i := 0; i < nNodes; i++ {
 		var rec *trace.Recorder
@@ -188,20 +162,16 @@ func NewSharded(seed int64, nNodes, shards int, ncfg NodeConfig, features core.F
 			rec.Series(SeriesPageOutKB)
 			tracer = &diskTracer{rec}
 		}
-		nodeEng := eng
-		if c.rt != nil {
-			nodeEng = c.rt.nodeEngine(i)
-		}
 		phys := mem.New(frames, ncfg.FreeMinPages, ncfg.FreeHighPages)
 		if ncfg.LockedMB > 0 {
 			phys.Lock(mem.PagesFromMB(ncfg.LockedMB))
 		}
-		d := disk.New(nodeEng, ncfg.Disk, tracer)
+		d := disk.New(eng, ncfg.Disk, tracer)
 		sp := swap.New(int64(mem.PagesFromMB(ncfg.SwapMB)))
-		v := vm.New(nodeEng, phys, d, sp, ncfg.VM)
-		k := core.NewKernel(nodeEng, v, features, kcfg)
+		v := vm.New(eng, phys, d, sp, ncfg.VM)
+		k := core.NewKernel(eng, v, features, kcfg)
 		c.Nodes = append(c.Nodes, &Node{
-			ID: i, Eng: nodeEng, Phys: phys, Disk: d, Swap: sp, VM: v, Kernel: k, Rec: rec,
+			ID: i, Phys: phys, Disk: d, Swap: sp, VM: v, Kernel: k, Rec: rec,
 		})
 	}
 	return c, nil
@@ -224,48 +194,9 @@ func (c *Cluster) EnableAcct() {
 	}
 }
 
-// Shards reports the shard count the cluster was built with (1 when serial).
-func (c *Cluster) Shards() int {
-	if c.rt == nil {
-		return 1
-	}
-	return len(c.rt.groups)
-}
-
-// Engines lists every event engine in the cluster: the coordinator first,
-// then one per shard in shard order. A serial cluster has exactly one. The
-// invariant auditor sweeps all of them.
-func (c *Cluster) Engines() []*sim.Engine {
-	if c.rt == nil {
-		return []*sim.Engine{c.Eng}
-	}
-	out := make([]*sim.Engine, 0, 1+len(c.rt.groups))
-	out = append(out, c.Eng)
-	for _, g := range c.rt.groups {
-		out = append(out, g.eng)
-	}
-	return out
-}
-
-// NodeEngine returns the engine node id's events run on (Cluster.Eng when
-// serial). Per-node instrumentation — fault injection stamps its events
-// with this engine's clock — must use it rather than Cluster.Eng, whose
-// clock lags the shards between rendezvous.
-func (c *Cluster) NodeEngine(id int) *sim.Engine { return c.Nodes[id].Eng }
-
-// NodeBus returns the event bus node-scoped emissions for node id must use:
-// the shard's buffer bus when sharded (merged deterministically into the
-// master bus at rendezvous), the master bus itself otherwise. Nil when
-// observability is off (a nil *obs.Bus drops emissions safely).
-func (c *Cluster) NodeBus(id int) *obs.Bus {
-	if c.rt != nil {
-		return c.rt.groups[c.rt.nodeGroup[id]].bus
-	}
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.Bus
-}
+// Engines lists the cluster's event engines: the single engine every node
+// and the scheduler run on.
+func (c *Cluster) Engines() []*sim.Engine { return []*sim.Engine{c.Eng} }
 
 // EnableObservability attaches the built observability plumbing to every
 // node's VM, disk and kernel, installs the engine step hook that keeps the
@@ -280,20 +211,9 @@ func (c *Cluster) EnableObservability(setup *obs.Setup) {
 		panic("cluster: EnableObservability after BuildScheduler")
 	}
 	c.obs = setup
-	if c.rt != nil {
-		c.rt.enableObs(setup)
-	}
 	for _, n := range c.Nodes {
-		bus, tracer := setup.Bus, setup.Tracer
-		if c.rt != nil {
-			// Node-scoped emissions go to the shard's buffer bus and shard
-			// tracer; the runtime merges both deterministically (events at
-			// rendezvous, spans at end of run).
-			g := c.rt.groups[c.rt.nodeGroup[n.ID]]
-			bus, tracer = g.bus, g.tracer
-		}
-		n.Obs = obs.NewNodeObs(setup.Reg, bus, n.ID)
-		n.Obs.Tracer = tracer
+		n.Obs = obs.NewNodeObs(setup.Reg, setup.Bus, n.ID)
+		n.Obs.Tracer = setup.Tracer
 		n.VM.SetObs(n.Obs)
 		n.Disk.SetObs(n.Obs)
 		n.Kernel.SetObs(n.Obs)
@@ -301,12 +221,6 @@ func (c *Cluster) EnableObservability(setup *obs.Setup) {
 	if setup.Reg != nil {
 		simTime := setup.Reg.Gauge(obs.MetricSimTime, "Current simulated time.", nil)
 		events := setup.Reg.Counter(obs.MetricEngineEvents, "Simulation engine events fired.", nil)
-		if c.rt != nil {
-			// A per-step hook would race with the shard workers (Counter is
-			// not atomic); the runtime updates both at rendezvous instead.
-			c.rt.simTime, c.rt.events = simTime, events
-			return
-		}
 		c.Eng.SetStepHook(func(now sim.Time, fired int) {
 			simTime.Set(now.Seconds())
 			// fired is the step's logical weight: a fast-forwarded touch
@@ -355,35 +269,14 @@ func (c *Cluster) AddJob(spec JobSpec) (*gang.Job, error) {
 			barrier.Trace(c.obs.Tracer)
 		}
 	}
-	if c.rt != nil && spec.Behavior.Jitter != 0 {
-		// Jitter is the one model input drawn from the engine RNG, and each
-		// shard engine carries its own; letting ranks draw from different
-		// streams would diverge from the serial run. Callers (gangsched)
-		// clamp jittered specs to one shard instead of tripping this.
-		return nil, fmt.Errorf("cluster: job %q has compute jitter, unsupported on a sharded cluster", spec.Name)
-	}
 	for _, n := range c.Nodes {
 		if _, err := n.VM.NewProcess(pid, spec.Behavior.FootprintPages); err != nil {
 			return nil, fmt.Errorf("cluster: job %q on node %d: %w", spec.Name, n.ID, err)
 		}
-		var sync proc.Syncer
-		if barrier != nil {
-			sync = barrier
-			if c.rt != nil {
-				// The rank's shard cannot open (or even register at) the
-				// coordinator-side barrier mid-window: arrivals park the
-				// shard and replay at the next rendezvous.
-				sync = &shardSyncer{rt: c.rt, node: n.ID, b: barrier}
-			}
-		}
 		finish := func(*proc.Process) {
 			c.sched.MemberFinished(job)
 		}
-		if c.rt != nil {
-			node := n.ID
-			finish = func(*proc.Process) { c.rt.memberFinished(node, job) }
-		}
-		p := proc.New(n.Eng, n.VM, pid, spec.Behavior, sync, finish)
+		p := proc.New(c.Eng, n.VM, pid, spec.Behavior, barrier, finish)
 		if n.Acct != nil {
 			p.SetRunGauge(n.Acct)
 		}
@@ -412,13 +305,6 @@ func (c *Cluster) BuildScheduler(opts gang.Options) *gang.Scheduler {
 	if c.obs != nil && opts.Obs == nil {
 		opts.Obs = obs.NewSchedObs(c.obs.Reg, c.obs.Bus)
 		opts.Obs.Tracer = c.obs.Tracer
-	}
-	if c.rt != nil {
-		// Epoch completions (adaptive page-in landing) surface on shard
-		// engines mid-window; route them through the runtime so they replay
-		// at the rendezvous instead of touching the master tracer off the
-		// coordinator goroutine.
-		opts.DeferOp = c.rt.deferOp
 	}
 	c.sched = gang.NewScheduler(c.Eng, c.jobs, opts, func() {
 		if c.onAllDone != nil {
@@ -657,9 +543,6 @@ func (c *Cluster) Run(limit sim.Duration) error {
 func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 	if c.sched == nil {
 		panic("cluster: Run before BuildScheduler")
-	}
-	if c.rt != nil {
-		return c.rt.run(ctx, limit)
 	}
 	c.sched.Start()
 	deadline := c.Eng.Now().Add(limit)

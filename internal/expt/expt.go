@@ -3,8 +3,6 @@ package expt
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -31,11 +29,6 @@ type Config struct {
 	TimeLimit sim.Duration
 	// TraceBin enables per-node activity recording when positive.
 	TraceBin sim.Duration
-	// Shards splits each run's cluster into this many parallel event
-	// shards (0 or 1 = serial engine; see cluster.NewSharded). Results
-	// are byte-identical at any setting; behaviours with compute jitter
-	// fall back to the serial engine automatically.
-	Shards int
 	// Parallel bounds how many independent simulation runs execute
 	// concurrently: 0 means one worker per CPU, 1 forces serial
 	// execution. Every run owns its engine and RNG, and results are
@@ -56,23 +49,7 @@ func DefaultConfig() Config {
 		Quantum:         5 * sim.Minute,
 		BGWriteFraction: 0.1,
 		TimeLimit:       24 * sim.Hour,
-		Shards:          envShards(),
 	}
-}
-
-// envShards reads GANGSIM_SHARDS so CI tiers (e.g. the full race pass) can
-// turn on intra-run sharding for every study without threading a flag
-// through each test. Unset, empty or invalid values mean serial.
-func envShards() int {
-	v := os.Getenv("GANGSIM_SHARDS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }
 
 func (c *Config) fillDefaults() {
@@ -113,11 +90,7 @@ func (c Config) buildPairWithBehavior(m workload.Model, beh proc.Behavior, featu
 	nc := cluster.DefaultNodeConfig()
 	nc.LockedMB = nc.MemoryMB - m.AvailMB
 	nc.TraceBin = c.TraceBin
-	shards := c.Shards
-	if shards < 1 || beh.Jitter != 0 {
-		shards = 1
-	}
-	cl, err := cluster.NewSharded(c.Seed, m.Ranks, shards, nc, features, core.Config{})
+	cl, err := cluster.New(c.Seed, m.Ranks, nc, features, core.Config{})
 	if err != nil {
 		return nil, err
 	}

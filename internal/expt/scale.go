@@ -14,15 +14,13 @@ import (
 // ScaleResult summarises one large-cluster gang-scheduling run — the scale
 // the ROADMAP's batch-vs-fractional comparisons need, far past the paper's
 // four machines. All fields are simulation-domain (no wall-clock), so the
-// formatted study is byte-identical across hosts, worker counts and shard
-// counts.
+// formatted study is byte-identical across hosts and worker counts.
 type ScaleResult struct {
-	Nodes  int
-	Gangs  int
-	Shards int // event shards the run actually used (1 = serial engine)
+	Nodes int
+	Gangs int
 
 	MakespanSec float64 // last gang completion, simulated seconds
-	Events      uint64  // logical engine events executed, summed over shards
+	Events      uint64  // logical engine events executed
 	Switches    int64   // gang context switches
 
 	MeanGangSec float64 // mean gang completion time
@@ -54,11 +52,7 @@ func scaleBehavior() proc.Behavior {
 
 // ScaleStudy gang-schedules `gangs` synthetic parallel jobs — every gang
 // spanning all `nodes` machines — under the full adaptive policy, and
-// reports completion statistics. The run honours cfg.Shards, which is the
-// point: at 512 nodes and 128 gangs a serial engine crawls through every
-// node's events on one goroutine, while shards advance node groups
-// concurrently between coupling points. Results are byte-identical at any
-// shard count.
+// reports completion statistics.
 func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	cfg.fillDefaults()
 	if nodes < 1 || gangs < 1 {
@@ -69,11 +63,7 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	// full job set does not: the adaptive mechanisms stay on the critical
 	// path without the run degenerating into a pure thrash test.
 	nc.MemoryMB = 64
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	cl, err := cluster.NewSharded(cfg.Seed, nodes, shards, nc, core.SOAOAIBG, core.Config{})
+	cl, err := cluster.New(cfg.Seed, nodes, nc, core.SOAOAIBG, core.Config{})
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -95,11 +85,12 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 		return ScaleResult{}, fmt.Errorf("expt: scale %dx%d: %w", nodes, gangs, err)
 	}
 
-	res := ScaleResult{Nodes: nodes, Gangs: gangs, Shards: cl.Shards()}
-	for _, eng := range cl.Engines() {
-		res.Events += eng.Executed()
+	res := ScaleResult{
+		Nodes:    nodes,
+		Gangs:    gangs,
+		Events:   cl.Eng.Executed(),
+		Switches: cl.Scheduler().Stats().Switches,
 	}
-	res.Switches = cl.Scheduler().Stats().Switches
 	var sum float64
 	for _, j := range cl.Jobs() {
 		sec := sim.Duration(j.FinishedAt()).Seconds()
@@ -124,7 +115,6 @@ func FormatScaleTable(title string, r ScaleResult) string {
 	row := func(name, val string) { fmt.Fprintf(&b, "%-28s %12s\n", name, val) }
 	row("nodes", fmt.Sprintf("%d", r.Nodes))
 	row("gangs", fmt.Sprintf("%d", r.Gangs))
-	row("event shards", fmt.Sprintf("%d", r.Shards))
 	row("makespan (s)", fmt.Sprintf("%.1f", r.MakespanSec))
 	row("engine events", fmt.Sprintf("%d", r.Events))
 	row("gang switches", fmt.Sprintf("%d", r.Switches))

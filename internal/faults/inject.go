@@ -16,8 +16,7 @@ type Injector struct {
 	c      *cluster.Cluster
 	plan   *Plan
 	counts map[string]int64
-	events []*sim.Event  // pending crash events, cancellable on all-done
-	disks  []*DiskFaults // per-node disk fault models (sharded tallies live here)
+	events []*sim.Event // pending crash events, cancellable on all-done
 }
 
 // Attach installs plan on c: straggler speeds are applied, per-node
@@ -36,42 +35,15 @@ func Attach(c *cluster.Cluster, plan *Plan, seed int64) (*Injector, error) {
 	}
 	plan.normalize()
 	if plan.DiskErrRate > 0 || plan.DiskSlowRate > 0 {
-		sharded := c.Shards() > 1
 		for _, n := range c.Nodes {
-			df := &DiskFaults{
+			n.Disk.SetFaults(&DiskFaults{
 				inj:      in,
 				node:     n.ID,
 				rng:      rand.New(rand.NewSource(mix(seed, n.ID))),
 				errRate:  plan.DiskErrRate,
 				slowRate: plan.DiskSlowRate,
 				slowLat:  plan.SlowLatency,
-			}
-			if sharded {
-				// Disk attempts fire on the node's shard goroutine
-				// mid-window, where the injector's shared tallies, the
-				// master bus and lazy registry lookups are all off-limits:
-				// wire the node-local equivalents up front. (On a serial
-				// cluster the legacy path is kept byte-identical, lazy
-				// counter registration included.)
-				df.sharded = true
-				df.eng = c.NodeEngine(n.ID)
-				df.bus = c.NodeBus(n.ID)
-				if o := c.Obs(); o != nil && o.Reg != nil {
-					lbl := strconv.Itoa(n.ID)
-					if plan.DiskErrRate > 0 {
-						df.ctrErr = o.Reg.Counter(obs.MetricFaultsInjected,
-							"Faults injected by the fault plan, by class.",
-							obs.Labels{"node": lbl, "fault": "diskerr"})
-					}
-					if plan.DiskSlowRate > 0 {
-						df.ctrSlow = o.Reg.Counter(obs.MetricFaultsInjected,
-							"Faults injected by the fault plan, by class.",
-							obs.Labels{"node": lbl, "fault": "diskslow"})
-					}
-				}
-			}
-			n.Disk.SetFaults(df)
-			in.disks = append(in.disks, df)
+			})
 		}
 	}
 	for _, s := range plan.Stragglers {
@@ -114,15 +86,6 @@ func (in *Injector) Counts() map[string]int64 {
 	for k, v := range in.counts {
 		out[k] = v
 	}
-	// Sharded disk models tally node-locally; fold them in here.
-	for _, df := range in.disks {
-		if df.nErr > 0 {
-			out["diskerr"] += df.nErr
-		}
-		if df.nSlow > 0 {
-			out["diskslow"] += df.nSlow
-		}
-	}
 	return out
 }
 
@@ -159,16 +122,6 @@ type DiskFaults struct {
 	errRate  float64
 	slowRate float64
 	slowLat  sim.Duration
-
-	// Sharded mode: attempts fire on the node's shard goroutine, so
-	// injections are recorded with node-local state only — the shard
-	// engine's clock, the shard buffer bus, pre-registered counters and
-	// per-node tallies folded into Injector.Counts after the run.
-	sharded         bool
-	eng             *sim.Engine
-	bus             *obs.Bus
-	ctrErr, ctrSlow *obs.Counter
-	nErr, nSlow     int64
 }
 
 // Attempt implements disk.FaultModel. Each injected error is emitted as
@@ -176,44 +129,12 @@ type DiskFaults struct {
 // DiskRetry event, so the two counts match 1:1.
 func (f *DiskFaults) Attempt(write bool, pages int) (fail bool, extra sim.Duration) {
 	if f.errRate > 0 && f.rng.Float64() < f.errRate {
-		f.record("diskerr", 0, write, pages)
+		f.inj.record(f.node, "diskerr", 0, write, pages)
 		return true, 0
 	}
 	if f.slowRate > 0 && f.rng.Float64() < f.slowRate {
-		f.record("diskslow", f.slowLat, write, pages)
+		f.inj.record(f.node, "diskslow", f.slowLat, write, pages)
 		return false, f.slowLat
 	}
 	return false, 0
-}
-
-// record routes one disk injection: the injector's shared path when
-// serial, the node-local path when sharded.
-func (f *DiskFaults) record(fault string, dur sim.Duration, write bool, pages int) {
-	if !f.sharded {
-		f.inj.record(f.node, fault, dur, write, pages)
-		return
-	}
-	if fault == "diskerr" {
-		f.nErr++
-		if f.ctrErr != nil {
-			f.ctrErr.Inc()
-		}
-	} else {
-		f.nSlow++
-		if f.ctrSlow != nil {
-			f.ctrSlow.Inc()
-		}
-	}
-	if f.bus == nil {
-		return
-	}
-	f.bus.Emit(obs.Event{
-		T:     f.eng.Now(),
-		Kind:  obs.KindFaultInjected,
-		Node:  f.node,
-		Fault: fault,
-		Dur:   dur,
-		Write: write,
-		Pages: pages,
-	})
 }

@@ -99,13 +99,6 @@ type Options struct {
 	// Obs, when non-nil, receives a JobSwitch event per coordinated switch
 	// plus the switch/quantum counters.
 	Obs *obs.SchedObs
-	// DeferOp, when non-nil, routes per-member completion callbacks (the
-	// adaptive page-in replay landing on node `node`) through the caller
-	// instead of running them inline. The sharded cluster uses it to buffer
-	// completions that fire on a node shard's engine and replay them on the
-	// coordinator at the next rendezvous; op receives the simulated time the
-	// completion fired at. Nil (the serial default) runs completions inline.
-	DeferOp func(node int, op func(now sim.Time))
 }
 
 // Stats summarises scheduler activity.
@@ -377,16 +370,10 @@ type epochTrack struct {
 	armed   bool
 }
 
-func (e *epochTrack) complete() { e.completeAt(e.eng.Now()) }
-
-// completeAt is complete with an explicit completion time: the sharded
-// runtime records when the callback fired on the node shard's clock and
-// replays it here at the rendezvous, after the coordinator engine has
-// already moved past that instant.
-func (e *epochTrack) completeAt(now sim.Time) {
+func (e *epochTrack) complete() {
 	e.pending--
 	if e.armed && e.pending == 0 {
-		e.tracer.End(now, e.span, e.pages)
+		e.tracer.End(e.eng.Now(), e.span, e.pages)
 	}
 }
 
@@ -486,22 +473,27 @@ func (s *Scheduler) switchTo(next int) {
 		var onDone func()
 		if et != nil {
 			et.pending++
-			if route := s.opts.DeferOp; route != nil {
-				node := i
-				onDone = func() { route(node, et.completeAt) }
-			} else {
-				onDone = et.complete
-			}
+			onDone = et.complete
 		}
 		n := m.Kernel.AdaptivePageIn(inPID, outPID, in.WSHintPages, onDone)
 		if et != nil {
 			et.pages += n
 		}
 		m.Proc.Start()
+		if in.finished {
+			// Starting this rank finished the job's last running rank (the
+			// others finished in earlier quanta). MemberFinished has
+			// already released the job's processes and, unless every job
+			// is done, switched the cluster onward from within this call.
+			break
+		}
 	}
 	in.started = true
 	if et != nil {
 		et.arm()
+	}
+	if in.finished {
+		return // the nested switch owns the quantum timers
 	}
 
 	// In batch mode the job simply runs to completion. In gang mode,

@@ -106,13 +106,6 @@ type RunResult struct {
 	// Interrupted marks a partial result: the run's context was cancelled
 	// before every job finished. Per-job progress is in Jobs.
 	Interrupted bool
-	// ShardsUsed is the number of event-engine shards the run actually
-	// executed on — 1 for the serial engine. It can be below the requested
-	// Spec.Shards: jittered workloads force the serial engine, and counts
-	// above the node count are clamped. It is the one result field that may
-	// legitimately differ between equivalent runs of the same workload at
-	// different parallelism.
-	ShardsUsed int
 	// Faults tallies injected faults and the recovery work they caused.
 	Faults FaultTally
 	// Timeline records which job owned the cluster when (one interval per
@@ -122,7 +115,7 @@ type RunResult struct {
 
 // Collect gathers a RunResult from a completed cluster run.
 func Collect(c *cluster.Cluster, policy string) RunResult {
-	r := RunResult{Policy: policy, ShardsUsed: c.Shards()}
+	r := RunResult{Policy: policy}
 	if s := c.Scheduler(); s != nil {
 		r.Mode = s.Mode().String()
 		r.Switches = s.Stats().Switches

@@ -178,13 +178,6 @@ func (b *Barrier) cost(msgBytes int) sim.Duration {
 	return sim.Duration(rounds)*b.net.Latency + b.net.TransferTime(msgBytes)
 }
 
-// Cost reports the collective's dissemination cost for a given payload. The
-// sharded runtime uses it as the conservative release lookahead: a rank
-// arriving at time t cannot open the barrier (for itself or anyone else)
-// before t+Cost, because the release is scheduled Cost after the *last*
-// arrival and every job's ranks carry the same payload.
-func (b *Barrier) Cost(msgBytes int) sim.Duration { return b.cost(msgBytes) }
-
 // Exchange models a neighbour exchange (e.g. NPB LU's wavefront or SP's
 // face exchanges): each of the job's ranks sends msgBytes and the caller is
 // charged the transfer; done fires when the exchange completes. It is a

@@ -120,8 +120,8 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveMicros records a duration of us integer microseconds. Unlike
 // Observe, the sum is accumulated exactly in integers, so the rendered
-// aggregate is independent of observation order — required for sharded
-// runs, which complete spans in a different order than the serial engine.
+// aggregate is independent of observation order and free of float
+// rounding: the Prometheus goldens hold these integer-microsecond sums.
 func (h *Histogram) ObserveMicros(us int64) {
 	if h == nil {
 		return

@@ -188,12 +188,6 @@ type Tracer struct {
 	last  SpanID
 	epoch SpanID // most recent switch-epoch span
 
-	// mirrors receive every SetEpoch alongside this tracer. The sharded
-	// cluster registers each shard tracer here so node-local spans opened
-	// during free-run windows still parent to the switch epoch recorded on
-	// the master tracer at the preceding (aligned) switch.
-	mirrors []*Tracer
-
 	// Span-duration histograms; nil (and therefore no-ops) unless the run
 	// enabled metrics alongside tracing.
 	FaultService *Histogram
@@ -356,75 +350,12 @@ func (t *Tracer) push(s cspan) {
 	t.dropped++
 }
 
-// SetIDBase offsets this tracer's ID space: subsequent Begin/Reserve/Emit
-// calls return IDs above base. The sharded cluster gives each node shard's
-// tracer a disjoint base ((node+1)<<40) so span IDs — and the parent links
-// built from them — stay globally unique without cross-shard coordination,
-// letting Absorb merge shard logs verbatim.
-func (t *Tracer) SetIDBase(base SpanID) {
-	if t != nil {
-		t.last = base
-	}
-}
-
-// Absorb drains src's closed spans into t, preserving their IDs and parent
-// links (src's ID space must be disjoint from t's — see SetIDBase). Spans
-// are taken in src's close order and pushed through t so retention caps
-// and span-duration histograms observe them exactly as if they had closed
-// on t. src is left empty. The sharded cluster calls it at end of run to
-// fold each node shard's trace into the master tracer.
-func (t *Tracer) Absorb(src *Tracer) {
-	if t == nil || src == nil || len(src.closed) == 0 {
-		return
-	}
-	take := func(c cspan) {
-		if c.jobIdx >= 0 {
-			c.jobIdx = t.intern(src.jobs[c.jobIdx])
-		}
-		t.push(c)
-	}
-	for _, c := range src.closed[src.next:] { // src.next is 0 until the ring wraps
-		take(c)
-	}
-	for _, c := range src.closed[:src.next] {
-		take(c)
-	}
-	t.dropped += src.dropped
-	src.closed = src.closed[:0]
-	src.next = 0
-	src.wrapped = false
-	src.dropped = 0
-}
-
 // SetEpoch records the current switch-epoch span; subsequent faults
-// parent to it until the next switch. Registered mirrors (shard tracers)
-// receive the same epoch.
+// parent to it until the next switch.
 func (t *Tracer) SetEpoch(id SpanID) {
 	if t != nil {
 		t.epoch = id
-		for _, m := range t.mirrors {
-			m.epoch = id
-		}
 	}
-}
-
-// MirrorEpochTo registers m to receive every subsequent SetEpoch. Switch
-// epochs are recorded on the master tracer during aligned scheduler
-// cascades; mirroring hands the current epoch to each shard tracer so
-// spans emitted during free-run windows keep their causal parent. The
-// rendezvous protocol orders the mirror write before any shard read.
-func (t *Tracer) MirrorEpochTo(m *Tracer) {
-	if t != nil && m != nil {
-		t.mirrors = append(t.mirrors, m)
-	}
-}
-
-// Cap reports the tracer's retention capacity (spans kept before eviction).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.max
 }
 
 // Epoch returns the most recent switch-epoch span ID (0 before the first

@@ -5,19 +5,11 @@ import (
 	"sort"
 
 	"repro/internal/acct"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
-
-// Syncer is the barrier dependency of a parallel rank: Arrive registers
-// the rank and release fires once every rank has arrived plus the modelled
-// network cost. *mpi.Barrier implements it directly; the sharded cluster
-// substitutes a per-rank wrapper that parks the rank's shard and replays
-// the arrival on the coordinator engine at the next rendezvous.
-type Syncer interface {
-	Arrive(msgBytes int, release func())
-}
 
 // Segment is one touch range executed each iteration.
 type Segment struct {
@@ -152,7 +144,7 @@ type Process struct {
 	v       *vm.VM
 	pid     int
 	beh     Behavior
-	barrier Syncer // nil for serial processes
+	barrier *mpi.Barrier // nil for serial processes
 
 	// ChunkPages caps the pages charged in a single compute event so stop
 	// requests take effect promptly; set before the first Start.
@@ -205,7 +197,7 @@ type Process struct {
 // New creates a process engine for pid, whose address space must already
 // exist in v with at least beh.FootprintPages pages. barrier may be nil;
 // onFinish (may be nil) fires when the final iteration completes.
-func New(eng *sim.Engine, v *vm.VM, pid int, beh Behavior, barrier Syncer, onFinish func(*Process)) *Process {
+func New(eng *sim.Engine, v *vm.VM, pid int, beh Behavior, barrier *mpi.Barrier, onFinish func(*Process)) *Process {
 	if err := beh.Validate(); err != nil {
 		panic(err)
 	}

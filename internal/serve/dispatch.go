@@ -244,19 +244,15 @@ func (s *Server) reclaimLoop() {
 // deterministic under its seeds), which is what makes re-dispatch after a
 // crash idempotent.
 func RunExec(ctx context.Context, job queue.Job) (json.RawMessage, error) {
-	return runExec(ctx, job, func(string, ...any) {}, nil)
+	return runExec(ctx, job, nil)
 }
 
-// runExec is RunExec with a sink for operational notes — the server's
-// default executor routes them to its logger, so a submitted spec whose
-// shard request was silently clamped (jittered workload, count above the
-// node count) leaves a visible trace in the service log — and an optional
-// trace store. With a store, an event-capturing run's history is persisted
-// under the job ID before the verdict lands, so a done job always has
-// complete stored history; the run-is-a-pure-function contract carries
-// over because a re-dispatched attempt resets its history before
-// rewriting it.
-func runExec(ctx context.Context, job queue.Job, logf func(string, ...any), st *store.Store) (json.RawMessage, error) {
+// runExec is RunExec with an optional trace store. With a store, an
+// event-capturing run's history is persisted under the job ID before the
+// verdict lands, so a done job always has complete stored history; the
+// run-is-a-pure-function contract carries over because a re-dispatched
+// attempt resets its history before rewriting it.
+func runExec(ctx context.Context, job queue.Job, st *store.Store) (json.RawMessage, error) {
 	var p runPayload
 	if err := json.Unmarshal(job.Spec, &p); err != nil {
 		return nil, fmt.Errorf("decoding run payload: %w", err)
@@ -289,9 +285,6 @@ func runExec(ctx context.Context, job queue.Job, logf func(string, ...any), st *
 	}
 	if err != nil {
 		return nil, err
-	}
-	if note := gangsched.ShardClampNote(spec.Shards, h.Result.ShardsUsed); note != "" {
-		logf("job %s: %s", job.ID, note)
 	}
 	doc := runDoc{Label: p.Label, Result: h.Result}
 	if p.Events {

@@ -180,7 +180,7 @@ func TestRunEventsNotFound(t *testing.T) {
 		case <-block:
 		case <-ctx.Done():
 		}
-		return runExec(ctx, job, func(string, ...any) {}, nil)
+		return runExec(ctx, job, nil)
 	}
 	s := start(t, cfg)
 	defer s.Kill()

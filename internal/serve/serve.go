@@ -129,11 +129,10 @@ func Start(cfg Config) (*Server, error) {
 		hub:          newEventHub(1024),
 	}
 	if s.exec == nil {
-		// The default executor is RunExec with operational notes (e.g. a
-		// silently clamped shard request) routed to the server's logger,
-		// persisting each event-capturing run's history to the trace store.
+		// The default executor is RunExec persisting each event-capturing
+		// run's history to the trace store.
 		s.exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
-			return runExec(ctx, job, s.logf, s.store)
+			return runExec(ctx, job, s.store)
 		}
 	}
 	if s.logf == nil {

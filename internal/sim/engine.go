@@ -16,15 +16,6 @@ type Event struct {
 	fired    bool
 	cancel   bool
 	detached bool // recycled after firing; no caller may hold a pointer
-
-	// Scheduling provenance, for cross-engine merge ordering in the sharded
-	// runtime: the clock at the moment the event was scheduled, and a
-	// sub-order within that instant (from the engine's ord source when one
-	// is installed, the engine-local sequence number otherwise). Within one
-	// engine (ordT, ordS) agrees with seq order; across engines it is the
-	// serial-faithful tiebreak for events firing at the same timestamp.
-	ordT Time
-	ordS uint64
 }
 
 // At reports the time the event is (or was) scheduled to fire.
@@ -108,27 +99,6 @@ type Engine struct {
 	// push, cancel or compaction invalidates it.
 	peeked    *Event
 	peekedIdx int
-
-	// horizon, when set, acts as a virtual event at that timestamp for
-	// NextEventTime: a sharded worker installs its window bound here so
-	// queue-lookahead optimisations (touch-run fast-forwarding peeks the
-	// next event time to size a fold) cannot reach past the window, exactly
-	// as the serial engine's global queue would have stopped them at the
-	// next cross-shard event. The serial path never sets a horizon.
-	horizon    Time
-	hasHorizon bool
-
-	// ordSource, when installed, supplies the sub-instant order stamp for
-	// newly scheduled events (see Event.ordS). The sharded runtime points
-	// all engines at a shared counter during aligned cascades and at
-	// per-shard tagged counters during free-run windows.
-	ordSource func() uint64
-
-	// curOrdT/curOrdS are the ord stamp of the event currently firing, so a
-	// callback that parks a deferred cross-shard operation can record where
-	// in the serial order its trigger sat.
-	curOrdT Time
-	curOrdS uint64
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose RNG is
@@ -195,11 +165,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic("sim: At with nil callback")
 	}
 	e.seq++
-	ordS := e.seq
-	if e.ordSource != nil {
-		ordS = e.ordSource()
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn, eng: e, ordT: e.now, ordS: ordS}
+	ev := &Event{at: t, seq: e.seq, fn: fn, eng: e}
 	e.enqueue(ev)
 	return ev
 }
@@ -226,18 +192,14 @@ func (e *Engine) AtDetached(t Time, fn func()) {
 		panic("sim: AtDetached with nil callback")
 	}
 	e.seq++
-	ordS := e.seq
-	if e.ordSource != nil {
-		ordS = e.ordSource()
-	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn, detached: true, ordT: e.now, ordS: ordS}
+		*ev = Event{at: t, seq: e.seq, fn: fn, detached: true}
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn, detached: true, ordT: e.now, ordS: ordS}
+		ev = &Event{at: t, seq: e.seq, fn: fn, detached: true}
 	}
 	e.enqueue(ev)
 }
@@ -476,7 +438,6 @@ func (e *Engine) Step() bool {
 	ev.fired = true
 	e.nRun++
 	e.stepExtra = 0
-	e.curOrdT, e.curOrdS = ev.ordT, ev.ordS
 	fn := ev.fn
 	if ev.detached {
 		// Recycle before running fn so a detached event scheduled from
@@ -514,76 +475,15 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunBefore executes events with timestamps strictly before t, then
-// advances the clock to exactly t. Events scheduled at t or beyond remain
-// queued. It is the sharded runtime's alignment primitive: before a
-// cross-shard action at time t fires, every shard is brought to clock t
-// without consuming the events that — in the serial (at, seq) order — would
-// fire after that action (the action was scheduled earlier, so its sequence
-// number is lower than any same-timestamp event a shard still holds).
-func (e *Engine) RunBefore(t Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at >= t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // RunFor executes events within the next d of simulated time.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
 // NextEventTime reports the timestamp of the next pending event and whether
-// one exists. With a horizon installed (SetHorizon) the horizon acts as a
-// virtual event: the reported time never exceeds it, and it is reported even
-// when the queue is empty. Callers that size lookahead work off this value
-// (touch-run fast-forwarding) are thereby capped at the horizon without
-// knowing it exists.
+// one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
 	ev := e.peek()
 	if ev == nil {
-		if e.hasHorizon {
-			return e.horizon, true
-		}
 		return 0, false
-	}
-	if e.hasHorizon && ev.at > e.horizon {
-		return e.horizon, true
 	}
 	return ev.at, true
 }
-
-// SetHorizon installs a lookahead cap at t (see NextEventTime). The sharded
-// runtime sets it to the current synchronization-window bound before free-
-// running a shard and clears it at rendezvous; the serial engine never has
-// one.
-func (e *Engine) SetHorizon(t Time) { e.horizon, e.hasHorizon = t, true }
-
-// ClearHorizon removes the lookahead cap.
-func (e *Engine) ClearHorizon() { e.hasHorizon = false }
-
-// SetOrdSource installs fn as the sub-instant order stamp source for newly
-// scheduled events; pass nil to revert to the engine-local sequence number.
-// Cross-engine merge ordering in the sharded runtime depends on these stamps;
-// a serial engine never needs one.
-func (e *Engine) SetOrdSource(fn func() uint64) { e.ordSource = fn }
-
-// NextEventOrd reports the (fire time, schedule instant, sub-instant order)
-// key of the next pending event. Unlike NextEventTime it ignores the
-// horizon: it describes a real event or reports ok=false.
-func (e *Engine) NextEventOrd() (at, ordT Time, ordS uint64, ok bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, 0, 0, false
-	}
-	return ev.at, ev.ordT, ev.ordS, true
-}
-
-// ExecutingOrd reports the ord stamp of the event currently (or most
-// recently) fired, so a callback can record its own position in the global
-// schedule order when parking deferred work.
-func (e *Engine) ExecutingOrd() (ordT Time, ordS uint64) { return e.curOrdT, e.curOrdS }

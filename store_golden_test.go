@@ -11,16 +11,16 @@ import (
 
 // storeGoldenVariants is the §4.3 policy-matrix test surface for the binary
 // trace store: each spec shape the equivalence suite exercises — plain,
-// audited at the tightest cadence, under the full fault matrix, and on the
-// sharded engine — must produce a store whose dump is byte-identical to the
-// JSONL sink riding the same bus.
+// audited at the tightest cadence, and under the full fault matrix — must
+// produce a store whose dump is byte-identical to the JSONL sink riding the
+// same bus.
 func storeGoldenVariants(policy string) map[string]Spec {
-	plain := shardSpec(policy, 1)
+	plain := fourNodeSpec(policy)
 
-	audited := shardSpec(policy, 1)
+	audited := fourNodeSpec(policy)
 	audited.Audit = &AuditSpec{Every: 1}
 
-	faulted := shardSpec(policy, 1)
+	faulted := fourNodeSpec(policy)
 	faulted.Seed = 7
 	faulted.Faults = &FaultsSpec{
 		DiskErrRate:  0.01,
@@ -33,13 +33,10 @@ func storeGoldenVariants(policy string) map[string]Spec {
 		},
 	}
 
-	sharded := shardSpec(policy, 4)
-
 	return map[string]Spec{
 		"plain":   plain,
 		"audited": audited,
 		"faulted": faulted,
-		"sharded": sharded,
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 )
 
 // TestSpecValidateTable covers Validate's acceptance matrix, pinning in
-// particular the silent-misconfiguration fixes: a negative shard count and
-// a negative audit interval are rejected up front, while the zero values
-// keep their documented defaulting semantics (serial engine; audit after
-// every event, matching Cluster.SetStepCheck).
+// particular the silent-misconfiguration fix: a negative audit interval is
+// rejected up front, while the zero value keeps its documented defaulting
+// semantics (audit after every event, matching Cluster.SetStepCheck).
 func TestSpecValidateTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -18,9 +17,6 @@ func TestSpecValidateTable(t *testing.T) {
 		wantErr string // substring of the expected error; "" means valid
 	}{
 		{"baseline", func(*Spec) {}, ""},
-		{"zero shards default serial", func(s *Spec) { s.Shards = 0 }, ""},
-		{"negative shards", func(s *Spec) { s.Shards = -1 }, "shard"},
-		{"shards above nodes clamp later", func(s *Spec) { s.Shards = 64 }, ""},
 		{"zero audit interval means every event", func(s *Spec) { s.Audit = &AuditSpec{} }, ""},
 		{"negative audit interval", func(s *Spec) { s.Audit = &AuditSpec{Every: -1} }, "audit"},
 		{"sparse audit interval", func(s *Spec) { s.Audit = &AuditSpec{Every: 4096} }, ""},
@@ -39,7 +35,7 @@ func TestSpecValidateTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := shardSpec("so/ao/ai/bg", 2)
+			spec := fourNodeSpec("so/ao/ai/bg")
 			tc.mutate(&spec)
 			err := spec.Validate()
 			if tc.wantErr == "" {
