@@ -126,8 +126,9 @@ check:
 # metrics), BenchmarkFigAttribution the ledger-driven figure,
 # BenchmarkQueueEnqueueDispatch the durable queue's per-job cycle
 # (journaled enqueue + lease + journaled completion, fsync off), and
-# BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep the VM's victim and
-# write-back selection on one large address space. BenchmarkScale512
+# BenchmarkTouchRun/Fault the VM's touch kernel (ns/page) and fault path
+# (allocs/op), and BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep its victim
+# and write-back selection on one large address space. BenchmarkScale512
 # records the 512-node/128-gang scale study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
@@ -138,7 +139,7 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem ./internal/sim \
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
-	  && $(GO) test -run NONE -bench 'BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm; } \
+	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm; } \
 	  | bin/benchjson -o BENCH_sim.json
 
 # The obs pair: RunObsDisabled is the zero-overhead claim (parity with the

@@ -53,9 +53,9 @@ func (c *Counts) ReadsLanded(n int) {
 	c.Version++
 }
 
-// PageDirtied posts a clean resident page taking its first write.
-func (c *Counts) PageDirtied() {
-	c.Dirty++
+// PagesDirtied posts n clean resident pages taking their first write.
+func (c *Counts) PagesDirtied(n int) {
+	c.Dirty += n
 	c.Version++
 }
 

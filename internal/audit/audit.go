@@ -41,12 +41,13 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // Invariant names, as reported in violations (and listed in DESIGN.md §9).
 const (
 	InvFrameConservation  = "frame-conservation"  // free + locked + mapped == total frames
-	InvResidentCounter    = "resident-counter"    // per-process resident counters match the page table
+	InvResidentCounter    = "resident-counter"    // per-process resident counters and frame labels match the page table
 	InvFrameLabel         = "frame-label"         // frame ownership label matches the PTE pointing at it
 	InvFrameDoubleMap     = "frame-double-map"    // no frame mapped by two (pid, vpage) pairs
 	InvInFlight           = "in-flight"           // an in-flight page owns a frame and is not counted resident
@@ -176,8 +177,10 @@ type Auditor struct {
 
 	// Scratch reused across sweeps (the zero-garbage contract). Frame
 	// ownership is tracked with generation stamps: stamp[f] == gen means
-	// frame f was claimed this sweep by (ownerPID[f], ownerVP[f]).
+	// frame f was claimed this sweep by (ownerPID[f], ownerVP[f]). labels
+	// tallies the frame table's owner labels, indexed by pid.
 	pids     []int
+	labels   []int
 	stamp    []uint32
 	ownerPID []int32
 	ownerVP  []int32
@@ -367,17 +370,8 @@ func (a *Auditor) checkDelta() error {
 			})
 		}
 		// L5 — disk conservation is already an O(1) counter identity.
-		ds := n.Disk.Stats()
-		inService := int64(0)
-		if n.Disk.Busy() {
-			inService = 1
-		}
-		if ds.Submitted != ds.Completed+ds.Dropped+int64(n.Disk.QueueLen())+inService {
-			return a.fail(&Violation{
-				Invariant: InvDiskConservation, Node: n.ID, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("submitted %d != completed %d + dropped %d + queued %d + in-service %d",
-					ds.Submitted, ds.Completed, ds.Dropped, n.Disk.QueueLen(), inService),
-			})
+		if err := a.checkDisk(n); err != nil {
+			return err
 		}
 		// G1-G4 — gang laws from the run gauge: at most one rank runs, it
 		// belongs to the scheduler's current job, it is not marked stopped,
@@ -421,6 +415,26 @@ func (a *Auditor) checkDelta() error {
 	return nil
 }
 
+// checkDisk enforces disk conservation: every submitted request is
+// completed, dropped by a crash Reset, still queued, or the one in service.
+// (Reads/Writes count at service start, so they are not part of this
+// identity.)
+func (a *Auditor) checkDisk(n *cluster.Node) error {
+	submitted, completed, dropped := n.Disk.Requests()
+	inService := int64(0)
+	if n.Disk.Busy() {
+		inService = 1
+	}
+	if submitted != completed+dropped+int64(n.Disk.QueueLen())+inService {
+		return a.fail(&Violation{
+			Invariant: InvDiskConservation, Node: n.ID, VPage: -1, Frame: -1,
+			Detail: fmt.Sprintf("submitted %d != completed %d + dropped %d + queued %d + in-service %d",
+				submitted, completed, dropped, n.Disk.QueueLen(), inService),
+		})
+	}
+	return nil
+}
+
 // checkEngine enforces time monotonicity on the cluster's engine: the clock
 // of a discrete-event simulation may never retreat, and no pending event
 // may be in the past.
@@ -457,7 +471,7 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		a.ownerVP = make([]int32, nFrames)
 	}
 	a.gen++
-	if a.gen == 0 { // stamp wrap: invalidate everything (cf. vm touchGen)
+	if a.gen == 0 { // uint32 stamp wrap: invalidate everything
 		for i := range a.stamp {
 			a.stamp[i] = 0
 		}
@@ -465,6 +479,24 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	}
 
 	a.pids = n.VM.AppendPIDs(a.pids[:0])
+	// The frame table's side of the resident-counter law: tally owner labels
+	// per live pid. A label naming a pid above every live one matches no
+	// page table; frame conservation catches that frame below.
+	maxPID := 0
+	if len(a.pids) > 0 {
+		maxPID = a.pids[len(a.pids)-1]
+	}
+	if len(a.labels) <= maxPID {
+		a.labels = make([]int, maxPID+1)
+	}
+	labels := a.labels[:maxPID+1]
+	clear(labels)
+	frames := phys.Frames()
+	for i := range frames {
+		if pid := frames[i].PID; pid > 0 && pid <= maxPID {
+			labels[pid]++
+		}
+	}
 	mappedTotal := 0
 	residentTotal := 0
 	dirtyTotal := 0
@@ -472,50 +504,12 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	var regionSlots int64
 	for _, pid := range a.pids {
 		as := n.VM.Process(pid)
-		mapped, res := 0, 0
-		for vp := 0; vp < as.NumPages(); vp++ {
-			fid := as.Frame(vp)
-			if fid == mem.NoFrame {
-				if as.InFlight(vp) {
-					return a.fail(&Violation{
-						Invariant: InvInFlight, Node: n.ID, PID: pid, VPage: vp, Frame: -1,
-						Detail: "page marked in-flight without a frame",
-					})
-				}
-				continue
-			}
-			mapped++
-			f := phys.Frame(fid)
-			if !as.InFlight(vp) {
-				res++
-				if f.Dirty {
-					dirtyTotal++
-				}
-			}
-			if f.PID != pid || int(f.VPage) != vp {
-				return a.fail(&Violation{
-					Invariant: InvFrameLabel, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-					Detail: fmt.Sprintf("frame labelled (pid %d, vpage %d) but the PTE of (pid %d, vpage %d) maps it",
-						f.PID, f.VPage, pid, vp),
-				})
-			}
-			if f.Locked {
-				return a.fail(&Violation{
-					Invariant: InvFrameConservation, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-					Detail: "wired (locked) frame mapped by a process",
-				})
-			}
-			if a.stamp[fid] == a.gen {
-				return a.fail(&Violation{
-					Invariant: InvFrameDoubleMap, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-					Detail: fmt.Sprintf("frame already mapped by (pid %d, vpage %d) this sweep",
-						a.ownerPID[fid], a.ownerVP[fid]),
-				})
-			}
-			a.stamp[fid] = a.gen
-			a.ownerPID[fid] = int32(pid)
-			a.ownerVP[fid] = int32(vp)
+		mapped, res, dirty, wb, err := a.sweepPages(n, as)
+		if err != nil {
+			return err
 		}
+		dirtyTotal += dirty
+		wbPending += wb
 		if res != as.Resident() {
 			return a.fail(&Violation{
 				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1, Frame: -1,
@@ -523,17 +517,14 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 					as.Resident(), res),
 			})
 		}
-		if got := phys.Resident(pid); got != mapped {
+		if got := labels[pid]; got != mapped {
 			return a.fail(&Violation{
 				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("frame table says %d frames owned but page table maps %d", got, mapped),
+				Detail: fmt.Sprintf("frame table labels %d frames as owned but page table maps %d", got, mapped),
 			})
 		}
 		mappedTotal += mapped
 		residentTotal += res
-		for vp := 0; vp < as.NumPages(); vp++ {
-			wbPending += as.PendingWrites(vp)
-		}
 		r := as.Region()
 		if r.N != as.NumPages() || r.Start < 0 || int64(r.Start)+int64(r.N) > n.Swap.Capacity() {
 			return a.fail(&Violation{
@@ -589,20 +580,8 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		})
 	}
 
-	// Disk conservation: every submitted request is completed, dropped by a
-	// crash Reset, still queued, or the one in service. (Reads/Writes count
-	// at service start, so they are not part of this identity.)
-	ds := n.Disk.Stats()
-	inService := int64(0)
-	if n.Disk.Busy() {
-		inService = 1
-	}
-	if ds.Submitted != ds.Completed+ds.Dropped+int64(n.Disk.QueueLen())+inService {
-		return a.fail(&Violation{
-			Invariant: InvDiskConservation, Node: n.ID, VPage: -1, Frame: -1,
-			Detail: fmt.Sprintf("submitted %d != completed %d + dropped %d + queued %d + in-service %d",
-				ds.Submitted, ds.Completed, ds.Dropped, n.Disk.QueueLen(), inService),
-		})
+	if err := a.checkDisk(n); err != nil {
+		return err
 	}
 
 	// Shadow-aggregate drift: each field of the node's transition-maintained
@@ -632,6 +611,60 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		}
 	}
 	return nil
+}
+
+// sweepPages walks one address space's page table: it checks each mapped
+// frame's label, wiring and single ownership (claiming it in the sweep's
+// stamps), and counts the mapped, resident and dirty pages and the queued
+// write-backs. A small function of its own, so the page-table accessors
+// inline into the loop.
+func (a *Auditor) sweepPages(n *cluster.Node, as *vm.AddressSpace) (mapped, res, dirty, wb int, err error) {
+	pid, phys := as.PID(), n.VM.Phys()
+	for vp := range as.NumPages() {
+		wb += as.PendingWrites(vp)
+		fid := as.Frame(vp)
+		if fid == mem.NoFrame {
+			if as.InFlight(vp) {
+				return 0, 0, 0, 0, a.fail(&Violation{
+					Invariant: InvInFlight, Node: n.ID, PID: pid, VPage: vp, Frame: -1,
+					Detail: "page marked in-flight without a frame",
+				})
+			}
+			continue
+		}
+		mapped++
+		f := phys.Frame(fid)
+		if !as.InFlight(vp) {
+			res++
+			if as.Dirty(vp) {
+				dirty++
+			}
+		}
+		if f.PID != pid || int(f.VPage) != vp {
+			return 0, 0, 0, 0, a.fail(&Violation{
+				Invariant: InvFrameLabel, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
+				Detail: fmt.Sprintf("frame labelled (pid %d, vpage %d) but the PTE of (pid %d, vpage %d) maps it",
+					f.PID, f.VPage, pid, vp),
+			})
+		}
+		if f.Locked {
+			return 0, 0, 0, 0, a.fail(&Violation{
+				Invariant: InvFrameConservation, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
+				Detail: "wired (locked) frame mapped by a process",
+			})
+		}
+		if a.stamp[fid] == a.gen {
+			return 0, 0, 0, 0, a.fail(&Violation{
+				Invariant: InvFrameDoubleMap, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
+				Detail: fmt.Sprintf("frame already mapped by (pid %d, vpage %d) this sweep",
+					a.ownerPID[fid], a.ownerVP[fid]),
+			})
+		}
+		a.stamp[fid] = a.gen
+		a.ownerPID[fid] = int32(pid)
+		a.ownerVP[fid] = int32(vp)
+	}
+	return mapped, res, dirty, wb, nil
 }
 
 // checkGang enforces the scheduling invariants: at most one job's rank runs

@@ -94,7 +94,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			name: "leaked frame owned by a ghost process",
 			want: InvFrameConservation,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(99, 0, c.Eng.Now()); !ok {
+				if _, ok := c.Nodes[0].Phys.Alloc(99, 0); !ok {
 					t.Skip("no free frame to leak")
 				}
 			},
@@ -103,7 +103,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			name: "frame table resident count drifts from the page table",
 			want: InvResidentCounter,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(1, 9999, c.Eng.Now()); !ok {
+				if _, ok := c.Nodes[0].Phys.Alloc(1, 9999); !ok {
 					t.Skip("no free frame to misattribute")
 				}
 			},
@@ -265,7 +265,7 @@ func TestAuditDifferentialDetectsCorruption(t *testing.T) {
 			name: "leaked frame owned by a ghost process",
 			want: InvFrameConservation,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(99, 0, c.Eng.Now()); !ok {
+				if _, ok := c.Nodes[0].Phys.Alloc(99, 0); !ok {
 					t.Skip("no free frame to leak")
 				}
 			},

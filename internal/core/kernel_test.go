@@ -38,7 +38,7 @@ func (r *rig) touchAll(t *testing.T, pid, n int, write bool) {
 			continue
 		}
 		done := false
-		r.vm.Fault(pid, pos, write, func() { done = true })
+		r.vm.Fault(r.vm.Process(pid), pos, write, func() { done = true })
 		r.eng.Run()
 		if !done {
 			t.Fatalf("fault at %d stuck", pos)

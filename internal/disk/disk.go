@@ -274,6 +274,12 @@ func (d *Disk) Params() Params { return d.p }
 // Stats returns a copy of the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.stats }
 
+// Requests reports the request-conservation counters (see Stats) without
+// copying the whole statistics block; the auditor reads them every check.
+func (d *Disk) Requests() (submitted, completed, dropped int64) {
+	return d.stats.Submitted, d.stats.Completed, d.stats.Dropped
+}
+
 // SetObs attaches the node's observability instruments (nil to detach).
 func (d *Disk) SetObs(o *obs.NodeObs) { d.obs = o }
 

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // PageSize is the page size in bytes (4 KiB, as on the paper's machines).
 const PageSize = 4096
@@ -27,15 +23,13 @@ type FrameID int32
 // NoFrame marks "not resident".
 const NoFrame FrameID = -1
 
-// Frame is one physical page frame's bookkeeping.
+// Frame is one physical page frame's reverse map: who owns it. The page's
+// reference, dirty and age state lives with the owner's address space
+// (package vm), indexed by virtual page.
 type Frame struct {
-	PID        int   // owning process, 0 when free
-	VPage      int32 // owner's virtual page number
-	Dirty      bool
-	Referenced bool  // clock-algorithm reference bit
-	Age        uint8 // Linux 2.2-style page age; 0 means evictable
-	LastUse    sim.Time
-	Locked     bool // wired (mlock'd) — never reclaimable
+	PID    int   // owning process, 0 when free
+	VPage  int32 // owner's virtual page number
+	Locked bool  // wired (mlock'd) — never reclaimable
 }
 
 // Free reports whether the frame is unowned.
@@ -45,9 +39,8 @@ func (f *Frame) Free() bool { return f.PID == 0 && !f.Locked }
 type Physical struct {
 	frames   []Frame
 	freeList []FrameID
-	freeMin  int         // freepages.min
-	freeHigh int         // freepages.high
-	resident map[int]int // frames owned, by PID
+	freeMin  int // freepages.min
+	freeHigh int // freepages.high
 	locked   int
 }
 
@@ -66,7 +59,6 @@ func New(nFrames, freeMin, freeHigh int) *Physical {
 		freeList: make([]FrameID, 0, nFrames),
 		freeMin:  freeMin,
 		freeHigh: freeHigh,
-		resident: make(map[int]int),
 	}
 	// Free list in reverse so low frame numbers are handed out first.
 	for i := nFrames - 1; i >= 0; i-- {
@@ -125,7 +117,7 @@ func (p *Physical) pop() FrameID {
 // Alloc takes a free frame for (pid, vpage). It reports NoFrame, false when
 // the free list is empty; callers must reclaim and retry. pid must be
 // positive — PID 0 denotes a free frame.
-func (p *Physical) Alloc(pid int, vpage int32, now sim.Time) (FrameID, bool) {
+func (p *Physical) Alloc(pid int, vpage int32) (FrameID, bool) {
 	if pid <= 0 {
 		panic(fmt.Sprintf("mem: Alloc with non-positive pid %d", pid))
 	}
@@ -133,9 +125,7 @@ func (p *Physical) Alloc(pid int, vpage int32, now sim.Time) (FrameID, bool) {
 		return NoFrame, false
 	}
 	id := p.pop()
-	f := &p.frames[id]
-	*f = Frame{PID: pid, VPage: vpage, Referenced: true, LastUse: now}
-	p.resident[pid]++
+	p.frames[id] = Frame{PID: pid, VPage: vpage}
 	return id, true
 }
 
@@ -147,10 +137,6 @@ func (p *Physical) Release(id FrameID) {
 	}
 	if f.Locked {
 		panic(fmt.Sprintf("mem: release of locked frame %d", id))
-	}
-	p.resident[f.PID]--
-	if p.resident[f.PID] == 0 {
-		delete(p.resident, f.PID)
 	}
 	*f = Frame{}
 	p.freeList = append(p.freeList, id)
@@ -179,56 +165,13 @@ func badFrame(id FrameID) {
 // not be grown or retained across Physical lifetimes.
 func (p *Physical) Frames() []Frame { return p.frames }
 
-// Resident reports how many frames pid owns.
-func (p *Physical) Resident(pid int) int { return p.resident[pid] }
-
-// LargestResident returns the PID owning the most frames, excluding the
-// given PIDs; ok is false when no unexcluded process has resident pages.
-// This is the Linux 2.2 victim-process heuristic ("the process that has the
-// largest memory size").
-func (p *Physical) LargestResident(exclude ...int) (pid int, ok bool) {
-	best, bestN := 0, -1
-	for id, n := range p.resident {
-		skip := false
-		for _, ex := range exclude {
-			if id == ex {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		// Deterministic tie-break on PID so runs are reproducible.
-		if n > bestN || (n == bestN && id < best) {
-			best, bestN = id, n
-		}
-	}
-	return best, bestN > 0
-}
-
-// ResidentPIDs lists processes with resident pages (unordered count map copy).
-func (p *Physical) ResidentPIDs() map[int]int {
-	out := make(map[int]int, len(p.resident))
-	for k, v := range p.resident {
-		out[k] = v
-	}
-	return out
-}
-
-// Validate checks internal consistency (frame ownership vs. resident
-// counters vs. free list); used by tests.
+// Validate checks internal consistency (unowned frames vs. the free list);
+// used by tests. Per-process ownership counts are the owner's business: the
+// VM checks its mapped counters against these labels.
 func (p *Physical) Validate() error {
-	counts := map[int]int{}
 	freeOwned := 0
 	for i := range p.frames {
-		f := &p.frames[i]
-		if f.Locked {
-			continue
-		}
-		if f.PID > 0 {
-			counts[f.PID]++
-		} else {
+		if f := &p.frames[i]; !f.Locked && f.PID <= 0 {
 			freeOwned++
 		}
 	}
@@ -243,14 +186,6 @@ func (p *Physical) Validate() error {
 		onList[id] = true
 		if !p.frames[id].Free() {
 			return fmt.Errorf("mem: owned frame %d on free list", id)
-		}
-	}
-	if len(counts) != len(p.resident) {
-		return fmt.Errorf("mem: resident map has %d pids, frames say %d", len(p.resident), len(counts))
-	}
-	for pid, n := range counts {
-		if p.resident[pid] != n {
-			return fmt.Errorf("mem: pid %d resident=%d but owns %d frames", pid, p.resident[pid], n)
 		}
 	}
 	return nil

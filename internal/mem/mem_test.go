@@ -23,20 +23,20 @@ func TestUnitConversions(t *testing.T) {
 
 func TestAllocRelease(t *testing.T) {
 	p := New(8, 1, 2)
-	id, ok := p.Alloc(42, 7, 100)
+	id, ok := p.Alloc(42, 7)
 	if !ok || id == NoFrame {
 		t.Fatal("alloc failed")
 	}
 	f := p.Frame(id)
-	if f.PID != 42 || f.VPage != 7 || !f.Referenced || f.LastUse != 100 {
+	if f.PID != 42 || f.VPage != 7 || f.Locked {
 		t.Fatalf("frame = %+v", *f)
 	}
-	if p.Resident(42) != 1 || p.NumFree() != 7 {
-		t.Fatalf("resident=%d free=%d", p.Resident(42), p.NumFree())
+	if p.NumFree() != 7 {
+		t.Fatalf("free=%d", p.NumFree())
 	}
 	p.Release(id)
-	if p.Resident(42) != 0 || p.NumFree() != 8 {
-		t.Fatalf("after release: resident=%d free=%d", p.Resident(42), p.NumFree())
+	if *p.Frame(id) != (Frame{}) || p.NumFree() != 8 {
+		t.Fatalf("after release: frame=%+v free=%d", *p.Frame(id), p.NumFree())
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestAllocRelease(t *testing.T) {
 
 func TestLowFrameNumbersFirst(t *testing.T) {
 	p := New(4, 0, 0)
-	id, _ := p.Alloc(1, 0, 0)
+	id, _ := p.Alloc(1, 0)
 	if id != 0 {
 		t.Fatalf("first frame = %d, want 0", id)
 	}
@@ -53,9 +53,9 @@ func TestLowFrameNumbersFirst(t *testing.T) {
 
 func TestAllocExhaustion(t *testing.T) {
 	p := New(2, 0, 0)
-	p.Alloc(1, 0, 0)
-	p.Alloc(1, 1, 0)
-	if _, ok := p.Alloc(1, 2, 0); ok {
+	p.Alloc(1, 0)
+	p.Alloc(1, 1)
+	if _, ok := p.Alloc(1, 2); ok {
 		t.Fatal("alloc succeeded with no free frames")
 	}
 }
@@ -70,7 +70,7 @@ func TestWatermarks(t *testing.T) {
 	}
 	var ids []FrameID
 	for i := 0; i < 8; i++ { // 2 free left
-		id, _ := p.Alloc(1, int32(i), 0)
+		id, _ := p.Alloc(1, int32(i))
 		ids = append(ids, id)
 	}
 	if !p.BelowMin() {
@@ -93,11 +93,11 @@ func TestLock(t *testing.T) {
 		t.Fatalf("free=%d locked=%d", p.NumFree(), p.LockedFrames())
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := p.Alloc(1, int32(i), 0); !ok {
+		if _, ok := p.Alloc(1, int32(i)); !ok {
 			t.Fatal("alloc of unlocked frame failed")
 		}
 	}
-	if _, ok := p.Alloc(1, 99, 0); ok {
+	if _, ok := p.Alloc(1, 99); ok {
 		t.Fatal("allocated a locked frame")
 	}
 	if err := p.Validate(); err != nil {
@@ -117,7 +117,7 @@ func TestLockTooManyPanics(t *testing.T) {
 
 func TestDoubleReleasePanics(t *testing.T) {
 	p := New(4, 0, 0)
-	id, _ := p.Alloc(1, 0, 0)
+	id, _ := p.Alloc(1, 0)
 	p.Release(id)
 	defer func() {
 		if recover() == nil {
@@ -133,8 +133,8 @@ func TestBadArgsPanic(t *testing.T) {
 		func() { New(10, 5, 3) },
 		func() { New(10, -1, 3) },
 		func() { New(10, 3, 11) },
-		func() { New(4, 0, 0).Alloc(0, 0, 0) },
-		func() { New(4, 0, 0).Alloc(-3, 0, 0) },
+		func() { New(4, 0, 0).Alloc(0, 0) },
+		func() { New(4, 0, 0).Alloc(-3, 0) },
 		func() { New(4, 0, 0).Frame(99) },
 		func() { New(4, 0, 0).Frame(-2) },
 	} {
@@ -146,47 +146,6 @@ func TestBadArgsPanic(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestLargestResident(t *testing.T) {
-	p := New(16, 0, 0)
-	for i := 0; i < 3; i++ {
-		p.Alloc(1, int32(i), 0)
-	}
-	for i := 0; i < 5; i++ {
-		p.Alloc(2, int32(i), 0)
-	}
-	pid, ok := p.LargestResident()
-	if !ok || pid != 2 {
-		t.Fatalf("largest = %d,%v want 2", pid, ok)
-	}
-	pid, ok = p.LargestResident(2)
-	if !ok || pid != 1 {
-		t.Fatalf("largest excluding 2 = %d,%v want 1", pid, ok)
-	}
-	if _, ok := p.LargestResident(1, 2); ok {
-		t.Fatal("exclusion of all pids should report !ok")
-	}
-}
-
-func TestLargestResidentTieBreak(t *testing.T) {
-	p := New(16, 0, 0)
-	p.Alloc(7, 0, 0)
-	p.Alloc(3, 0, 0)
-	pid, ok := p.LargestResident()
-	if !ok || pid != 3 {
-		t.Fatalf("tie-break = %d, want lowest pid 3", pid)
-	}
-}
-
-func TestResidentPIDsIsACopy(t *testing.T) {
-	p := New(8, 0, 0)
-	p.Alloc(5, 0, 0)
-	m := p.ResidentPIDs()
-	m[5] = 99
-	if p.Resident(5) != 1 {
-		t.Fatal("ResidentPIDs leaked internal state")
 	}
 }
 
@@ -204,7 +163,7 @@ func TestQuickFrameConsistency(t *testing.T) {
 		for _, o := range ops {
 			if o.Alloc {
 				pid := int(o.PID)%5 + 1
-				if id, ok := p.Alloc(pid, 0, 0); ok {
+				if id, ok := p.Alloc(pid, 0); ok {
 					for _, h := range held {
 						if h == id {
 							return false

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -224,6 +227,29 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if q := h.Quantile(1); q != 4 {
 		t.Fatalf("q1 = %v, want upper bound of last finite bucket", q)
+	}
+}
+
+// TestObserveMicrosMatchesFloatBuckets pins ObserveMicros's integer bucket
+// lookup to the float rule it replaces: a duration of us microseconds lands
+// in the first bucket whose bound is at least float64(us)/1e6, including at
+// every bound's edges.
+func TestObserveMicrosMatchesFloatBuckets(t *testing.T) {
+	bounds := append(append([]float64{}, FaultStallBuckets...), DiskQueueBuckets...)
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	for _, b := range bounds {
+		for us := int64(b*1e6) - 3; us <= int64(b*1e6)+3; us++ {
+			h := NewRegistry().Histogram("h", "", nil, bounds)
+			h.ObserveMicros(us)
+			want := sort.SearchFloat64s(bounds, float64(us)/1e6)
+			if h.counts[want] != 1 {
+				t.Fatalf("%d µs landed in %v, want bucket %d (bound %v)", us, h.counts, want, b)
+			}
+		}
+	}
+	if microLimit(1e300) != math.MaxInt64 || microLimit(-1e300) != math.MinInt64 {
+		t.Fatal("bounds past 2^53 µs do not clamp")
 	}
 }
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -101,6 +103,7 @@ func (g *Gauge) Value() float64 {
 // running sum and count. Nil-safe like Counter.
 type Histogram struct {
 	bounds    []float64 // sorted upper bounds; +Inf bucket is implicit
+	micros    []int64   // per bound, the longest whole-microsecond duration at or below it
 	counts    []int64   // len(bounds)+1, non-cumulative per-bucket tallies
 	sum       float64
 	sumMicros int64 // exact integer part of the sum, in microseconds
@@ -112,7 +115,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	i, _ := slices.BinarySearch(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	h.sum += v
 	h.count++
@@ -126,8 +129,7 @@ func (h *Histogram) ObserveMicros(us int64) {
 	if h == nil {
 		return
 	}
-	v := float64(us) / 1e6
-	i := sort.SearchFloat64s(h.bounds, v)
+	i, _ := slices.BinarySearch(h.micros, us) // same bucket as bounds vs float64(us)/1e6
 	h.counts[i]++
 	h.sumMicros += us
 	h.count++
@@ -310,10 +312,37 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	if m.hist == nil {
 		m.hist = &Histogram{
 			bounds: append([]float64(nil), bounds...),
+			micros: make([]int64, len(bounds)),
 			counts: make([]int64, len(bounds)+1),
+		}
+		for i, b := range bounds {
+			m.hist.micros[i] = microLimit(b)
 		}
 	}
 	return m.hist
+}
+
+// microLimit returns the largest whole-microsecond duration us with
+// float64(us)/1e6 <= b. us/1e6 rises monotonically with us, so "b >=
+// us/1e6" is "us <= microLimit(b)" and ObserveMicros compares integers.
+// Bounds past ±2^53 µs (285 years) clamp.
+func microLimit(b float64) int64 {
+	const exact = 1 << 53
+	x := b * 1e6
+	switch {
+	case x >= exact:
+		return math.MaxInt64
+	case x <= -exact:
+		return math.MinInt64
+	}
+	u := int64(math.Floor(x))
+	for float64(u+1)/1e6 <= b {
+		u++
+	}
+	for float64(u)/1e6 > b {
+		u--
+	}
+	return u
 }
 
 // Len reports the number of registered series.

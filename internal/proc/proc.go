@@ -142,6 +142,7 @@ type Stats struct {
 type Process struct {
 	eng     *sim.Engine
 	v       *vm.VM
+	as      *vm.AddressSpace // pid's image in v, held so touches skip the pid lookup
 	pid     int
 	beh     Behavior
 	barrier *mpi.Barrier // nil for serial processes
@@ -215,6 +216,7 @@ func New(eng *sim.Engine, v *vm.VM, pid int, beh Behavior, barrier *mpi.Barrier,
 	p := &Process{
 		eng:        eng,
 		v:          v,
+		as:         as,
 		pid:        pid,
 		beh:        beh,
 		barrier:    barrier,
@@ -410,14 +412,14 @@ func (p *Process) stepTouch() bool {
 		if max > p.ChunkPages {
 			max = p.ChunkPages
 		}
-		run := p.v.TouchRun(p.pid, p.cursor, max, write, now.Add(total))
+		run := p.v.TouchRun(p.as, p.cursor, max, write, now.Add(total))
 		if run == 0 {
 			if chunks == 0 {
 				p.block()
 				// CatFault here; the VM refines it to CatSwitch when the
 				// missing page was evicted by switch-time paging.
 				p.led.Transition(now, obs.CatFault)
-				p.v.Fault(p.pid, p.cursor, write, p.resumeFn)
+				p.v.Fault(p.as, p.cursor, write, p.resumeFn)
 				return true
 			}
 			break // merged resume faults this page through the normal path

@@ -149,7 +149,7 @@ func TestZeroFillRetryUnderTotalPressure(t *testing.T) {
 	r.vm.ReadPagesIn(1, seqPages(60), disk.Demand, nil)
 	r.vm.NewProcess(2, 4)
 	done := false
-	r.vm.Fault(2, 0, true, func() { done = true })
+	r.vm.Fault(r.vm.Process(2), 0, true, func() { done = true })
 	r.eng.Run()
 	if !done {
 		t.Fatal("zero-fill fault never completed under pressure")
@@ -201,7 +201,7 @@ func BenchmarkFaultPathMajor(b *testing.B) {
 			pos += run
 		} else {
 			done := false
-			rr.vm.Fault(1, pos, true, func() { done = true })
+			rr.vm.Fault(rr.vm.Process(1), pos, true, func() { done = true })
 			rr.eng.Run()
 			if !done {
 				b.Fatal("fault stuck")

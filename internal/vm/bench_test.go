@@ -1,19 +1,159 @@
 package vm
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// Layer benchmarks for victim and write-back selection. Each keeps the
-// selection's input steady across iterations and stops the timer while it
-// restores that input, so ns/op is the selection and its bookkeeping alone.
+// Layer benchmarks for the touch kernel, the fault path, and victim and
+// write-back selection. Each keeps its input steady across iterations and
+// stops the timer while it restores that input, so ns/op is the operation
+// and its bookkeeping alone.
 
 // sweepChunk is the process engine's default touch chunk (proc.ChunkPages):
-// every page of a chunk is stamped with one LastUse.
+// every page of a chunk is stamped with one lastUse.
 const sweepChunk = 8192
+
+// BenchmarkTouchRun is the touch kernel on a Figure-7-sized image (LU
+// class B, 190 MB) whose frames were handed out in shuffled page order, so
+// frame numbers are scattered across the table. Each op touches one
+// 64-page run, sweeping the image; ns/page is the cost per page touched.
+func BenchmarkTouchRun(b *testing.B) {
+	pages := mem.PagesFromMB(190)
+	const run = 64
+	for _, write := range []bool{false, true} {
+		name := "read"
+		if write {
+			name = "write"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := newRig(b, pages+64, 0, 0, Config{})
+			as, _ := r.vm.NewProcess(1, pages)
+			for _, vp := range rand.New(rand.NewSource(1)).Perm(pages) {
+				r.vm.Fault(as, vp, false, func() {})
+				r.eng.Run()
+			}
+			at := r.eng.Now()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				vp := i * run % pages
+				if n := r.vm.TouchRun(as, vp, run, write, at); n != min(run, pages-vp) {
+					b.Fatalf("touched %d pages at vpage %d", n, vp)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run), "ns/page")
+		})
+	}
+}
+
+// BenchmarkFault prices one fault of each kind, from the trap to the resume:
+// a demand-zero fill, a minor fault on a page whose read is already in
+// flight, and a major fault that reads the page with a 16-page read-ahead
+// group. Each op runs the engine until the fault resumes; allocs/op is the
+// fault path's garbage (the read paths' disk requests included).
+func BenchmarkFault(b *testing.B) {
+	const pages = 1 << 12
+	resume := func() {}
+	b.Run("zero-fill", func(b *testing.B) {
+		r := newRig(b, pages+64, 0, 0, Config{})
+		as, _ := r.vm.NewProcess(1, pages)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			vp := i % pages
+			if vp == 0 && i > 0 {
+				b.StopTimer()
+				r.vm.DestroyProcess(1)
+				as, _ = r.vm.NewProcess(1, pages)
+				b.StartTimer()
+			}
+			r.vm.Fault(as, vp, false, resume)
+			r.eng.Run()
+		}
+	})
+	// pagedOut leaves every page of a written image on swap, not resident.
+	pagedOut := func(b *testing.B, r *rig, as *AddressSpace) {
+		r.vm.ReclaimFrom(1, pages)
+		r.eng.Run()
+		if as.Resident() != 0 || !as.OnDisk(pages-1) {
+			b.Fatal("image not paged out")
+		}
+	}
+	b.Run("minor-in-flight", func(b *testing.B) {
+		const batch = 64
+		r := newRig(b, pages+64, 0, 0, Config{})
+		as, _ := r.vm.NewProcess(1, pages)
+		r.touchAll(b, 1, pages, true)
+		group := make([]int, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += batch {
+			b.StopTimer()
+			pagedOut(b, r, as)
+			for j := range group {
+				group[j] = j
+			}
+			r.vm.ReadPagesIn(1, group, disk.Demand, nil)
+			b.StartTimer()
+			for vp := range min(batch, b.N-i) {
+				r.vm.Fault(as, vp, false, resume)
+			}
+			r.eng.Run()
+		}
+	})
+	b.Run("major", func(b *testing.B) {
+		r := newRig(b, pages+64, 0, 0, Config{})
+		as, _ := r.vm.NewProcess(1, pages)
+		r.touchAll(b, 1, pages, true)
+		ra := r.vm.Config().ReadAhead
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			vp := i * ra % pages
+			if vp == 0 {
+				b.StopTimer()
+				pagedOut(b, r, as)
+				b.StartTimer()
+			}
+			r.vm.Fault(as, vp, false, resume)
+			r.eng.Run()
+		}
+	})
+}
+
+// TestFaultAllocFree pins the allocation-free fault path: once the
+// fault-wait pool is warm, a demand-zero fill and a minor fault on a
+// resident page allocate nothing, from the trap to the resume.
+func TestFaultAllocFree(t *testing.T) {
+	r := newRig(t, 1024, 0, 0, Config{})
+	as, _ := r.vm.NewProcess(1, 512)
+	resume := func() {}
+	next := 0
+	zeroFill := func() {
+		r.vm.Fault(as, next, false, resume)
+		r.eng.Run()
+		next++
+	}
+	minor := func() {
+		r.vm.Fault(as, 0, false, resume)
+		r.eng.Run()
+	}
+	zeroFill() // warm the pool and the engine's event records
+	if n := testing.AllocsPerRun(100, zeroFill); n != 0 {
+		t.Errorf("zero-fill fault allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, minor); n != 0 {
+		t.Errorf("resident minor fault allocates %v times", n)
+	}
+	if as.Resident() != next {
+		t.Fatalf("resident = %d after %d zero fills", as.Resident(), next)
+	}
+}
 
 // BenchmarkWriteBackDirty is one background-writer pass over an address
 // space of 64k dirty pages, written in 8,192-page chunks 1 ms apart. Between
@@ -27,7 +167,7 @@ func BenchmarkWriteBackDirty(b *testing.B) {
 	chunk := 0
 	redirty := func() {
 		r.eng.RunFor(sim.Millisecond)
-		r.vm.TouchRun(1, chunk*sweepChunk, sweepChunk, true, r.eng.Now())
+		r.vm.TouchRun(r.vm.Process(1), chunk*sweepChunk, sweepChunk, true, r.eng.Now())
 		chunk = (chunk + 1) % (pages / sweepChunk)
 	}
 	for range pages / sweepChunk {
@@ -64,7 +204,7 @@ func BenchmarkReclaimFrom(b *testing.B) {
 		b.StopTimer()
 		for vp := 0; vp < pages; vp++ {
 			if !as.IsResident(vp) {
-				r.vm.Fault(1, vp, false, func() {})
+				r.vm.Fault(r.vm.Process(1), vp, false, func() {})
 				r.eng.Run()
 			}
 		}
@@ -91,7 +231,7 @@ func BenchmarkClockSweep(b *testing.B) {
 		out = out[:0]
 		r.vm.clockSweep(as, window, 256, &out, &r.vm.pass)
 		b.StopTimer()
-		r.vm.TouchRun(1, next, window, false, r.eng.Now())
+		r.vm.TouchRun(r.vm.Process(1), next, window, false, r.eng.Now())
 		next = (next + window) % pages
 		b.StartTimer()
 	}

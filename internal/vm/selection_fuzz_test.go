@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/acct"
 	"repro/internal/disk"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -15,20 +16,18 @@ import (
 // The references below are the selections the bounded ones replaced: the
 // write-back pass scanned every dirty page into its bounded heap, and
 // oldest-first page-out sorted every resident page with a reflective sort.
-// (LastUse, vpage) is a total order, so the faster selections must pick
+// (lastUse, vpage) is a total order, so the faster selections must pick
 // exactly the same pages, and page-out must evict them in the same order.
 
 // refYoungestDirty is the full dirty-map scan: every dirty page goes through
 // the bounded heap. It returns the kept pages in ascending order.
 func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
 	var heap []aged
-	frames := as.frames
-	table := v.phys.Frames()
 	for wi, word := range as.dirtyMap {
 		for word != 0 {
 			vp := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			entry := aged{vp, table[frames[vp]].LastUse}
+			entry := aged{vp, as.lastUse[vp]}
 			if len(heap) < max {
 				heap = append(heap, entry)
 				agedSiftUp(heap, len(heap)-1)
@@ -46,16 +45,15 @@ func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
 	return pages
 }
 
-// refOldestOf sorts every resident page of as by (LastUse, vpage) and
+// refOldestOf sorts every resident page of as by (lastUse, vpage) and
 // returns the first max, in eviction order.
 func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 	var cand []aged
-	table := v.phys.Frames()
 	for vp, fid := range as.frames {
 		if fid == mem.NoFrame || as.inFlight[vp] {
 			continue
 		}
-		cand = append(cand, aged{vp, table[fid].LastUse})
+		cand = append(cand, aged{vp, as.lastUse[vp]})
 	}
 	sort.Slice(cand, func(i, j int) bool {
 		if cand[i].last != cand[j].last {
@@ -73,15 +71,92 @@ func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 	return pages
 }
 
-// dirtyPages lists as's resident dirty pages from the frame table.
-func dirtyPages(v *VM, as *AddressSpace) []int {
+// dirtyPages lists as's resident dirty pages.
+func dirtyPages(as *AddressSpace) []int {
 	var pages []int
 	for vp, fid := range as.frames {
-		if fid != mem.NoFrame && !as.inFlight[vp] && v.phys.Frame(fid).Dirty {
+		if fid != mem.NoFrame && !as.inFlight[vp] && as.Dirty(vp) {
 			pages = append(pages, vp)
 		}
 	}
 	return pages
+}
+
+// touchState is the page state a touch writes, copied out of an address
+// space and its VM, so the touch kernel's effect can be compared with the
+// per-page reference's.
+type touchState struct {
+	ref, dirty, bgClean, touchedQ []uint64
+	lastUse                       []sim.Time
+	touched                       int
+	wasted                        int64 // VM WastedBGWrite
+	dirtied                       int   // accounting shadow's dirty count
+}
+
+func snapshotTouch(v *VM, as *AddressSpace) touchState {
+	return touchState{
+		ref:      slices.Clone(as.ref),
+		dirty:    slices.Clone(as.dirtyMap),
+		bgClean:  slices.Clone(as.bgClean),
+		touchedQ: slices.Clone(as.touchedQ),
+		lastUse:  slices.Clone(as.lastUse),
+		touched:  as.touched,
+		wasted:   v.stats.WastedBGWrite,
+		dirtied:  v.acct.Dirty,
+	}
+}
+
+// refTouchRun is the per-page touch loop the word-at-a-time kernel
+// replaced, applied to a snapshot: it walks the run page by page through
+// the page table and returns its length.
+func refTouchRun(as *AddressSpace, st *touchState, vpage, max int, write bool, at sim.Time) int {
+	vp := vpage
+	for end := min(vpage+max, as.numPages); vp < end; vp++ {
+		if as.frames[vp] == mem.NoFrame || as.inFlight[vp] {
+			break
+		}
+		setBit(st.ref, vp)
+		st.lastUse[vp] = at
+		if write {
+			if bit(st.bgClean, vp) {
+				clearBit(st.bgClean, vp)
+				st.wasted++
+			}
+			if !bit(st.dirty, vp) {
+				setBit(st.dirty, vp)
+				st.dirtied++
+			}
+		}
+		if !bit(st.touchedQ, vp) {
+			setBit(st.touchedQ, vp)
+			st.touched++
+		}
+	}
+	return vp - vpage
+}
+
+// diffTouch names the first field in which two touch states differ, or
+// returns "" when they agree.
+func diffTouch(got, want touchState) string {
+	switch {
+	case !slices.Equal(got.ref, want.ref):
+		return "ref bits"
+	case !slices.Equal(got.dirty, want.dirty):
+		return "dirty bits"
+	case !slices.Equal(got.bgClean, want.bgClean):
+		return "bg-clean bits"
+	case !slices.Equal(got.touchedQ, want.touchedQ):
+		return "touched-this-quantum bits"
+	case !slices.Equal(got.lastUse, want.lastUse):
+		return "lastUse"
+	case got.touched != want.touched:
+		return "touched count"
+	case got.wasted != want.wasted:
+		return "WastedBGWrite"
+	case got.dirtied != want.dirtied:
+		return "accounting dirty delta"
+	}
+	return ""
 }
 
 // selectionScript feeds the fuzz input to the operation loop one byte at a
@@ -144,11 +219,12 @@ func sweepScript(desc bool) []byte {
 }
 
 // FuzzVictimSelection runs random operation sequences on a small VM with
-// several processes and checks every write-back and targeted page-out
-// against the reference selections: WriteBackDirty must clean exactly the
+// several processes and checks every touch against the per-page reference
+// loop (run length, page-state bits, lastUse stamps and counters), and
+// every write-back and targeted page-out against the reference selections: WriteBackDirty must clean exactly the
 // reference's pages, and ReclaimFrom must evict the reference's pages in the
 // reference's order, as seen through OnPageOut. Touch runs go in either
-// direction, read or write, often at repeated timestamps so LastUse ties
+// direction, read or write, often at repeated timestamps so lastUse ties
 // are common; reclaim runs under both policies with blind block page-out,
 // and crashes and process exits mix in. VM.Validate runs after every step.
 func FuzzVictimSelection(f *testing.F) {
@@ -164,6 +240,7 @@ func FuzzVictimSelection(f *testing.F) {
 		s := &selectionScript{data: data}
 		// ClusterOut 1..4: 1 disables block page-out, the rest expand.
 		r := newRig(t, 320, 4, 12, Config{ReadAhead: 8, ClusterOut: 1 + s.next()%4})
+		r.vm.SetAcct(&acct.Counts{})
 		type proc struct{ pid, pages int }
 		var procs []proc
 		nextPID := 1
@@ -186,8 +263,10 @@ func FuzzVictimSelection(f *testing.F) {
 		// descending, faulting in whatever is not resident. Every chunk is
 		// stamped at the current base time plus step times its index, so a
 		// zero step gives the whole sweep one timestamp. Chunks alternate
-		// between the two touch paths that stamp LastUse.
+		// between TouchRun and ResidentRun plus TouchResidentAt, and every
+		// touch must leave exactly what the reference loop leaves.
 		touch := func(p proc, lo, hi, chunk int, write, desc bool, step sim.Duration) {
+			as := r.vm.Process(p.pid)
 			at := r.eng.Now()
 			for i := 0; i*chunk < hi-lo; i++ {
 				start, end := lo+i*chunk, min(lo+(i+1)*chunk, hi)
@@ -195,18 +274,26 @@ func FuzzVictimSelection(f *testing.F) {
 					start, end = max(hi-(i+1)*chunk, lo), hi-i*chunk
 				}
 				for vp := start; vp < end; {
+					want := snapshotTouch(r.vm, as)
+					wantN := refTouchRun(as, &want, vp, end-vp, write, at)
 					var n int
 					if i%2 == 0 {
-						n = r.vm.TouchRun(p.pid, vp, end-vp, write, at)
+						n = r.vm.TouchRun(as, vp, end-vp, write, at)
 					} else if n = r.vm.ResidentRun(p.pid, vp, end-vp); n > 0 {
 						r.vm.TouchResidentAt(p.pid, vp, n, write, at)
+					}
+					if n != wantN {
+						t.Fatalf("touch of pid %d at vpage %d ran %d pages, reference runs %d", p.pid, vp, n, wantN)
+					}
+					if field := diffTouch(snapshotTouch(r.vm, as), want); field != "" {
+						t.Fatalf("touch of pid %d [%d,%d) left %s unlike the reference", p.pid, vp, vp+n, field)
 					}
 					if n > 0 {
 						vp += n
 						continue
 					}
 					done := false
-					r.vm.Fault(p.pid, vp, write, func() { done = true })
+					r.vm.Fault(as, vp, write, func() { done = true })
 					r.eng.Run()
 					if !done {
 						t.Fatalf("fault on pid %d vpage %d never resumed", p.pid, vp)
@@ -236,9 +323,9 @@ func FuzzVictimSelection(f *testing.F) {
 				if limit > 0 { // the reference heap needs room for one page
 					want = refYoungestDirty(r.vm, as, limit)
 				}
-				before := dirtyPages(r.vm, as)
+				before := dirtyPages(as)
 				n := r.vm.WriteBackDirty(p.pid, limit, disk.Background)
-				after := dirtyPages(r.vm, as)
+				after := dirtyPages(as)
 				var cleaned []int
 				for _, vp := range before {
 					if _, still := slices.BinarySearch(after, vp); !still {

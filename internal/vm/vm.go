@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/acct"
@@ -126,13 +129,14 @@ type ProcStats struct {
 	FaultStall  sim.Duration
 }
 
-// AddressSpace is one process's paged memory image.
+// AddressSpace is one process's paged memory image. All per-page state
+// lives here, indexed by vpage: flags as bitmaps, so the touch path works
+// 64 pages at a time, and times and ages as arrays (DESIGN §17).
 type AddressSpace struct {
 	pid      int
 	numPages int
-	frames   []mem.FrameID // frame per vpage, NoFrame when not resident
+	frames   []mem.FrameID // frame per vpage, NoFrame when not mapped
 	onDisk   []bool        // a write-back COMPLETED: the swap slot holds a valid copy
-	bgClean  []bool        // cleaned by bg writer since last dirtying (waste detection)
 	inFlight []bool        // read from swap in progress
 	// wbPending counts queued-but-incomplete write-backs per page. A page is
 	// swap-backed when onDisk is set OR a write is pending; only a completed
@@ -140,24 +144,28 @@ type AddressSpace struct {
 	// cannot leave a page claiming a swap copy that never reached the device.
 	wbPending []uint16
 	region    swap.Region
-	resident  int
+	resident  int  // settled pages
+	mapped    int  // pages holding a frame: resident plus reads in flight
+	gone      bool // destroyed; late write completions are ignored
 
-	// dirtyMap has one bit per vpage, set exactly when the page is resident
-	// (frame mapped, no read in flight) and its frame is dirty. It lets the
-	// background writer enumerate the dirty set directly instead of scanning
-	// the whole address space every pass. Maintained at the clean/dirty
-	// transitions: write touches set it, write-back selection and dirty
-	// eviction clear it, and a crash clears the whole map (pages in flight
-	// are never dirty — only non-resident pages are read in, onto fresh
-	// clean frames). Validate cross-checks it against the frame table.
+	// Page-state bitmaps. A new frame sets ref, lastUse and age
+	// (mapFrame); lastUse and age are only read for settled pages.
+	settled  []uint64   // has a frame and no read in flight: resident
+	ref      []uint64   // clock reference bit
+	bgClean  []uint64   // cleaned by the bg writer since last dirtied
+	touchedQ []uint64   // touched this quantum; BeginQuantum clears it
+	lastUse  []sim.Time // last reference time
+	age      []uint8    // Linux 2.2 page age; 0 means evictable
+	// dirtyMap is the dirty flag; only settled pages are dirty. The
+	// background writer enumerates the dirty set from it.
 	dirtyMap []uint64
 	// dirtyBound holds one time per dirtyMap word: an upper bound on the
-	// LastUse of that word's dirty pages. The background writer visits
+	// lastUse of that word's dirty pages. The background writer visits
 	// words youngest bound first and stops once no remaining word can hold
-	// a page younger than its kept set (DESIGN §16). Only the touch paths
-	// stamp LastUse on resident pages, and they raise the bound of every
-	// word they touch; the writer tightens the words it scans. Cleaning,
-	// eviction and crashes leave bounds stale-high, which stays sound.
+	// a page younger than its kept set (DESIGN §16). The touch kernel
+	// raises the bound of every word it touches; the writer tightens the
+	// words it scans. Cleaning, eviction and crashes leave bounds
+	// stale-high, which stays sound.
 	dirtyBound []sim.Time
 
 	// passGen, passTaken and passCount are the reclaim pass set for this
@@ -168,14 +176,15 @@ type AddressSpace struct {
 	passTaken []uint64
 	passCount int
 
+	hand    int // the default policy's clock hand
+	swapCnt int // scan counter of the current swap_out cycle
+
 	// Working-set estimation: distinct pages touched this quantum.
-	touchGen   []uint32
-	curGen     uint32
 	touched    int
 	prevWS     int // distinct pages touched during the previous quantum
 	everRanQtm bool
 
-	waiters map[int][]func() // fault waiters per in-flight vpage
+	waiters map[int]*faultWait // fault waiters per in-flight vpage, linked in arrival order
 
 	// Attribution (nil / unallocated unless the run enabled the ledger):
 	// led is the owning rank's wall-time ledger, stopped mirrors the
@@ -202,42 +211,45 @@ func (as *AddressSpace) Resident() int { return as.resident }
 // Stats returns a copy of the per-process counters.
 func (as *AddressSpace) Stats() ProcStats { return as.stats }
 
-// IsResident reports whether vpage has a frame.
-func (as *AddressSpace) IsResident(vpage int) bool {
-	return as.frames[vpage] != mem.NoFrame && !as.inFlight[vpage]
-}
+// IsResident reports whether vpage has a frame and no read in flight.
+func (as *AddressSpace) IsResident(vpage int) bool { return bit(as.settled, vpage) }
+
+// Dirty reports whether vpage is resident and modified since it was last
+// written to swap. Audit accessor.
+func (as *AddressSpace) Dirty(vpage int) bool { return bit(as.dirtyMap, vpage) }
 
 // OnDisk reports whether vpage is swap-backed: its slot holds a valid copy,
 // or a queued write-back will make it one (the fault path treats both the
 // same, as the real kernel does — a fault on a page with a queued write
-// reads the slot behind that write).
-func (as *AddressSpace) OnDisk(vpage int) bool { return as.backed(vpage) }
-
-// backed reports whether vpage's swap slot holds, or has a queued write that
-// will produce, a valid copy. This is the behaviour-visible predicate the
-// fault and read-ahead paths use; onDisk alone only says a write completed.
-func (as *AddressSpace) backed(vpage int) bool {
+// reads the slot behind that write). onDisk alone only says a write
+// completed.
+func (as *AddressSpace) OnDisk(vpage int) bool {
 	return as.onDisk[vpage] || as.wbPending[vpage] > 0
 }
 
-// setDirtyBit and clearDirtyBit maintain the dirty-page bitmap; callers
-// invoke them exactly at the clean/dirty transitions of resident pages.
-func (as *AddressSpace) setDirtyBit(vp int)   { as.dirtyMap[vp>>6] |= 1 << (uint(vp) & 63) }
-func (as *AddressSpace) clearDirtyBit(vp int) { as.dirtyMap[vp>>6] &^= 1 << (uint(vp) & 63) }
+// bit, setBit and clearBit read and write one vpage's bit of a page-state
+// bitmap.
+func bit(m []uint64, vp int) bool { return m[vp>>6]&(1<<(uint(vp)&63)) != 0 }
+func setBit(m []uint64, vp int)   { m[vp>>6] |= 1 << (uint(vp) & 63) }
+func clearBit(m []uint64, vp int) { m[vp>>6] &^= 1 << (uint(vp) & 63) }
 
-// raiseDirtyBound lifts the bound of every dirty-map word overlapping
-// [lo, hi) to at. The touch paths call it once per call, read or write,
-// after stamping LastUse = at on those pages.
-func (as *AddressSpace) raiseDirtyBound(lo, hi int, at sim.Time) {
+// settledEnd returns the first vpage in [lo, hi) that is not settled, or hi
+// when the whole range is. It scans the settled bitmap a word at a time.
+func (as *AddressSpace) settledEnd(lo, hi int) int {
 	if lo >= hi {
-		return
+		return lo
 	}
-	bounds := as.dirtyBound[lo>>6 : (hi-1)>>6+1]
-	for i, b := range bounds {
-		if b < at {
-			bounds[i] = at
+	// Shifting the inverted word right fills the top with zeros, which read
+	// as settled and send the scan on to the next word.
+	if w := ^as.settled[lo>>6] >> (uint(lo) & 63); w != 0 {
+		return min(lo+bits.TrailingZeros64(w), hi)
+	}
+	for wi := lo>>6 + 1; wi<<6 < hi; wi++ {
+		if w := ^as.settled[wi]; w != 0 {
+			return min(wi<<6+bits.TrailingZeros64(w), hi)
 		}
 	}
+	return hi
 }
 
 // Frame reports the frame mapped at vpage (NoFrame when not resident).
@@ -268,16 +280,14 @@ type VM struct {
 	space *swap.Space
 	cfg   Config
 
-	procs map[int]*AddressSpace
+	// procs is the process table: the live address spaces in ascending pid
+	// order. Hot paths hold *AddressSpace directly; pid lookups (per switch
+	// and per daemon pass) binary-search it, and the default policy's
+	// swap_out cycle walks it in pid order for its lowest-pid tie-break.
+	procs []*AddressSpace
 
 	policy   Policy
 	outgoing int // pid whose pages selective reclaim targets; 0 = none
-
-	// clock hands for the default policy's per-process sweeps
-	hands map[int]int
-	// swapCnt holds the per-process scan counters of the current swap_out
-	// cycle (Linux 2.2 rotates scan effort across processes with these).
-	swapCnt map[int]int
 
 	// OnPageOut, when non-nil, observes every page evicted from memory.
 	// The adaptive page-in recorder (package core) subscribes here.
@@ -298,9 +308,12 @@ type VM struct {
 	// auditor's hot path. The full sweep re-derives it from the page tables.
 	residentSum int
 
-	// epoch is bumped by Crash; deferred fault-path closures (zero-fill and
+	// epoch is bumped by Crash; deferred fault-path work (zero-fill and
 	// read-in retries) from an older epoch must not touch post-crash state.
 	epoch uint64
+
+	// waitFree recycles fault-wait records (see faultWait).
+	waitFree []*faultWait
 
 	// wbPendingPages aggregates every address space's wbPending entries; the
 	// auditor cross-checks this incremental counter against a recomputation.
@@ -401,9 +414,6 @@ func New(eng *sim.Engine, phys *mem.Physical, d *disk.Disk, space *swap.Space, c
 		dsk:     d,
 		space:   space,
 		cfg:     cfg,
-		procs:   make(map[int]*AddressSpace),
-		hands:   make(map[int]int),
-		swapCnt: make(map[int]int),
 		batchOf: make(map[*AddressSpace]int),
 	}
 }
@@ -446,7 +456,7 @@ func (v *VM) SetRankLedger(pid int, led *obs.RankLedger) {
 // NoteStopped mirrors the kernel's descheduled flag onto the address
 // space; evictions of a stopped process's pages are switch-time paging.
 func (v *VM) NoteStopped(pid int, stopped bool) {
-	if as := v.procs[pid]; as != nil {
+	if as := v.Process(pid); as != nil {
 		as.stopped = stopped
 	}
 	if v.acct != nil {
@@ -465,10 +475,8 @@ func (v *VM) VictimPolicy() Policy { return v.policy }
 // SetOutgoing designates the process whose pages PolicySelective targets.
 // Pass 0 to clear.
 func (v *VM) SetOutgoing(pid int) {
-	if pid != 0 {
-		if _, ok := v.procs[pid]; !ok {
-			panic(fmt.Sprintf("vm: SetOutgoing(%d): no such process", pid))
-		}
+	if pid != 0 && v.Process(pid) == nil {
+		panic(fmt.Sprintf("vm: SetOutgoing(%d): no such process", pid))
 	}
 	v.outgoing = pid
 	if v.acct != nil {
@@ -488,7 +496,8 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 	if numPages <= 0 {
 		panic(fmt.Sprintf("vm: numPages must be positive, got %d", numPages))
 	}
-	if _, ok := v.procs[pid]; ok {
+	slot, found := v.slot(pid)
+	if found {
 		return nil, fmt.Errorf("vm: pid %d already exists", pid)
 	}
 	region, err := v.space.Reserve(numPages)
@@ -501,29 +510,45 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 		numPages:   numPages,
 		frames:     make([]mem.FrameID, numPages),
 		onDisk:     make([]bool, numPages),
-		bgClean:    make([]bool, numPages),
 		inFlight:   make([]bool, numPages),
 		wbPending:  make([]uint16, numPages),
+		settled:    make([]uint64, words),
+		ref:        make([]uint64, words),
+		bgClean:    make([]uint64, words),
+		touchedQ:   make([]uint64, words),
+		lastUse:    make([]sim.Time, numPages),
+		age:        make([]uint8, numPages),
 		dirtyMap:   make([]uint64, words),
 		dirtyBound: make([]sim.Time, words),
 		passTaken:  make([]uint64, words),
 		region:     region,
-		touchGen:   make([]uint32, numPages),
-		curGen:     1,
-		waiters:    make(map[int][]func()),
+		waiters:    make(map[int]*faultWait),
 	}
 	for i := range as.frames {
 		as.frames[i] = mem.NoFrame
 	}
-	v.procs[pid] = as
+	v.procs = slices.Insert(v.procs, slot, as)
 	if v.acct != nil {
 		v.acct.RegionReserved(int64(region.N))
 	}
 	return as, nil
 }
 
+// slot binary-searches the process table for pid, reporting its index (or
+// where it would be inserted) and whether it is live.
+func (v *VM) slot(pid int) (int, bool) {
+	return slices.BinarySearchFunc(v.procs, pid, func(as *AddressSpace, pid int) int {
+		return cmp.Compare(as.pid, pid)
+	})
+}
+
 // Process returns the address space for pid, or nil.
-func (v *VM) Process(pid int) *AddressSpace { return v.procs[pid] }
+func (v *VM) Process(pid int) *AddressSpace {
+	if i, ok := v.slot(pid); ok {
+		return v.procs[i]
+	}
+	return nil
+}
 
 // NumProcesses reports how many address spaces are live.
 func (v *VM) NumProcesses() int { return len(v.procs) }
@@ -532,65 +557,80 @@ func (v *VM) NumProcesses() int { return len(v.procs) }
 // like append. The auditor reuses one buffer across sweeps so enumerating
 // processes allocates nothing after warm-up.
 func (v *VM) AppendPIDs(dst []int) []int {
-	n := len(dst)
-	for pid := range v.procs {
-		dst = append(dst, pid)
+	for _, as := range v.procs {
+		dst = append(dst, as.pid)
 	}
-	sort.Ints(dst[n:])
 	return dst
 }
 
 // DestroyProcess releases all frames and the swap region of pid. Pending
 // fault waiters are dropped; in-flight disk transfers complete harmlessly.
 func (v *VM) DestroyProcess(pid int) {
-	as := v.mustProc(pid)
-	// The teardown deltas for the accounting shadow are tallied from the
-	// frame table itself as it is dismantled, not from the model's counters.
-	mapped, res, inFl, dirtied := 0, 0, 0, 0
-	for vp, fid := range as.frames {
-		if fid != mem.NoFrame {
-			mapped++
-			if as.inFlight[vp] {
-				inFl++
-			} else {
-				res++
-				if v.phys.Frame(fid).Dirty {
-					dirtied++
-				}
-			}
-			v.phys.Release(fid)
-			as.frames[vp] = mem.NoFrame
-		}
+	i, ok := v.slot(pid)
+	if !ok {
+		panic(fmt.Sprintf("vm: no process %d", pid))
 	}
-	v.residentSum -= as.resident
-	as.resident = 0
-	as.waiters = nil
-	for vp := range as.inFlight {
-		as.inFlight[vp] = false
-	}
+	as := v.procs[i]
 	// Queued write-backs of this process are orphaned: their completions are
-	// ignored (completeWrite checks process identity), so drop them from the
+	// ignored (completeWrite checks gone), so dropImage takes them out of the
 	// aggregate now. The swap region is released below; the disk may still
 	// write the old slots, which is harmless — the slots carry no identity
 	// once the region is gone.
-	wb := 0
-	for vp := range as.wbPending {
-		if as.wbPending[vp] > 0 {
-			wb += int(as.wbPending[vp])
-			v.wbPendingPages -= int(as.wbPending[vp])
-			as.wbPending[vp] = 0
-		}
-	}
+	mapped, res, inFl, dirtied, wb := v.dropImage(as)
+	as.waiters = nil
+	as.gone = true
 	if v.acct != nil {
 		v.acct.Dropped(mapped, res, inFl, dirtied, wb, int64(as.region.N))
 	}
 	v.space.ReleaseRegion(as.region)
-	delete(v.procs, pid)
-	delete(v.hands, pid)
-	delete(v.swapCnt, pid)
+	v.procs = slices.Delete(v.procs, i, i+1)
 	if v.outgoing == pid {
 		v.outgoing = 0
 	}
+}
+
+// dropImage releases every frame of as without write-back, abandons its
+// in-flight reads and cancels its queued write-backs, leaving no page
+// mapped. It returns the deltas for the accounting shadow, tallied from the
+// page table as it is dismantled rather than from the model's counters.
+//
+// Queued and in-flight write-backs die with the disk queue (a crash's
+// Disk.Reset drops them), so the data never reached the slot: the pending
+// counts are cleared WITHOUT setting onDisk. A page whose only copy was in a
+// dropped write loses its backing and will demand-zero re-fault. Slots with
+// an earlier completed write keep onDisk: a valid (if stale) copy really is
+// on the device.
+func (v *VM) dropImage(as *AddressSpace) (mapped, res, inFl, dirtied, wb int) {
+	for vp, fid := range as.frames {
+		if fid != mem.NoFrame {
+			mapped++
+			switch {
+			case as.inFlight[vp]:
+				inFl++
+			case bit(as.dirtyMap, vp):
+				res++
+				dirtied++
+			default:
+				res++
+			}
+			v.phys.Release(fid)
+			as.frames[vp] = mem.NoFrame
+		}
+		if n := as.wbPending[vp]; n > 0 {
+			wb += int(n)
+			as.wbPending[vp] = 0
+		}
+	}
+	clear(as.inFlight)
+	clear(as.settled)
+	clear(as.ref)
+	clear(as.bgClean)
+	clear(as.dirtyMap)
+	v.wbPendingPages -= wb
+	v.residentSum -= as.resident
+	as.resident = 0
+	as.mapped = 0
+	return mapped, res, inFl, dirtied, wb
 }
 
 // Crash models a node power loss for every live process: all resident
@@ -603,58 +643,18 @@ func (v *VM) DestroyProcess(pid int) {
 // in the same instant, before any engine event runs.
 func (v *VM) Crash() {
 	v.epoch++
-	// Deterministic iteration order: ascending pid.
-	pids := make([]int, 0, len(v.procs))
-	for pid := range v.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	var resumes []func()
-	for _, pid := range pids {
-		as := v.procs[pid]
-		mapped, res, inFl, dirtied, wb := 0, 0, 0, 0, 0
-		for vp, fid := range as.frames {
-			if fid != mem.NoFrame {
-				mapped++
-				if as.inFlight[vp] {
-					inFl++
-				} else {
-					res++
-					if v.phys.Frame(fid).Dirty {
-						dirtied++
-					}
-				}
-				v.phys.Release(fid)
-				as.frames[vp] = mem.NoFrame
-			}
-			as.inFlight[vp] = false
-			as.bgClean[vp] = false
-			// Queued and in-flight write-backs die with the disk queue
-			// (Disk.Reset drops them), so the data never reached the slot:
-			// clear the pending counts WITHOUT setting onDisk. A page whose
-			// only copy was in a dropped write loses its backing and will
-			// demand-zero re-fault — before this, onDisk was set at queue
-			// time and a crash could "resurrect" a swap copy that was never
-			// written. Slots with an earlier completed write keep onDisk: a
-			// valid (if stale) copy really is on the device.
-			if as.wbPending[vp] > 0 {
-				wb += int(as.wbPending[vp])
-				v.wbPendingPages -= int(as.wbPending[vp])
-				as.wbPending[vp] = 0
-			}
-		}
+	var resumes []*faultWait
+	for _, as := range v.procs { // ascending pid: deterministic order
+		mapped, res, inFl, dirtied, wb := v.dropImage(as)
 		if v.acct != nil {
 			// Regions survive a reboot, so no slot delta.
 			v.acct.Dropped(mapped, res, inFl, dirtied, wb, 0)
 		}
-		clear(as.dirtyMap)
 		if as.swEvict != nil {
 			// Crash-dropped pages were lost, not paged out by a switch;
 			// their refaults are ordinary fault stalls.
 			clear(as.swEvict)
 		}
-		v.residentSum -= as.resident
-		as.resident = 0
 		// Collect waiters in vpage order, then fire after all bookkeeping is
 		// consistent: a resumed process may immediately re-fault.
 		vps := make([]int, 0, len(as.waiters))
@@ -663,20 +663,21 @@ func (v *VM) Crash() {
 		}
 		sort.Ints(vps)
 		for _, vp := range vps {
-			resumes = append(resumes, as.waiters[vp]...)
+			for w := as.waiters[vp]; w != nil; w = w.next {
+				resumes = append(resumes, w)
+			}
 		}
-		as.waiters = make(map[int][]func())
-		delete(v.hands, pid)
-		delete(v.swapCnt, pid)
+		clear(as.waiters)
+		as.hand, as.swapCnt = 0, 0
 	}
 	v.outgoing = 0
-	for _, r := range resumes {
-		r()
+	for _, w := range resumes {
+		w.finish()
 	}
 }
 
 func (v *VM) mustProc(pid int) *AddressSpace {
-	as := v.procs[pid]
+	as := v.Process(pid)
 	if as == nil {
 		panic(fmt.Sprintf("vm: no process %d", pid))
 	}
@@ -695,16 +696,7 @@ func (v *VM) BeginQuantum(pid int) {
 	}
 	as.everRanQtm = true
 	as.touched = 0
-	as.curGen++
-	if as.curGen == 0 {
-		// The generation counter wrapped: stale touchGen entries from 2^32
-		// quanta ago would now compare equal to curGen and read as touched
-		// this quantum. Clear the stamps and restart from generation 1.
-		for i := range as.touchGen {
-			as.touchGen[i] = 0
-		}
-		as.curGen = 1
-	}
+	clear(as.touchedQ)
 }
 
 // WSEstimate reports the kernel's working-set estimate for pid in pages.
@@ -733,8 +725,8 @@ func (v *VM) PendingWriteBacks() int { return v.wbPendingPages }
 
 // ResidentSum reports the total of the per-process resident counters. The
 // differential auditor compares it against the accounting shadow every time
-// the node's books move, so it is a maintained aggregate rather than a map
-// walk; the full sweep validates it against the page tables.
+// the node's books move, so it is a maintained aggregate rather than a
+// process-table walk; the full sweep validates it against the page tables.
 func (v *VM) ResidentSum() int { return v.residentSum }
 
 // Validate cross-checks VM bookkeeping against the frame table. Unlike the
@@ -747,51 +739,83 @@ func (v *VM) Validate() error {
 		return err
 	}
 	pending := 0
-	for pid, as := range v.procs {
-		res, mapped := 0, 0
-		for vp, fid := range as.frames {
+	for _, as := range v.procs {
+		if err := v.validateSpace(as); err != nil {
+			return err
+		}
+		for _, n := range as.wbPending {
+			pending += int(n)
+		}
+	}
+	if pending != v.wbPendingPages {
+		return fmt.Errorf("vm: write-back pending counter %d, pages say %d", v.wbPendingPages, pending)
+	}
+	return nil
+}
+
+// validateSpace checks one address space's page table against the frame
+// table, its counters against the page table, and its page-state bitmaps
+// against each other a word at a time.
+func (v *VM) validateSpace(as *AddressSpace) error {
+	pid := as.pid
+	res, mapped, touched := 0, 0, 0
+	for wi := range as.settled {
+		// Rebuild the word's mapped and settled sets from the page table.
+		var mappedW, settledW uint64
+		for b := range 64 {
+			vp := wi<<6 + b
+			if vp >= as.numPages {
+				break
+			}
+			fid := as.frames[vp]
 			if fid == mem.NoFrame {
 				if as.inFlight[vp] {
 					return fmt.Errorf("vm: pid %d vpage %d in flight without a frame", pid, vp)
 				}
 				continue
 			}
-			mapped++
-			if !as.inFlight[vp] {
-				res++
-			}
-			f := v.phys.Frame(fid)
-			if f.PID != pid || int(f.VPage) != vp {
+			if f := v.phys.Frame(fid); f.PID != pid || int(f.VPage) != vp {
 				return fmt.Errorf("vm: frame %d labelled (%d,%d), PTE says (%d,%d)",
 					fid, f.PID, f.VPage, pid, vp)
 			}
-		}
-		if res != as.resident {
-			return fmt.Errorf("vm: pid %d resident counter %d, PTEs say %d", pid, as.resident, res)
-		}
-		for vp := 0; vp < as.numPages; vp++ {
-			var f *mem.Frame
-			if fid := as.frames[vp]; fid != mem.NoFrame && !as.inFlight[vp] {
-				f = v.phys.Frame(fid)
-			}
-			want := f != nil && f.Dirty
-			if got := as.dirtyMap[vp>>6]&(1<<(uint(vp)&63)) != 0; got != want {
-				return fmt.Errorf("vm: pid %d vpage %d dirty bit %v, frame table says %v", pid, vp, got, want)
-			}
-			if want && f.LastUse > as.dirtyBound[vp>>6] {
-				return fmt.Errorf("vm: pid %d dirty-map word %d bound %d is below the LastUse %d of its dirty vpage %d",
-					pid, vp>>6, as.dirtyBound[vp>>6], f.LastUse, vp)
+			mappedW |= 1 << b
+			if !as.inFlight[vp] {
+				settledW |= 1 << b
 			}
 		}
-		if v.phys.Resident(pid) != mapped {
-			return fmt.Errorf("vm: pid %d phys resident %d, PTEs say %d", pid, v.phys.Resident(pid), mapped)
+		dirty := as.dirtyMap[wi]
+		for _, c := range [...]struct {
+			bad  uint64
+			what string
+		}{
+			{as.settled[wi] ^ settledW, "settled bit disagrees with the page table"},
+			{dirty &^ settledW, "dirty but not settled"},
+			{as.bgClean[wi] &^ (settledW &^ dirty), "bg-clean but not a clean settled page"},
+			{as.ref[wi] &^ mappedW, "referenced without a frame"},
+		} {
+			if c.bad != 0 {
+				return fmt.Errorf("vm: pid %d vpage %d %s", pid, wi<<6+bits.TrailingZeros64(c.bad), c.what)
+			}
 		}
-		for vp := range as.wbPending {
-			pending += int(as.wbPending[vp])
+		for w := dirty; w != 0; w &= w - 1 {
+			vp := wi<<6 + bits.TrailingZeros64(w)
+			if as.lastUse[vp] > as.dirtyBound[wi] {
+				return fmt.Errorf("vm: pid %d dirty-map word %d bound %d is below the lastUse %d of its dirty vpage %d",
+					pid, wi, as.dirtyBound[wi], as.lastUse[vp], vp)
+			}
 		}
+		res += bits.OnesCount64(settledW)
+		mapped += bits.OnesCount64(mappedW)
+		touched += bits.OnesCount64(as.touchedQ[wi])
 	}
-	if pending != v.wbPendingPages {
-		return fmt.Errorf("vm: write-back pending counter %d, pages say %d", v.wbPendingPages, pending)
+	if res != as.resident {
+		return fmt.Errorf("vm: pid %d resident counter %d, PTEs say %d", pid, as.resident, res)
+	}
+	if mapped != as.mapped {
+		return fmt.Errorf("vm: pid %d mapped counter %d, PTEs say %d", pid, as.mapped, mapped)
+	}
+	if touched != as.touched {
+		return fmt.Errorf("vm: pid %d touched counter %d, touchedQ holds %d pages", pid, as.touched, touched)
 	}
 	return nil
 }

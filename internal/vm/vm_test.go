@@ -52,7 +52,7 @@ func (r *rig) touchAll(t testing.TB, pid, n int, write bool) {
 			continue
 		}
 		done := false
-		r.vm.Fault(pid, pos, write, func() { done = true })
+		r.vm.Fault(r.vm.Process(pid), pos, write, func() { done = true })
 		r.eng.Run()
 		if !done {
 			t.Fatalf("fault at page %d never resumed", pos)
@@ -190,7 +190,7 @@ func TestReadAheadStopsAtResidentPage(t *testing.T) {
 	r.vm.ReadPagesIn(1, []int{5}, disk.Demand, nil)
 	r.eng.Run()
 	done := false
-	r.vm.Fault(1, 0, false, func() { done = true })
+	r.vm.Fault(r.vm.Process(1), 0, false, func() { done = true })
 	r.eng.Run()
 	if !done {
 		t.Fatal("fault did not resume")
@@ -209,7 +209,7 @@ func TestFaultOnResidentIsMinor(t *testing.T) {
 	r.vm.NewProcess(1, 10)
 	r.touchAll(t, 1, 10, false)
 	done := false
-	r.vm.Fault(1, 3, false, func() { done = true })
+	r.vm.Fault(r.vm.Process(1), 3, false, func() { done = true })
 	r.eng.Run()
 	if !done {
 		t.Fatal("minor fault did not resume")
@@ -230,7 +230,7 @@ func TestFaultWaitsForInFlightRead(t *testing.T) {
 	var order []string
 	r.vm.ReadPagesIn(1, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		disk.Demand, func() { prefetchDone = true; order = append(order, "prefetch") })
-	r.vm.Fault(1, 10, false, func() { faultDone = true; order = append(order, "fault") })
+	r.vm.Fault(r.vm.Process(1), 10, false, func() { faultDone = true; order = append(order, "fault") })
 	if faultDone {
 		t.Fatal("fault resumed before disk I/O")
 	}
@@ -464,9 +464,10 @@ func TestDestroyProcessReleasesEverything(t *testing.T) {
 	if usedSwap != 50 {
 		t.Fatalf("swap used = %d", usedSwap)
 	}
+	as := r.vm.Process(1)
 	r.vm.SetOutgoing(1)
 	r.vm.DestroyProcess(1)
-	if r.phys.Resident(1) != 0 {
+	if r.phys.NumFree() != r.phys.NumFrames() || as.mapped != 0 {
 		t.Fatal("frames leaked")
 	}
 	if r.space.Used() != 0 {
@@ -540,12 +541,14 @@ func TestPolicyString(t *testing.T) {
 func TestBadArgsPanic(t *testing.T) {
 	r := newRig(t, 16, 0, 0, Config{})
 	r.vm.NewProcess(1, 10)
+	gone, _ := r.vm.NewProcess(2, 10)
+	r.vm.DestroyProcess(2)
 	for _, f := range []func(){
 		func() { r.vm.NewProcess(0, 5) },
 		func() { r.vm.NewProcess(3, 0) },
-		func() { r.vm.Fault(1, -1, false, func() {}) },
-		func() { r.vm.Fault(1, 10, false, func() {}) },
-		func() { r.vm.Fault(99, 0, false, func() {}) },
+		func() { r.vm.Fault(r.vm.Process(1), -1, false, func() {}) },
+		func() { r.vm.Fault(r.vm.Process(1), 10, false, func() {}) },
+		func() { r.vm.Fault(gone, 0, false, func() {}) },
 		func() { r.vm.TouchResident(1, 0, 1, false) }, // not resident yet
 		func() { r.vm.ReadPagesIn(1, []int{55}, disk.Demand, nil) },
 		func() { r.vm.DestroyProcess(77) },

@@ -29,14 +29,12 @@ func TestWriteBackPrefersYoungestDirty(t *testing.T) {
 	}
 	as := r.vm.Process(1)
 	for vp := 0; vp < 20; vp++ {
-		fid := as.frames[vp]
-		if !r.vm.Phys().Frame(fid).Dirty {
+		if !as.Dirty(vp) {
 			t.Fatalf("old page %d cleaned before younger pages", vp)
 		}
 	}
 	for vp := 20; vp < 30; vp++ {
-		fid := as.frames[vp]
-		if r.vm.Phys().Frame(fid).Dirty {
+		if as.Dirty(vp) {
 			t.Fatalf("young page %d not cleaned", vp)
 		}
 	}
@@ -81,7 +79,7 @@ func TestWriteBackStopsAtTiedWords(t *testing.T) {
 	r.touchAll(t, 1, pages, false)
 	as := r.vm.Process(1)
 	at := r.eng.Now()
-	if n := r.vm.TouchRun(1, 0, pages, true, at); n != pages {
+	if n := r.vm.TouchRun(r.vm.Process(1), 0, pages, true, at); n != pages {
 		t.Fatalf("touched %d pages, want %d", n, pages)
 	}
 	for pass := 0; pass < 3; pass++ {
@@ -96,7 +94,7 @@ func TestWriteBackStopsAtTiedWords(t *testing.T) {
 		// Youngest-first with vpage tie-break: the pass cleans the lowest
 		// still-dirty pages of the tied sweep.
 		for vp := 0; vp < pages; vp++ {
-			if dirty := r.vm.Phys().Frame(as.frames[vp]).Dirty; dirty != (vp >= (pass+1)*batch) {
+			if dirty := as.Dirty(vp); dirty != (vp >= (pass+1)*batch) {
 				t.Fatalf("after pass %d vpage %d dirty = %v", pass, vp, dirty)
 			}
 		}
@@ -107,7 +105,7 @@ func TestWriteBackStopsAtTiedWords(t *testing.T) {
 }
 
 // TestValidateChecksDirtyBound corrupts one word's bound: a bound above
-// every dirty page's LastUse is stale but sound, one below is an error
+// every dirty page's lastUse is stale but sound, one below is an error
 // naming the process and the word.
 func TestValidateChecksDirtyBound(t *testing.T) {
 	r := newRig(t, 256, 0, 0, Config{})
@@ -115,7 +113,7 @@ func TestValidateChecksDirtyBound(t *testing.T) {
 	r.touchAll(t, 1, 200, true)
 	as := r.vm.Process(1)
 	const word = 2
-	last := r.vm.Phys().Frame(as.frames[word*64+5]).LastUse
+	last := as.lastUse[word*64+5]
 	as.dirtyBound[word] = last + sim.Time(sim.Second)
 	if err := r.vm.Validate(); err != nil {
 		t.Fatalf("stale-high bound rejected: %v", err)
@@ -123,9 +121,47 @@ func TestValidateChecksDirtyBound(t *testing.T) {
 	as.dirtyBound[word] = last - 1
 	err := r.vm.Validate()
 	if err == nil {
-		t.Fatal("bound below a dirty page's LastUse passed Validate")
+		t.Fatal("bound below a dirty page's lastUse passed Validate")
 	}
 	if msg := err.Error(); !strings.Contains(msg, "pid 1 ") || !strings.Contains(msg, "word 2 ") {
 		t.Fatalf("error %q does not name pid 1 and word 2", msg)
+	}
+}
+
+// TestValidateChecksPageState corrupts one page-state invariant per case;
+// Validate must reject each with an error naming the process and the page
+// (or, for a counter, the counter).
+func TestValidateChecksPageState(t *testing.T) {
+	const unmapped = 180 // pages [0, 150) are resident and dirty
+	cases := []struct {
+		name    string
+		corrupt func(as *AddressSpace)
+		want    string
+	}{
+		{"settled without a frame", func(as *AddressSpace) { setBit(as.settled, unmapped) }, "vpage 180 settled"},
+		{"resident page not settled", func(as *AddressSpace) { clearBit(as.settled, 70) }, "vpage 70 settled"},
+		{"dirty but not settled", func(as *AddressSpace) { setBit(as.dirtyMap, unmapped) }, "vpage 180 dirty"},
+		{"bg-clean on a dirty page", func(as *AddressSpace) { setBit(as.bgClean, 10) }, "vpage 10 bg-clean"},
+		{"referenced without a frame", func(as *AddressSpace) { setBit(as.ref, unmapped) }, "vpage 180 referenced"},
+		{"touched counter drift", func(as *AddressSpace) { as.touched++ }, "touched counter"},
+		{"mapped counter drift", func(as *AddressSpace) { as.mapped-- }, "mapped counter"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 256, 0, 0, Config{})
+			r.vm.NewProcess(1, 200)
+			r.touchAll(t, 1, 150, true)
+			if err := r.vm.Validate(); err != nil {
+				t.Fatalf("healthy image rejected: %v", err)
+			}
+			c.corrupt(r.vm.Process(1))
+			err := r.vm.Validate()
+			if err == nil {
+				t.Fatal("corruption passed Validate")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "pid 1 ") || !strings.Contains(msg, c.want) {
+				t.Fatalf("error %q does not name pid 1 and %q", msg, c.want)
+			}
+		})
 	}
 }
