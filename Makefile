@@ -50,14 +50,23 @@ audit:
 # back byte-identical JSONL), and the victim-selection fuzz (bounded
 # write-back and sorted page-out vs the full-scan references, on random
 # touch/reclaim/crash sequences). FUZZTIME=10m for a soak.
+#
+# Every fuzz line bounds input minimization to ten execs. Go's default is
+# 60 s per new-coverage input, and the fuzzer stops exploring while it
+# minimizes: on a 2-vCPU host, from a cold cache, FuzzVictimSelection
+# found its first new input within a second and then minimized it for the
+# rest of a 20 s run (11 execs in total, against 2,625 with the bound),
+# and FuzzEngineOrder, FuzzJournalRecover, FuzzStoreRoundTrip and
+# FuzzAuditDifferential stalled the same way part way through.
 FUZZTIME ?= 30s
+FUZZMIN = -fuzzminimizetime 10x
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzAuditedRun -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/queue
-	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzVictimSelection -fuzztime $(FUZZTIME) ./internal/vm
+	$(GO) test -run '^$$' -fuzz FuzzAuditedRun $(FUZZMIN) -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential $(FUZZMIN) -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder $(FUZZMIN) -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzJournalRecover $(FUZZMIN) -fuzztime $(FUZZTIME) ./internal/queue
+	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip $(FUZZMIN) -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzVictimSelection $(FUZZMIN) -fuzztime $(FUZZTIME) ./internal/vm
 
 # End-to-end smoke of the gangsimd service: boot on a random port, submit
 # a two-run sweep over HTTP, poll to completion, assert the served results
@@ -90,12 +99,12 @@ check:
 	$(GO) test -race -run 'TestParallelEquivalence|TestWorkloadConcurrent' -count 1 .
 	$(GO) test -race -run 'TestAuditPolicyMatrix|TestAuditFaultSoak' -count 1 .
 	$(GO) test -race -run 'TestHTTPObserverServes|TestTraceDeterministicAcrossParallel' -count 1 .
-	$(GO) test -run '^$$' -fuzz FuzzAuditedRun -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzJournalRecover -fuzztime 10s ./internal/queue
-	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzVictimSelection -fuzztime 10s ./internal/vm
+	$(GO) test -run '^$$' -fuzz FuzzAuditedRun $(FUZZMIN) -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzAuditDifferential $(FUZZMIN) -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder $(FUZZMIN) -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzJournalRecover $(FUZZMIN) -fuzztime 10s ./internal/queue
+	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip $(FUZZMIN) -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzVictimSelection $(FUZZMIN) -fuzztime 10s ./internal/vm
 	./scripts/serve_smoke.sh
 	$(GO) build -o bin/figures ./cmd/figures
 	bin/figures -md bin/EXPERIMENTS.md

@@ -38,12 +38,15 @@ func makeCluster(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-// step drives n engine events (the cluster must have a started scheduler).
+// step drives the engine until it has executed n logical events (the
+// cluster must have a started scheduler). Logical events are the unit the
+// auditor's own cadence counts: a fast-forwarded touch window fires once
+// but stands for every event it folded (DESIGN §10b).
 func step(t *testing.T, c *cluster.Cluster, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
+	for c.Eng.Executed() < uint64(n) {
 		if _, ok := c.Eng.NextEventTime(); !ok {
-			t.Fatalf("engine drained after %d of %d steps", i, n)
+			t.Fatalf("engine drained after %d of %d logical events", c.Eng.Executed(), n)
 		}
 		c.Eng.Step()
 	}

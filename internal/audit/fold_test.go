@@ -1,0 +1,157 @@
+package audit
+
+import (
+	"bytes"
+	"encoding/json"
+	"regexp"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/gang"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/proc"
+	"repro/internal/sim"
+)
+
+// foldRun is what one run of runFoldCluster leaves behind for comparison.
+type foldRun struct {
+	result, events, prom, spans []byte
+	logical, steps              uint64  // Engine.Executed and Engine.Steps
+	blocker                     uint64  // events the blocker chain fired
+	counted                     float64 // the engine-event counter's value
+}
+
+// runFoldCluster runs one node with two over-committed jobs, observability
+// fully on (events, metrics, spans, ledgers) and the auditor checking
+// after every logical event. Job "w" writes its whole image, so its first
+// iteration is demand-zero fills, and the node runs out of free frames
+// part way through: later fills meet the watermark and reclaim. Job "r"
+// reads half its image and never writes it, so those pages stay clean and
+// swap-less: the switch page-out drops them, and "r" refaults them as
+// demand-zero fills that the ledger books as switch overhead.
+//
+// With blocked set, a no-op event fires every microsecond until the last
+// job finishes. It is always the queue's next event, so no touch window
+// can absorb a chunk or a fill: the run takes the one-event-per-step
+// schedule that fast-forwarding must reproduce (DESIGN §10b).
+func runFoldCluster(t *testing.T, blocked bool) foldRun {
+	t.Helper()
+	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 8}, core.SOAOAIBG, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableAcct()
+	var events bytes.Buffer
+	sink := obs.NewJSONL(&events)
+	setup := (&obs.Options{Sinks: []obs.Sink{sink}, Metrics: true, Trace: true, Ledger: true, Flight: true}).Build()
+	c.EnableObservability(setup)
+	jobs := []struct {
+		name string
+		segs []proc.Segment
+	}{
+		{"w", []proc.Segment{{Offset: 0, Pages: 1500, Write: true, Passes: 1}}},
+		{"r", []proc.Segment{
+			{Offset: 0, Pages: 300, Write: true, Passes: 1},
+			{Offset: 300, Pages: 1200, Passes: 2},
+		}},
+	}
+	for _, j := range jobs {
+		beh := proc.Behavior{
+			FootprintPages: 1500,
+			Iterations:     3,
+			Segments:       j.segs,
+			TouchCost:      10 * sim.Microsecond,
+		}
+		if _, err := c.AddJob(cluster.JobSpec{Name: j.name, Behavior: beh, Quantum: 40 * sim.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.BuildScheduler(gang.Options{})
+	a := Attach(c, Config{Every: 1, Ring: setup.Flight()})
+
+	var run foldRun
+	if blocked {
+		var tick func()
+		tick = func() {
+			run.blocker++
+			for _, j := range c.Jobs() {
+				if !j.Done() {
+					c.Eng.ScheduleDetached(sim.Microsecond, tick)
+					return
+				}
+			}
+		}
+		c.Eng.ScheduleDetached(0, tick)
+	}
+	if err := c.Run(10 * sim.Minute); err != nil {
+		t.Fatalf("blocked=%v: %v", blocked, err)
+	}
+	if a.Violations() != 0 {
+		t.Fatalf("blocked=%v: %d violations", blocked, a.Violations())
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	setup.Tracer.CloseAll(c.Eng.Now())
+	res := metrics.Collect(c, "so/ao/ai/bg")
+	if run.result, err = json.Marshal(res); err != nil {
+		t.Fatal(err)
+	}
+	var prom bytes.Buffer
+	if err := setup.Reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if run.spans, err = json.Marshal(setup.Tracer.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	run.events, run.prom = events.Bytes(), prom.Bytes()
+	run.counted = setup.Reg.Counter(obs.MetricEngineEvents, "", nil).Value()
+	run.logical, run.steps = c.Eng.Executed(), c.Eng.Steps()
+	return run
+}
+
+// engineEvents matches the Prometheus line of the engine's logical event
+// counter, the one series the blocker's own events move.
+var engineEvents = regexp.MustCompile(`(?m)^` + obs.MetricEngineEvents + ` .*$`)
+
+// TestFoldMatchesUnfolded pins touch-window fast-forwarding, demand-zero
+// fills included, against the schedule without it: every output of a
+// fully observed, audited run is byte-identical, and logical events match
+// exactly once the blocker's are taken out.
+func TestFoldMatchesUnfolded(t *testing.T) {
+	free := runFoldCluster(t, false)
+	blocked := runFoldCluster(t, true)
+	model := blocked.logical - blocked.blocker
+
+	if !bytes.Equal(free.result, blocked.result) {
+		t.Errorf("result JSON differs:\nfolded   %s\nunfolded %s", free.result, blocked.result)
+	}
+	if !bytes.Equal(free.events, blocked.events) {
+		t.Errorf("event streams differ (%d vs %d bytes)", len(free.events), len(blocked.events))
+	}
+	if !bytes.Equal(free.spans, blocked.spans) {
+		t.Errorf("span lists differ (%d vs %d bytes)", len(free.spans), len(blocked.spans))
+	}
+	if free.logical != model {
+		t.Errorf("folded run counted %d logical events, unfolded model %d", free.logical, model)
+	}
+	// The blocker's events count in the engine-event series: compare its
+	// exact value less theirs, then the rest of the exposition byte for byte.
+	if free.counted != float64(model) || blocked.counted != float64(blocked.logical) {
+		t.Errorf("engine-event counter %v folded, %v unfolded; want %d and %d",
+			free.counted, blocked.counted, model, blocked.logical)
+	}
+	mask := []byte(obs.MetricEngineEvents + " N")
+	if f, b := engineEvents.ReplaceAll(free.prom, mask), engineEvents.ReplaceAll(blocked.prom, mask); !bytes.Equal(f, b) {
+		t.Errorf("Prometheus text differs:\nfolded\n%s\nunfolded\n%s", f, b)
+	}
+	if blocked.steps != blocked.logical {
+		t.Errorf("blocked run folded: %d steps for %d logical events", blocked.steps, blocked.logical)
+	}
+	if free.steps*10 > model {
+		t.Errorf("folded run took %d engine steps for %d model events, want at most a tenth", free.steps, model)
+	}
+	t.Logf("model events %d, folded steps %d, blocker events %d", model, free.steps, blocked.blocker)
+}

@@ -95,6 +95,11 @@ type RankLedger struct {
 	cur     Category
 	done    bool
 	down    bool // the rank's node is crashed; idle time is CatDown
+
+	// deferred is time of the open segment already booked to other
+	// categories (Defer); the next flush moves it out of cur's share.
+	deferred    [NumCategories]sim.Duration
+	hasDeferred bool
 }
 
 // NewRankLedger returns a ledger for a rank created at now. Until its
@@ -110,9 +115,39 @@ func (l *RankLedger) Transition(now sim.Time, cat Category) {
 	if l == nil || l.done {
 		return
 	}
-	l.buckets[l.cur] += now.Sub(l.last)
-	l.last = now
+	l.flush(now)
 	l.cur = cat
+}
+
+// flush closes the open segment at now: the deferred shares go to their
+// categories and the rest of [last, now) to the current one.
+func (l *RankLedger) flush(now sim.Time) {
+	seg := now.Sub(l.last)
+	if l.hasDeferred {
+		for c, d := range l.deferred {
+			l.buckets[c] += d
+			seg -= d
+		}
+		l.deferred = [NumCategories]sim.Duration{}
+		l.hasDeferred = false
+	}
+	l.buckets[l.cur] += seg
+	l.last = now
+}
+
+// Defer books d of the open segment to cat instead of the current
+// category, applied at the next Transition or Finish. It is for time the
+// caller charges ahead of the clock: a fast-forwarded touch window that
+// folds a fault stall into a compute segment (DESIGN §10b) knows the
+// stall's length and category before the segment closes. The segment
+// must end at least the deferred total after its start. Safe on a nil
+// ledger; a no-op after Finish.
+func (l *RankLedger) Defer(cat Category, d sim.Duration) {
+	if l == nil || l.done {
+		return
+	}
+	l.deferred[cat] += d
+	l.hasDeferred = true
 }
 
 // TransitionIdle enters the descheduled state: CatDown while the rank's
@@ -171,8 +206,7 @@ func (l *RankLedger) Finish(now sim.Time) {
 	if l == nil || l.done {
 		return
 	}
-	l.buckets[l.cur] += now.Sub(l.last)
-	l.last = now
+	l.flush(now)
 	l.done = true
 }
 
@@ -188,7 +222,8 @@ func (l *RankLedger) FrozenAt() sim.Time {
 }
 
 // Snapshot returns the attribution as of now, flushing the in-progress
-// segment into the current category without ending it. For a frozen
+// segment into the current category without ending it. Deferred time
+// stays out until its segment closes: it may lie after now. For a frozen
 // ledger the snapshot is final and now is ignored.
 func (l *RankLedger) Snapshot(now sim.Time) Attribution {
 	if l == nil {

@@ -108,6 +108,12 @@ type Histogram struct {
 	sum       float64
 	sumMicros int64 // exact integer part of the sum, in microseconds
 	count     int64
+
+	// lastUs and lastIdx memoize ObserveMicros's bucket search: fault
+	// stalls repeat one duration (a demand-zero fill's) thousands of times
+	// in a row. lastUs starts at -1, which no duration equals.
+	lastUs  int64
+	lastIdx int
 }
 
 // Observe records v.
@@ -129,7 +135,11 @@ func (h *Histogram) ObserveMicros(us int64) {
 	if h == nil {
 		return
 	}
-	i, _ := slices.BinarySearch(h.micros, us) // same bucket as bounds vs float64(us)/1e6
+	i := h.lastIdx
+	if us != h.lastUs {
+		i, _ = slices.BinarySearch(h.micros, us) // same bucket as bounds vs float64(us)/1e6
+		h.lastUs, h.lastIdx = us, i
+	}
 	h.counts[i]++
 	h.sumMicros += us
 	h.count++
@@ -314,6 +324,7 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 			bounds: append([]float64(nil), bounds...),
 			micros: make([]int64, len(bounds)),
 			counts: make([]int64, len(bounds)+1),
+			lastUs: -1,
 		}
 		for i, b := range bounds {
 			m.hist.micros[i] = microLimit(b)

@@ -219,6 +219,65 @@ func TestLedgerNilSafe(t *testing.T) {
 	}
 }
 
+// TestLedgerDefer books a compute segment that folded stalls of two
+// categories ahead of the clock: until the segment closes the deferred
+// time stays out of every bucket, and at the close it lands exactly.
+func TestLedgerDefer(t *testing.T) {
+	l := NewRankLedger(0)
+	l.Transition(100, CatCompute) // 100 queue
+	l.Defer(CatFault, 7)
+	l.Defer(CatSwitch, 5)
+	l.Defer(CatFault, 7)
+	// The stalls lie after now while pending: conservation holds and no
+	// bucket goes negative, even at the segment's first instant.
+	for _, now := range []sim.Time{100, 103, 150} {
+		if err := l.Check(now); err != nil {
+			t.Fatalf("Check(%v) with deferrals pending: %v", now, err)
+		}
+		a := l.Snapshot(now)
+		if want := (Attribution{Queue: 100, Compute: now.Sub(100)}); a != want {
+			t.Fatalf("Snapshot(%v) = %+v, want %+v", now, a, want)
+		}
+	}
+	l.Transition(160, CatBarrier) // 60 closed: 14 fault, 5 switch, 41 compute
+	a := l.Snapshot(170)
+	if want := (Attribution{Queue: 100, Compute: 41, Fault: 14, Switch: 5, Barrier: 10}); a != want {
+		t.Fatalf("attribution %+v, want %+v", a, want)
+	}
+	// The flush consumed the deferrals: the next segment books plainly.
+	l.Transition(200, CatCompute)
+	if a := l.Snapshot(200); a.Fault != 14 || a.Switch != 5 || a.Barrier != 40 {
+		t.Fatalf("attribution %+v after a second transition", a)
+	}
+	if err := l.Check(200); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerFinishFlushesDeferred ends a rank inside the segment that
+// holds a deferral, and checks frozen and nil ledgers ignore Defer.
+func TestLedgerFinishFlushesDeferred(t *testing.T) {
+	l := NewRankLedger(0)
+	l.Transition(10, CatCompute)
+	l.Defer(CatSwitch, 7)
+	l.Finish(30)
+	if want := (Attribution{Queue: 10, Compute: 13, Switch: 7}); l.Snapshot(30) != want {
+		t.Fatalf("attribution %+v, want %+v", l.Snapshot(30), want)
+	}
+	l.Defer(CatFault, 5) // frozen: ignored
+	if err := l.Check(40); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Attribution{Queue: 10, Compute: 13, Switch: 7}); l.Snapshot(40) != want {
+		t.Fatalf("Defer after Finish changed the attribution: %+v", l.Snapshot(40))
+	}
+	var nilLed *RankLedger
+	nilLed.Defer(CatFault, 5)
+	if (nilLed.Snapshot(50) != Attribution{}) {
+		t.Fatal("nil ledger accrued a deferral")
+	}
+}
+
 func TestLedgerCheckCatchesClockSkew(t *testing.T) {
 	l := NewRankLedger(100)
 	if err := l.Check(50); err == nil {

@@ -186,12 +186,21 @@ type Process struct {
 
 	// resumeFn is p.resume bound once at construction; passing a method
 	// value allocates a closure per call, and resume is scheduled once per
-	// compute chunk and fault on the simulator's hottest path.
-	resumeFn func()
+	// compute chunk and fault on the simulator's hottest path. soloFn is
+	// resumeSolo, bound the same way.
+	resumeFn, soloFn func()
 
-	// ffCollapsed is how many would-be compute-resume events the pending
-	// fast-forwarded touch run absorbed (see stepTouch); credited to the
-	// engine's logical event count when that resume fires.
+	// solo is set while advance runs as all that is left of an engine
+	// event: a compute resume, which the process schedules as an event of
+	// its own. Only then may a touch window fold demand-zero fills (see
+	// stepTouch). Block clears it, so a resume nested in the same event
+	// (a barrier release, say) does not inherit it.
+	solo bool
+
+	// ffCollapsed is how many would-be events (compute resumes and folded
+	// zero-fill finishes) the pending fast-forwarded touch run absorbed (see
+	// stepTouch); credited to the engine's logical event count when that
+	// resume fires.
 	ffCollapsed int
 }
 
@@ -226,7 +235,7 @@ func New(eng *sim.Engine, v *vm.VM, pid int, beh Behavior, barrier *mpi.Barrier,
 		onFinish:   onFinish,
 		iterScale:  1,
 	}
-	p.resumeFn = p.resume
+	p.resumeFn, p.soloFn = p.resume, p.resumeSolo
 	p.rollJitter()
 	return p
 }
@@ -317,8 +326,19 @@ func (p *Process) resume() {
 	}
 }
 
+// resumeSolo is resume fired as an event of its own: nothing else in the
+// event runs after it.
+func (p *Process) resumeSolo() {
+	p.solo = true
+	p.resume()
+	p.solo = false
+}
+
 // block registers that a completion event will call resume.
-func (p *Process) block() { p.blocked = true }
+func (p *Process) block() {
+	p.blocked = true
+	p.solo = false
+}
 
 // advance executes program steps until the process blocks or finishes.
 func (p *Process) advance() {
@@ -341,7 +361,7 @@ func (p *Process) advance() {
 				p.stats.ComputeTime += cost
 				p.block()
 				p.led.Transition(p.eng.Now(), obs.CatCompute)
-				p.eng.ScheduleDetached(cost, p.resumeFn)
+				p.eng.ScheduleDetached(cost, p.soloFn)
 				return
 			}
 		case phaseBarrier:
@@ -398,15 +418,25 @@ func (p *Process) stepTouch() bool {
 	// merged resume at the window's end is indistinguishable from the last
 	// chunk's. Touches are stamped with the per-chunk times (and costs are
 	// rounded per chunk) so frame ages and ComputeTime match the un-collapsed
-	// schedule bit for bit; the loop bails to the ordinary paths on the first
-	// non-resident page (fault) and at the end of the touch phase, and the
-	// folded event count is credited via Engine.CountCollapsed when the
-	// merged resume fires.
+	// schedule bit for bit.
+	//
+	// A non-resident page ends the window (the merged resume, or at the
+	// window's start this call, faults it through the normal path) unless
+	// the VM can fill it in place: a demand-zero page whose fault would run
+	// alone (FoldZeroFill). Its stall joins the window and is deferred to
+	// its ledger category. Fills reserve and record fault spans, so they
+	// fold only in a solo window, one that is all that is left of its
+	// event: no other work of the event can then come between them and the
+	// un-collapsed schedule's trap and finish events. The window also ends
+	// at the end of the touch phase. The folded event count — every chunk
+	// resume and fill finish but the last event — is credited via
+	// Engine.CountCollapsed when the merged resume fires (DESIGN §10b).
 	now := p.eng.Now()
 	nextT, hasNext := p.eng.NextEventTime()
 	write := seg.Write || (p.beh.InitWrite && p.iter == 0)
+	p.led.Transition(now, obs.CatCompute)
 	var total sim.Duration
-	chunks := 0
+	chunks, fills := 0, 0
 	for {
 		max := end - p.cursor
 		if max > p.ChunkPages {
@@ -414,6 +444,14 @@ func (p *Process) stepTouch() bool {
 		}
 		run := p.v.TouchRun(p.as, p.cursor, max, write, now.Add(total))
 		if run == 0 {
+			if p.solo {
+				if d, cat, ok := p.v.FoldZeroFill(p.as, p.cursor, now.Add(total), nextT, hasNext); ok {
+					p.led.Defer(cat, d)
+					fills++
+					total += d
+					continue // the next chunk touches the page at the fill's end
+				}
+			}
 			if chunks == 0 {
 				p.block()
 				// CatFault here; the VM refines it to CatSwitch when the
@@ -465,10 +503,9 @@ func (p *Process) stepTouch() bool {
 			break
 		}
 	}
-	p.ffCollapsed = chunks - 1
+	p.ffCollapsed = chunks - 1 + fills
 	p.block()
-	p.led.Transition(now, obs.CatCompute)
-	p.eng.ScheduleDetached(total, p.resumeFn)
+	p.eng.ScheduleDetached(total, p.soloFn)
 	return true
 }
 

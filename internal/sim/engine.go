@@ -70,10 +70,11 @@ const (
 // Engine is the simulation event loop. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now  Time
-	seq  uint64
-	rng  *rand.Rand
-	nRun uint64 // logical events executed (collapsed runs included)
+	now   Time
+	seq   uint64
+	rng   *rand.Rand
+	nRun  uint64 // logical events executed (collapsed runs included)
+	nStep uint64 // events physically fired
 
 	// stepExtra accumulates CountCollapsed credits within the firing event,
 	// so the step hook can report the step's logical weight.
@@ -119,6 +120,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // CountCollapsed) still advances this counter by k, so event-count-based
 // cadences (audit sweeps, throughput metrics) are independent of collapsing.
 func (e *Engine) Executed() uint64 { return e.nRun }
+
+// Steps reports how many events have physically fired: Executed less
+// every event a callback collapsed via CountCollapsed.
+func (e *Engine) Steps() uint64 { return e.nStep }
 
 // SetStepHook installs fn to run after every fired event, with the clock
 // already advanced to the event's timestamp. fired is the step's logical
@@ -437,6 +442,7 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	ev.fired = true
 	e.nRun++
+	e.nStep++
 	e.stepExtra = 0
 	fn := ev.fn
 	if ev.detached {

@@ -38,7 +38,9 @@ func (v *VM) TouchResidentAt(pid, vpage, n int, write bool, at sim.Time) {
 // length. Each page is referenced, stamped last used at at (the clock value
 // the process engine's chunk would have seen un-collapsed; never before
 // now) and, for a write, dirtied. It works a bitmap word (64 pages) at a
-// time, counting by popcount; only the lastUse stamps are per page.
+// time, counting by popcount; a word the run covers whole is stamped once
+// (wordUse), and only the pages of a partial first or last word are
+// stamped one by one.
 func (v *VM) TouchRun(as *AddressSpace, vpage, max int, write bool, at sim.Time) int {
 	hi := as.settledEnd(vpage, min(vpage+max, as.numPages))
 	if hi <= vpage {
@@ -65,10 +67,17 @@ func (v *VM) TouchRun(as *AddressSpace, vpage, max int, write bool, at sim.Time)
 		if as.dirtyBound[wi] < at { // read touches too (DESIGN §16a)
 			as.dirtyBound[wi] = at
 		}
-	}
-	lastUse := as.lastUse[vpage:hi]
-	for i := range lastUse {
-		lastUse[i] = at
+		if mask == ^uint64(0) {
+			as.wordUse[wi] = at
+			as.wordFull[wi] = mask
+			continue
+		}
+		as.wordFull[wi] &^= mask
+		lo := wi<<6 + bits.TrailingZeros64(mask)
+		lastUse := as.lastUse[lo : lo+bits.OnesCount64(mask)]
+		for i := range lastUse {
+			lastUse[i] = at
+		}
 	}
 	as.touched += touched
 	v.stats.WastedBGWrite += int64(wasted)
@@ -114,15 +123,8 @@ func (v *VM) getWait() *faultWait {
 // finish accounts the fault's stall, records its span, recycles the record
 // and resumes the process (which may fault again at once, on this record).
 func (w *faultWait) finish() {
-	v, as := w.v, w.as
-	now := v.eng.Now()
-	stall := now.Sub(w.start)
-	v.stats.FaultStall += stall
-	as.stats.FaultStall += stall
-	if v.obs != nil {
-		v.obs.FaultStall.ObserveMicros(int64(stall))
-		v.obs.Tracer.EmitReserved(w.span, obs.SpanFault, w.parent, v.obs.Node, as.pid, w.start, now, 0)
-	}
+	v := w.v
+	v.endStall(w.as, w.span, w.parent, w.start, v.eng.Now())
 	resume := w.resume
 	w.as, w.resume, w.next = nil, nil, nil
 	v.waitFree = append(v.waitFree, w)
@@ -145,14 +147,62 @@ func (w *faultWait) attempt() {
 		v.eng.ScheduleDetached(reclaimRetryDelay, w.attemptFn)
 		return
 	}
-	v.mapFrame(as, w.vpage, fid, v.eng.Now())
-	setBit(as.settled, w.vpage)
+	v.settleZero(as, w.vpage, fid, v.eng.Now())
+	v.eng.ScheduleDetached(v.cfg.FaultOverhead+v.cfg.ZeroFillCost, w.finishFn)
+}
+
+// endStall accounts a fault stall from trap to wakeup and records its span
+// under the ID the trap reserved.
+func (v *VM) endStall(as *AddressSpace, span, parent obs.SpanID, start, end sim.Time) {
+	stall := end.Sub(start)
+	v.stats.FaultStall += stall
+	as.stats.FaultStall += stall
+	if v.obs != nil {
+		v.obs.FaultStall.ObserveMicros(int64(stall))
+		v.obs.Tracer.EmitReserved(span, obs.SpanFault, parent, v.obs.Node, as.pid, start, end, 0)
+	}
+}
+
+// settleZero installs frame fid at vp as a resident demand-zero page.
+func (v *VM) settleZero(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time) {
+	v.mapFrame(as, vp, fid, now)
+	setBit(as.settled, vp)
 	as.resident++
 	v.residentSum++
 	if v.acct != nil {
 		v.acct.MapResident()
 	}
-	v.eng.ScheduleDetached(v.cfg.FaultOverhead+v.cfg.ZeroFillCost, w.finishFn)
+}
+
+// FoldZeroFill performs, at virtual time at, the whole demand-zero fault on
+// vpage that a process would trap into when its resume fired then: Fault's
+// zero-fill branch, attempt and finish, in that order and with their
+// timestamps, the stall ending d = FaultOverhead + ZeroFillCost later. The
+// process engine uses it to keep a fast-forwarded touch window going
+// (DESIGN §10b), so it acts only when the fault provably runs alone: the
+// page has no frame and no swap copy, taking a frame leaves free memory at
+// or above freepages.min (no reclaim, so nothing is scheduled or
+// submitted), and, when hasNext, the stall ends strictly before next, the
+// queue's next event. Otherwise it changes nothing and reports ok false.
+// cat is the ledger category the stall belongs to: CatSwitch where Fault
+// would retag it, CatFault otherwise.
+func (v *VM) FoldZeroFill(as *AddressSpace, vpage int, at, next sim.Time, hasNext bool) (d sim.Duration, cat obs.Category, ok bool) {
+	d = v.cfg.FaultOverhead + v.cfg.ZeroFillCost
+	end := at.Add(d)
+	if as.frames[vpage] != mem.NoFrame || as.OnDisk(vpage) ||
+		v.phys.NumFree()-1 < v.phys.FreeMin() || hasNext && end >= next {
+		return 0, 0, false
+	}
+	span, parent := v.faultSpan()
+	cat = obs.CatFault
+	if as.switchStall(vpage) {
+		cat = obs.CatSwitch
+	}
+	v.zeroFillFault(as)
+	fid, _ := v.phys.Alloc(as.pid, int32(vpage)) // a frame is free: see above
+	v.settleZero(as, vpage, fid, at)
+	v.endStall(as, span, parent, at, end)
+	return d, cat, true
 }
 
 // addWaiter queues w behind any earlier waiters on the in-flight vpage.
@@ -176,6 +226,7 @@ func (v *VM) mapFrame(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time) {
 	as.mapped++
 	setBit(as.ref, vp)
 	as.lastUse[vp] = now
+	clearBit(as.wordFull, vp)
 	as.age[vp] = uint8(v.cfg.AgeStart)
 }
 
@@ -193,22 +244,9 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	}
 	w := v.getWait()
 	w.as, w.vpage, w.start, w.resume = as, vpage, v.eng.Now(), resume
-	w.span, w.parent = 0, 0
-	if v.obs != nil {
-		// The fault span parents to the switch epoch current at trap time,
-		// which is what lets a post-switch fault storm be attributed to the
-		// switch. Its ID is reserved now — the disk reads the fault triggers
-		// parent to it — but the span itself is recorded retrospectively at
-		// wakeup: faults are by far the most numerous span kind, and the
-		// reserve/emit pair skips the tracer's open-span bookkeeping.
-		w.parent = v.obs.Tracer.Epoch()
-		w.span = v.obs.Tracer.Reserve()
-	}
+	w.span, w.parent = v.faultSpan()
 	resident := as.IsResident(vpage)
-	if as.led != nil && as.swEvict != nil && !resident && as.swEvict[vpage] {
-		// The page was evicted while the owner was descheduled (or is still
-		// in flight from the switch's prefetch): the stall the process just
-		// entered is switch overhead, not an ordinary fault stall.
+	if !resident && as.switchStall(vpage) {
 		as.led.Retag(obs.CatSwitch)
 	}
 
@@ -226,9 +264,7 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	}
 	// Demand-zero page: no disk involved.
 	if !as.OnDisk(vpage) {
-		v.minorFault(as)
-		v.stats.ZeroFills++
-		as.stats.ZeroFills++
+		v.zeroFillFault(as)
 		w.epoch = v.epoch
 		w.attempt()
 		return
@@ -252,6 +288,29 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	v.readIn(as, group, disk.Demand, w.span, nil)
 }
 
+// faultSpan reserves a fault's span ID and names its parent. The fault span
+// parents to the switch epoch current at trap time, which is what lets a
+// post-switch fault storm be attributed to the switch. Its ID is reserved
+// at the trap — the disk reads the fault triggers parent to it — but the
+// span itself is recorded retrospectively at wakeup (endStall): faults are
+// by far the most numerous span kind, and the reserve/emit pair skips the
+// tracer's open-span bookkeeping. Both are zero when tracing is off.
+func (v *VM) faultSpan() (span, parent obs.SpanID) {
+	if v.obs == nil {
+		return 0, 0
+	}
+	parent = v.obs.Tracer.Epoch()
+	return v.obs.Tracer.Reserve(), parent
+}
+
+// switchStall reports whether a stall on non-resident vp is switch
+// overhead, not an ordinary fault stall: the rank has a ledger and the page
+// was evicted while its owner was descheduled (or is still in flight from
+// the switch's prefetch).
+func (as *AddressSpace) switchStall(vp int) bool {
+	return as.led != nil && as.swEvict != nil && as.swEvict[vp]
+}
+
 // minorFault accounts one fault satisfied without disk I/O.
 func (v *VM) minorFault(as *AddressSpace) {
 	v.stats.MinorFaults++
@@ -259,6 +318,13 @@ func (v *VM) minorFault(as *AddressSpace) {
 	if v.obs != nil {
 		v.obs.MinorFaults.Inc()
 	}
+}
+
+// zeroFillFault accounts a minor fault that a demand-zero page satisfies.
+func (v *VM) zeroFillFault(as *AddressSpace) {
+	v.minorFault(as)
+	v.stats.ZeroFills++
+	as.stats.ZeroFills++
 }
 
 // ReadPagesIn brings the listed pages of pid into memory with batched,

@@ -368,7 +368,7 @@ func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass
 		for ; w != 0; w &= w - 1 {
 			vp := wi<<6 + bits.TrailingZeros64(w)
 			if !pass.has(as, vp) {
-				cand = append(cand, aged{vp, as.lastUse[vp]})
+				cand = append(cand, aged{vp, as.lastUsed(vp)})
 			}
 		}
 	}
@@ -675,7 +675,7 @@ func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []in
 		scanned = append(scanned, next.wi)
 		for word := as.dirtyMap[next.wi]; word != 0; word &= word - 1 {
 			vp := next.wi<<6 + bits.TrailingZeros64(word)
-			entry := aged{vp, as.lastUse[vp]}
+			entry := aged{vp, as.lastUsed(vp)}
 			if len(heap) < max {
 				heap = append(heap, entry)
 				agedSiftUp(heap, len(heap)-1)
@@ -698,7 +698,7 @@ func (v *VM) tightenDirtyBounds(as *AddressSpace, scanned []int) {
 		var bound sim.Time
 		for word := as.dirtyMap[wi]; word != 0; word &= word - 1 {
 			vp := wi<<6 + bits.TrailingZeros64(word)
-			if t := as.lastUse[vp]; t > bound {
+			if t := as.lastUsed(vp); t > bound {
 				bound = t
 			}
 		}

@@ -16,8 +16,9 @@ import (
 // The references below are the selections the bounded ones replaced: the
 // write-back pass scanned every dirty page into its bounded heap, and
 // oldest-first page-out sorted every resident page with a reflective sort.
-// (lastUse, vpage) is a total order, so the faster selections must pick
+// (last use, vpage) is a total order, so the faster selections must pick
 // exactly the same pages, and page-out must evict them in the same order.
+// Both read last use through the address space's accessor (lastUsed).
 
 // refYoungestDirty is the full dirty-map scan: every dirty page goes through
 // the bounded heap. It returns the kept pages in ascending order.
@@ -27,7 +28,7 @@ func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
 		for word != 0 {
 			vp := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			entry := aged{vp, as.lastUse[vp]}
+			entry := aged{vp, as.lastUsed(vp)}
 			if len(heap) < max {
 				heap = append(heap, entry)
 				agedSiftUp(heap, len(heap)-1)
@@ -45,7 +46,7 @@ func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
 	return pages
 }
 
-// refOldestOf sorts every resident page of as by (lastUse, vpage) and
+// refOldestOf sorts every resident page of as by (last use, vpage) and
 // returns the first max, in eviction order.
 func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 	var cand []aged
@@ -53,7 +54,7 @@ func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 		if fid == mem.NoFrame || as.inFlight[vp] {
 			continue
 		}
-		cand = append(cand, aged{vp, as.lastUse[vp]})
+		cand = append(cand, aged{vp, as.lastUsed(vp)})
 	}
 	sort.Slice(cand, func(i, j int) bool {
 		if cand[i].last != cand[j].last {
@@ -84,7 +85,9 @@ func dirtyPages(as *AddressSpace) []int {
 
 // touchState is the page state a touch writes, copied out of an address
 // space and its VM, so the touch kernel's effect can be compared with the
-// per-page reference's.
+// per-page reference's. lastUse holds every page's last use as the
+// accessor decodes it from the per-word and per-page stamps, so comparing
+// it with the reference's per-page stamps checks that encoding.
 type touchState struct {
 	ref, dirty, bgClean, touchedQ []uint64
 	lastUse                       []sim.Time
@@ -99,11 +102,20 @@ func snapshotTouch(v *VM, as *AddressSpace) touchState {
 		dirty:    slices.Clone(as.dirtyMap),
 		bgClean:  slices.Clone(as.bgClean),
 		touchedQ: slices.Clone(as.touchedQ),
-		lastUse:  slices.Clone(as.lastUse),
+		lastUse:  lastUses(as),
 		touched:  as.touched,
 		wasted:   v.stats.WastedBGWrite,
 		dirtied:  v.acct.Dirty,
 	}
+}
+
+// lastUses decodes every page's last use through the accessor.
+func lastUses(as *AddressSpace) []sim.Time {
+	out := make([]sim.Time, as.numPages)
+	for vp := range out {
+		out[vp] = as.lastUsed(vp)
+	}
+	return out
 }
 
 // refTouchRun is the per-page touch loop the word-at-a-time kernel
@@ -180,7 +192,10 @@ func (s *selectionScript) next() int {
 // its code and a process byte, and most read one more argument: the size
 // of the replacement for an exit, the limit for a write-back, page-out or
 // reclaim, and the time for a clock advance. A touch reads three: start,
-// length and flags (write, direction, chunk size, time step).
+// length and flags (write, direction, chunk code, time step). Chunk codes
+// 0-14 touch 1-15 pages per chunk; code 15 touches wholeWordChunk pages,
+// so its chunks cover whole bitmap words and take the touch kernel's
+// one-stamp-per-word path.
 const (
 	selTouch = iota
 	selWriteBack
@@ -193,9 +208,14 @@ const (
 	selOps
 )
 
+// wholeWordChunk is the chunk length of chunk code 15: two words, so every
+// such chunk covers at least one word whole, wherever it starts.
+const wholeWordChunk = 128
+
 // sweepScript builds a seed that writes every page of one process in
-// 16-page chunks, ascending or descending, the whole sweep at one
-// timestamp, with write-backs, page-outs and reclaims in between.
+// whole-word chunks (code 15), ascending or descending, the whole sweep at
+// one timestamp, then reads part of it in 8-page chunks, with write-backs,
+// page-outs and reclaims in between.
 func sweepScript(desc bool) []byte {
 	script := []byte{3, 200, 100, 50}
 	dir := byte(0)
@@ -220,7 +240,7 @@ func sweepScript(desc bool) []byte {
 
 // FuzzVictimSelection runs random operation sequences on a small VM with
 // several processes and checks every touch against the per-page reference
-// loop (run length, page-state bits, lastUse stamps and counters), and
+// loop (run length, page-state bits, last-use stamps and counters), and
 // every write-back and targeted page-out against the reference selections: WriteBackDirty must clean exactly the
 // reference's pages, and ReclaimFrom must evict the reference's pages in the
 // reference's order, as seen through OnPageOut. Touch runs go in either
@@ -315,6 +335,9 @@ func FuzzVictimSelection(f *testing.F) {
 				flags := s.next()
 				write, desc := flags&1 != 0, flags&2 != 0
 				chunk := 1 + (flags>>2)&15
+				if chunk == 16 {
+					chunk = wholeWordChunk
+				}
 				stepUS := sim.Duration(flags>>6) * sim.Microsecond
 				touch(p, lo, hi, chunk, write, desc, stepUS)
 			case selWriteBack:

@@ -149,13 +149,20 @@ type AddressSpace struct {
 	gone      bool // destroyed; late write completions are ignored
 
 	// Page-state bitmaps. A new frame sets ref, lastUse and age
-	// (mapFrame); lastUse and age are only read for settled pages.
-	settled  []uint64   // has a frame and no read in flight: resident
-	ref      []uint64   // clock reference bit
-	bgClean  []uint64   // cleaned by the bg writer since last dirtied
-	touchedQ []uint64   // touched this quantum; BeginQuantum clears it
-	lastUse  []sim.Time // last reference time
-	age      []uint8    // Linux 2.2 page age; 0 means evictable
+	// (mapFrame); last use and age are only read for settled pages.
+	settled  []uint64 // has a frame and no read in flight: resident
+	ref      []uint64 // clock reference bit
+	bgClean  []uint64 // cleaned by the bg writer since last dirtied
+	touchedQ []uint64 // touched this quantum; BeginQuantum clears it
+	age      []uint8  // Linux 2.2 page age; 0 means evictable
+	// A page's last reference time is wordUse[vp>>6] when its wordFull bit
+	// is set, else lastUse[vp] (lastUsed). A touch that covers a whole word
+	// stamps the word once and sets all its bits; a partial touch stamps its
+	// pages and clears their bits, and so does mapFrame. The last write
+	// wins either way, so no ordering of stamps is assumed (DESIGN §17b).
+	lastUse  []sim.Time // per-page last reference time
+	wordUse  []sim.Time // one time per word, for the pages wordFull marks
+	wordFull []uint64
 	// dirtyMap is the dirty flag; only settled pages are dirty. The
 	// background writer enumerates the dirty set from it.
 	dirtyMap []uint64
@@ -225,6 +232,14 @@ func (as *AddressSpace) Dirty(vpage int) bool { return bit(as.dirtyMap, vpage) }
 // completed.
 func (as *AddressSpace) OnDisk(vpage int) bool {
 	return as.onDisk[vpage] || as.wbPending[vpage] > 0
+}
+
+// lastUsed reports vp's last reference time.
+func (as *AddressSpace) lastUsed(vp int) sim.Time {
+	if bit(as.wordFull, vp) {
+		return as.wordUse[vp>>6]
+	}
+	return as.lastUse[vp]
 }
 
 // bit, setBit and clearBit read and write one vpage's bit of a page-state
@@ -517,6 +532,8 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 		bgClean:    make([]uint64, words),
 		touchedQ:   make([]uint64, words),
 		lastUse:    make([]sim.Time, numPages),
+		wordUse:    make([]sim.Time, words),
+		wordFull:   make([]uint64, words),
 		age:        make([]uint8, numPages),
 		dirtyMap:   make([]uint64, words),
 		dirtyBound: make([]sim.Time, words),
@@ -799,9 +816,9 @@ func (v *VM) validateSpace(as *AddressSpace) error {
 		}
 		for w := dirty; w != 0; w &= w - 1 {
 			vp := wi<<6 + bits.TrailingZeros64(w)
-			if as.lastUse[vp] > as.dirtyBound[wi] {
-				return fmt.Errorf("vm: pid %d dirty-map word %d bound %d is below the lastUse %d of its dirty vpage %d",
-					pid, wi, as.dirtyBound[wi], as.lastUse[vp], vp)
+			if last := as.lastUsed(vp); last > as.dirtyBound[wi] {
+				return fmt.Errorf("vm: pid %d dirty-map word %d bound %d is below the last use %d of its dirty vpage %d",
+					pid, wi, as.dirtyBound[wi], last, vp)
 			}
 		}
 		res += bits.OnesCount64(settledW)

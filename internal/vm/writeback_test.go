@@ -113,7 +113,7 @@ func TestValidateChecksDirtyBound(t *testing.T) {
 	r.touchAll(t, 1, 200, true)
 	as := r.vm.Process(1)
 	const word = 2
-	last := as.lastUse[word*64+5]
+	last := as.lastUsed(word*64 + 5)
 	as.dirtyBound[word] = last + sim.Time(sim.Second)
 	if err := r.vm.Validate(); err != nil {
 		t.Fatalf("stale-high bound rejected: %v", err)
