@@ -71,7 +71,8 @@ fuzz:
 # End-to-end smoke of the gangsimd service: boot on a random port, submit
 # a two-run sweep over HTTP, poll to completion, assert the served results
 # are byte-equal (canonicalised) to the gangsim CLI's output for the same
-# specs, then SIGTERM and require a clean drain (exit 0).
+# specs, then SIGTERM and require a clean drain (exit 0) that also ends the
+# queue-event stream a background `curl -N /events` followed throughout.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -82,8 +83,10 @@ serve-smoke:
 # smokes of randomised audited runs, event-queue ordering, queue-journal
 # recovery, trace-store round trips and victim selection, the gangsimd
 # end-to-end serve smoke (served results must match CLI goldens, SIGTERM
-# must drain cleanly), the report check (`figures -md` must reproduce the
-# committed EXPERIMENTS.md exactly), the bench-regression gate (Fig7Serial +
+# must drain cleanly and end the queue-event stream), the report check
+# (`figures -md` must reproduce the committed EXPERIMENTS.md exactly), the
+# figure check (`figures -svg` must regenerate every committed
+# figures/*.svg byte for byte), the bench-regression gate (Fig7Serial +
 # the PolicyRun audit pair + the engine microbenchmarks vs the committed
 # BENCH_sim.json, so event-core wins cannot silently erode; whenever the
 # PolicyRun pair is present benchjson also enforces the <=2x always-on
@@ -109,6 +112,8 @@ check:
 	$(GO) build -o bin/figures ./cmd/figures
 	bin/figures -md bin/EXPERIMENTS.md
 	diff -u EXPERIMENTS.md bin/EXPERIMENTS.md
+	bin/figures -svg bin/svg
+	for f in figures/*.svg; do cmp "$$f" "bin/svg/$${f#figures/}" || exit 1; done
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	{ $(GO) test -run NONE -bench 'BenchmarkFig7Serial$$' -benchtime 1x -benchmem . \
 	  && $(GO) test -run NONE -bench 'BenchmarkPolicyRun$$|BenchmarkPolicyRunAudited$$' -benchmem -count 3 . \

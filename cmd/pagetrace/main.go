@@ -29,11 +29,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -56,51 +56,65 @@ func main() {
 		return
 	}
 
-	want, err := core.ParseFeatures(*policy)
+	want, err := figure6Policy(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := expt.DefaultConfig()
 	cfg.Seed = *seed
-	cfg.TraceBin = sim.Second
-
-	results, err := expt.Figure6(cfg, sim.DurationOf(*window))
+	r, err := expt.Figure6Trace(cfg, want, sim.DurationOf(*window))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range results {
-		if r.Policy != want.String() {
-			continue
-		}
-		if *node < 0 || *node >= len(r.Nodes) {
-			log.Fatalf("node %d out of range (cluster has %d)", *node, len(r.Nodes))
-		}
-		rec := r.Nodes[*node]
-		switch *format {
-		case "csv":
-			fmt.Print(rec.CSV(cluster.SeriesPageInKB, cluster.SeriesPageOutKB))
-		case "ascii":
-			fmt.Println(rec.Series(cluster.SeriesPageInKB).ASCII(30, 60))
-			fmt.Println(rec.Series(cluster.SeriesPageOutKB).ASCII(30, 60))
-		default:
-			log.Fatalf("unknown format %q", *format)
-		}
-		fmt.Printf("# policy=%s active_seconds=%d peak=%.0fKB/s\n", r.Policy, r.ActiveSeconds, r.PeakKBps)
-		return
+	if *node < 0 || *node >= len(r.Nodes) {
+		log.Fatalf("node %d out of range (cluster has %d)", *node, len(r.Nodes))
 	}
-	log.Fatalf("policy %q is not one of Figure 6's traces (orig, so, so/ao, so/ao/ai/bg)", *policy)
+	if err := render(r.Nodes[*node], *format); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("# policy=%s active_seconds=%d peak=%.0fKB/s\n", r.Policy, r.ActiveSeconds, r.PeakKBps)
+}
+
+// figure6Policy parses name and checks that it is one of Figure 6's four
+// traces, before any simulation runs.
+func figure6Policy(name string) (core.Features, error) {
+	want, err := core.ParseFeatures(name)
+	if err != nil {
+		return want, err
+	}
+	for _, f := range expt.Figure6Policies() {
+		if f == want {
+			return want, nil
+		}
+	}
+	return want, fmt.Errorf("policy %q is not one of Figure 6's traces (orig, so, so/ao, so/ao/ai/bg)", name)
+}
+
+// render prints a node's page-in and page-out series in the given format.
+func render(rec *trace.Recorder, format string) error {
+	switch format {
+	case "csv":
+		fmt.Print(rec.CSV(trace.SeriesPageInKB, trace.SeriesPageOutKB))
+	case "ascii":
+		fmt.Println(rec.Series(trace.SeriesPageInKB).ASCII(30, 60))
+		fmt.Println(rec.Series(trace.SeriesPageOutKB).ASCII(30, 60))
+	default:
+		return fmt.Errorf("unknown format %q", format)
+	}
+	return nil
 }
 
 // replayEvents rebuilds a node's paging-activity series from a captured
 // event stream — a JSONL log, a single binary segment or a trace store
-// root, auto-detected. Every path streams through expt.TraceReplayer, so
-// even a 512-node-scale log replays without materializing its event set.
+// root, auto-detected. Every path streams through the trace.Paging fold a
+// simulated run uses, so even a 512-node-scale log replays without
+// materializing its event set.
 func replayEvents(path, run string, node int, bin sim.Duration, format string) error {
 	kind, err := store.DetectPath(path)
 	if err != nil {
 		return err
 	}
-	var rep *expt.TraceReplayer
+	var rep *trace.Paging
 	source := path
 	switch kind {
 	case store.FormatStore:
@@ -144,16 +158,9 @@ func replayEvents(path, run string, node int, bin sim.Duration, format string) e
 			return err
 		}
 	}
-	rec := rep.Recorder()
-	switch format {
-	case "csv":
-		fmt.Print(rec.CSV(cluster.SeriesPageInKB, cluster.SeriesPageOutKB))
-	case "ascii":
-		fmt.Println(rec.Series(cluster.SeriesPageInKB).ASCII(30, 60))
-		fmt.Println(rec.Series(cluster.SeriesPageOutKB).ASCII(30, 60))
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	if err := render(rep.Node(node), format); err != nil {
+		return err
 	}
-	fmt.Printf("# replayed %d transfers for node %d from %s\n", rep.Transfers(), node, source)
+	fmt.Printf("# replayed %d transfers for node %d from %s\n", rep.Transfers(node), node, source)
 	return nil
 }

@@ -384,9 +384,6 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 	nc.FreeMinPages = spec.FreeMinPages
 	nc.FreeHighPages = spec.FreeHighPages
 	nc.VM.ClusterOut = spec.ClusterOut
-	if spec.RecordTraces {
-		nc.TraceBin = sim.Second
-	}
 	cl, err := cluster.New(spec.Seed, spec.Nodes, nc, features, core.Config{})
 	if err != nil {
 		return nil, err
@@ -401,34 +398,29 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 	// The auditor wants a short event tail for violation forensics: force
 	// the always-on flight-recorder ring (Options.Flight), which doubles as
 	// that tail. Observability never feeds back into the model, so the extra
-	// sink cannot perturb an otherwise identical run. The live observer's
-	// /events stream rides along the same way.
+	// sinks cannot perturb an otherwise identical run: the paging-series
+	// fold behind RecordTraces and the live observer's /events hub ride
+	// along the same way.
 	obsOpts := spec.Observe
-	copyOpts := func() *obs.Options {
-		var o obs.Options
-		if obsOpts != nil {
-			o = *obsOpts
-		}
-		o.Sinks = append([]obs.Sink(nil), o.Sinks...)
-		return &o
-	}
 	if spec.Audit != nil {
 		tail := spec.Audit.TraceTail
 		if tail == 0 {
 			tail = audit.DefaultTraceTail
 		}
 		if tail > 0 {
-			o := copyOpts()
-			o.Flight = true
-			obsOpts = o
+			obsOpts = obsOpts.WithSinks()
+			obsOpts.Flight = true
 		}
 	}
-	var stream *obs.StreamSink
+	var paging *trace.Paging
+	if spec.RecordTraces {
+		paging = trace.NewPaging(spec.Nodes, sim.Second)
+		obsOpts = obsOpts.WithSinks(paging)
+	}
+	var hub *live.Hub[obs.Event]
 	if spec.HTTP != "" {
-		stream = obs.NewStreamSink()
-		o := copyOpts()
-		o.Sinks = append(o.Sinks, stream)
-		obsOpts = o
+		hub = live.NewHub[obs.Event](0)
+		obsOpts = obsOpts.WithSinks(hub)
 	}
 	setup := obsOpts.Build()
 	cl.EnableObservability(setup)
@@ -471,7 +463,7 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 	}
 	var observer *live.Observer
 	if spec.HTTP != "" {
-		observer, err = live.Start(spec.HTTP, cl, setup, stream)
+		observer, err = live.Start(spec.HTTP, cl, setup, hub)
 		if err != nil {
 			return nil, err
 		}
@@ -510,9 +502,9 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 	}
 	h := &RunHandle{Result: metrics.Collect(cl, label), Observer: observer}
 	h.Result.Interrupted = interrupted
-	if spec.RecordTraces {
-		for _, n := range cl.Nodes {
-			h.Traces = append(h.Traces, n.Rec)
+	if paging != nil {
+		for id := range cl.Nodes {
+			h.Traces = append(h.Traces, paging.Node(id))
 		}
 	}
 	if setup != nil {

@@ -17,14 +17,7 @@ import (
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/swap"
-	"repro/internal/trace"
 	"repro/internal/vm"
-)
-
-// Series names recorded per node.
-const (
-	SeriesPageInKB  = "pagein_kb"
-	SeriesPageOutKB = "pageout_kb"
 )
 
 // NodeConfig describes one machine.
@@ -38,9 +31,6 @@ type NodeConfig struct {
 	SwapMB        int // paging space (default: 4x memory)
 	Disk          disk.Params
 	VM            vm.Config
-	// TraceBin enables per-node paging-activity recording at this bin
-	// width when positive (1s in the paper's Figure 6).
-	TraceBin sim.Duration
 }
 
 // DefaultNodeConfig is the paper's machine: 1 GB memory, commodity disk.
@@ -94,20 +84,8 @@ type Node struct {
 	Swap   *swap.Space
 	VM     *vm.VM
 	Kernel *core.Kernel
-	Rec    *trace.Recorder // nil unless TraceBin was set
-	Obs    *obs.NodeObs    // nil unless EnableObservability was called
-	Acct   *acct.Counts    // nil unless EnableAcct was called
-}
-
-// diskTracer adapts disk transfers into the node's paging-activity series.
-type diskTracer struct{ rec *trace.Recorder }
-
-func (t *diskTracer) OnTransfer(start sim.Time, d sim.Duration, pages int, write bool, _ disk.Priority) {
-	name := SeriesPageInKB
-	if write {
-		name = SeriesPageOutKB
-	}
-	t.rec.Series(name).AddSpread(start, d, mem.KBFromPages(pages))
+	Obs    *obs.NodeObs // nil unless EnableObservability was called
+	Acct   *acct.Counts // nil unless EnableAcct was called
 }
 
 // Cluster is a set of nodes, a network, the jobs placed on them and the
@@ -153,25 +131,16 @@ func New(seed int64, nNodes int, ncfg NodeConfig, features core.Features, kcfg c
 	c := &Cluster{Eng: eng, Net: mpi.DefaultNetwork(eng), nextPID: 1}
 	frames := mem.PagesFromMB(ncfg.MemoryMB)
 	for i := 0; i < nNodes; i++ {
-		var rec *trace.Recorder
-		var tracer disk.Tracer
-		if ncfg.TraceBin > 0 {
-			rec = trace.NewRecorder(ncfg.TraceBin)
-			// Pre-create series so CSV column order is stable.
-			rec.Series(SeriesPageInKB)
-			rec.Series(SeriesPageOutKB)
-			tracer = &diskTracer{rec}
-		}
 		phys := mem.New(frames, ncfg.FreeMinPages, ncfg.FreeHighPages)
 		if ncfg.LockedMB > 0 {
 			phys.Lock(mem.PagesFromMB(ncfg.LockedMB))
 		}
-		d := disk.New(eng, ncfg.Disk, tracer)
+		d := disk.New(eng, ncfg.Disk)
 		sp := swap.New(int64(mem.PagesFromMB(ncfg.SwapMB)))
 		v := vm.New(eng, phys, d, sp, ncfg.VM)
 		k := core.NewKernel(eng, v, features, kcfg)
 		c.Nodes = append(c.Nodes, &Node{
-			ID: i, Phys: phys, Disk: d, Swap: sp, VM: v, Kernel: k, Rec: rec,
+			ID: i, Phys: phys, Disk: d, Swap: sp, VM: v, Kernel: k,
 		})
 	}
 	return c, nil
@@ -513,8 +482,9 @@ func (e *TimeLimitError) Error() string {
 // Is makes errors.Is(err, ErrTimeout) succeed for the typed error.
 func (e *TimeLimitError) Is(target error) bool { return target == ErrTimeout }
 
-// progress snapshots every job's completion state in creation order.
-func (c *Cluster) progress() []JobProgress {
+// Progress snapshots every job's completion state in creation order; a
+// job's iteration count is its slowest rank's.
+func (c *Cluster) Progress() []JobProgress {
 	out := make([]JobProgress, 0, len(c.jobs))
 	for _, j := range c.jobs {
 		p := JobProgress{Job: j.Name, Done: j.Done()}
@@ -546,13 +516,6 @@ func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 	}
 	c.sched.Start()
 	deadline := c.Eng.Now().Add(limit)
-	// Pre-size the trace bins for the whole run so recording never
-	// reallocates on the disk-transfer path.
-	for _, n := range c.Nodes {
-		if n.Rec != nil {
-			n.Rec.Reserve(deadline)
-		}
-	}
 	sinceCheck := uint64(0)
 	lastExec := c.Eng.Executed()
 	for {
@@ -567,7 +530,7 @@ func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 			break
 		}
 		if at > deadline {
-			return &TimeLimitError{Limit: limit, Progress: c.progress()}
+			return &TimeLimitError{Limit: limit, Progress: c.Progress()}
 		}
 		c.Eng.Step()
 		if c.stepCheck != nil {

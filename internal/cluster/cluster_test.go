@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gang"
+	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // smallBehavior is a compact workload for fast tests: footprintMB of
@@ -197,22 +199,22 @@ func TestParallelJobAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestTraceRecording folds a run's DiskTransfer events into paging series
+// and checks them against the disk's own accounting.
 func TestTraceRecording(t *testing.T) {
 	nc := tinyNode()
 	nc.MemoryMB = 6
-	nc.TraceBin = sim.Second
 	c, _ := New(1, 1, nc, core.Orig, core.Config{})
+	paging := trace.NewPaging(1, sim.Second)
+	c.EnableObservability((&obs.Options{Sinks: []obs.Sink{paging}}).Build())
 	c.AddJob(JobSpec{Name: "a", Behavior: smallBehavior(1100, 60), Quantum: 30 * sim.Millisecond})
 	c.AddJob(JobSpec{Name: "b", Behavior: smallBehavior(1100, 60), Quantum: 30 * sim.Millisecond})
 	c.BuildScheduler(gang.Options{})
 	if err := c.Run(2 * sim.Hour); err != nil {
 		t.Fatal(err)
 	}
-	rec := c.Nodes[0].Rec
-	if rec == nil {
-		t.Fatal("recorder missing")
-	}
-	in, out := rec.Series(SeriesPageInKB), rec.Series(SeriesPageOutKB)
+	rec := paging.Node(0)
+	in, out := rec.Series(trace.SeriesPageInKB), rec.Series(trace.SeriesPageOutKB)
 	if in.Total() == 0 || out.Total() == 0 {
 		t.Fatalf("no paging recorded: in=%v out=%v", in.Total(), out.Total())
 	}

@@ -20,7 +20,7 @@ func newRig(t *testing.T, frames int, features Features) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(1 << 20)
 	v := vm.New(eng, phys, d, sp, vm.Config{})
 	k := NewKernel(eng, v, features, Config{})

@@ -177,13 +177,6 @@ type FaultModel interface {
 	Attempt(write bool, pages int) (fail bool, extra sim.Duration)
 }
 
-// Tracer observes completed transfers; used to build Figure 6 style
-// paging-activity traces. start is when the transfer began service and d
-// how long it took.
-type Tracer interface {
-	OnTransfer(start sim.Time, d sim.Duration, pages int, write bool, prio Priority)
-}
-
 // Stats aggregates device activity.
 type Stats struct {
 	Reads, Writes           int64 // completed requests
@@ -214,9 +207,8 @@ type Stats struct {
 
 // Disk is a simulated paging device attached to a sim.Engine.
 type Disk struct {
-	eng    *sim.Engine
-	p      Params
-	tracer Tracer
+	eng *sim.Engine
+	p   Params
 
 	busy      bool
 	head      Slot // where the head will be after the in-flight request
@@ -237,13 +229,13 @@ type Disk struct {
 	obs *obs.NodeObs
 }
 
-// New creates a disk with the given parameters. tracer may be nil.
-func New(eng *sim.Engine, p Params, tracer Tracer) *Disk {
+// New creates a disk with the given parameters.
+func New(eng *sim.Engine, p Params) *Disk {
 	p.validate()
 	p.fillRetryDefaults()
 	// The head starts at an invalid position so the very first access
 	// always pays a seek.
-	return &Disk{eng: eng, p: p, tracer: tracer, head: InvalidSlot}
+	return &Disk{eng: eng, p: p, head: InvalidSlot}
 }
 
 // SetFaults attaches (or, with nil, detaches) a fault model. Without one the
@@ -480,9 +472,6 @@ func (d *Disk) serve(r *Request, attempt int) {
 		d.stats.Completed++
 		if d.QueueLen() == 0 {
 			d.headStale = true
-		}
-		if d.tracer != nil {
-			d.tracer.OnTransfer(start, svc, pages, r.Write, r.Prio)
 		}
 		if d.obs != nil {
 			d.obs.DiskBusySeconds.Add(svc.Seconds())

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func testParams() Params {
 func newTestDisk(t *testing.T) (*sim.Engine, *Disk) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	return eng, New(eng, testParams(), nil)
+	return eng, New(eng, testParams())
 }
 
 func TestSingleRequestTiming(t *testing.T) {
@@ -135,34 +136,35 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-type recordingTracer struct {
-	pages  int
-	writes int
-	calls  int
-	dur    sim.Duration
-}
-
-func (r *recordingTracer) OnTransfer(start sim.Time, d sim.Duration, pages int, write bool, prio Priority) {
-	r.calls++
-	r.pages += pages
-	r.dur += d
-	if write {
-		r.writes++
-	}
-}
-
+// TestTracerSeesTransfers checks the DiskTransfer events a disk emits,
+// the input of the paging-activity series: one per completed request,
+// carrying its pages, direction and service time.
 func TestTracerSeesTransfers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tr := &recordingTracer{}
-	d := New(eng, testParams(), tr)
+	d := New(eng, testParams())
+	ring := obs.NewRing(16)
+	d.SetObs(obs.NewNodeObs(nil, obs.NewBus(ring), 0))
 	d.Submit(&Request{Runs: []Run{{Start: 0, N: 10}}})
 	d.Submit(&Request{Runs: []Run{{Start: 99, N: 5}}, Write: true})
 	eng.Run()
-	if tr.calls != 2 || tr.pages != 15 || tr.writes != 1 {
-		t.Fatalf("tracer saw calls=%d pages=%d writes=%d", tr.calls, tr.pages, tr.writes)
+	var calls, pages, writes int
+	var dur sim.Duration
+	for _, ev := range ring.Events() {
+		if ev.Kind != obs.KindDiskTransfer {
+			continue
+		}
+		calls++
+		pages += ev.Pages
+		dur += ev.Dur
+		if ev.Write {
+			writes++
+		}
 	}
-	if tr.dur != d.Stats().BusyTime {
-		t.Fatalf("tracer durations %v != busy %v", tr.dur, d.Stats().BusyTime)
+	if calls != 2 || pages != 15 || writes != 1 {
+		t.Fatalf("transfer events: calls=%d pages=%d writes=%d", calls, pages, writes)
+	}
+	if dur != d.Stats().BusyTime {
+		t.Fatalf("transfer durations %v != busy %v", dur, d.Stats().BusyTime)
 	}
 }
 
@@ -193,7 +195,7 @@ func TestParamsValidation(t *testing.T) {
 			t.Fatal("zero PerPage accepted")
 		}
 	}()
-	New(eng, Params{Seek: 1, Rot: 1, PerPage: 0}, nil)
+	New(eng, Params{Seek: 1, Rot: 1, PerPage: 0})
 }
 
 func TestCoalesce(t *testing.T) {
@@ -277,7 +279,7 @@ func TestSplitRunsBadCapPanics(t *testing.T) {
 // Property: service time is monotonic in page count for a fixed start.
 func TestQuickServiceMonotonic(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := New(eng, testParams(), nil)
+	d := New(eng, testParams())
 	f := func(n uint8) bool {
 		a := d.ServiceTime(&Request{Runs: []Run{{Start: 1000, N: int(n) + 1}}})
 		b := d.ServiceTime(&Request{Runs: []Run{{Start: 1000, N: int(n) + 2}}})

@@ -14,7 +14,7 @@ func elevatorParams() Params {
 
 func TestElevatorServesNearestUpward(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := New(eng, elevatorParams(), nil)
+	d := New(eng, elevatorParams())
 	var order []Slot
 	rec := func(start Slot) func(sim.Duration) {
 		return func(sim.Duration) { order = append(order, start) }
@@ -41,7 +41,7 @@ func TestElevatorServesNearestUpward(t *testing.T) {
 func TestElevatorCheaperThanFIFOOnScatteredLoad(t *testing.T) {
 	run := func(p Params) sim.Time {
 		eng := sim.NewEngine(1)
-		d := New(eng, p, nil)
+		d := New(eng, p)
 		// Scattered single-page reads submitted in a worst-case zig-zag.
 		for i := 0; i < 64; i++ {
 			slot := Slot(i * 997 % 64 * 1000)
@@ -64,7 +64,7 @@ func TestElevatorBinaryModelOrderStillValid(t *testing.T) {
 	// Under the binary model SCAN cannot change total cost, but service
 	// must remain complete and deterministic.
 	eng := sim.NewEngine(1)
-	d := New(eng, elevatorParams(), nil)
+	d := New(eng, elevatorParams())
 	n := 0
 	for i := 0; i < 20; i++ {
 		d.Submit(&Request{Runs: []Run{{Start: Slot((i * 7) % 20 * 50), N: 1}},

@@ -8,7 +8,7 @@ import (
 
 func TestIdleResyncChargesRotation(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := New(eng, testParams(), nil)
+	d := New(eng, testParams())
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
 
@@ -39,7 +39,7 @@ func TestIdleResyncChargesRotation(t *testing.T) {
 
 func TestIdleResyncNotChargedWhenSeeking(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := New(eng, testParams(), nil)
+	d := New(eng, testParams())
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
 	d.Submit(&Request{Runs: []Run{{Start: 0, N: 1}}, Done: rec})
@@ -60,7 +60,7 @@ func TestPositionalSeekModel(t *testing.T) {
 		MinSeek: 1 * sim.Millisecond, NearSlots: 512, NearPenalty: 1 * sim.Millisecond,
 		StrokeSlots: 1 << 20,
 	}
-	d := New(eng, p, nil)
+	d := New(eng, p)
 	// Establish head position at 1000.
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
@@ -108,7 +108,7 @@ func TestDefaultParamsAreBinaryModel(t *testing.T) {
 
 func TestFirstAccessAlwaysSeeks(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := New(eng, testParams(), nil)
+	d := New(eng, testParams())
 	svc := d.ServiceTime(&Request{Runs: []Run{{Start: 0, N: 1}}})
 	if svc != 8*sim.Millisecond+4*sim.Millisecond+100*sim.Microsecond {
 		t.Fatalf("first access = %v, want full seek", svc)
@@ -117,7 +117,7 @@ func TestFirstAccessAlwaysSeeks(t *testing.T) {
 
 func BenchmarkSubmitDrain(b *testing.B) {
 	eng := sim.NewEngine(1)
-	d := New(eng, DefaultParams(), nil)
+	d := New(eng, DefaultParams())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Submit(&Request{Runs: []Run{{Start: Slot(i % 100000), N: 16}}})

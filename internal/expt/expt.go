@@ -12,7 +12,6 @@ import (
 	"repro/internal/proc"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -27,8 +26,6 @@ type Config struct {
 	BGWriteFraction float64
 	// TimeLimit aborts wedged runs.
 	TimeLimit sim.Duration
-	// TraceBin enables per-node activity recording when positive.
-	TraceBin sim.Duration
 	// Parallel bounds how many independent simulation runs execute
 	// concurrently: 0 means one worker per CPU, 1 forces serial
 	// execution. Every run owns its engine and RNG, and results are
@@ -89,7 +86,6 @@ func (c Config) buildPair(m workload.Model, features core.Features, mode gang.Mo
 func (c Config) buildPairWithBehavior(m workload.Model, beh proc.Behavior, features core.Features, mode gang.Mode) (*cluster.Cluster, error) {
 	nc := cluster.DefaultNodeConfig()
 	nc.LockedMB = nc.MemoryMB - m.AvailMB
-	nc.TraceBin = c.TraceBin
 	cl, err := cluster.New(c.Seed, m.Ranks, nc, features, core.Config{})
 	if err != nil {
 		return nil, err
@@ -114,26 +110,19 @@ func (c Config) buildPairWithBehavior(m workload.Model, beh proc.Behavior, featu
 // RunPair executes two instances of the model to completion and returns
 // the collected result.
 func (c Config) RunPair(m workload.Model, features core.Features, mode gang.Mode) (metrics.RunResult, error) {
-	res, _, err := c.RunPairTraced(m, features, mode)
-	return res, err
-}
-
-// RunPairTraced is RunPair that additionally returns node 0's activity
-// recorder (nil unless Config.TraceBin is set).
-func (c Config) RunPairTraced(m workload.Model, features core.Features, mode gang.Mode) (metrics.RunResult, *trace.Recorder, error) {
 	c.fillDefaults()
 	cl, err := c.buildPair(m, features, mode)
 	if err != nil {
-		return metrics.RunResult{}, nil, err
+		return metrics.RunResult{}, err
 	}
 	if err := cl.Run(c.TimeLimit); err != nil {
-		return metrics.RunResult{}, nil, fmt.Errorf("expt: %s %s/%s: %w", m.App, features, mode, err)
+		return metrics.RunResult{}, fmt.Errorf("expt: %s %s/%s: %w", m.App, features, mode, err)
 	}
 	label := features.String()
 	if mode == gang.Batch {
 		label = "batch"
 	}
-	return metrics.Collect(cl, label), cl.Nodes[0].Rec, nil
+	return metrics.Collect(cl, label), nil
 }
 
 // mapN fans f out over [0, n) on the configured worker count and returns

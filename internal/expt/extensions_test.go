@@ -160,13 +160,11 @@ func TestFigure6WindowDefaults(t *testing.T) {
 		t.Skip("multi-second paper-scale run")
 	}
 	// A zero window takes the paper's 50 minutes; just ensure it runs.
-	cfg := DefaultConfig()
-	cfg.TraceBin = 2 * sim.Second
-	rows, err := Figure6(cfg, 10*sim.Minute)
+	rows, err := Figure6(DefaultConfig(), 10*sim.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Nodes[0].BinWidth != 2*sim.Second {
-		t.Fatal("trace bin width not honoured")
+	if rows[0].Nodes[0].BinWidth != sim.Second {
+		t.Fatal("trace bin width is not Figure 6's one second")
 	}
 }

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gang"
 	"repro/internal/metrics"
@@ -157,34 +156,41 @@ func Figure6Policies() []core.Features {
 	return []core.Features{core.Orig, core.SO, core.SOAO, core.SOAOAIBG}
 }
 
-// Figure6 reproduces the paging-activity traces: two LU class C instances
-// on four machines, 350 MB available memory, 300-second quanta, observed
-// for the first `window` of execution (the paper shows 50 minutes).
+// Figure6 reproduces the paging-activity traces, one per policy of
+// Figure6Policies, each observed for the first `window` of execution (the
+// paper shows 50 minutes).
 func Figure6(cfg Config, window sim.Duration) ([]TraceResult, error) {
+	policies := Figure6Policies()
+	return mapN(cfg, len(policies), func(i int) (TraceResult, error) {
+		return Figure6Trace(cfg, policies[i], window)
+	})
+}
+
+// Figure6Trace runs one trace of Figure 6: two LU class C instances on
+// four machines, 350 MB available memory, 300-second quanta, under the
+// given policy for the first `window` of execution (50 minutes when zero).
+// The series are a fold of the run's DiskTransfer events, binned at one
+// second.
+func Figure6Trace(cfg Config, features core.Features, window sim.Duration) (TraceResult, error) {
 	cfg.fillDefaults()
 	if window <= 0 {
 		window = 50 * sim.Minute
 	}
-	if cfg.TraceBin <= 0 {
-		cfg.TraceBin = sim.Second
-	}
 	m := workload.MustGet(workload.LU, workload.ClassC, 4)
-	policies := Figure6Policies()
-	return mapN(cfg, len(policies), func(i int) (TraceResult, error) {
-		features := policies[i]
-		cl, err := cfg.buildPair(m, features, gang.Gang)
-		if err != nil {
-			return TraceResult{}, err
-		}
-		cl.Scheduler().Start()
-		cl.Eng.RunFor(window)
-		tr := TraceResult{Policy: features.String()}
-		for _, n := range cl.Nodes {
-			tr.Nodes = append(tr.Nodes, n.Rec)
-		}
-		s := cl.Nodes[0].Rec.Series(cluster.SeriesPageInKB)
-		tr.ActiveSeconds = s.ActiveBins(64)
-		tr.PeakKBps = s.Max()
-		return tr, nil
-	})
+	paging := trace.NewPaging(m.Ranks, sim.Second)
+	cfg.Observe = cfg.Observe.WithSinks(paging)
+	cl, err := cfg.buildPair(m, features, gang.Gang)
+	if err != nil {
+		return TraceResult{}, err
+	}
+	cl.Scheduler().Start()
+	cl.Eng.RunFor(window)
+	tr := TraceResult{Policy: features.String()}
+	for id := range cl.Nodes {
+		tr.Nodes = append(tr.Nodes, paging.Node(id))
+	}
+	s := tr.Nodes[0].Series(trace.SeriesPageInKB)
+	tr.ActiveSeconds = s.ActiveBins(64)
+	tr.PeakKBps = s.Max()
+	return tr, nil
 }

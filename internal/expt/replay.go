@@ -4,88 +4,45 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
 
-// TraceReplayer rebuilds a node's paging-activity series (Figure 6's
-// surface) from a captured event stream: every DiskTransfer event's pages
-// are spread over its service interval, exactly as the live disk tracer
-// does. It consumes events one at a time, so replaying from the binary
-// store or a JSONL stream never materializes the event set.
-type TraceReplayer struct {
-	node      int
-	rec       *trace.Recorder
-	transfers int
-}
-
-// NewTraceReplayer builds a replayer for one node at the given bin width.
-func NewTraceReplayer(node int, bin sim.Duration) *TraceReplayer {
-	rec := trace.NewRecorder(bin)
-	rec.Series(cluster.SeriesPageInKB)
-	rec.Series(cluster.SeriesPageOutKB)
-	return &TraceReplayer{node: node, rec: rec}
-}
-
-// Observe folds one event into the series. Its signature matches the scan
-// callbacks of store.Scan and obs.StreamJSONL, so it plugs into either.
-func (r *TraceReplayer) Observe(ev obs.Event) error {
-	if ev.Kind != obs.KindDiskTransfer || ev.Node != r.node {
-		return nil
-	}
-	name := cluster.SeriesPageInKB
-	if ev.Write {
-		name = cluster.SeriesPageOutKB
-	}
-	r.rec.Series(name).AddSpread(ev.T, ev.Dur, mem.KBFromPages(ev.Pages))
-	r.transfers++
-	return nil
-}
-
-// Recorder exposes the accumulated series.
-func (r *TraceReplayer) Recorder() *trace.Recorder { return r.rec }
-
-// Transfers reports how many DiskTransfer events were folded in.
-func (r *TraceReplayer) Transfers() int { return r.transfers }
-
-// ReplayTrace rebuilds node's paging-activity recorder from a stored run's
-// event history. The scan is a bounded range query: the store's block index
-// prunes on the node bitmap, so only covering blocks are decoded.
-func ReplayTrace(st *store.Store, run string, node int, bin sim.Duration) (*TraceReplayer, error) {
-	rep := NewTraceReplayer(node, bin)
-	if err := st.Scan(store.Query{Run: run, Node: &node}, rep.Observe); err != nil {
-		return nil, err
-	}
-	if rep.transfers == 0 {
-		return nil, fmt.Errorf("expt: no DiskTransfer events for node %d in run %q", node, run)
-	}
-	return rep, nil
+// ReplayTrace rebuilds node's paging-activity series from a stored run's
+// event history: the run's DiskTransfer events go through the same
+// trace.Paging fold a live run attaches to its bus. The scan is a bounded
+// range query: the store's block index prunes on the node bitmap, so only
+// covering blocks are decoded. The result's Node(node) holds the series.
+func ReplayTrace(st *store.Store, run string, node int, bin sim.Duration) (*trace.Paging, error) {
+	paging := trace.NewPaging(0, bin)
+	err := st.Scan(store.Query{Run: run, Node: &node}, paging.Observe)
+	return replayed(paging, node, fmt.Sprintf("run %q", run), err)
 }
 
 // ReplayTraceSegment is ReplayTrace over a single loose segment file.
-func ReplayTraceSegment(path string, node int, bin sim.Duration) (*TraceReplayer, error) {
-	rep := NewTraceReplayer(node, bin)
-	if err := store.ScanSegmentFile(path, store.Query{Node: &node}, rep.Observe); err != nil {
-		return nil, err
-	}
-	if rep.transfers == 0 {
-		return nil, fmt.Errorf("expt: no DiskTransfer events for node %d in %s", node, path)
-	}
-	return rep, nil
+func ReplayTraceSegment(path string, node int, bin sim.Duration) (*trace.Paging, error) {
+	paging := trace.NewPaging(0, bin)
+	err := store.ScanSegmentFile(path, store.Query{Node: &node}, paging.Observe)
+	return replayed(paging, node, path, err)
 }
 
 // ReplayTraceJSONL is ReplayTrace over a JSONL event log, streamed.
-func ReplayTraceJSONL(r io.Reader, node int, bin sim.Duration) (*TraceReplayer, error) {
-	rep := NewTraceReplayer(node, bin)
-	if err := obs.StreamJSONL(r, rep.Observe); err != nil {
+func ReplayTraceJSONL(r io.Reader, node int, bin sim.Duration) (*trace.Paging, error) {
+	paging := trace.NewPaging(0, bin)
+	err := obs.StreamJSONL(r, paging.Observe)
+	return replayed(paging, node, "stream", err)
+}
+
+// replayed finishes a replay: it fails on the scan's error, and when node
+// had no DiskTransfer in source.
+func replayed(paging *trace.Paging, node int, source string, err error) (*trace.Paging, error) {
+	if err != nil {
 		return nil, err
 	}
-	if rep.transfers == 0 {
-		return nil, fmt.Errorf("expt: no DiskTransfer events for node %d in stream", node)
+	if paging.Transfers(node) == 0 {
+		return nil, fmt.Errorf("expt: no DiskTransfer events for node %d in %s", node, source)
 	}
-	return rep, nil
+	return paging, nil
 }

@@ -5,9 +5,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/cluster"
 	"repro/internal/plot"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // RenderSVGs regenerates the paper's figures as SVG files in dir:
@@ -28,9 +28,6 @@ func RenderSVGs(cfg Config, dir string) error {
 	}
 
 	// Figure 6: one trace chart per policy.
-	if cfg.TraceBin <= 0 {
-		cfg.TraceBin = sim.Second
-	}
 	traces, err := Figure6(cfg, 50*sim.Minute)
 	if err != nil {
 		return err
@@ -39,8 +36,8 @@ func RenderSVGs(cfg Config, dir string) error {
 		rec := tr.Nodes[0]
 		binSec := rec.BinWidth.Seconds()
 		svg := plot.Line([]plot.Series{
-			{Name: "page-in KB/s", Y: rec.Series(cluster.SeriesPageInKB).Bins(), XStep: binSec},
-			{Name: "page-out KB/s", Y: rec.Series(cluster.SeriesPageOutKB).Bins(), XStep: binSec},
+			{Name: "page-in KB/s", Y: rec.Series(trace.SeriesPageInKB).Bins(), XStep: binSec},
+			{Name: "page-out KB/s", Y: rec.Series(trace.SeriesPageOutKB).Bins(), XStep: binSec},
 		}, plot.LineOptions{
 			Title:  fmt.Sprintf("Figure 6 — paging activity, policy %s (node 0)", tr.Policy),
 			XLabel: "time (s)",

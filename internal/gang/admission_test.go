@@ -18,7 +18,7 @@ func buildAdmission(t *testing.T, frames, ws int, memoryAware bool) (*sim.Engine
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.Orig, core.Config{})
 	var sched *Scheduler

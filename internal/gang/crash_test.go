@@ -26,7 +26,7 @@ func newNodes(t *testing.T, eng *sim.Engine, n, frames, footprint int, features 
 	nodes := make([]*node, n)
 	for i := range nodes {
 		phys := mem.New(frames, 8, 16)
-		d := disk.New(eng, disk.DefaultParams(), nil)
+		d := disk.New(eng, disk.DefaultParams())
 		v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 		k := core.NewKernel(eng, v, features, core.Config{})
 		for pid := 1; pid <= 2; pid++ {

@@ -26,7 +26,7 @@ func newTestbed(t *testing.T, frames int, features core.Features, footprints []i
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, features, core.Config{})
 	tb := &testbed{eng: eng, vm: v, kernel: k}
@@ -90,7 +90,7 @@ func TestBothJobsComplete(t *testing.T) {
 func TestOnAllDoneCallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	phys := mem.New(2048, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.Orig, core.Config{})
 	v.NewProcess(1, 100)
@@ -116,7 +116,7 @@ func TestFinishedJobLeavesRotation(t *testing.T) {
 	// further switches. Built by hand because the jobs differ in length.
 	eng := sim.NewEngine(1)
 	phys := mem.New(4096, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.Orig, core.Config{})
 	var sched *Scheduler
@@ -154,7 +154,7 @@ func TestFinishedJobLeavesRotation(t *testing.T) {
 func TestKeepFinishedMemoryOption(t *testing.T) {
 	eng := sim.NewEngine(1)
 	phys := mem.New(2048, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.Orig, core.Config{})
 	v.NewProcess(1, 100)

@@ -17,7 +17,7 @@ func buildN(t *testing.T, n, frames, footprint, iters int, quantum sim.Duration)
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.SOAOAIBG, core.Config{})
 	var sched *Scheduler
@@ -88,7 +88,7 @@ func TestHeterogeneousQuanta(t *testing.T) {
 	// quantum while others get 5).
 	eng := sim.NewEngine(1)
 	phys := mem.New(4096, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.Orig, core.Config{})
 	var sched *Scheduler
@@ -131,7 +131,7 @@ func TestJobsOfDifferentSizesShareFairly(t *testing.T) {
 	// (same quantum, less total work).
 	eng := sim.NewEngine(1)
 	phys := mem.New(4096, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	v := vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	k := core.NewKernel(eng, v, core.SOAOAIBG, core.Config{})
 	var sched *Scheduler

@@ -8,8 +8,9 @@
 // are posted as closures onto a channel the cluster drains at engine-step
 // boundaries (cluster.SetStepDrain), so every observation executes on the
 // simulation goroutine between events. Event streaming needs no such trip —
-// the StreamSink hands events across with its own lock. After Quiesce (the
-// run has ended, nothing mutates any more) reads run inline.
+// the run's Hub is one of its event sinks and hands events across with its
+// own lock. After Quiesce (the run has ended, nothing mutates any more)
+// reads run inline.
 package live
 
 import (
@@ -36,9 +37,9 @@ const doTimeout = 10 * time.Second
 // install Requests() as the cluster's step drain, Quiesce when the run
 // ends, Close when done serving.
 type Observer struct {
-	cl     *cluster.Cluster
-	setup  *obs.Setup
-	stream *obs.StreamSink
+	cl    *cluster.Cluster
+	setup *obs.Setup
+	hub   *Hub[obs.Event]
 
 	reqs chan func()
 
@@ -51,23 +52,23 @@ type Observer struct {
 
 // Start listens on addr (host:port, ":0" for an ephemeral port) and serves
 // the observer endpoints for cl. setup supplies the metrics registry (a nil
-// registry turns /metrics into 404); stream, when non-nil, feeds /events —
-// it must be one of the run's event sinks.
-func Start(addr string, cl *cluster.Cluster, setup *obs.Setup, stream *obs.StreamSink) (*Observer, error) {
+// registry turns /metrics into 404); hub serves /events — it must be one
+// of the run's event sinks, and Close closes it.
+func Start(addr string, cl *cluster.Cluster, setup *obs.Setup, hub *Hub[obs.Event]) (*Observer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listen on %s: %w", addr, err)
 	}
 	o := &Observer{
-		cl:     cl,
-		setup:  setup,
-		stream: stream,
-		reqs:   make(chan func(), 64),
-		ln:     ln,
+		cl:    cl,
+		setup: setup,
+		hub:   hub,
+		reqs:  make(chan func(), 64),
+		ln:    ln,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", o.handleMetrics)
-	mux.HandleFunc("/events", o.handleEvents)
+	mux.Handle("/events", hub)
 	mux.HandleFunc("/progress", o.handleProgress)
 	o.srv = &http.Server{Handler: mux}
 	go func() { _ = o.srv.Serve(ln) }()
@@ -97,9 +98,10 @@ func (o *Observer) Quiesce() {
 	}
 }
 
-// Close quiesces and shuts the HTTP server down.
+// Close quiesces, ends every /events stream and shuts the HTTP server down.
 func (o *Observer) Close() error {
 	o.Quiesce()
+	o.hub.Close()
 	return o.srv.Close()
 }
 
@@ -148,38 +150,6 @@ func (o *Observer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-func (o *Observer) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if o.stream == nil {
-		http.Error(w, "event streaming disabled for this run", http.StatusNotFound)
-		return
-	}
-	ch, cancel := o.stream.Subscribe(256)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	if fl != nil {
-		fl.Flush()
-	}
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 // jobProgress is one job's state in the /progress document.
 type jobProgress struct {
 	Name        string           `json:"name"`
@@ -201,19 +171,16 @@ func (o *Observer) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	if !o.do(func() {
 		now := o.cl.Eng.Now()
 		doc.SimTime = now
-		for _, j := range o.cl.Jobs() {
-			jp := jobProgress{Name: j.Name, Done: j.Done()}
-			if j.Done() {
-				jp.FinishedAt = j.FinishedAt()
+		jobs := o.cl.Jobs()
+		for i, p := range o.cl.Progress() {
+			jp := jobProgress{
+				Name: p.Job, Done: p.Done,
+				Iterations: p.Iterations, TotalIters: p.TotalIters,
 			}
-			for i, m := range j.Members {
-				it := m.Proc.Iteration()
-				if i == 0 || it < jp.Iterations {
-					jp.Iterations = it
-				}
-				jp.TotalIters = m.Proc.Behavior().Iterations
+			if p.Done {
+				jp.FinishedAt = jobs[i].FinishedAt()
 			}
-			jp.Attribution = metrics.CriticalAttribution(j, now)
+			jp.Attribution = metrics.CriticalAttribution(jobs[i], now)
 			doc.Jobs = append(doc.Jobs, jp)
 		}
 	}) {

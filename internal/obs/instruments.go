@@ -181,6 +181,18 @@ type Setup struct {
 	flightTo io.Writer
 }
 
+// WithSinks returns a copy of o (of the zero Options when o is nil) whose
+// Sinks are o's followed by sinks. o itself is left unchanged, so a caller
+// can add its own consumers to options it was handed.
+func (o *Options) WithSinks(sinks ...Sink) *Options {
+	var c Options
+	if o != nil {
+		c = *o
+	}
+	c.Sinks = append(append([]Sink(nil), c.Sinks...), sinks...)
+	return &c
+}
+
 // Build assembles the bus, sinks, registry and tracer an Options
 // describes. A nil receiver yields a nil Setup. Whenever any event
 // destination exists the flight-recorder ring rides along as an extra

@@ -93,6 +93,26 @@ func TestBusStampsSequence(t *testing.T) {
 	}
 }
 
+// TestOptionsWithSinks checks that WithSinks never writes through to the
+// options it copies: concurrent runs add their own sinks to one shared
+// Options.
+func TestOptionsWithSinks(t *testing.T) {
+	a, b := NewCountSink(), NewCountSink()
+	if o := (*Options)(nil).WithSinks(a); len(o.Sinks) != 1 || o.Sinks[0] != a {
+		t.Fatalf("nil.WithSinks(a).Sinks = %v", o.Sinks)
+	}
+	shared := &Options{Sinks: make([]Sink, 1, 4), Metrics: true}
+	shared.Sinks[0] = a
+	o := shared.WithSinks(b)
+	o.Flight = true
+	if len(shared.Sinks) != 1 || shared.Flight || shared.Sinks[:2][1] != nil {
+		t.Fatalf("WithSinks changed its receiver: %+v", shared)
+	}
+	if len(o.Sinks) != 2 || o.Sinks[0] != a || o.Sinks[1] != b || !o.Metrics {
+		t.Fatalf("WithSinks(b) = %+v", o)
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
 	for i := 1; i <= 10; i++ {

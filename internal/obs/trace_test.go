@@ -332,33 +332,6 @@ func TestFlightDumpFormat(t *testing.T) {
 	}
 }
 
-func TestStreamSinkSubscribe(t *testing.T) {
-	s := NewStreamSink()
-	ch, cancel := s.Subscribe(2)
-	s.Emit(Event{T: 1, Kind: KindDiskTransfer})
-	s.Emit(Event{T: 2, Kind: KindDiskTransfer})
-	s.Emit(Event{T: 3, Kind: KindDiskTransfer}) // buffer full: dropped
-	if ev := <-ch; ev.T != 1 {
-		t.Fatalf("first event T=%v", ev.T)
-	}
-	if dropped := cancel(); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	if ev, ok := <-ch; !ok || ev.T != 2 {
-		t.Fatalf("buffered event lost on cancel: %v %v", ev, ok)
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
-	}
-	if dropped := cancel(); dropped != 1 {
-		t.Fatalf("second cancel reported %d", dropped)
-	}
-	if s.Subscribers() != 0 {
-		t.Fatalf("%d subscribers left", s.Subscribers())
-	}
-	s.Emit(Event{T: 4}) // no subscribers: must not panic
-}
-
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, nil); err != nil {

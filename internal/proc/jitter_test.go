@@ -14,7 +14,7 @@ import (
 // control the seed.
 func newVM(eng *sim.Engine) *vm.VM {
 	phys := mem.New(1024, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	return vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 }
 

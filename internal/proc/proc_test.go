@@ -20,7 +20,7 @@ func newRig(t *testing.T, frames int) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(1 << 20)
 	return &rig{eng, vm.New(eng, phys, d, sp, vm.Config{})}
 }
@@ -215,7 +215,7 @@ func TestParallelRanksBarrierEachIteration(t *testing.T) {
 	bar := mpi.NewBarrier(net, 2)
 	mkNode := func(frames int) *vm.VM {
 		phys := mem.New(frames, 8, 16)
-		d := disk.New(eng, disk.DefaultParams(), nil)
+		d := disk.New(eng, disk.DefaultParams())
 		return vm.New(eng, phys, d, swap.New(1<<20), vm.Config{})
 	}
 	fast, slow := mkNode(1024), mkNode(96) // slow node pages heavily

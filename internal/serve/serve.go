@@ -28,6 +28,7 @@ import (
 
 	gangsched "repro"
 	"repro/internal/expt"
+	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/queue"
@@ -105,7 +106,7 @@ type Server struct {
 	active    *obs.Gauge
 	runSec    *obs.Histogram
 
-	hub *eventHub
+	hub *live.Hub[queue.Event]
 
 	crashOnce sync.Once
 	crashed   chan struct{}
@@ -126,7 +127,7 @@ func Start(cfg Config) (*Server, error) {
 		dispatchDone: make(chan struct{}),
 		inflight:     make(map[string]struct{}),
 		crashed:      make(chan struct{}),
-		hub:          newEventHub(1024),
+		hub:          live.NewHub[queue.Event](1024),
 	}
 	if s.exec == nil {
 		// The default executor is RunExec persisting each event-capturing
@@ -253,7 +254,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	keep(s.q.Checkpoint())
 	keep(s.q.Close())
-	s.hub.close()
+	s.hub.Close()
 	shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	keep(s.srv.Shutdown(shCtx))
@@ -280,7 +281,7 @@ func (s *Server) Kill() {
 	s.pool.Close()
 	s.loops.Wait()
 	s.q.Close()
-	s.hub.close()
+	s.hub.Close()
 	s.srv.Close()
 }
 
@@ -340,7 +341,7 @@ func (s *Server) onQueueEvent(ev queue.Event) {
 		s.depth[st].Set(float64(ev.Depths[st]))
 	}
 	s.metricsMu.Unlock()
-	s.hub.publish(ev)
+	s.hub.Emit(ev)
 }
 
 // ---- HTTP ----
@@ -599,49 +600,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}{"ok", s.isDraining()})
 }
 
-// handleEvents has two modes. Without a run parameter it streams queue
-// events as NDJSON: a replay of the recent ring first, then live events
-// until the client disconnects or the server drains (a subscriber that
-// cannot keep up misses events rather than blocking the queue). With
-// ?run=<jobID> it serves that run's simulation event history as JSONL —
-// a bounded range query against the trace store honouring from=, to=
-// (Go durations of simulated time) and node= (see handleRunEvents).
+// handleEvents has two modes. Without a run parameter the hub streams
+// queue events as NDJSON: the last 1024 first, then live events until the
+// client disconnects or the server drains (a subscriber that cannot keep
+// up misses events rather than blocking the queue). With ?run=<jobID> it
+// serves that run's simulation event history as JSONL — a bounded range
+// query against the trace store honouring from=, to= (Go durations of
+// simulated time) and node= (see handleRunEvents).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("run") {
 		s.handleRunEvents(w, r)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	replay, ch, cancel := s.hub.subscribe()
-	if ch == nil {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, ev := range replay {
-		enc.Encode(ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if enc.Encode(ev) != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.hub.ServeHTTP(w, r)
 }
 
 // parseEventQuery builds the store query from /events?run=&from=&to=&node=.
@@ -740,70 +711,5 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := jw.Flush(); err != nil {
 		s.logf("events %s: %v", q.Run, err)
-	}
-}
-
-// ---- event hub ----
-
-// eventHub fans queue events out to /events subscribers, keeping a bounded
-// replay ring so a new subscriber sees recent history.
-type eventHub struct {
-	mu     sync.Mutex
-	cap    int
-	ring   []queue.Event
-	subs   map[chan queue.Event]struct{}
-	closed bool
-}
-
-func newEventHub(ringCap int) *eventHub {
-	return &eventHub{cap: ringCap, subs: make(map[chan queue.Event]struct{})}
-}
-
-func (h *eventHub) publish(ev queue.Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.ring = append(h.ring, ev)
-	if len(h.ring) > h.cap {
-		h.ring = h.ring[len(h.ring)-h.cap:]
-	}
-	for ch := range h.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop rather than block the queue
-		}
-	}
-}
-
-func (h *eventHub) subscribe() (replay []queue.Event, ch chan queue.Event, cancel func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, nil, nil
-	}
-	ch = make(chan queue.Event, 256)
-	h.subs[ch] = struct{}{}
-	replay = append(replay, h.ring...)
-	return replay, ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[ch]; ok {
-			delete(h.subs, ch)
-		}
-	}
-}
-
-func (h *eventHub) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	for ch := range h.subs {
-		close(ch)
-		delete(h.subs, ch)
 	}
 }

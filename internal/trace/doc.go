@@ -7,4 +7,7 @@
 // Figure 6 traces). A Recorder groups the named series of one node so that
 // page-in and page-out bandwidth, fault counts, and compute time can be
 // rendered side by side, reproducing the paging-activity trace graphs.
+// Paging fills one Recorder per node from the obs event stream's
+// DiskTransfer events, whether a run emits them or a replay reads them
+// back from a log or a store.
 package trace

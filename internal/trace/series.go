@@ -67,20 +67,6 @@ func (s *Series) grow(n int) {
 	s.bins = bins
 }
 
-// Reserve pre-sizes the series to cover simulated time up to horizon, so
-// recording within that span never reallocates. Recorded data is kept.
-func (s *Series) Reserve(horizon sim.Time) {
-	if horizon <= 0 {
-		return
-	}
-	n := int(int64(horizon)/int64(s.BinWidth)) + 1
-	if n > cap(s.bins) {
-		bins := make([]float64, len(s.bins), n)
-		copy(bins, s.bins)
-		s.bins = bins
-	}
-}
-
 // AddSpread distributes v uniformly over [t, t+d), so long transfers show
 // up as sustained rather than instantaneous activity.
 func (s *Series) AddSpread(t sim.Time, d sim.Duration, v float64) {
@@ -160,14 +146,6 @@ func (r *Recorder) Series(name string) *Series {
 	r.series[name] = s
 	r.order = append(r.order, name)
 	return s
-}
-
-// Reserve pre-sizes every existing series to cover simulated time up to
-// horizon; see Series.Reserve.
-func (r *Recorder) Reserve(horizon sim.Time) {
-	for _, s := range r.series {
-		s.Reserve(horizon)
-	}
 }
 
 // Names lists the series in creation order.

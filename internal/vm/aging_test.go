@@ -217,7 +217,7 @@ func benchRig(b *testing.B, frames int) *rig {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 16, 48)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(1 << 20)
 	return &rig{eng, phys, d, sp, New(eng, phys, d, sp, Config{})}
 }

@@ -23,7 +23,7 @@ func newRig(t testing.TB, frames, freeMin, freeHigh int, cfg Config) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, freeMin, freeHigh)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(1 << 20)
 	return &rig{eng, phys, d, sp, New(eng, phys, d, sp, cfg)}
 }
@@ -86,7 +86,7 @@ func TestNewProcessAndDefaults(t *testing.T) {
 func TestNewProcessSwapExhaustion(t *testing.T) {
 	eng := sim.NewEngine(1)
 	phys := mem.New(16, 0, 0)
-	d := disk.New(eng, disk.DefaultParams(), nil)
+	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(50)
 	v := New(eng, phys, d, sp, Config{})
 	if _, err := v.NewProcess(1, 100); !errors.Is(err, swap.ErrNoSpace) {

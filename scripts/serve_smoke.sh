@@ -8,8 +8,12 @@
 # An event-capturing run then checks the trace store path: the
 # store-served /events?run= stream and an offline `store dump` of the
 # daemon's store must both be byte-equal to the JSONL golden the gangsim
-# CLI wrote for the same spec. Finally SIGTERMs the daemon and asserts it
-# drains and exits 0.
+# CLI wrote for the same spec. A `curl -N /events` started before the
+# sweep captures the queue-event stream; after the daemon drains on SIGTERM
+# and exits 0, curl must have exited by itself (the event hub ended the
+# stream) and the capture must show every child enqueued, leased and
+# completed, and the sweep parent finalized. Each passing step prints one
+# ✓ line.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,8 +21,10 @@ GO=${GO:-go}
 
 workdir=$(mktemp -d)
 daemon_pid=""
+curl_pid=""
 cleanup() {
     [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true
+    [ -n "$curl_pid" ] && kill -9 "$curl_pid" 2>/dev/null || true
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -26,6 +32,7 @@ trap cleanup EXIT
 $GO build -o "$workdir/gangsim" ./cmd/gangsim
 $GO build -o "$workdir/gangsimd" ./cmd/gangsimd
 $GO build -o "$workdir/store" ./cmd/store
+echo "✓ binaries built"
 
 spec() {
     cat <<EOF
@@ -42,6 +49,7 @@ spec 22 > "$workdir/spec2.json"
 # store checks below.
 "$workdir/gangsim" -config "$workdir/spec1.json" -json -events "$workdir/golden1.jsonl" | jq -S . > "$workdir/golden1.json"
 "$workdir/gangsim" -config "$workdir/spec2.json" -json | jq -S . > "$workdir/golden2.json"
+echo "✓ CLI goldens written"
 
 "$workdir/gangsimd" -addr 127.0.0.1:0 -dir "$workdir/state" -drain-grace 30s \
     2> "$workdir/daemon.log" &
@@ -55,12 +63,23 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "gangsimd never reported its address"; cat "$workdir/daemon.log"; exit 1; }
-echo "serve-smoke: gangsimd on $addr"
+echo "✓ gangsimd listening on $addr"
+
+# Follow the queue-event stream from before the first submission until the
+# daemon drains.
+curl -sSN "http://$addr/events" > "$workdir/queue.ndjson" &
+curl_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$workdir/queue.ndjson" ] && break
+    sleep 0.1
+done
+[ -s "$workdir/queue.ndjson" ] || { echo "GET /events delivered nothing"; exit 1; }
+echo "✓ GET /events streaming"
 
 jq -n --slurpfile a "$workdir/spec1.json" --slurpfile b "$workdir/spec2.json" \
     '{kind:"sweep", specs:[$a[0], $b[0]]}' > "$workdir/submit.json"
 parent=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit.json" | jq -r .id)
-echo "serve-smoke: submitted sweep $parent"
+echo "✓ submitted sweep $parent"
 
 state=""
 for _ in $(seq 1 300); do
@@ -70,6 +89,7 @@ for _ in $(seq 1 300); do
     sleep 0.2
 done
 [ "$state" = done ] || { echo "sweep stuck in state '$state'"; exit 1; }
+echo "✓ sweep done"
 
 curl -sSf "http://$addr/jobs/$parent" | jq -S '.result[0].result' > "$workdir/served1.json"
 curl -sSf "http://$addr/jobs/$parent" | jq -S '.result[1].result' > "$workdir/served2.json"
@@ -77,7 +97,7 @@ diff -u "$workdir/golden1.json" "$workdir/served1.json" \
     || { echo "served result 1 differs from CLI golden"; exit 1; }
 diff -u "$workdir/golden2.json" "$workdir/served2.json" \
     || { echo "served result 2 differs from CLI golden"; exit 1; }
-echo "serve-smoke: served results match CLI goldens"
+echo "✓ served results match CLI goldens"
 
 # Trace store: an event-capturing run's history is persisted as indexed
 # binary segments under the daemon's state dir. Both the store-served
@@ -85,7 +105,7 @@ echo "serve-smoke: served results match CLI goldens"
 # byte-identical to the JSONL the gangsim CLI wrote for the same spec.
 jq -n --slurpfile s "$workdir/spec1.json" '{kind:"run", spec:$s[0], events:true}' > "$workdir/submit4.json"
 evjob=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit4.json" | jq -r .id)
-echo "serve-smoke: submitted event-capturing run $evjob"
+echo "✓ submitted event-capturing run $evjob"
 state=""
 for _ in $(seq 1 300); do
     state=$(curl -sSf "http://$addr/jobs/$evjob" | jq -r .state)
@@ -109,11 +129,14 @@ head -n "$(wc -l < "$workdir/served_head.jsonl")" "$workdir/golden1.jsonl" \
     | cmp - "$workdir/served_head.jsonl" \
     || { echo "ranged /events stream is not a prefix of the golden"; exit 1; }
 [ -s "$workdir/served_head.jsonl" ] || { echo "ranged /events stream is empty"; exit 1; }
-echo "serve-smoke: trace store round-trips the CLI event golden (dump + /events)"
+echo "✓ trace store round-trips the CLI event golden (dump + /events)"
 
 curl -sSf "http://$addr/metrics" | grep -q gangsimd_queue_depth \
     || { echo "/metrics missing queue depth"; exit 1; }
 curl -sSf "http://$addr/healthz" | jq -e '.status == "ok"' > /dev/null
+echo "✓ /metrics and /healthz answer"
+children=$(curl -sSf "http://$addr/jobs/$parent" | jq -r '.children[].id')
+[ "$(echo "$children" | wc -w)" -eq 2 ] || { echo "sweep has children '$children', want 2"; exit 1; }
 
 kill -TERM "$daemon_pid"
 rc=0
@@ -121,4 +144,31 @@ wait "$daemon_pid" || rc=$?
 daemon_pid=""
 [ "$rc" -eq 0 ] || { echo "gangsimd exited $rc on SIGTERM (want clean drain):"; cat "$workdir/daemon.log"; exit 1; }
 grep -q drained "$workdir/daemon.log" || { echo "daemon log missing drain marker"; cat "$workdir/daemon.log"; exit 1; }
-echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
+echo "✓ SIGTERM drained cleanly (exit 0)"
+
+# The drain closes the event hub, which ends every /events stream: curl
+# must exit by itself, and cleanly (a cut connection exits non-zero).
+for _ in $(seq 1 50); do
+    kill -0 "$curl_pid" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$curl_pid" 2>/dev/null; then
+    echo "GET /events still open after the drain"; exit 1
+fi
+rc=0
+wait "$curl_pid" || rc=$?
+curl_pid=""
+[ "$rc" -eq 0 ] || { echo "GET /events ended with curl exit $rc, want a clean end of stream"; exit 1; }
+echo "✓ drain ended the /events stream"
+
+has_event() { # job kind
+    jq -se --arg job "$1" --arg kind "$2" 'any(.[]; .job == $job and .kind == $kind)' \
+        "$workdir/queue.ndjson" > /dev/null
+}
+for child in $children; do
+    for kind in enqueued leased completed; do
+        has_event "$child" "$kind" || { echo "/events lacks $kind for child $child"; exit 1; }
+    done
+done
+has_event "$parent" finalized || { echo "/events lacks finalized for sweep $parent"; exit 1; }
+echo "✓ /events showed each child enqueued, leased and completed, and the sweep finalized"
