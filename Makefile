@@ -48,8 +48,9 @@ audit:
 # must never panic or resurrect partial records), the trace-store
 # round-trip fuzz (random event streams and writer geometries must dump
 # back byte-identical JSONL), and the victim-selection fuzz (bounded
-# write-back and sorted page-out vs the full-scan references, on random
-# touch/reclaim/crash sequences). FUZZTIME=10m for a soak.
+# write-back, run-sorted page-out and the word-at-a-time clock sweep vs
+# the full-scan and per-page references, on random touch/reclaim/crash
+# sequences). FUZZTIME=10m for a soak.
 #
 # Every fuzz line bounds input minimization to ten execs. Go's default is
 # 60 s per new-coverage input, and the fuzzer stops exploring while it
@@ -142,7 +143,9 @@ check:
 # (journaled enqueue + lease + journaled completion, fsync off), and
 # BenchmarkTouchRun/Fault the VM's touch kernel (ns/page) and fault path
 # (allocs/op), and BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep its victim
-# and write-back selection on one large address space. BenchmarkScale512
+# and write-back selection on one large address space. BenchmarkDiskRequest
+# is the disk model's cost per request (one demand request, reused,
+# through Submit and its completion; 0 allocs/op). BenchmarkScale512
 # records the 512-node/128-gang scale study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
@@ -153,7 +156,8 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem ./internal/sim \
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
-	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm; } \
+	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm \
+	  && $(GO) test -run NONE -bench 'BenchmarkDiskRequest$$' -benchmem ./internal/disk; } \
 	  | bin/benchjson -o BENCH_sim.json
 
 # The obs pair: RunObsDisabled is the zero-overhead claim (parity with the

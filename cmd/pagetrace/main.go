@@ -46,11 +46,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	replay := flag.String("replay", "", "rebuild the trace from a captured event stream (JSONL file, binary segment or store directory) instead of simulating")
 	run := flag.String("run", "", "run name inside a -replay store directory (default: the store's only run)")
-	bin := flag.Duration("bin", time.Second, "bin width for -replay")
+	bin := binFlag(sim.Second)
+	flag.Var(&bin, "bin", "bin width for -replay (at least 1µs)")
 	flag.Parse()
 
 	if *replay != "" {
-		if err := replayEvents(*replay, *run, *node, sim.DurationOf(*bin), *format); err != nil {
+		if err := replayEvents(*replay, *run, *node, sim.Duration(bin), *format); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -73,6 +74,27 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("# policy=%s active_seconds=%d peak=%.0fKB/s\n", r.Policy, r.ActiveSeconds, r.PeakKBps)
+}
+
+// binFlag is the -bin flag: a replay bin width of at least one simulated
+// microsecond, the clock's unit. A width that rounds to zero or below fails
+// as a flag error, before anything replays.
+type binFlag sim.Duration
+
+func (b *binFlag) String() string {
+	return (time.Duration(*b) * time.Microsecond).String()
+}
+
+func (b *binFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	if sim.DurationOf(d) <= 0 {
+		return fmt.Errorf("bin width must be at least 1µs")
+	}
+	*b = binFlag(sim.DurationOf(d))
+	return nil
 }
 
 // figure6Policy parses name and checks that it is one of Figure 6's four

@@ -395,9 +395,9 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 		// to unaudited ones.
 		cl.EnableAcct()
 	}
-	// The auditor wants a short event tail for violation forensics: force
-	// the always-on flight-recorder ring (Options.Flight), which doubles as
-	// that tail. Observability never feeds back into the model, so the extra
+	// The auditor wants a short event tail for violation forensics: attach
+	// the flight-recorder ring (Options.Flight), which doubles as that
+	// tail. Observability never feeds back into the model, so the extra
 	// sinks cannot perturb an otherwise identical run: the paging-series
 	// fold behind RecordTraces and the live observer's /events hub ride
 	// along the same way.

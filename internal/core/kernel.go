@@ -57,6 +57,13 @@ type Kernel struct {
 	records map[int]*PageRecord
 	stopped map[int]bool
 
+	// Evictions come in stretches of one process, so onPageOut resolves
+	// its pid once per stretch: lastRec is the record lastPID's pages go
+	// to, nil when they are not recorded. lastPID 0 means nothing is
+	// cached; every change to stopped or records drops the cache.
+	lastPID int
+	lastRec *PageRecord
+
 	bgPID   int // process being background-written, 0 when inactive
 	bgTimer *sim.Event
 
@@ -105,22 +112,34 @@ func (k *Kernel) VM() *vm.VM { return k.vm }
 func (k *Kernel) SetObs(o *obs.NodeObs) { k.obs = o }
 
 func (k *Kernel) onPageOut(pid, vpage int) {
-	if !k.features.AdaptiveIn || !k.stopped[pid] {
+	if !k.features.AdaptiveIn {
 		return
 	}
-	rec := k.records[pid]
-	if rec == nil {
-		rec = &PageRecord{}
-		k.records[pid] = rec
+	if pid != k.lastPID {
+		k.lastPID, k.lastRec = pid, nil
+		if k.stopped[pid] {
+			k.lastRec = k.records[pid]
+			if k.lastRec == nil {
+				k.lastRec = &PageRecord{}
+				k.records[pid] = k.lastRec
+			}
+		}
 	}
-	rec.Append(vpage)
+	if k.lastRec == nil {
+		return
+	}
+	k.lastRec.Append(vpage)
 	k.stats.RecordedPages++
 }
+
+// dropCache forgets onPageOut's resolved pid.
+func (k *Kernel) dropCache() { k.lastPID, k.lastRec = 0, nil }
 
 // MarkStopped tells the kernel pid has been de-scheduled; evictions of its
 // pages from now on are recorded for adaptive page-in.
 func (k *Kernel) MarkStopped(pid int) {
 	k.stopped[pid] = true
+	k.dropCache()
 	k.vm.NoteStopped(pid, true)
 }
 
@@ -129,6 +148,7 @@ func (k *Kernel) MarkStopped(pid int) {
 // under the original policy.
 func (k *Kernel) MarkRunning(pid int) {
 	delete(k.stopped, pid)
+	k.dropCache()
 	k.vm.NoteStopped(pid, false)
 }
 
@@ -144,6 +164,7 @@ func (k *Kernel) IsStopped(pid int) bool { return k.stopped[pid] }
 func (k *Kernel) CrashReset() {
 	k.records = make(map[int]*PageRecord)
 	k.stopped = make(map[int]bool)
+	k.dropCache()
 	k.StopBGWrite()
 }
 
@@ -151,6 +172,7 @@ func (k *Kernel) CrashReset() {
 func (k *Kernel) Forget(pid int) {
 	delete(k.records, pid)
 	delete(k.stopped, pid)
+	k.dropCache()
 	if k.bgPID == pid {
 		k.StopBGWrite()
 	}

@@ -205,6 +205,43 @@ func TestRunningProcessEvictionsNotRecorded(t *testing.T) {
 	}
 }
 
+// TestPageOutRecordFollowsStopMarks drives the page-out hook with
+// stretches of evictions while the stop marks change under it: every
+// change (MarkStopped, MarkRunning, Forget, CrashReset) must take effect on
+// the next eviction, even of the pid the hook saw last.
+func TestPageOutRecordFollowsStopMarks(t *testing.T) {
+	r := newRig(t, 64, AI)
+	out := r.vm.OnPageOut
+	check := func(step string, rec1, rec2 int, recorded int64) {
+		t.Helper()
+		if r.k.RecordLen(1) != rec1 || r.k.RecordLen(2) != rec2 || r.k.Stats().RecordedPages != recorded {
+			t.Fatalf("after %s: records %d and %d, %d pages recorded; want %d, %d, %d",
+				step, r.k.RecordLen(1), r.k.RecordLen(2), r.k.Stats().RecordedPages, rec1, rec2, recorded)
+		}
+	}
+	r.k.MarkStopped(1)
+	out(1, 10)
+	out(1, 11)
+	check("pid 1 stopped", 2, 0, 2)
+	r.k.MarkRunning(1)
+	out(1, 12)
+	check("pid 1 running", 2, 0, 2)
+	out(2, 5)
+	check("pid 2 running", 2, 0, 2)
+	r.k.MarkStopped(2)
+	out(2, 6)
+	check("pid 2 stopped", 2, 1, 3)
+	r.k.Forget(2)
+	out(2, 7)
+	check("pid 2 forgotten", 2, 0, 3)
+	r.k.MarkStopped(1)
+	out(1, 13)
+	check("pid 1 stopped again", 3, 0, 4)
+	r.k.CrashReset()
+	out(1, 14)
+	check("crash", 0, 0, 4)
+}
+
 func TestBGWriterFlushesDirtyPages(t *testing.T) {
 	r := newRig(t, 200, SOAOBG)
 	r.vm.NewProcess(1, 100)

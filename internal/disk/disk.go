@@ -2,7 +2,7 @@ package disk
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -45,31 +45,36 @@ func (p Priority) String() string {
 	}
 }
 
-// Request is one disk transaction over a set of slot runs.
+// Request is one disk transaction over one contiguous run of slots. The
+// disk keeps the request's service state on the request itself, and the
+// engine events that retry and complete it are method values bound the
+// first time they are needed, so a caller that reuses its requests submits
+// them without allocating. A request may be submitted again once its Done
+// has been called; one that Reset dropped never completes, and must not be
+// submitted again, because a pending event of the old service may still
+// refer to it.
 type Request struct {
-	Runs  []Run
+	Run   Run
 	Write bool
 	Prio  Priority
 	// Done is invoked at completion with the time the request spent in
-	// service (queueing excluded). May be nil.
+	// service (queueing excluded). May be nil. The disk reads nothing of the
+	// request once Done is called, so Done may submit it again at once.
 	Done func(service sim.Duration)
 	// Parent, when tracing, is the span that caused this request (a fault,
 	// prefault replay or page-out drain); the queue-wait and transfer spans
 	// emitted at completion hang off it.
 	Parent obs.SpanID
 
-	// submitAt is stamped by Submit so the queue-wait span can be emitted
-	// retrospectively at completion.
-	submitAt sim.Time
-}
+	d        *Disk
+	submitAt sim.Time     // stamped by Submit for the queue-wait span
+	attempt  int          // failed service attempts so far
+	start    sim.Time     // when the current service began
+	svc      sim.Duration // its service time
+	seeks    int64        // its seeks (0 or 1)
+	epoch    uint64       // the disk's epoch when its retry or completion was scheduled
 
-// Pages reports the total number of pages the request transfers.
-func (r *Request) Pages() int {
-	n := 0
-	for _, run := range r.Runs {
-		n += run.N
-	}
-	return n
+	retryFn, completeFn func() // retry and complete, bound once
 }
 
 // Params describes the device's cost model.
@@ -281,15 +286,11 @@ func (d *Disk) QueueLen() int { return len(d.qDemand) + len(d.qBg) }
 // Busy reports whether a request is in service.
 func (d *Disk) Busy() bool { return d.busy }
 
-// Submit enqueues a request. Runs must be non-empty with positive lengths.
+// Submit enqueues a request. Its run must have a positive length and a
+// non-negative start.
 func (d *Disk) Submit(r *Request) {
-	if len(r.Runs) == 0 {
-		panic("disk: request with no runs")
-	}
-	for _, run := range r.Runs {
-		if run.N <= 0 || run.Start < 0 {
-			panic(fmt.Sprintf("disk: bad run %+v", run))
-		}
+	if r.Run.N <= 0 || r.Run.Start < 0 {
+		panic(fmt.Sprintf("disk: bad run %+v", r.Run))
 	}
 	switch r.Prio {
 	case Demand:
@@ -299,6 +300,7 @@ func (d *Disk) Submit(r *Request) {
 	default:
 		panic(fmt.Sprintf("disk: unknown priority %d", r.Prio))
 	}
+	r.d = d
 	r.submitAt = d.eng.Now()
 	d.stats.Submitted++
 	if q := d.QueueLen(); q > d.stats.MaxQueueLen {
@@ -310,36 +312,28 @@ func (d *Disk) Submit(r *Request) {
 // ServiceTime computes how long a request would take given the current head
 // position, without submitting it. Exposed for tests and capacity planning.
 func (d *Disk) ServiceTime(r *Request) sim.Duration {
-	t, _, _, _ := d.serviceTimeFrom(d.head, r)
+	t, _ := d.serviceTime(r.Run)
 	return t
 }
 
-func (d *Disk) serviceTimeFrom(head Slot, r *Request) (t sim.Duration, newHead Slot, seeks, seq int64) {
-	newHead = head
-	stale := d.headStale
-	for _, run := range r.Runs {
-		switch {
-		case run.Start != newHead:
-			t += d.seekCost(newHead, run.Start)
-			seeks++
-		case stale:
-			// The head is on the right track but the disk sat idle since
-			// the last transfer, so the platter rotated away. Resuming an
-			// otherwise-sequential stream waits almost a full revolution
-			// (the target sector just passed under the head), i.e. about
-			// twice the average rotational latency. This is why demand
-			// paging in small groups (compute between requests) cannot
-			// stream the way one large block transfer can.
-			t += 2 * d.p.Rot
-			seq++
-		default:
-			seq++
-		}
-		stale = false
-		t += sim.Duration(run.N) * d.p.PerPage
-		newHead = run.End()
+// serviceTime prices run from the current head position, reporting whether
+// it pays a seek (seeks is 0 or 1).
+func (d *Disk) serviceTime(run Run) (t sim.Duration, seeks int64) {
+	switch {
+	case run.Start != d.head:
+		t = d.seekCost(d.head, run.Start)
+		seeks = 1
+	case d.headStale:
+		// The head is on the right track but the disk sat idle since the
+		// last transfer, so the platter rotated away. Resuming an
+		// otherwise-sequential stream waits almost a full revolution (the
+		// target sector just passed under the head), i.e. about twice the
+		// average rotational latency. This is why demand paging in small
+		// groups (compute between requests) cannot stream the way one large
+		// block transfer can.
+		t = 2 * d.p.Rot
 	}
-	return t, newHead, seeks, seq
+	return t + sim.Duration(run.N)*d.p.PerPage, seeks
 }
 
 // seekCost prices moving the head from one slot to another (from != to).
@@ -372,15 +366,16 @@ func (d *Disk) kick() {
 			idx = d.scanPick()
 		}
 		r = d.qDemand[idx]
-		d.qDemand = append(d.qDemand[:idx], d.qDemand[idx+1:]...)
+		d.qDemand = slices.Delete(d.qDemand, idx, idx+1)
 	} else if len(d.qBg) > 0 {
 		r = d.qBg[0]
-		d.qBg = d.qBg[1:]
+		d.qBg = slices.Delete(d.qBg, 0, 1)
 	} else {
 		return
 	}
 	d.busy = true
-	d.serve(r, 0)
+	r.attempt = 0
+	d.serve(r)
 }
 
 // backoff prices the attempt'th retry (1-based): exponential from RetryBase,
@@ -402,13 +397,13 @@ func (d *Disk) backoff(attempt int) sim.Duration {
 // serve runs one service attempt of r, retrying on injected errors. With no
 // fault model attached it is a single synchronous call from kick, identical
 // to the fault-free device.
-func (d *Disk) serve(r *Request, attempt int) {
+func (d *Disk) serve(r *Request) {
 	var extra sim.Duration
-	if d.fm != nil && attempt < d.p.RetryMax {
-		fail, delay := d.fm.Attempt(r.Write, r.Pages())
+	if d.fm != nil && r.attempt < d.p.RetryMax {
+		fail, delay := d.fm.Attempt(r.Write, r.Run.N)
 		if fail {
-			attempt++
-			back := d.backoff(attempt)
+			r.attempt++
+			back := d.backoff(r.attempt)
 			d.stats.Errors++
 			d.stats.Retries++
 			d.stats.RetryStall += back
@@ -418,20 +413,18 @@ func (d *Disk) serve(r *Request, attempt int) {
 					T:       d.eng.Now(),
 					Kind:    obs.KindDiskRetry,
 					Node:    d.obs.Node,
-					Pages:   r.Pages(),
+					Pages:   r.Run.N,
 					Dur:     back,
 					Write:   r.Write,
 					Prio:    r.Prio.String(),
-					Attempt: attempt,
+					Attempt: r.attempt,
 				})
 			}
-			epoch := d.epoch
-			d.eng.ScheduleDetached(back, func() {
-				if d.epoch != epoch {
-					return // node crashed while backing off
-				}
-				d.serve(r, attempt)
-			})
+			r.epoch = d.epoch
+			if r.retryFn == nil {
+				r.retryFn = r.retry
+			}
+			d.eng.ScheduleDetached(back, r.retryFn)
 			return
 		}
 		extra = delay
@@ -442,65 +435,87 @@ func (d *Disk) serve(r *Request, attempt int) {
 		d.stats.Forced++
 	}
 
-	start := d.eng.Now()
-	svc, newHead, seeks, seq := d.serviceTimeFrom(d.head, r)
+	svc, seeks := d.serviceTime(r.Run)
 	svc += extra
-	d.head = newHead
+	r.start, r.svc, r.seeks = d.eng.Now(), svc, seeks
+	d.head = r.Run.End()
 	d.headStale = false
 	d.stats.Seeks += seeks
-	d.stats.SequentialRuns += seq
+	d.stats.SequentialRuns += 1 - seeks
 	d.stats.BusyTime += svc
 	if r.Prio == Demand {
 		d.stats.DemandTime += svc
 	} else {
 		d.stats.BackgroundTime += svc
 	}
-	pages := r.Pages()
 	if r.Write {
 		d.stats.Writes++
-		d.stats.PagesWritten += int64(pages)
+		d.stats.PagesWritten += int64(r.Run.N)
 	} else {
 		d.stats.Reads++
-		d.stats.PagesRead += int64(pages)
+		d.stats.PagesRead += int64(r.Run.N)
 	}
-	epoch := d.epoch
-	d.eng.ScheduleDetached(svc, func() {
-		if d.epoch != epoch {
-			return // node crashed mid-transfer: the request is gone
-		}
-		d.busy = false
-		d.stats.Completed++
-		if d.QueueLen() == 0 {
-			d.headStale = true
-		}
-		if d.obs != nil {
-			d.obs.DiskBusySeconds.Add(svc.Seconds())
-			d.obs.DiskSeeks.Add(float64(seeks))
-			d.obs.Bus.Emit(obs.Event{
-				T:     start,
-				Kind:  obs.KindDiskTransfer,
-				Node:  d.obs.Node,
-				Pages: pages,
-				Dur:   svc,
-				Write: r.Write,
-				Prio:  r.Prio.String(),
-			})
-			if t := d.obs.Tracer; t != nil {
-				// The queue span covers submission to service start (retry
-				// backoff included); the transfer span hangs off it.
-				q := t.Emit(obs.SpanDiskQueue, r.Parent, d.obs.Node, 0, r.submitAt, start, pages)
-				t.Emit(obs.SpanDiskTransfer, q, d.obs.Node, 0, start, start.Add(svc), pages)
-			}
-		}
-		if r.Done != nil {
-			r.Done(svc)
-		}
-		d.kick()
-	})
+	r.epoch = d.epoch
+	if r.completeFn == nil {
+		r.completeFn = r.complete
+	}
+	d.eng.ScheduleDetached(svc, r.completeFn)
 }
 
-// scanPick returns the index of the queued demand request whose first run
-// is nearest the head position, preferring requests at or beyond the head
+// retry is a backed-off request's next service attempt.
+func (r *Request) retry() {
+	if r.epoch != r.d.epoch {
+		return // node crashed while backing off
+	}
+	r.d.serve(r)
+}
+
+// complete ends r's service: it frees the disk, reports the transfer, calls
+// Done and starts the next queued request. Nothing reads r after Done.
+func (r *Request) complete() {
+	d := r.d
+	if r.epoch != d.epoch {
+		return // node crashed mid-transfer: the request is gone
+	}
+	d.busy = false
+	d.stats.Completed++
+	if d.QueueLen() == 0 {
+		d.headStale = true
+	}
+	if d.obs != nil {
+		d.observe(r)
+	}
+	if done := r.Done; done != nil {
+		done(r.svc)
+	}
+	d.kick()
+}
+
+// observe reports a completed transfer: its event, busy-time and seek
+// counters, and, when tracing, its queue-wait and transfer spans.
+func (d *Disk) observe(r *Request) {
+	pages := r.Run.N
+	d.obs.DiskBusySeconds.Add(r.svc.Seconds())
+	d.obs.DiskSeeks.Add(float64(r.seeks))
+	d.obs.Bus.Emit(obs.Event{
+		T:     r.start,
+		Kind:  obs.KindDiskTransfer,
+		Node:  d.obs.Node,
+		Pages: pages,
+		Dur:   r.svc,
+		Write: r.Write,
+		Prio:  r.Prio.String(),
+	})
+	if t := d.obs.Tracer; t != nil {
+		// The queue span covers submission to service start (retry backoff
+		// included); the transfer span hangs off it.
+		q := t.Emit(obs.SpanDiskQueue, r.Parent, d.obs.Node, 0, r.submitAt, r.start, pages)
+		t.Emit(obs.SpanDiskTransfer, q, d.obs.Node, 0, r.start, r.start.Add(r.svc), pages)
+	}
+}
+
+// scanPick returns the index of the queued demand request whose run is
+// nearest the head position, preferring requests at or beyond the head
 // (the upward sweep) before falling back to the nearest below it.
 func (d *Disk) scanPick() int {
 	head := d.head
@@ -510,7 +525,7 @@ func (d *Disk) scanPick() int {
 	bestUp, bestUpDist := -1, int64(1)<<62
 	bestDown, bestDownDist := -1, int64(1)<<62
 	for i, r := range d.qDemand {
-		start := r.Runs[0].Start
+		start := r.Run.Start
 		if start >= head {
 			if dist := int64(start - head); dist < bestUpDist {
 				bestUp, bestUpDist = i, dist
@@ -523,62 +538,4 @@ func (d *Disk) scanPick() int {
 		return bestUp
 	}
 	return bestDown
-}
-
-// Coalesce turns an arbitrary slot list into a minimal sorted set of
-// contiguous runs. Duplicate slots are collapsed. The input is left
-// untouched; hot paths that own their slot buffer should use
-// AppendCoalesced to avoid the defensive copy.
-func Coalesce(slots []Slot) []Run {
-	if len(slots) == 0 {
-		return nil
-	}
-	s := append([]Slot(nil), slots...)
-	return AppendCoalesced(nil, s)
-}
-
-// AppendCoalesced coalesces slots into contiguous runs appended to dst,
-// which is returned like append. Unlike Coalesce it sorts slots in place,
-// so the caller must own the buffer; reusing dst across calls makes the
-// page-out and read-in hot paths allocation-free.
-func AppendCoalesced(dst []Run, slots []Slot) []Run {
-	if len(slots) == 0 {
-		return dst
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	cur := Run{Start: slots[0], N: 1}
-	for _, sl := range slots[1:] {
-		switch {
-		case sl == cur.End()-1: // duplicate
-		case sl == cur.End():
-			cur.N++
-		default:
-			dst = append(dst, cur)
-			cur = Run{Start: sl, N: 1}
-		}
-	}
-	return append(dst, cur)
-}
-
-// SplitRuns caps each run at maxPages, splitting longer extents. Used to
-// bound single-transaction sizes.
-func SplitRuns(runs []Run, maxPages int) []Run {
-	return AppendSplitRuns(nil, runs, maxPages)
-}
-
-// AppendSplitRuns appends runs to dst with each extent capped at maxPages,
-// returning dst like append. runs and dst must not alias.
-func AppendSplitRuns(dst []Run, runs []Run, maxPages int) []Run {
-	if maxPages <= 0 {
-		panic("disk: SplitRuns with non-positive cap")
-	}
-	for _, r := range runs {
-		for r.N > maxPages {
-			dst = append(dst, Run{Start: r.Start, N: maxPages})
-			r.Start += Slot(maxPages)
-			r.N -= maxPages
-		}
-		dst = append(dst, r)
-	}
-	return dst
 }

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,7 +27,7 @@ func TestSingleRequestTiming(t *testing.T) {
 	var svc sim.Duration
 	done := false
 	d.Submit(&Request{
-		Runs: []Run{{Start: 100, N: 16}},
+		Run:  Run{Start: 100, N: 16},
 		Done: func(s sim.Duration) { svc = s; done = true },
 	})
 	eng.Run()
@@ -46,9 +47,9 @@ func TestSequentialRunSkipsSeek(t *testing.T) {
 	eng, d := newTestDisk(t)
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 8}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 0, N: 8}, Done: rec})
 	// Next request starts exactly where the head lands: no seek.
-	d.Submit(&Request{Runs: []Run{{Start: 8, N: 8}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 8, N: 8}, Done: rec})
 	eng.Run()
 	if len(svcs) != 2 {
 		t.Fatalf("completions = %d", len(svcs))
@@ -69,10 +70,10 @@ func TestBlockVersusScattered(t *testing.T) {
 	// One 256-page sequential read must be far cheaper than 256 scattered
 	// single-page reads — the premise of block paging.
 	eng, d := newTestDisk(t)
-	block := d.ServiceTime(&Request{Runs: []Run{{Start: 1000, N: 256}}})
+	block := d.ServiceTime(&Request{Run: Run{Start: 1000, N: 256}})
 	var scattered sim.Duration
 	for i := 0; i < 256; i++ {
-		scattered += d.ServiceTime(&Request{Runs: []Run{{Start: Slot(i * 7), N: 1}}})
+		scattered += d.ServiceTime(&Request{Run: Run{Start: Slot(i * 7), N: 1}})
 	}
 	if scattered < 20*block {
 		t.Fatalf("scattered %v not ≫ block %v", scattered, block)
@@ -84,12 +85,12 @@ func TestDemandPreemptsQueuedBackground(t *testing.T) {
 	eng, d := newTestDisk(t)
 	var order []string
 	// First request occupies the disk.
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 1}}, Done: func(sim.Duration) { order = append(order, "first") }})
+	d.Submit(&Request{Run: Run{Start: 0, N: 1}, Done: func(sim.Duration) { order = append(order, "first") }})
 	// Queue a background then a demand request; demand must run first even
 	// though it arrived later.
-	d.Submit(&Request{Runs: []Run{{Start: 50, N: 1}}, Prio: Background, Write: true,
+	d.Submit(&Request{Run: Run{Start: 50, N: 1}, Prio: Background, Write: true,
 		Done: func(sim.Duration) { order = append(order, "bg") }})
-	d.Submit(&Request{Runs: []Run{{Start: 90, N: 1}},
+	d.Submit(&Request{Run: Run{Start: 90, N: 1},
 		Done: func(sim.Duration) { order = append(order, "demand") }})
 	eng.Run()
 	if len(order) != 3 || order[0] != "first" || order[1] != "demand" || order[2] != "bg" {
@@ -100,12 +101,12 @@ func TestDemandPreemptsQueuedBackground(t *testing.T) {
 func TestInServiceNotPreempted(t *testing.T) {
 	eng, d := newTestDisk(t)
 	var order []string
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 100}}, Prio: Background, Write: true,
+	d.Submit(&Request{Run: Run{Start: 0, N: 100}, Prio: Background, Write: true,
 		Done: func(sim.Duration) { order = append(order, "bg") }})
 	if !d.Busy() {
 		t.Fatal("disk should be busy immediately")
 	}
-	d.Submit(&Request{Runs: []Run{{Start: 500, N: 1}},
+	d.Submit(&Request{Run: Run{Start: 500, N: 1},
 		Done: func(sim.Duration) { order = append(order, "demand") }})
 	eng.Run()
 	if order[0] != "bg" {
@@ -115,8 +116,8 @@ func TestInServiceNotPreempted(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	eng, d := newTestDisk(t)
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 4}}})
-	d.Submit(&Request{Runs: []Run{{Start: 100, N: 6}}, Write: true, Prio: Background})
+	d.Submit(&Request{Run: Run{Start: 0, N: 4}})
+	d.Submit(&Request{Run: Run{Start: 100, N: 6}, Write: true, Prio: Background})
 	eng.Run()
 	st := d.Stats()
 	if st.Reads != 1 || st.Writes != 1 {
@@ -144,8 +145,8 @@ func TestTracerSeesTransfers(t *testing.T) {
 	d := New(eng, testParams())
 	ring := obs.NewRing(16)
 	d.SetObs(obs.NewNodeObs(nil, obs.NewBus(ring), 0))
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 10}}})
-	d.Submit(&Request{Runs: []Run{{Start: 99, N: 5}}, Write: true})
+	d.Submit(&Request{Run: Run{Start: 0, N: 10}})
+	d.Submit(&Request{Run: Run{Start: 99, N: 5}, Write: true})
 	eng.Run()
 	var calls, pages, writes int
 	var dur sim.Duration
@@ -172,9 +173,9 @@ func TestSubmitValidation(t *testing.T) {
 	eng, d := newTestDisk(t)
 	for _, bad := range []*Request{
 		{},
-		{Runs: []Run{{Start: 0, N: 0}}},
-		{Runs: []Run{{Start: -1, N: 1}}},
-		{Runs: []Run{{Start: 0, N: 1}}, Prio: Priority(7)},
+		{Run: Run{Start: 0, N: 0}},
+		{Run: Run{Start: -1, N: 1}},
+		{Run: Run{Start: 0, N: 1}, Prio: Priority(7)},
 	} {
 		func() {
 			defer func() {
@@ -198,91 +199,13 @@ func TestParamsValidation(t *testing.T) {
 	New(eng, Params{Seek: 1, Rot: 1, PerPage: 0})
 }
 
-func TestCoalesce(t *testing.T) {
-	runs := Coalesce([]Slot{5, 1, 2, 3, 9, 10, 3})
-	want := []Run{{1, 3}, {5, 1}, {9, 2}}
-	if len(runs) != len(want) {
-		t.Fatalf("runs = %v", runs)
-	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Fatalf("runs = %v, want %v", runs, want)
-		}
-	}
-	if Coalesce(nil) != nil {
-		t.Fatal("empty input should return nil")
-	}
-}
-
-// Property: Coalesce covers exactly the input slot set with disjoint,
-// sorted, maximal runs.
-func TestQuickCoalesce(t *testing.T) {
-	f := func(raw []uint16) bool {
-		slots := make([]Slot, len(raw))
-		set := map[Slot]bool{}
-		for i, v := range raw {
-			slots[i] = Slot(v)
-			set[Slot(v)] = true
-		}
-		runs := Coalesce(slots)
-		covered := map[Slot]bool{}
-		var prevEnd Slot = -1
-		for _, r := range runs {
-			if r.N <= 0 || r.Start <= prevEnd && prevEnd >= 0 {
-				return false // unsorted or touching runs (should be merged)
-			}
-			for s := r.Start; s < r.End(); s++ {
-				if covered[s] {
-					return false
-				}
-				covered[s] = true
-			}
-			prevEnd = r.End()
-		}
-		if len(covered) != len(set) {
-			return false
-		}
-		for s := range set {
-			if !covered[s] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(11))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitRuns(t *testing.T) {
-	out := SplitRuns([]Run{{0, 10}, {100, 3}}, 4)
-	want := []Run{{0, 4}, {4, 4}, {8, 2}, {100, 3}}
-	if len(out) != len(want) {
-		t.Fatalf("split = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("split = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestSplitRunsBadCapPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	SplitRuns([]Run{{0, 1}}, 0)
-}
-
 // Property: service time is monotonic in page count for a fixed start.
 func TestQuickServiceMonotonic(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := New(eng, testParams())
 	f := func(n uint8) bool {
-		a := d.ServiceTime(&Request{Runs: []Run{{Start: 1000, N: int(n) + 1}}})
-		b := d.ServiceTime(&Request{Runs: []Run{{Start: 1000, N: int(n) + 2}}})
+		a := d.ServiceTime(&Request{Run: Run{Start: 1000, N: int(n) + 1}})
+		b := d.ServiceTime(&Request{Run: Run{Start: 1000, N: int(n) + 2}})
 		return b > a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(12))}); err != nil {
@@ -293,7 +216,7 @@ func TestQuickServiceMonotonic(t *testing.T) {
 func TestMaxQueueLenTracked(t *testing.T) {
 	eng, d := newTestDisk(t)
 	for i := 0; i < 5; i++ {
-		d.Submit(&Request{Runs: []Run{{Start: Slot(i * 10), N: 1}}})
+		d.Submit(&Request{Run: Run{Start: Slot(i * 10), N: 1}})
 	}
 	eng.Run()
 	if d.Stats().MaxQueueLen != 4 { // first goes straight to service
@@ -307,5 +230,31 @@ func TestPriorityString(t *testing.T) {
 	}
 	if Priority(9).String() != "priority(9)" {
 		t.Fatalf("unknown priority string = %q", Priority(9).String())
+	}
+}
+
+// TestDoneMayResubmit reuses one request from its own Done, as the VM
+// reuses its transfer records: the disk reads nothing of a request once it
+// calls Done, so each service is priced from the run it was submitted with.
+func TestDoneMayResubmit(t *testing.T) {
+	eng, d := newTestDisk(t)
+	var svcs []sim.Duration
+	r := &Request{Run: Run{Start: 0, N: 8}}
+	r.Done = func(s sim.Duration) {
+		svcs = append(svcs, s)
+		if len(svcs) < 3 {
+			r.Run = Run{Start: r.Run.End() + 100, N: 4}
+			d.Submit(r)
+		}
+	}
+	d.Submit(r)
+	eng.Run()
+	seek := 8*sim.Millisecond + 4*sim.Millisecond
+	want := []sim.Duration{seek + 800*sim.Microsecond, seek + 400*sim.Microsecond, seek + 400*sim.Microsecond}
+	if !slices.Equal(svcs, want) {
+		t.Fatalf("services = %v, want %v", svcs, want)
+	}
+	if st := d.Stats(); st.Submitted != 3 || st.Completed != 3 || st.Seeks != 3 || st.PagesRead != 16 || d.Busy() {
+		t.Fatalf("stats after three services: %+v, busy %v", st, d.Busy())
 	}
 }

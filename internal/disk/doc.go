@@ -11,11 +11,11 @@
 // in-service request is never preempted — matching the paper's description
 // of the background writer as a lower-priority kswapd activity.
 //
-// Requests name slot runs (contiguous extents on the device, one page per
-// slot). Service time is
+// A request names one slot run (a contiguous extent on the device, one page
+// per slot). Its service time is
 //
-//	Σ over runs: (seek + rotational, unless the run starts where the head
-//	              already is) + pages × transfer
+//	(seek + rotational, unless the run starts where the head already is)
+//	  + pages × transfer
 //
 // so a 256-page sequential read costs one seek while 256 scattered reads
 // cost 256 of them — roughly the 40× gap measured on hardware of the

@@ -21,11 +21,11 @@ func TestElevatorServesNearestUpward(t *testing.T) {
 	}
 	// First request positions the head at 100+1=101 and occupies the disk;
 	// the rest queue and must be served in SCAN order from 101.
-	d.Submit(&Request{Runs: []Run{{Start: 100, N: 1}}, Done: rec(100)})
-	d.Submit(&Request{Runs: []Run{{Start: 5000, N: 1}}, Done: rec(5000)})
-	d.Submit(&Request{Runs: []Run{{Start: 200, N: 1}}, Done: rec(200)})
-	d.Submit(&Request{Runs: []Run{{Start: 50, N: 1}}, Done: rec(50)})
-	d.Submit(&Request{Runs: []Run{{Start: 900, N: 1}}, Done: rec(900)})
+	d.Submit(&Request{Run: Run{Start: 100, N: 1}, Done: rec(100)})
+	d.Submit(&Request{Run: Run{Start: 5000, N: 1}, Done: rec(5000)})
+	d.Submit(&Request{Run: Run{Start: 200, N: 1}, Done: rec(200)})
+	d.Submit(&Request{Run: Run{Start: 50, N: 1}, Done: rec(50)})
+	d.Submit(&Request{Run: Run{Start: 900, N: 1}, Done: rec(900)})
 	eng.Run()
 	want := []Slot{100, 200, 900, 5000, 50} // upward sweep, then below
 	if len(order) != len(want) {
@@ -45,7 +45,7 @@ func TestElevatorCheaperThanFIFOOnScatteredLoad(t *testing.T) {
 		// Scattered single-page reads submitted in a worst-case zig-zag.
 		for i := 0; i < 64; i++ {
 			slot := Slot(i * 997 % 64 * 1000)
-			d.Submit(&Request{Runs: []Run{{Start: slot, N: 1}}})
+			d.Submit(&Request{Run: Run{Start: slot, N: 1}})
 		}
 		eng.Run()
 		return eng.Now()
@@ -67,7 +67,7 @@ func TestElevatorBinaryModelOrderStillValid(t *testing.T) {
 	d := New(eng, elevatorParams())
 	n := 0
 	for i := 0; i < 20; i++ {
-		d.Submit(&Request{Runs: []Run{{Start: Slot((i * 7) % 20 * 50), N: 1}},
+		d.Submit(&Request{Run: Run{Start: Slot((i * 7) % 20 * 50), N: 1},
 			Done: func(sim.Duration) { n++ }})
 	}
 	eng.Run()

@@ -13,13 +13,13 @@ func TestIdleResyncChargesRotation(t *testing.T) {
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
 
 	// First request: full seek.
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 8}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 0, N: 8}, Done: rec})
 	eng.Run() // disk drains and goes idle
 
 	// Adjacent request after idle: the platter rotated away, so resuming
 	// the stream costs two average rotational latencies (≈ one full
 	// revolution), not a free continuation.
-	d.Submit(&Request{Runs: []Run{{Start: 8, N: 8}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 8, N: 8}, Done: rec})
 	eng.Run()
 	want := 2*4*sim.Millisecond + 8*100*sim.Microsecond
 	if svcs[1] != want {
@@ -27,8 +27,8 @@ func TestIdleResyncChargesRotation(t *testing.T) {
 	}
 
 	// Back-to-back adjacent requests (queued while busy) stream for free.
-	d.Submit(&Request{Runs: []Run{{Start: 16, N: 8}}, Done: rec})
-	d.Submit(&Request{Runs: []Run{{Start: 24, N: 8}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 16, N: 8}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 24, N: 8}, Done: rec})
 	eng.Run()
 	// The first of the two paid the resync (disk was idle), the second
 	// was queued behind it and streams.
@@ -42,10 +42,10 @@ func TestIdleResyncNotChargedWhenSeeking(t *testing.T) {
 	d := New(eng, testParams())
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
-	d.Submit(&Request{Runs: []Run{{Start: 0, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 0, N: 1}, Done: rec})
 	eng.Run()
 	// Non-adjacent after idle: plain seek+rot, no extra resync on top.
-	d.Submit(&Request{Runs: []Run{{Start: 5000, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 5000, N: 1}, Done: rec})
 	eng.Run()
 	want := 8*sim.Millisecond + 4*sim.Millisecond + 100*sim.Microsecond
 	if svcs[1] != want {
@@ -64,13 +64,13 @@ func TestPositionalSeekModel(t *testing.T) {
 	// Establish head position at 1000.
 	var svcs []sim.Duration
 	rec := func(s sim.Duration) { svcs = append(svcs, s) }
-	d.Submit(&Request{Runs: []Run{{Start: 999, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 999, N: 1}, Done: rec})
 	// Near hop (distance 100 <= 512): NearPenalty only.
-	d.Submit(&Request{Runs: []Run{{Start: 1100, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 1100, N: 1}, Done: rec})
 	// Mid-distance hop: between MinSeek+Rot and Seek+Rot.
-	d.Submit(&Request{Runs: []Run{{Start: 1101 + 1<<19, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 1101 + 1<<19, N: 1}, Done: rec})
 	// Beyond full stroke: saturates at Seek+Rot.
-	d.Submit(&Request{Runs: []Run{{Start: 1101 + 1<<19 + 1 + 1<<21, N: 1}}, Done: rec})
+	d.Submit(&Request{Run: Run{Start: 1101 + 1<<19 + 1 + 1<<21, N: 1}, Done: rec})
 	eng.Run()
 	tr := 100 * sim.Microsecond
 	if svcs[1] != 1*sim.Millisecond+tr {
@@ -109,29 +109,28 @@ func TestDefaultParamsAreBinaryModel(t *testing.T) {
 func TestFirstAccessAlwaysSeeks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := New(eng, testParams())
-	svc := d.ServiceTime(&Request{Runs: []Run{{Start: 0, N: 1}}})
+	svc := d.ServiceTime(&Request{Run: Run{Start: 0, N: 1}})
 	if svc != 8*sim.Millisecond+4*sim.Millisecond+100*sim.Microsecond {
 		t.Fatalf("first access = %v, want full seek", svc)
 	}
 }
 
-func BenchmarkSubmitDrain(b *testing.B) {
+// BenchmarkDiskRequest is one demand request through the model, from
+// Submit to its completion, with the request reused as the VM reuses its
+// transfer records. It allocates nothing once the engine's event pool is
+// warm.
+func BenchmarkDiskRequest(b *testing.B) {
 	eng := sim.NewEngine(1)
 	d := New(eng, DefaultParams())
+	done := 0
+	r := &Request{Done: func(sim.Duration) { done++ }}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Submit(&Request{Runs: []Run{{Start: Slot(i % 100000), N: 16}}})
+		r.Run = Run{Start: Slot(i % 100000), N: 16}
+		d.Submit(r)
 		eng.Run()
 	}
-}
-
-func BenchmarkCoalesce(b *testing.B) {
-	slots := make([]Slot, 4096)
-	for i := range slots {
-		slots[i] = Slot((i * 7919) % 16384)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Coalesce(slots)
+	if done != b.N {
+		b.Fatalf("%d of %d requests completed", done, b.N)
 	}
 }

@@ -160,9 +160,9 @@ type Options struct {
 	// recent spans) whenever the auditor trips or the fault injector
 	// crashes a node.
 	FlightTo io.Writer
-	// Flight forces the flight-recorder ring (and therefore the event bus)
-	// even when no other event destination is configured — the auditor sets
-	// it so violation reports always have an event tail.
+	// Flight attaches the flight-recorder ring (and therefore the event
+	// bus) without a FlightTo writer — the auditor sets it so violation
+	// reports always have an event tail.
 	Flight bool
 }
 
@@ -194,9 +194,10 @@ func (o *Options) WithSinks(sinks ...Sink) *Options {
 }
 
 // Build assembles the bus, sinks, registry and tracer an Options
-// describes. A nil receiver yields a nil Setup. Whenever any event
-// destination exists the flight-recorder ring rides along as an extra
-// sink: a fixed-size always-on tail for post-mortem dumps.
+// describes. A nil receiver yields a nil Setup. When Flight or FlightTo
+// asks for it, the flight-recorder ring rides along as an extra sink: a
+// fixed-size tail for post-mortem dumps. A run whose sinks only fold
+// events does not copy every event into a ring that nothing reads.
 func (o *Options) Build() *Setup {
 	if o == nil {
 		return nil
@@ -211,9 +212,11 @@ func (o *Options) Build() *Setup {
 		s.ring = NewRing(capacity)
 		sinks = append(sinks, s.ring)
 	}
-	if len(sinks) > 0 || o.Flight || o.FlightTo != nil {
+	if o.Flight || o.FlightTo != nil {
 		s.flight = NewRing(DefaultFlightCap)
 		sinks = append(sinks, s.flight)
+	}
+	if len(sinks) > 0 {
 		s.Bus = NewBus(sinks...)
 	}
 	if o.Metrics {
@@ -256,8 +259,8 @@ func (s *Setup) Spans() []Span {
 	return s.Tracer.Spans()
 }
 
-// Flight returns the always-on flight-recorder ring (nil when the run
-// had no event destination at all).
+// Flight returns the flight-recorder ring (nil unless Flight or FlightTo
+// was set).
 func (s *Setup) Flight() *Ring {
 	if s == nil {
 		return nil

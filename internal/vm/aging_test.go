@@ -186,6 +186,35 @@ func TestReadInRetryDropsPagesReadElsewhere(t *testing.T) {
 	}
 }
 
+// TestReadInRetryAbandonedAfterExit destroys a process while its prefetch
+// waits for memory: the retry must drop the read and fire onDone, not take
+// frames for the dead address space, which nothing would ever free.
+func TestReadInRetryAbandonedAfterExit(t *testing.T) {
+	r := newRig(t, 64, 2, 4, Config{})
+	for _, p := range []struct{ pid, pages int }{{2, 8}, {1, 64}} {
+		r.vm.NewProcess(p.pid, p.pages)
+		r.touchAll(t, p.pid, p.pages, true)
+		r.vm.ReclaimFrom(p.pid, p.pages)
+		r.eng.Run()
+	}
+	// Process 1's read-back pins every frame, so process 2's prefetch has
+	// to wait for memory.
+	r.vm.ReadPagesIn(1, seqPages(64), disk.Demand, nil)
+	done := false
+	r.vm.ReadPagesIn(2, seqPages(8), disk.Demand, func() { done = true })
+	r.vm.DestroyProcess(2)
+	r.eng.Run()
+	if !done {
+		t.Fatal("the abandoned prefetch never fired onDone")
+	}
+	if free, res := r.phys.NumFree(), r.vm.Process(1).Resident(); free+res != 64 {
+		t.Fatalf("%d free + %d resident frames of 64: the dead process kept %d", free, res, 64-free-res)
+	}
+	if err := r.vm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkFaultPathMajor(b *testing.B) {
 	b.ReportAllocs()
 	// One process bigger than memory; every fault is a major fault with

@@ -126,9 +126,11 @@ func BenchmarkFault(b *testing.B) {
 	})
 }
 
-// TestFaultAllocFree pins the allocation-free fault path: once the
-// fault-wait pool is warm, a demand-zero fill and a minor fault on a
-// resident page allocate nothing, from the trap to the resume.
+// TestFaultAllocFree pins the allocation-free fault and I/O paths: once
+// the pools are warm, a demand-zero fill, a minor fault on a resident page,
+// a major fault through its read completion (with the clean page-out that
+// sets up the next one), and a write-back pass through its write completion
+// allocate nothing.
 func TestFaultAllocFree(t *testing.T) {
 	r := newRig(t, 1024, 0, 0, Config{})
 	as, _ := r.vm.NewProcess(1, 512)
@@ -152,6 +154,43 @@ func TestFaultAllocFree(t *testing.T) {
 	}
 	if as.Resident() != next {
 		t.Fatalf("resident = %d after %d zero fills", as.Resident(), next)
+	}
+
+	// Process 2's written image goes to swap. Each major fault reads the
+	// next read-ahead group back, and paging that group out again is free:
+	// its pages are clean copies of their slots.
+	const pages = 256
+	swapped, _ := r.vm.NewProcess(2, pages)
+	r.touchAll(t, 2, pages, true)
+	r.vm.ReclaimFrom(2, pages)
+	r.eng.Run()
+	ra := r.vm.Config().ReadAhead
+	vp, evicted, in := 0, 0, r.vm.Stats().PagesIn
+	major := func() {
+		r.vm.Fault(swapped, vp, false, resume)
+		r.eng.Run()
+		evicted += r.vm.ReclaimFrom(2, pages)
+		vp = (vp + ra) % pages
+	}
+	runs := testing.AllocsPerRun(100, major) // plus one warm-up run
+	if runs != 0 {
+		t.Errorf("major fault allocates %v times", runs)
+	}
+	if got := r.vm.Stats().PagesIn - in; got != int64(101*ra) || evicted != 101*ra || swapped.Resident() != 0 {
+		t.Fatalf("101 major faults read %d pages and evicted %d, want %d each", got, evicted, 101*ra)
+	}
+
+	written := r.vm.Stats().PagesOut
+	writeBack := func() {
+		r.vm.TouchRun(as, 0, 64, true, r.eng.Now())
+		r.vm.WriteBackDirty(1, 64, disk.Background)
+		r.eng.Run()
+	}
+	if n := testing.AllocsPerRun(100, writeBack); n != 0 {
+		t.Errorf("write-back pass allocates %v times", n)
+	}
+	if got := r.vm.Stats().BGPagesOut; got != 101*64 || r.vm.PendingWriteBacks() != 0 || r.vm.Stats().PagesOut != written {
+		t.Fatalf("101 write-back passes wrote %d pages (%d pending), want %d", got, r.vm.PendingWriteBacks(), 101*64)
 	}
 }
 

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/disk"
 	"repro/internal/mem"
@@ -329,9 +328,10 @@ func (v *VM) zeroFillFault(as *AddressSpace) {
 
 // ReadPagesIn brings the listed pages of pid into memory with batched,
 // coalesced disk reads (the adaptive page-in primitive). Pages that are
-// resident, already in flight, or demand-zero are skipped. onDone, if
-// non-nil, fires once every transfer issued by this call has completed;
-// it fires immediately if nothing needed reading.
+// resident, already in flight, or demand-zero are skipped; a page listed
+// twice is a caller bug and panics. onDone, if non-nil, fires once every
+// transfer issued by this call has completed; it fires immediately if
+// nothing needed reading.
 func (v *VM) ReadPagesIn(pid int, vpages []int, prio disk.Priority, onDone func()) {
 	v.ReadPagesInTraced(pid, vpages, prio, 0, onDone)
 }
@@ -357,7 +357,7 @@ func (v *VM) ReadPagesInTraced(pid int, vpages []int, prio disk.Priority, parent
 		}
 		return
 	}
-	sort.Ints(group)
+	v.orderPages(as, group)
 	v.readIn(as, group, prio, parent, onDone)
 }
 
@@ -373,8 +373,9 @@ const reclaimRetryDelay = 500 * sim.Microsecond
 // meantime are dropped from the group (their waiters fire with those
 // transfers).
 //
-// readIn owns group: the buffer comes from the VM's pool and is returned to
-// it once no transfer or retry can reference it any longer.
+// readIn owns group, a pooled buffer of ascending vpages: it returns it to
+// the pool, or hands it to the read's batch, which returns it once the
+// last transfer lands.
 func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
 	// Re-filter: on a retry some pages may have landed via other requests.
 	filtered := v.getGroup()
@@ -395,25 +396,12 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	avail := v.ensureFree(len(group))
 	if avail < len(group) {
 		if avail < 1 {
-			epoch := v.epoch
-			v.eng.ScheduleDetached(reclaimRetryDelay, func() {
-				if v.epoch != epoch {
-					// Node crashed while waiting for memory: abandon the
-					// read (waiters were resumed by Crash).
-					v.putGroup(group)
-					if onDone != nil {
-						onDone()
-					}
-					return
-				}
-				v.readIn(as, group, prio, parent, onDone)
-			})
+			v.retryReadIn(as, group, prio, parent, onDone)
 			return
 		}
 		group = group[:avail]
 	}
 	now := v.eng.Now()
-	slots := v.slotScratch[:0]
 	for i, vp := range group {
 		fid, ok := v.phys.Alloc(as.pid, int32(vp))
 		if !ok {
@@ -423,9 +411,7 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 		}
 		v.mapFrame(as, vp, fid, now)
 		as.inFlight[vp] = true
-		slots = append(slots, as.region.SlotFor(vp))
 	}
-	v.slotScratch = slots[:0]
 	if len(group) == 0 {
 		v.putGroup(group)
 		if onDone != nil {
@@ -436,33 +422,31 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	if v.acct != nil {
 		v.acct.MapInFlight(len(group))
 	}
-	// Slots ascend with group (swap regions are contiguous), so coalesced
-	// runs taken in order correspond to ascending chunks of group.
-	runs := v.coalesceSplit(slots)
+	// One request per run; each completion marks its run's pages resident.
+	b := v.getBatch()
+	b.as, b.group, b.onDone = as, group, onDone
+	v.submitBatch(b, v.coalesceSplit(as, group), prio, parent)
+}
 
-	// Issue one request per run; completion marks that run's pages. The
-	// group buffer is recycled when the last transfer lands.
-	remaining := len(runs)
-	idx := 0
-	for _, r := range runs {
-		pages := group[idx : idx+r.N]
-		idx += r.N
-		v.dsk.Submit(&disk.Request{
-			Runs:   []disk.Run{r},
-			Prio:   prio,
-			Parent: parent,
-			Done: func(sim.Duration) {
-				v.completeRead(as, pages)
-				remaining--
-				if remaining == 0 {
-					v.putGroup(group)
-					if onDone != nil {
-						onDone()
-					}
-				}
-			},
-		})
-	}
+// retryReadIn runs readIn on group again after reclaimRetryDelay, unless the
+// node crashes or the process exits first. It is a function of its own so
+// that only a retry, not every read, moves readIn's arguments to the heap.
+func (v *VM) retryReadIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
+	epoch := v.epoch
+	v.eng.ScheduleDetached(reclaimRetryDelay, func() {
+		if v.epoch != epoch || as.gone {
+			// Node crashed (Crash resumed the waiters) or the process was
+			// destroyed (its waiters went with it) while waiting for
+			// memory: abandon the read. Reading into a destroyed address
+			// space would leak every frame it took.
+			v.putGroup(group)
+			if onDone != nil {
+				onDone()
+			}
+			return
+		}
+		v.readIn(as, group, prio, parent, onDone)
+	})
 }
 
 func (v *VM) completeRead(as *AddressSpace, pages []int) {

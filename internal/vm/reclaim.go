@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/disk"
 	"repro/internal/mem"
@@ -20,7 +19,7 @@ type victim struct {
 }
 
 // aged pairs a virtual page with its frame's last-use time; scratch element
-// for the oldest-first and youngest-first selections.
+// for the youngest-first write-back selection.
 type aged struct {
 	vp   int
 	last sim.Time
@@ -68,13 +67,25 @@ func agedSiftDown(heap []aged) {
 	}
 }
 
-// oldestFirst orders the page-out candidates by (lastUse, vpage). It is a
-// total order, so the sorted prefix does not depend on the sort algorithm.
-func oldestFirst(a, b aged) int {
+// ageRun is a stretch of oldestOf's candidates that are consecutive in
+// ascending vpage order and share one last-use time: the candidates
+// first..first+n-1 of the VM's vpage scratch.
+type ageRun struct {
+	last  sim.Time
+	first int
+	n     int
+}
+
+// runFirst orders page-out runs by (last use, first candidate). Runs are
+// disjoint stretches of the ascending candidate list, so of two runs with
+// one time, the one that starts first lies wholly below the other, and
+// expanding the runs in this order lists the pages in (last use, vpage)
+// order.
+func runFirst(a, b ageRun) int {
 	if c := cmp.Compare(a.last, b.last); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.vp, b.vp)
+	return cmp.Compare(a.first, b.first)
 }
 
 // dirtyWord is one non-empty dirty-map word queued for the write-back
@@ -297,45 +308,60 @@ func (v *VM) resetSwapCnt() {
 	}
 }
 
-// clockSweep advances pid's clock hand over its address space for at most
-// one revolution, selecting up to max unreferenced pages and clearing
-// reference bits as it goes. One revolution per call matters: a process
-// that re-touches its pages between reclaim passes keeps them protected
-// (second-chance), while a stopped process's bits decay and its pages
-// become victims — the dynamics behind the paper's false-eviction
-// observation.
+// clockSweep advances as's clock hand for at most one revolution,
+// selecting up to max unreferenced pages and clearing reference bits as it
+// goes. One revolution per call matters: a process that re-touches its
+// pages between reclaim passes keeps them protected (second-chance), while
+// a stopped process's bits decay and its pages become victims — the
+// dynamics behind the paper's false-eviction observation.
+//
+// The candidates are the resident pages the pass has not taken. The sweep
+// finds them a bitmap word at a time and steps over every other page
+// without visiting it. It examines at most scanMax candidates and stops
+// with the hand just past the page that reached either limit, or, after a
+// whole revolution, where it started.
 func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass *reclaimPass) (scanned, got int) {
 	if as.resident-pass.takenFrom(as) <= 0 || max <= 0 || scanMax <= 0 {
 		return 0, 0
 	}
-	hand := as.hand
-	for step := 0; step < as.numPages && got < max && scanned < scanMax; step++ {
-		vp := hand
-		hand++
-		if hand >= as.numPages {
-			hand = 0
+	start := as.hand
+	for _, seg := range [2][2]int{{start, as.numPages}, {0, start}} {
+		for lo, hi := seg[0], seg[1]; lo < hi; lo = (lo | 63) + 1 {
+			wi := lo >> 6
+			w := as.settled[wi] & (^uint64(0) << (uint(lo) & 63))
+			if end := wi<<6 + 64; end > hi {
+				w &= ^uint64(0) >> uint(end-hi)
+			}
+			if as.passGen == pass.gen {
+				w &^= as.passTaken[wi]
+			}
+			for ; w != 0; w &= w - 1 {
+				vp := wi<<6 + bits.TrailingZeros64(w)
+				scanned++
+				pass.scanned++
+				switch {
+				case bit(as.ref, vp):
+					// Referenced since the last revolution: rejuvenate.
+					clearBit(as.ref, vp)
+					as.age[vp] = uint8(min(int(as.age[vp])+v.cfg.AgeAdvance, v.cfg.AgeMax))
+				case as.age[vp] > 0:
+					// Cold but not yet old enough: decay towards evictable.
+					as.age[vp]--
+				default:
+					*out = append(*out, victim{as, vp})
+					pass.add(as, vp)
+					got++
+				}
+				if got == max || scanned == scanMax {
+					as.hand = vp + 1
+					if as.hand == as.numPages {
+						as.hand = 0
+					}
+					return scanned, got
+				}
+			}
 		}
-		if !bit(as.settled, vp) || pass.has(as, vp) {
-			continue
-		}
-		scanned++
-		pass.scanned++
-		if bit(as.ref, vp) {
-			// Referenced since the last revolution: rejuvenate.
-			clearBit(as.ref, vp)
-			as.age[vp] = uint8(min(int(as.age[vp])+v.cfg.AgeAdvance, v.cfg.AgeMax))
-			continue
-		}
-		if as.age[vp] > 0 {
-			// Cold but not yet old enough: decay towards evictable.
-			as.age[vp]--
-			continue
-		}
-		*out = append(*out, victim{as, vp})
-		pass.add(as, vp)
-		got++
 	}
-	as.hand = hand
 	return scanned, got
 }
 
@@ -359,30 +385,52 @@ func (v *VM) selectSelective(target int, out []victim, pass *reclaimPass) []vict
 // oldestOf appends up to max of as's resident pages to out, oldest first,
 // skipping pages the current pass has already selected and marking the ones
 // it takes. It returns out like append.
+//
+// It sorts runs, not pages. The candidates are collected in ascending vpage
+// order and cut into runs wherever the last-use time changes; the runs are
+// sorted by (time, first candidate) and expanded in that order until max
+// pages are out. That is the (last use, vpage) order of a sort of every
+// page (see runFirst), at the cost of sorting a handful of runs: a touch
+// chunk stamps thousands of pages with one time.
 func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass) []victim {
 	if as.resident == 0 || max <= 0 {
 		return out
 	}
-	cand := v.agedScratch[:0]
+	if cap(v.vpScratch) < as.resident {
+		v.vpScratch = make([]int, 0, as.resident)
+	}
+	vps, runs := v.vpScratch[:0], v.ageRuns[:0]
+	taken := as.passGen == pass.gen
 	for wi, w := range as.settled {
+		if taken {
+			w &^= as.passTaken[wi]
+		}
 		for ; w != 0; w &= w - 1 {
 			vp := wi<<6 + bits.TrailingZeros64(w)
-			if !pass.has(as, vp) {
-				cand = append(cand, aged{vp, as.lastUsed(vp)})
+			if last, n := as.lastUsed(vp), len(runs); n > 0 && runs[n-1].last == last {
+				runs[n-1].n++
+			} else {
+				runs = append(runs, ageRun{last, len(vps), 1})
 			}
+			vps = append(vps, vp)
 		}
 	}
-	pass.scanned += len(cand)
-	// A top-k would not pay here: page-out usually keeps most candidates.
-	slices.SortFunc(cand, oldestFirst)
-	v.agedScratch = cand[:0]
-	if len(cand) > max {
-		cand = cand[:max]
+	pass.scanned += len(vps)
+	slices.SortFunc(runs, runFirst)
+	left := min(max, len(vps))
+	out = slices.Grow(out, left)
+	for _, r := range runs {
+		if left == 0 {
+			break
+		}
+		n := min(r.n, left)
+		for _, vp := range vps[r.first : r.first+n] {
+			out = append(out, victim{as, vp})
+			pass.add(as, vp)
+		}
+		left -= n
 	}
-	for _, c := range cand {
-		out = append(out, victim{as, c.vp})
-		pass.add(as, c.vp)
-	}
+	v.vpScratch, v.ageRuns = vps[:0], runs[:0]
 	return out
 }
 
@@ -390,14 +438,14 @@ func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass
 // and queues one coalesced write-back per owning process for the dirty
 // ones. Clean pages whose swap copy is valid are dropped for free.
 func (v *VM) evict(victims []victim, prio disk.Priority) {
-	// Dirty batches are keyed per owning process but kept in a slice in
-	// first-appearance order: map iteration order would randomise the disk
-	// submission order across runs and break reproducibility. The batch
-	// slice and its per-batch slot buffers are VM scratch, reused across
-	// evictions.
+	// Dirty victims are batched per owning process, in first-appearance
+	// order (the disk submission order must not depend on anything else).
+	// Victims come in stretches of one process, so the batch is looked up
+	// once per stretch, among the few batches of this call. The batch slice
+	// is VM scratch, reused across evictions.
 	batches := v.batchScratch[:0]
-	batchOf := v.batchOf
-	clear(batchOf)
+	var batchAS *AddressSpace
+	bi := 0
 	dirtied := 0
 	for _, vi := range victims {
 		as, vp := vi.as, vi.vpage
@@ -407,19 +455,16 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 		if bit(as.dirtyMap, vp) {
 			dirtied++
 			clearBit(as.dirtyMap, vp)
-			i, ok := batchOf[as]
-			if !ok {
-				i = len(batches)
-				batchOf[as] = i
-				if i < cap(batches) {
-					batches = batches[:i+1]
-					batches[i].as = as
-				} else {
-					batches = append(batches, dirtyBatch{as: as})
+			if as != batchAS {
+				batchAS, bi = as, 0
+				for bi < len(batches) && batches[bi].as != as {
+					bi++
 				}
-				batches[i].pages = v.getGroup()
+				if bi == len(batches) {
+					batches = append(batches, dirtyBatch{as: as, pages: v.getGroup()})
+				}
 			}
-			batches[i].pages = append(batches[i].pages, vp)
+			batches[bi].pages = append(batches[bi].pages, vp)
 			v.queueWriteBack(as, vp)
 		}
 		clearBit(as.settled, vp)
@@ -478,48 +523,23 @@ func (v *VM) queueWriteBack(as *AddressSpace, vp int) {
 }
 
 // submitWriteBack issues coalesced write transactions for the listed pages
-// of as, taking ownership of pages (a pooled group buffer). Slots ascend
-// with page numbers inside one region, so after sorting, each coalesced run
-// corresponds to a consecutive chunk of pages — the completion of each
-// transaction marks exactly its chunk's slots valid, and the buffer is
-// recycled when the last one lands. This mirrors readIn on the read side.
+// of as, taking ownership of pages (a pooled group buffer, distinct
+// vpages). Ordered ascending, the pages fall into coalesceSplit's runs in
+// order, so each transaction's completion marks exactly its chunk's slots
+// valid, and the buffer is recycled when the last one lands. This mirrors
+// readIn on the read side.
 func (v *VM) submitWriteBack(as *AddressSpace, pages []int, prio disk.Priority) {
-	sort.Ints(pages)
-	slots := v.slotScratch[:0]
-	for _, vp := range pages {
-		slots = append(slots, as.region.SlotFor(vp))
-	}
-	v.slotScratch = slots[:0]
-	runs := v.coalesceSplit(slots)
-	remaining := len(runs)
-	idx := 0
-	d := v.drain
+	v.orderPages(as, pages)
+	runs := v.coalesceSplit(as, pages)
+	b := v.getBatch()
+	b.as, b.group, b.write, b.drain = as, pages, true, v.drain
 	var parent obs.SpanID
-	if d != nil {
+	if d := v.drain; d != nil {
 		d.pending += len(runs)
 		d.pages += len(pages)
 		parent = d.span
 	}
-	for _, r := range runs {
-		chunk := pages[idx : idx+r.N]
-		idx += r.N
-		v.dsk.Submit(&disk.Request{
-			Runs:   []disk.Run{r},
-			Write:  true,
-			Prio:   prio,
-			Parent: parent,
-			Done: func(sim.Duration) {
-				v.completeWrite(as, chunk)
-				remaining--
-				if remaining == 0 {
-					v.putGroup(pages)
-				}
-				if d != nil {
-					d.complete(v.eng.Now())
-				}
-			},
-		})
-	}
+	v.submitBatch(b, runs, prio, parent)
 }
 
 // completeWrite records that one write transaction reached the device: its
@@ -544,15 +564,6 @@ func (v *VM) completeWrite(as *AddressSpace, pages []int) {
 	if v.acct != nil {
 		v.acct.WBLanded(len(pages))
 	}
-}
-
-// coalesceSplit coalesces slots (sorting them in place) and splits the runs
-// at the transaction cap, using the VM's run scratch buffers. The returned
-// slice is valid until the next coalesceSplit call; Submit copies each run.
-func (v *VM) coalesceSplit(slots []disk.Slot) []disk.Run {
-	v.runScratch = disk.AppendCoalesced(v.runScratch[:0], slots)
-	v.splitScratch = disk.AppendSplitRuns(v.splitScratch[:0], v.runScratch, v.cfg.MaxIOPages)
-	return v.splitScratch
 }
 
 // ReclaimFrom evicts up to max resident pages of pid, oldest first,

@@ -13,12 +13,13 @@ import (
 	"repro/internal/sim"
 )
 
-// The references below are the selections the bounded ones replaced: the
-// write-back pass scanned every dirty page into its bounded heap, and
-// oldest-first page-out sorted every resident page with a reflective sort.
-// (last use, vpage) is a total order, so the faster selections must pick
-// exactly the same pages, and page-out must evict them in the same order.
-// Both read last use through the address space's accessor (lastUsed).
+// The references below are the selections the faster ones replaced: the
+// write-back pass scanned every dirty page into its bounded heap,
+// oldest-first page-out sorted every resident page with a reflective sort,
+// and the clock sweep visited every page of its revolution. (last use,
+// vpage) is a total order, so the faster selections must pick exactly the
+// same pages, and page-out must evict them in the same order. The first two
+// read last use through the address space's accessor (lastUsed).
 
 // refYoungestDirty is the full dirty-map scan: every dirty page goes through
 // the bounded heap. It returns the kept pages in ascending order.
@@ -70,6 +71,110 @@ func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 		pages = append(pages, c.vp)
 	}
 	return pages
+}
+
+// pageOut is one eviction as OnPageOut reports it.
+type pageOut struct{ pid, vp int }
+
+// sweepState is one process's clock state as the default-policy reference
+// sees it: copies of what a reclaim pass changes (reference bits, ages, the
+// hand and the swap_out scan counter) and the pages the pass has taken.
+type sweepState struct {
+	as            *AddressSpace
+	ref           []uint64
+	age           []uint8
+	hand, swapCnt int
+	taken         map[int]bool
+}
+
+// refReclaimDefault computes a default-policy Reclaim(target) on copies of
+// the clock state: the swap_out rotation and blind block expansion as the
+// VM does them, around the per-page clock sweep (refClockSweep). It returns
+// the pages in eviction order and every process's clock state afterwards.
+func refReclaimDefault(v *VM, target int) ([]pageOut, []*sweepState) {
+	var states []*sweepState
+	for _, as := range v.procs {
+		states = append(states, &sweepState{as: as, ref: slices.Clone(as.ref), age: slices.Clone(as.age),
+			hand: as.hand, swapCnt: as.swapCnt, taken: map[int]bool{}})
+	}
+	var out []pageOut
+	for cycles := 0; len(out) < target && cycles < 3; {
+		var next *sweepState
+		for _, s := range states {
+			if s.as.resident > 0 && s.swapCnt > 0 && (next == nil || s.swapCnt > next.swapCnt) {
+				next = s
+			}
+		}
+		if next == nil {
+			cycles++
+			for _, s := range states {
+				s.swapCnt = s.as.resident
+			}
+			continue
+		}
+		if scanned := refClockSweep(v.cfg, next, next.swapCnt, target-len(out), &out); scanned == 0 {
+			next.swapCnt = 0
+		} else {
+			next.swapCnt = max(next.swapCnt-scanned, 0)
+		}
+	}
+	if v.cfg.ClusterOut > 1 {
+		selected := out
+		for _, vi := range selected {
+			i := slices.IndexFunc(states, func(s *sweepState) bool { return s.as.pid == vi.pid })
+			s, added := states[i], 0
+			for _, dir := range [2]int{1, -1} {
+				for vp := vi.vp + dir; added < v.cfg.ClusterOut-1; vp += dir {
+					if vp < 0 || vp >= s.as.numPages || !bit(s.as.settled, vp) || s.taken[vp] || bit(s.ref, vp) || s.age[vp] > 0 {
+						break
+					}
+					s.taken[vp] = true
+					out = append(out, pageOut{vi.pid, vp})
+					added++
+				}
+			}
+		}
+	}
+	return out, states
+}
+
+// refClockSweep is the per-page clock sweep the word-at-a-time one
+// replaced: it steps through every position of at most one revolution from
+// the hand, examining at most scanMax candidates (resident pages the pass
+// has not taken), and leaves the hand just past the last position it
+// stepped through. It returns the candidates it examined.
+func refClockSweep(cfg Config, s *sweepState, scanMax, max int, out *[]pageOut) (scanned int) {
+	as := s.as
+	if as.resident-len(s.taken) <= 0 || max <= 0 || scanMax <= 0 {
+		return 0
+	}
+	got := 0
+	hand := s.hand
+	for step := 0; step < as.numPages && got < max && scanned < scanMax; step++ {
+		vp := hand
+		hand++
+		if hand >= as.numPages {
+			hand = 0
+		}
+		if !bit(as.settled, vp) || s.taken[vp] {
+			continue
+		}
+		scanned++
+		if bit(s.ref, vp) {
+			clearBit(s.ref, vp)
+			s.age[vp] = uint8(min(int(s.age[vp])+cfg.AgeAdvance, cfg.AgeMax))
+			continue
+		}
+		if s.age[vp] > 0 {
+			s.age[vp]--
+			continue
+		}
+		*out = append(*out, pageOut{as.pid, vp})
+		s.taken[vp] = true
+		got++
+	}
+	s.hand = hand
+	return scanned
 }
 
 // dirtyPages lists as's resident dirty pages.
@@ -238,15 +343,40 @@ func sweepScript(desc bool) []byte {
 	return script
 }
 
+// clockScript builds a seed for the default policy's clock sweep. Two
+// processes are written whole and a hole is paged out of the front of the
+// larger one, so that its revolutions step over non-resident pages while
+// its scan counter still exceeds the smaller one's. Default-policy reclaims
+// then clear reference bits, age pages down and evict, stopping on their
+// target, their scan limit or a whole revolution, and the rest of the
+// larger process is read again between them.
+func clockScript() []byte {
+	script := []byte{0, 58, 0, 206,
+		selTouch, 0, 0, 255, 1 | 15<<2,
+		selTouch, 1, 0, 255, 1 | 15<<2,
+		selReclaimFrom, 1, 30,
+	}
+	for i := byte(0); i < 12; i++ {
+		script = append(script,
+			selReclaimDefault, 0, 9+54*(i%2),
+			selTouch, 1, 64, 255, 1<<2,
+		)
+	}
+	return script
+}
+
 // FuzzVictimSelection runs random operation sequences on a small VM with
 // several processes and checks every touch against the per-page reference
 // loop (run length, page-state bits, last-use stamps and counters), and
-// every write-back and targeted page-out against the reference selections: WriteBackDirty must clean exactly the
-// reference's pages, and ReclaimFrom must evict the reference's pages in the
-// reference's order, as seen through OnPageOut. Touch runs go in either
-// direction, read or write, often at repeated timestamps so lastUse ties
-// are common; reclaim runs under both policies with blind block page-out,
-// and crashes and process exits mix in. VM.Validate runs after every step.
+// every write-back and page-out against the reference selections:
+// WriteBackDirty must clean exactly the reference's pages; ReclaimFrom and
+// every default-policy Reclaim must evict the reference's pages in the
+// reference's order, as seen through OnPageOut, and a default-policy
+// Reclaim must leave every process's hand, scan counter, reference bits and
+// ages as the reference does. Touch runs go in either direction, read or
+// write, often at repeated timestamps so lastUse ties are common; reclaim
+// runs under both policies with blind block page-out, and crashes and
+// process exits mix in. VM.Validate runs after every step.
 func FuzzVictimSelection(f *testing.F) {
 	f.Add(sweepScript(false))
 	f.Add(sweepScript(true))
@@ -256,6 +386,7 @@ func FuzzVictimSelection(f *testing.F) {
 		rng.Read(random)
 		f.Add(random)
 	}
+	f.Add(clockScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &selectionScript{data: data}
 		// ClusterOut 1..4: 1 disables block page-out, the rest expand.
@@ -275,7 +406,6 @@ func FuzzVictimSelection(f *testing.F) {
 		for i := 0; i < 3; i++ {
 			spawn(s.next() + 97*i)
 		}
-		type pageOut struct{ pid, vp int }
 		var evicted []pageOut
 		r.vm.OnPageOut = func(pid, vp int) { evicted = append(evicted, pageOut{pid, vp}) }
 
@@ -378,7 +508,20 @@ func FuzzVictimSelection(f *testing.F) {
 			case selReclaimDefault:
 				r.vm.SetVictimPolicy(PolicyDefault)
 				r.vm.SetOutgoing(0)
-				r.vm.Reclaim(1 + s.next()%64)
+				target := 1 + s.next()%64
+				want, states := refReclaimDefault(r.vm, target)
+				evicted = evicted[:0]
+				if n := r.vm.Reclaim(target); n != len(want) || !slices.Equal(evicted, want) {
+					t.Fatalf("step %d: Reclaim(%d) returned %d and evicted %v, reference evicts %v",
+						step, target, n, evicted, want)
+				}
+				for _, st := range states {
+					as := st.as
+					if as.hand != st.hand || as.swapCnt != st.swapCnt || !slices.Equal(as.age, st.age) || !slices.Equal(as.ref, st.ref) {
+						t.Fatalf("step %d: after Reclaim(%d) pid %d has hand %d, scan counter %d, ages %v and reference bits %x; reference: %d, %d, %v, %x",
+							step, target, as.pid, as.hand, as.swapCnt, as.age, as.ref, st.hand, st.swapCnt, st.age, st.ref)
+					}
+				}
 			case selReclaimSelective:
 				r.vm.SetVictimPolicy(PolicySelective)
 				r.vm.SetOutgoing(p.pid)

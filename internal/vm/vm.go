@@ -344,19 +344,21 @@ type VM struct {
 
 	// Scratch buffers reused across hot-path calls. All reclaim, eviction
 	// and read-in work is synchronous within one engine event, so a single
-	// set per VM suffices; groupFree alone is a pool because fault page
-	// groups live until their disk transfers complete.
+	// set per VM suffices. Page groups, transfers and batches are pools
+	// instead, because they live until their disk transfers complete.
 	pass          reclaimPass
 	victimScratch []victim
+	vpScratch     []int
+	ageRuns       []ageRun
 	agedScratch   []aged
 	wordScratch   []dirtyWord
 	scanScratch   []int
-	slotScratch   []disk.Slot
 	runScratch    []disk.Run
-	splitScratch  []disk.Run
+	orderScratch  []uint64
 	batchScratch  []dirtyBatch
-	batchOf       map[*AddressSpace]int
 	groupFree     [][]int
+	xferFree      []*transfer
+	ioFree        []*ioBatch
 }
 
 // getGroup takes a page-group buffer from the pool (empty, capacity kept).
@@ -375,6 +377,150 @@ func (v *VM) getGroup() []int {
 func (v *VM) putGroup(g []int) {
 	if cap(g) > 0 {
 		v.groupFree = append(v.groupFree, g)
+	}
+}
+
+// ioBatch is one call's disk transfers: a write-back of one process's pages
+// or a read of one page group. It owns the call's pooled group buffer,
+// which its transfers' page lists slice, until the last transfer lands.
+// Batches are pooled per VM, like faultWait records.
+type ioBatch struct {
+	as        *AddressSpace
+	group     []int
+	write     bool
+	remaining int         // transfers not yet completed
+	onDone    func()      // a read's completion callback, fired after the last transfer
+	drain     *drainTrack // a write-back's page-out drain, told of every transfer
+}
+
+// transfer is one disk request of a batch, covering one run of its group.
+// It embeds the request, whose Done is bound to the record once, when the
+// record is created, so a pooled transfer submits without allocating. A
+// record goes back to the pool when its request completes; a request that
+// Disk.Reset drops never completes, and the collector takes its record (and
+// its batch) instead.
+type transfer struct {
+	v     *VM
+	req   disk.Request
+	batch *ioBatch
+	pages []int // the batch's pages this request moves, ascending
+}
+
+// getBatch takes a batch record from the VM's pool.
+func (v *VM) getBatch() *ioBatch {
+	if n := len(v.ioFree); n > 0 {
+		b := v.ioFree[n-1]
+		v.ioFree = v.ioFree[:n-1]
+		return b
+	}
+	return &ioBatch{}
+}
+
+// getTransfer takes a transfer record from the VM's pool.
+func (v *VM) getTransfer() *transfer {
+	if n := len(v.xferFree); n > 0 {
+		t := v.xferFree[n-1]
+		v.xferFree = v.xferFree[:n-1]
+		return t
+	}
+	t := &transfer{v: v}
+	t.req.Done = t.done
+	return t
+}
+
+// submitBatch issues one request per run, in order. The runs are
+// coalesceSplit's over b's group, so each covers the next chunk of it.
+func (v *VM) submitBatch(b *ioBatch, runs []disk.Run, prio disk.Priority, parent obs.SpanID) {
+	b.remaining = len(runs)
+	idx := 0
+	for _, r := range runs {
+		t := v.getTransfer()
+		t.batch, t.pages = b, b.group[idx:idx+r.N]
+		idx += r.N
+		t.req.Run, t.req.Write, t.req.Prio, t.req.Parent = r, b.write, prio, parent
+		v.dsk.Submit(&t.req)
+	}
+}
+
+// done completes one transfer. It reads what it needs and recycles the
+// record before doing any of the work, and the batch before the last
+// transfer's callbacks: a read landing resumes processes, and one that
+// faults again at once takes records from the pools.
+func (t *transfer) done(sim.Duration) {
+	v, b, pages := t.v, t.batch, t.pages
+	t.batch, t.pages = nil, nil
+	v.xferFree = append(v.xferFree, t)
+	if b.write {
+		v.completeWrite(b.as, pages)
+	} else {
+		v.completeRead(b.as, pages)
+	}
+	b.remaining--
+	drain, onDone := b.drain, b.onDone
+	if b.remaining > 0 {
+		onDone = nil
+	} else {
+		v.putGroup(b.group)
+		*b = ioBatch{}
+		v.ioFree = append(v.ioFree, b)
+	}
+	if drain != nil {
+		drain.complete(v.eng.Now())
+	}
+	if onDone != nil {
+		onDone()
+	}
+}
+
+// coalesceSplit turns ascending, distinct vpages of as into the slot runs
+// that hold them. A region maps vpage v to slot Start+v, so consecutive
+// vpages are one extent on disk: a gap starts a new run, and a run is cut
+// at MaxIOPages. The returned slice is VM scratch, valid until the next
+// call; Submit copies each run.
+func (v *VM) coalesceSplit(as *AddressSpace, pages []int) []disk.Run {
+	runs := v.runScratch[:0]
+	for i, vp := range pages {
+		if n := len(runs); n > 0 && vp == pages[i-1]+1 && runs[n-1].N < v.cfg.MaxIOPages {
+			runs[n-1].N++
+			continue
+		}
+		runs = append(runs, disk.Run{Start: as.region.SlotFor(vp), N: 1})
+	}
+	v.runScratch = runs
+	return runs
+}
+
+// orderPages sorts pages, distinct vpages of as, into ascending order with
+// one pass over the bitmap words their span covers: O(pages + span/64), no
+// comparisons. A page listed twice is a caller bug and panics.
+func (v *VM) orderPages(as *AddressSpace, pages []int) {
+	if len(pages) < 2 {
+		return
+	}
+	lo, hi := pages[0], pages[0]
+	for _, vp := range pages[1:] {
+		lo, hi = min(lo, vp), max(hi, vp)
+	}
+	base, n := lo>>6, hi>>6-lo>>6+1
+	if cap(v.orderScratch) < n {
+		v.orderScratch = make([]uint64, n)
+	}
+	words := v.orderScratch[:n]
+	for _, vp := range pages {
+		w, b := vp>>6-base, uint64(1)<<(uint(vp)&63)
+		if words[w]&b != 0 {
+			clear(words)
+			panic(fmt.Sprintf("vm: vpage %d of pid %d listed twice", vp, as.pid))
+		}
+		words[w] |= b
+	}
+	i := 0
+	for wi, w := range words {
+		words[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			pages[i] = (base+wi)<<6 + bits.TrailingZeros64(w)
+			i++
+		}
 	}
 }
 
@@ -424,12 +570,11 @@ func (v *VM) EndDrain(now sim.Time) {
 func New(eng *sim.Engine, phys *mem.Physical, d *disk.Disk, space *swap.Space, cfg Config) *VM {
 	cfg.fillDefaults()
 	return &VM{
-		eng:     eng,
-		phys:    phys,
-		dsk:     d,
-		space:   space,
-		cfg:     cfg,
-		batchOf: make(map[*AddressSpace]int),
+		eng:   eng,
+		phys:  phys,
+		dsk:   d,
+		space: space,
+		cfg:   cfg,
 	}
 }
 

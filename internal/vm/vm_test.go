@@ -2,6 +2,8 @@ package vm
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -578,5 +580,66 @@ func TestValidateDetectsNothingOnHealthyRun(t *testing.T) {
 	r.eng.Run()
 	if err := r.vm.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoalesceSplit checks the slot runs a transfer's ascending page list
+// becomes: a gap in the vpages starts a new run, a run longer than
+// MaxIOPages is cut at the cap, and an empty list gives no runs. Vpage v is
+// slot Start+v of the process's region.
+func TestCoalesceSplit(t *testing.T) {
+	r := newRig(t, 64, 0, 0, Config{MaxIOPages: 4})
+	r.vm.NewProcess(1, 8) // so the second region does not start at slot 0
+	as, _ := r.vm.NewProcess(2, 200)
+	start := as.Region().Start
+	for _, c := range []struct {
+		pages []int
+		want  []disk.Run
+	}{
+		{nil, nil},
+		{[]int{5}, []disk.Run{{Start: start + 5, N: 1}}},
+		{[]int{5, 7, 8}, []disk.Run{{Start: start + 5, N: 1}, {Start: start + 7, N: 2}}},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 101, 102},
+			[]disk.Run{{Start: start, N: 4}, {Start: start + 4, N: 4}, {Start: start + 8, N: 2}, {Start: start + 100, N: 3}}},
+		{[]int{196, 197, 198, 199}, []disk.Run{{Start: start + 196, N: 4}}},
+	} {
+		if got := r.vm.coalesceSplit(as, c.pages); !slices.Equal(got, c.want) {
+			t.Errorf("coalesceSplit(%v) = %v, want %v", c.pages, got, c.want)
+		}
+	}
+}
+
+// TestOrderPages checks the bitmap ordering of transfer page lists against
+// a comparison sort, from an empty list to spans across many words, and
+// that a page listed twice panics without leaving the scratch dirty.
+func TestOrderPages(t *testing.T) {
+	r := newRig(t, 64, 0, 0, Config{})
+	as, _ := r.vm.NewProcess(1, 5000)
+	rng := rand.New(rand.NewSource(3))
+	cases := [][]int{nil, {7}, {64, 63}, {4999, 0, 128, 127, 65, 3000}}
+	for range 50 {
+		cases = append(cases, rng.Perm(5000)[:1+rng.Intn(300)])
+	}
+	for _, pages := range cases {
+		got := slices.Clone(pages)
+		r.vm.orderPages(as, got)
+		want := slices.Clone(pages)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("orderPages(%v) = %v, want %v", pages, got, want)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a page listed twice did not panic")
+			}
+		}()
+		r.vm.orderPages(as, []int{70, 900, 5, 70})
+	}()
+	got := []int{900, 70, 5}
+	r.vm.orderPages(as, got)
+	if !slices.Equal(got, []int{5, 70, 900}) {
+		t.Fatalf("after the duplicate panic, orderPages gave %v", got)
 	}
 }
