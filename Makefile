@@ -145,8 +145,10 @@ check:
 # (allocs/op), and BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep its victim
 # and write-back selection on one large address space. BenchmarkDiskRequest
 # is the disk model's cost per request (one demand request, reused,
-# through Submit and its completion; 0 allocs/op). BenchmarkScale512
-# records the 512-node/128-gang scale study.
+# through Submit and its completion; 0 allocs/op). BenchmarkAuditSweep is
+# one full-sweep Auditor.Check (the oracle pass that re-derives every
+# counter from the page tables) on a small node stepped to mid-run.
+# BenchmarkScale512 records the 512-node/128-gang scale study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	{ $(GO) test -run NONE -bench 'BenchmarkFig' -benchtime 1x -benchmem -timeout 60m . \
@@ -157,7 +159,8 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
 	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm \
-	  && $(GO) test -run NONE -bench 'BenchmarkDiskRequest$$' -benchmem ./internal/disk; } \
+	  && $(GO) test -run NONE -bench 'BenchmarkDiskRequest$$' -benchmem ./internal/disk \
+	  && $(GO) test -run NONE -bench 'BenchmarkAuditSweep$$' -benchmem ./internal/audit; } \
 	  | bin/benchjson -o BENCH_sim.json
 
 # The obs pair: RunObsDisabled is the zero-overhead claim (parity with the

@@ -95,9 +95,9 @@ func (c *Counts) RegionReserved(slots int64) {
 }
 
 // Dropped posts a bulk teardown (process destruction or node crash): the
-// per-page deltas are derived from the frame table as it is torn down, not
-// from the model's counters, so a drifted model counter cannot hide here.
-// slots is 0 for a crash (regions survive a reboot).
+// per-page deltas are counted from the page-state bitmaps as they are torn
+// down, not taken from the model's counters, so a drifted model counter
+// cannot hide here. slots is 0 for a crash (regions survive a reboot).
 func (c *Counts) Dropped(mapped, resident, inFlight, dirtied, wbPending int, slots int64) {
 	c.Mapped -= mapped
 	c.Resident -= resident

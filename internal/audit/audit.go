@@ -18,27 +18,26 @@
 // themselves — a drifting aggregate is a violation (InvAcctDrift) in its own
 // right, so a bug in the delta bookkeeping cannot silently weaken the audit.
 //
-// The checks span every layer of a node — frame table (internal/mem),
+// The checks span every layer of a node — frame counts (internal/mem),
 // address spaces (internal/vm), swap extents (internal/swap), the paging
 // device (internal/disk) — plus the engine clock (internal/sim) and the
 // gang scheduler (internal/gang). See DESIGN.md §9 and §14 for the
 // catalogue of enforced laws and their paper rationale.
 //
 // Both the differential check and the full sweep are allocation-free after
-// warm-up: scratch buffers are reused and double-mapping detection uses
-// generation stamps instead of maps, so even Every=1 auditing only costs
-// CPU, not garbage. Violations are rare and fatal, so their reports may
-// allocate freely (formatted detail plus a tail of the observability ring
-// for forensics).
+// warm-up: the only scratch buffer, the sweep's pid list, is reused, so
+// even Every=1 auditing only costs CPU, not garbage. Violations are rare
+// and fatal, so their reports may allocate freely (formatted detail plus a
+// tail of the observability ring for forensics).
 package audit
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/gang"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -47,10 +46,8 @@ import (
 // Invariant names, as reported in violations (and listed in DESIGN.md §9).
 const (
 	InvFrameConservation  = "frame-conservation"  // free + locked + mapped == total frames
-	InvResidentCounter    = "resident-counter"    // per-process resident counters and frame labels match the page table
-	InvFrameLabel         = "frame-label"         // frame ownership label matches the PTE pointing at it
-	InvFrameDoubleMap     = "frame-double-map"    // no frame mapped by two (pid, vpage) pairs
-	InvInFlight           = "in-flight"           // an in-flight page owns a frame and is not counted resident
+	InvResidentCounter    = "resident-counter"    // resident counters match the settled bits
+	InvInFlight           = "in-flight"           // no page is both settled and in flight; in flight == mapped - resident
 	InvSwapAccounting     = "swap-accounting"     // sum of live regions == slots used; free list consistent
 	InvWriteBackPending   = "writeback-pending"   // queued-write aggregate matches per-page counts
 	InvDiskConservation   = "disk-conservation"   // submitted == completed + dropped + queued + in-service
@@ -106,7 +103,6 @@ type Violation struct {
 	Node      int         // node id, -1 for cluster-wide invariants
 	PID       int         // offending process, 0 when not applicable
 	VPage     int         // offending virtual page, -1 when not applicable
-	Frame     int         // offending frame, -1 when not applicable
 	Time      sim.Time    // engine clock at detection
 	Detail    string      // human-readable account of the divergence
 	Trace     []obs.Event // tail of the observability ring, oldest first
@@ -120,15 +116,6 @@ func (v *Violation) Error() string {
 	}
 	if v.PID > 0 {
 		fmt.Fprintf(&b, " (pid %d", v.PID)
-		if v.VPage >= 0 {
-			fmt.Fprintf(&b, ", vpage %d", v.VPage)
-		}
-		if v.Frame >= 0 {
-			fmt.Fprintf(&b, ", frame %d", v.Frame)
-		}
-		b.WriteString(")")
-	} else if v.Frame >= 0 {
-		fmt.Fprintf(&b, " (frame %d", v.Frame)
 		if v.VPage >= 0 {
 			fmt.Fprintf(&b, ", vpage %d", v.VPage)
 		}
@@ -175,14 +162,8 @@ type Auditor struct {
 	// unchanged nodes are skipped entirely.
 	lastVer []uint64
 
-	// Scratch reused across sweeps (the zero-garbage contract). Frame
-	// ownership is tracked with generation stamps: stamp[f] == gen means
-	// frame f was claimed this sweep (claimant finds by whom). labels
-	// tallies the frame table's owner labels, indexed by pid.
-	pids   []int
-	labels []int
-	stamp  []uint32
-	gen    uint32
+	// Scratch reused across sweeps (the zero-garbage contract).
+	pids []int
 
 	prevNow   sim.Time // engine clock at the previous check
 	prevSteps uint64   // engine steps at the previous check
@@ -312,10 +293,10 @@ func (a *Auditor) sweep() error {
 // model's own counters — O(1) per node plus O(procs) for the resident sum,
 // and nothing beyond the version test for nodes whose aggregate version is
 // unchanged (as at every check after the first at a fast-forwarded
-// boundary, which stands for several logical events). The per-page laws
-// (frame labels, double maps, in-flight flags) and the ledger laws stay
-// with the sweep: label bugs are persistent, so sweep-cadence detection
-// loses only latency, not coverage.
+// boundary, which stands for several logical events). The per-page law
+// (no page both settled and in flight) and the ledger laws stay with the
+// sweep: such bugs are persistent, so sweep-cadence detection loses only
+// latency, not coverage.
 func (a *Auditor) checkDelta() error {
 	for i, n := range a.c.Nodes {
 		cnt := n.Acct
@@ -328,7 +309,7 @@ func (a *Auditor) checkDelta() error {
 		phys := n.VM.Phys()
 		if free, locked := phys.NumFree(), phys.LockedFrames(); free+locked+cnt.Mapped != phys.NumFrames() {
 			return a.fail(&Violation{
-				Invariant: InvFrameConservation, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvFrameConservation, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("free %d + locked %d + mapped %d != %d frames (leaked or double-counted frames)",
 					free, locked, cnt.Mapped, phys.NumFrames()),
 			})
@@ -336,33 +317,33 @@ func (a *Auditor) checkDelta() error {
 		// L2 — resident and in-flight splits of the mapped population.
 		if res := n.VM.ResidentSum(); res != cnt.Resident {
 			return a.fail(&Violation{
-				Invariant: InvResidentCounter, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvResidentCounter, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("resident counters sum to %d but transition accounting says %d", res, cnt.Resident),
 			})
 		}
 		if cnt.InFlight < 0 || cnt.InFlight != cnt.Mapped-cnt.Resident {
 			return a.fail(&Violation{
-				Invariant: InvInFlight, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvInFlight, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("in-flight %d != mapped %d - resident %d", cnt.InFlight, cnt.Mapped, cnt.Resident),
 			})
 		}
 		if cnt.Dirty < 0 || cnt.Dirty > cnt.Resident {
 			return a.fail(&Violation{
-				Invariant: InvResidentCounter, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvResidentCounter, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("dirty count %d outside [0, resident %d]", cnt.Dirty, cnt.Resident),
 			})
 		}
 		// L3 — write-back queue aggregate.
 		if got := n.VM.PendingWriteBacks(); got != cnt.WBPending {
 			return a.fail(&Violation{
-				Invariant: InvWriteBackPending, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvWriteBackPending, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("aggregate pending write-backs %d but transition accounting says %d", got, cnt.WBPending),
 			})
 		}
 		// L4 — swap slots covered by live regions.
 		if used := n.Swap.Used(); used != cnt.RegionSlots {
 			return a.fail(&Violation{
-				Invariant: InvSwapAccounting, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvSwapAccounting, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("live regions cover %d slots but the allocator says %d are used (slot leak)",
 					cnt.RegionSlots, used),
 			})
@@ -376,7 +357,7 @@ func (a *Auditor) checkDelta() error {
 		// and the selective designation never targets it (nor a dead pid).
 		if cnt.RunCount < 0 || cnt.RunCount > 1 {
 			return a.fail(&Violation{
-				Invariant: InvGangSingleRun, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvGangSingleRun, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("%d ranks running on one node", cnt.RunCount),
 			})
 		}
@@ -387,14 +368,14 @@ func (a *Auditor) checkDelta() error {
 			}
 			if running == nil || running.Members[i].Proc.PID() != cnt.RunPID {
 				return a.fail(&Violation{
-					Invariant: InvGangSingleRun, Node: n.ID, PID: cnt.RunPID, VPage: -1, Frame: -1,
+					Invariant: InvGangSingleRun, Node: n.ID, PID: cnt.RunPID, VPage: -1,
 					Detail: fmt.Sprintf("pid %d running but the scheduler says %s holds the cluster",
 						cnt.RunPID, runningName(running)),
 				})
 			}
 			if n.Kernel.IsStopped(cnt.RunPID) {
 				return a.fail(&Violation{
-					Invariant: InvGangStopped, Node: n.ID, PID: cnt.RunPID, VPage: -1, Frame: -1,
+					Invariant: InvGangStopped, Node: n.ID, PID: cnt.RunPID, VPage: -1,
 					Detail: "running rank still carries the stopped mark (its evictions would feed adaptive page-in)",
 				})
 			}
@@ -402,13 +383,13 @@ func (a *Auditor) checkDelta() error {
 		if out := n.VM.Outgoing(); out != 0 {
 			if n.VM.Process(out) == nil {
 				return a.fail(&Violation{
-					Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1, Frame: -1,
+					Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1,
 					Detail: "selective designation names a dead process",
 				})
 			}
 			if cnt.RunCount == 1 && out == cnt.RunPID && n.VM.NumProcesses() > 1 {
 				return a.fail(&Violation{
-					Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1, Frame: -1,
+					Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1,
 					Detail: "selective page-out designates the running process while other address spaces are live",
 				})
 			}
@@ -429,7 +410,7 @@ func (a *Auditor) checkDisk(n *cluster.Node) error {
 	}
 	if submitted != completed+dropped+int64(n.Disk.QueueLen())+inService {
 		return a.fail(&Violation{
-			Invariant: InvDiskConservation, Node: n.ID, VPage: -1, Frame: -1,
+			Invariant: InvDiskConservation, Node: n.ID, VPage: -1,
 			Detail: fmt.Sprintf("submitted %d != completed %d + dropped %d + queued %d + in-service %d",
 				submitted, completed, dropped, n.Disk.QueueLen(), inService),
 		})
@@ -445,7 +426,7 @@ func (a *Auditor) checkEngine() error {
 	now := eng.Now()
 	if now < a.prevNow {
 		return a.fail(&Violation{
-			Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
+			Invariant: InvTimeMonotonic, Node: -1, VPage: -1,
 			Detail: fmt.Sprintf("engine 0 clock ran backwards: %v after %v", now, a.prevNow),
 		})
 	}
@@ -460,7 +441,7 @@ func (a *Auditor) checkEngine() error {
 	a.prevNow, a.prevSteps = now, steps
 	if at, ok := eng.NextEventTime(); ok && at < now {
 		return a.fail(&Violation{
-			Invariant: InvTimeMonotonic, Node: -1, VPage: -1, Frame: -1,
+			Invariant: InvTimeMonotonic, Node: -1, VPage: -1,
 			Detail: fmt.Sprintf("engine 0 pending event at %v is before now %v", at, now),
 		})
 	}
@@ -474,37 +455,7 @@ func (a *Auditor) checkEngine() error {
 // differential checks honest.
 func (a *Auditor) checkNode(n *cluster.Node) error {
 	phys := n.VM.Phys()
-	nFrames := phys.NumFrames()
-	if len(a.stamp) < nFrames {
-		a.stamp = make([]uint32, nFrames)
-	}
-	a.gen++
-	if a.gen == 0 { // uint32 stamp wrap: invalidate everything
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.gen = 1
-	}
-
 	a.pids = n.VM.AppendPIDs(a.pids[:0])
-	// The frame table's side of the resident-counter law: tally owner labels
-	// per live pid. A label naming a pid above every live one matches no
-	// page table; frame conservation catches that frame below.
-	maxPID := 0
-	if len(a.pids) > 0 {
-		maxPID = a.pids[len(a.pids)-1]
-	}
-	if len(a.labels) <= maxPID {
-		a.labels = make([]int, maxPID+1)
-	}
-	labels := a.labels[:maxPID+1]
-	clear(labels)
-	frames := phys.Frames()
-	for i := range frames {
-		if pid := frames[i].PID; pid > 0 && pid <= maxPID {
-			labels[pid]++
-		}
-	}
 	mappedTotal := 0
 	residentTotal := 0
 	dirtyTotal := 0
@@ -520,15 +471,9 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		wbPending += wb
 		if res != as.Resident() {
 			return a.fail(&Violation{
-				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("resident counter %d but page table holds %d non-in-flight frames",
+				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1,
+				Detail: fmt.Sprintf("resident counter %d but the page table holds %d settled pages",
 					as.Resident(), res),
-			})
-		}
-		if got := labels[pid]; got != mapped {
-			return a.fail(&Violation{
-				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1, Frame: -1,
-				Detail: fmt.Sprintf("frame table labels %d frames as owned but page table maps %d", got, mapped),
 			})
 		}
 		mappedTotal += mapped
@@ -536,7 +481,7 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		r := as.Region()
 		if r.N != as.NumPages() || r.Start < 0 || int64(r.Start)+int64(r.N) > n.Swap.Capacity() {
 			return a.fail(&Violation{
-				Invariant: InvSwapAccounting, Node: n.ID, PID: pid, VPage: -1, Frame: -1,
+				Invariant: InvSwapAccounting, Node: n.ID, PID: pid, VPage: -1,
 				Detail: fmt.Sprintf("swap region [%d,+%d) does not cover the %d-page footprint within capacity %d",
 					r.Start, r.N, as.NumPages(), n.Swap.Capacity()),
 			})
@@ -544,14 +489,16 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		regionSlots += int64(r.N)
 	}
 
-	// Frame conservation: every frame is free, wired, or mapped by exactly
-	// one live PTE. A frame still owned by a destroyed process (a leak)
-	// breaks the sum: it is neither free nor reachable from a page table.
-	if free, locked := phys.NumFree(), phys.LockedFrames(); free+locked+mappedTotal != nFrames {
+	// Frame conservation: every frame is free, wired, or held by exactly
+	// one page of a live process. A frame taken and never mapped, or not
+	// released when its page went (a leak), makes the sum fall short; a
+	// page mapped without a frame taken for it, or a frame released while
+	// its page is still mapped, makes it overshoot.
+	if free, locked := phys.NumFree(), phys.LockedFrames(); free+locked+mappedTotal != phys.NumFrames() {
 		return a.fail(&Violation{
-			Invariant: InvFrameConservation, Node: n.ID, VPage: -1, Frame: -1,
+			Invariant: InvFrameConservation, Node: n.ID, VPage: -1,
 			Detail: fmt.Sprintf("free %d + locked %d + mapped %d != %d frames (leaked or double-counted frames)",
-				free, locked, mappedTotal, nFrames),
+				free, locked, mappedTotal, phys.NumFrames()),
 		})
 	}
 
@@ -559,8 +506,8 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	// comparand) must match the page tables too.
 	if got := n.VM.ResidentSum(); got != residentTotal {
 		return a.fail(&Violation{
-			Invariant: InvResidentCounter, Node: n.ID, VPage: -1, Frame: -1,
-			Detail: fmt.Sprintf("resident aggregate %d but page tables hold %d non-in-flight frames", got, residentTotal),
+			Invariant: InvResidentCounter, Node: n.ID, VPage: -1,
+			Detail: fmt.Sprintf("resident aggregate %d but page tables hold %d settled pages", got, residentTotal),
 		})
 	}
 
@@ -569,13 +516,13 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	// a region surviving DestroyProcess (slot leak) shows up here.
 	if err := n.Swap.Validate(); err != nil {
 		return a.fail(&Violation{
-			Invariant: InvSwapAccounting, Node: n.ID, VPage: -1, Frame: -1,
+			Invariant: InvSwapAccounting, Node: n.ID, VPage: -1,
 			Detail: err.Error(),
 		})
 	}
 	if used := n.Swap.Used(); used != regionSlots {
 		return a.fail(&Violation{
-			Invariant: InvSwapAccounting, Node: n.ID, VPage: -1, Frame: -1,
+			Invariant: InvSwapAccounting, Node: n.ID, VPage: -1,
 			Detail: fmt.Sprintf("live regions cover %d slots but the allocator says %d are used (slot leak)",
 				regionSlots, used),
 		})
@@ -583,7 +530,7 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 
 	if got := n.VM.PendingWriteBacks(); got != wbPending {
 		return a.fail(&Violation{
-			Invariant: InvWriteBackPending, Node: n.ID, VPage: -1, Frame: -1,
+			Invariant: InvWriteBackPending, Node: n.ID, VPage: -1,
 			Detail: fmt.Sprintf("aggregate pending write-backs %d but per-page counts sum to %d", got, wbPending),
 		})
 	}
@@ -599,7 +546,7 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	if cnt := n.Acct; cnt != nil {
 		drift := func(field string, got, want int64) error {
 			return a.fail(&Violation{
-				Invariant: InvAcctDrift, Node: n.ID, VPage: -1, Frame: -1,
+				Invariant: InvAcctDrift, Node: n.ID, VPage: -1,
 				Detail: fmt.Sprintf("shadow %s is %d but the page tables derive %d", field, got, want),
 			})
 		}
@@ -621,73 +568,27 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 	return nil
 }
 
-// sweepPages walks one address space's page table: it checks each mapped
-// frame's label, wiring and single ownership (claiming it in the sweep's
-// stamps), and counts the mapped, resident and dirty pages and the queued
-// write-backs. A small function of its own, so the page-table accessors
-// inline into the loop.
+// sweepPages walks one address space's page table: a bitmap word at a
+// time it checks that no page is both settled and in flight, and counts
+// the mapped (settled or in flight), resident (settled) and dirty pages;
+// then it sums the queued write-backs page by page.
 func (a *Auditor) sweepPages(n *cluster.Node, as *vm.AddressSpace) (mapped, res, dirty, wb int, err error) {
-	pid, phys := as.PID(), n.VM.Phys()
+	for wi := range (as.NumPages() + 63) / 64 {
+		settled, inFlight, dirtyW := as.PageWords(wi)
+		if both := settled & inFlight; both != 0 {
+			return 0, 0, 0, 0, a.fail(&Violation{
+				Invariant: InvInFlight, Node: n.ID, PID: as.PID(), VPage: wi<<6 + bits.TrailingZeros64(both),
+				Detail: "page both settled and in flight",
+			})
+		}
+		mapped += bits.OnesCount64(settled | inFlight)
+		res += bits.OnesCount64(settled)
+		dirty += bits.OnesCount64(settled & dirtyW)
+	}
 	for vp := range as.NumPages() {
 		wb += as.PendingWrites(vp)
-		fid, inFlight := as.Frame(vp), as.InFlight(vp)
-		if fid == mem.NoFrame {
-			if inFlight {
-				return 0, 0, 0, 0, a.fail(&Violation{
-					Invariant: InvInFlight, Node: n.ID, PID: pid, VPage: vp, Frame: -1,
-					Detail: "page marked in-flight without a frame",
-				})
-			}
-			continue
-		}
-		mapped++
-		f := phys.Frame(fid)
-		if !inFlight {
-			res++
-			if as.Dirty(vp) {
-				dirty++
-			}
-		}
-		if f.PID != pid || int(f.VPage) != vp {
-			return 0, 0, 0, 0, a.fail(&Violation{
-				Invariant: InvFrameLabel, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-				Detail: fmt.Sprintf("frame labelled (pid %d, vpage %d) but the PTE of (pid %d, vpage %d) maps it",
-					f.PID, f.VPage, pid, vp),
-			})
-		}
-		if f.Locked {
-			return 0, 0, 0, 0, a.fail(&Violation{
-				Invariant: InvFrameConservation, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-				Detail: "wired (locked) frame mapped by a process",
-			})
-		}
-		if a.stamp[fid] == a.gen {
-			prevPID, prevVP := a.claimant(n, fid)
-			return 0, 0, 0, 0, a.fail(&Violation{
-				Invariant: InvFrameDoubleMap, Node: n.ID, PID: pid, VPage: vp, Frame: int(fid),
-				Detail: fmt.Sprintf("frame already mapped by (pid %d, vpage %d) this sweep",
-					prevPID, prevVP),
-			})
-		}
-		a.stamp[fid] = a.gen
 	}
 	return mapped, res, dirty, wb, nil
-}
-
-// claimant finds the PTE that claimed fid first in this sweep of node n:
-// the sweep visits a.pids in order and each page table in vpage order, so
-// that is the first mapping of fid in the same order. Only a double-map
-// violation asks, so the sweep itself records no owners.
-func (a *Auditor) claimant(n *cluster.Node, fid mem.FrameID) (pid, vp int) {
-	for _, pid := range a.pids {
-		as := n.VM.Process(pid)
-		for vp := range as.NumPages() {
-			if as.Frame(vp) == fid {
-				return pid, vp
-			}
-		}
-	}
-	return -1, -1
 }
 
 // checkGang enforces the scheduling invariants: at most one job's rank runs
@@ -710,21 +611,21 @@ func (a *Auditor) checkGang() error {
 			}
 			if runningPID != 0 {
 				return a.fail(&Violation{
-					Invariant: InvGangSingleRun, Node: n.ID, PID: m.Proc.PID(), VPage: -1, Frame: -1,
+					Invariant: InvGangSingleRun, Node: n.ID, PID: m.Proc.PID(), VPage: -1,
 					Detail: fmt.Sprintf("rank of job %q running alongside pid %d", j.Name, runningPID),
 				})
 			}
 			runningPID = m.Proc.PID()
 			if running == nil || j != running {
 				return a.fail(&Violation{
-					Invariant: InvGangSingleRun, Node: n.ID, PID: runningPID, VPage: -1, Frame: -1,
+					Invariant: InvGangSingleRun, Node: n.ID, PID: runningPID, VPage: -1,
 					Detail: fmt.Sprintf("rank of job %q running but the scheduler says %s holds the cluster",
 						j.Name, runningName(running)),
 				})
 			}
 			if m.Kernel.IsStopped(runningPID) {
 				return a.fail(&Violation{
-					Invariant: InvGangStopped, Node: n.ID, PID: runningPID, VPage: -1, Frame: -1,
+					Invariant: InvGangStopped, Node: n.ID, PID: runningPID, VPage: -1,
 					Detail: "running rank still carries the stopped mark (its evictions would feed adaptive page-in)",
 				})
 			}
@@ -736,13 +637,13 @@ func (a *Auditor) checkGang() error {
 			}
 			if cnt.RunCount != wantRun {
 				return a.fail(&Violation{
-					Invariant: InvAcctDrift, Node: n.ID, VPage: -1, Frame: -1,
+					Invariant: InvAcctDrift, Node: n.ID, VPage: -1,
 					Detail: fmt.Sprintf("shadow run count is %d but %d ranks hold running flags", cnt.RunCount, wantRun),
 				})
 			}
 			if wantRun == 1 && cnt.RunPID != runningPID {
 				return a.fail(&Violation{
-					Invariant: InvAcctDrift, Node: n.ID, PID: runningPID, VPage: -1, Frame: -1,
+					Invariant: InvAcctDrift, Node: n.ID, PID: runningPID, VPage: -1,
 					Detail: fmt.Sprintf("shadow run pid is %d but pid %d holds the running flag", cnt.RunPID, runningPID),
 				})
 			}
@@ -753,7 +654,7 @@ func (a *Auditor) checkGang() error {
 		}
 		if n.VM.Process(out) == nil {
 			return a.fail(&Violation{
-				Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1, Frame: -1,
+				Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1,
 				Detail: "selective designation names a dead process",
 			})
 		}
@@ -762,7 +663,7 @@ func (a *Auditor) checkGang() error {
 		// path can only take that process' pages anyway.
 		if out == runningPID && n.VM.NumProcesses() > 1 {
 			return a.fail(&Violation{
-				Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1, Frame: -1,
+				Invariant: InvGangOutgoing, Node: n.ID, PID: out, VPage: -1,
 				Detail: "selective page-out designates the running process while other address spaces are live",
 			})
 		}
@@ -794,19 +695,19 @@ func (a *Auditor) checkLedgers() error {
 			}
 			if err := led.Check(now); err != nil {
 				return a.fail(&Violation{
-					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1, Frame: -1,
+					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1,
 					Detail: fmt.Sprintf("job %q: %v", j.Name, err),
 				})
 			}
 			if p.Done() != led.Done() {
 				return a.fail(&Violation{
-					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1, Frame: -1,
+					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1,
 					Detail: fmt.Sprintf("job %q: rank done=%v but ledger frozen=%v", j.Name, p.Done(), led.Done()),
 				})
 			}
 			if p.Done() && led.FrozenAt() != p.Stats().FinishedAt {
 				return a.fail(&Violation{
-					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1, Frame: -1,
+					Invariant: InvLedgerConservation, Node: i, PID: p.PID(), VPage: -1,
 					Detail: fmt.Sprintf("job %q: ledger froze at %v but the rank finished at %v",
 						j.Name, led.FrozenAt(), p.Stats().FinishedAt),
 				})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gang"
-	"repro/internal/mem"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -16,7 +15,7 @@ import (
 // makeCluster wires one node with two jobs whose combined footprint
 // over-commits memory, so a short run exercises fault, reclaim, write-back
 // and switch paths. The scheduler is started but the engine not yet driven.
-func makeCluster(t *testing.T) *cluster.Cluster {
+func makeCluster(t testing.TB) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 2}, core.SOAOAIBG, core.Config{})
 	if err != nil {
@@ -42,7 +41,7 @@ func makeCluster(t *testing.T) *cluster.Cluster {
 // cluster must have a started scheduler). Logical events are the unit the
 // auditor's own cadence counts: a fast-forwarded touch window fires once
 // but stands for every event it folded (DESIGN §10b).
-func step(t *testing.T, c *cluster.Cluster, n int) {
+func step(t testing.TB, c *cluster.Cluster, n int) {
 	t.Helper()
 	for c.Eng.Executed() < uint64(n) {
 		if _, ok := c.Eng.NextEventTime(); !ok {
@@ -77,37 +76,18 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		corrupt func(t *testing.T, c *cluster.Cluster)
 	}{
 		{
-			name: "mislabelled frame",
-			want: InvFrameLabel,
-			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				n := c.Nodes[0]
-				fid := mappedFrame(t, c)
-				n.Phys.Frame(fid).VPage++
-			},
-		},
-		{
-			name: "wired frame still mapped",
+			name: "frame released while still mapped",
 			want: InvFrameConservation,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				n := c.Nodes[0]
-				n.Phys.Frame(mappedFrame(t, c)).Locked = true
+				c.Nodes[0].Phys.Release(1)
 			},
 		},
 		{
 			name: "leaked frame owned by a ghost process",
 			want: InvFrameConservation,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(99, 0); !ok {
+				if c.Nodes[0].Phys.Take(1) == 0 {
 					t.Skip("no free frame to leak")
-				}
-			},
-		},
-		{
-			name: "frame table resident count drifts from the page table",
-			want: InvResidentCounter,
-			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(1, 9999); !ok {
-					t.Skip("no free frame to misattribute")
 				}
 			},
 		},
@@ -174,21 +154,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			}
 		})
 	}
-}
-
-// mappedFrame returns some frame currently mapped by the running process.
-func mappedFrame(t *testing.T, c *cluster.Cluster) mem.FrameID {
-	t.Helper()
-	n := c.Nodes[0]
-	pid := runningPID(t, c)
-	as := n.VM.Process(pid)
-	for vp := 0; vp < as.NumPages(); vp++ {
-		if fid := as.Frame(vp); fid != mem.NoFrame && !as.InFlight(vp) {
-			return fid
-		}
-	}
-	t.Fatal("running process has no mapped frame")
-	return mem.NoFrame
 }
 
 func runningPID(t *testing.T, c *cluster.Cluster) int {
@@ -265,12 +230,33 @@ func TestAuditDifferentialDetectsCorruption(t *testing.T) {
 		corrupt func(t *testing.T, c *cluster.Cluster)
 	}{
 		{
+			name: "frame released while still mapped",
+			want: InvFrameConservation,
+			corrupt: func(t *testing.T, c *cluster.Cluster) {
+				c.Nodes[0].Phys.Release(1)
+			},
+		},
+		{
 			name: "leaked frame owned by a ghost process",
 			want: InvFrameConservation,
 			corrupt: func(t *testing.T, c *cluster.Cluster) {
-				if _, ok := c.Nodes[0].Phys.Alloc(99, 0); !ok {
+				if c.Nodes[0].Phys.Take(1) == 0 {
 					t.Skip("no free frame to leak")
 				}
+			},
+		},
+		{
+			name: "resident aggregate drifts from the transition accounting",
+			want: InvResidentCounter,
+			corrupt: func(t *testing.T, c *cluster.Cluster) {
+				c.Nodes[0].Acct.Resident++
+			},
+		},
+		{
+			name: "in-flight split drifts from mapped minus resident",
+			want: InvInFlight,
+			corrupt: func(t *testing.T, c *cluster.Cluster) {
+				c.Nodes[0].Acct.InFlight++
 			},
 		},
 		{
@@ -425,13 +411,13 @@ func TestAuditCrossCadence(t *testing.T) {
 // TestViolationError pins the report format: invariant, location, detail.
 func TestViolationError(t *testing.T) {
 	v := &Violation{
-		Invariant: InvFrameDoubleMap,
-		Node:      2, PID: 7, VPage: 41, Frame: 13,
+		Invariant: InvInFlight,
+		Node:      2, PID: 7, VPage: 41,
 		Time:   sim.Time(0).Add(3 * sim.Second),
-		Detail: "frame already mapped",
+		Detail: "page both settled and in flight",
 	}
 	msg := v.Error()
-	for _, want := range []string{InvFrameDoubleMap, "node 2", "pid 7", "vpage 41", "frame 13", "frame already mapped"} {
+	for _, want := range []string{InvInFlight, "node 2", "pid 7", "vpage 41", "page both settled and in flight"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("violation message %q missing %q", msg, want)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -324,5 +325,24 @@ func TestJobKillMidRunFailureInjection(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewAllocatesNoFrameTable pins that a node's physical memory is
+// counts: building a 1024 MB node (262,144 frames) allocates no per-frame
+// table. Not parallel: it reads the process-wide allocation counter.
+func TestNewAllocatesNoFrameTable(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(1, 1, NodeConfig{MemoryMB: 1024}, core.SOAOAIBG, core.Config{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(c)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cluster.New with one 1024 MB node: %d bytes", got)
+	if got >= 64<<10 {
+		t.Fatalf("cluster.New with one 1024 MB node allocated %d bytes, want under 64 KiB", got)
 	}
 }

@@ -4,11 +4,13 @@
 // Linux 2.2 — the kernel the paper patches — wakes the swap daemon when the
 // free-page count drops below freepages.min and reclaims frames until it
 // rises above freepages.high. Physical reproduces exactly that watermark
-// mechanism: NeedReclaim reports how many frames a reclaim pass must free,
-// and BelowMin gates whether the fault path must reclaim before it can
-// allocate.
+// mechanism in one rule: ReclaimTarget reports, for an allocation of n
+// frames, whether it would take free memory below freepages.min and, if so,
+// how many frames a reclaim pass must free to be back at freepages.high.
 //
-// A configurable number of frames can be wired down (Lock), mirroring the
-// paper's use of mlock() to shrink available memory so the NPB data sizes
-// over-commit it.
+// Frames are counts, not a table: Take and Release move frames between the
+// free pool and use, and nothing records which frame a page holds, because
+// no decision, event or result depends on it. A configurable number of
+// frames can be wired down (Lock), mirroring the paper's use of mlock() to
+// shrink available memory so the NPB data sizes over-commit it.
 package mem

@@ -23,66 +23,55 @@ func TestUnitConversions(t *testing.T) {
 
 func TestAllocRelease(t *testing.T) {
 	p := New(8, 1, 2)
-	id, ok := p.Alloc(42, 7)
-	if !ok || id == NoFrame {
-		t.Fatal("alloc failed")
+	if got := p.Take(3); got != 3 || p.NumFree() != 5 {
+		t.Fatalf("Take(3) = %d, free %d", got, p.NumFree())
 	}
-	f := p.Frame(id)
-	if f.PID != 42 || f.VPage != 7 || f.Locked {
-		t.Fatalf("frame = %+v", *f)
-	}
+	p.Release(2)
 	if p.NumFree() != 7 {
-		t.Fatalf("free=%d", p.NumFree())
+		t.Fatalf("after Release(2): free %d, want 7", p.NumFree())
 	}
-	p.Release(id)
-	if *p.Frame(id) != (Frame{}) || p.NumFree() != 8 {
-		t.Fatalf("after release: frame=%+v free=%d", *p.Frame(id), p.NumFree())
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	p.Release(1)
+	if p.NumFree() != 8 || p.NumFrames() != 8 {
+		t.Fatalf("after releasing all: free %d of %d", p.NumFree(), p.NumFrames())
 	}
 }
 
-func TestLowFrameNumbersFirst(t *testing.T) {
-	p := New(4, 0, 0)
-	id, _ := p.Alloc(1, 0)
-	if id != 0 {
-		t.Fatalf("first frame = %d, want 0", id)
-	}
-}
-
+// Take past zero takes what is free and reports it.
 func TestAllocExhaustion(t *testing.T) {
-	p := New(2, 0, 0)
-	p.Alloc(1, 0)
-	p.Alloc(1, 1)
-	if _, ok := p.Alloc(1, 2); ok {
-		t.Fatal("alloc succeeded with no free frames")
+	p := New(5, 0, 0)
+	if got := p.Take(3); got != 3 {
+		t.Fatalf("Take(3) = %d", got)
+	}
+	if got := p.Take(4); got != 2 {
+		t.Fatalf("Take(4) with 2 free = %d, want 2", got)
+	}
+	if got := p.Take(1); got != 0 || p.NumFree() != 0 {
+		t.Fatalf("Take(1) with none free = %d, free %d", got, p.NumFree())
 	}
 }
 
 func TestWatermarks(t *testing.T) {
 	p := New(10, 3, 6)
-	if p.BelowMin() {
-		t.Fatal("fresh table below min")
+	for _, tc := range []struct{ n, want int }{
+		{0, 0},
+		{7, 0},  // 3 free left: at min
+		{8, 4},  // 2 free left: below min, back to 6 after taking 8
+		{10, 6}, // everything
+	} {
+		if got := p.ReclaimTarget(tc.n); got != tc.want {
+			t.Errorf("fresh ReclaimTarget(%d) = %d, want %d", tc.n, got, tc.want)
+		}
 	}
-	if p.NeedReclaim() != 0 {
-		t.Fatalf("fresh NeedReclaim = %d", p.NeedReclaim())
+	p.Take(8) // 2 free
+	if got := p.ReclaimTarget(0); got != 4 {
+		t.Fatalf("ReclaimTarget(0) with 2 free = %d, want 4", got)
 	}
-	var ids []FrameID
-	for i := 0; i < 8; i++ { // 2 free left
-		id, _ := p.Alloc(1, int32(i))
-		ids = append(ids, id)
+	if got := p.ReclaimTarget(1); got != 5 {
+		t.Fatalf("ReclaimTarget(1) with 2 free = %d, want 5", got)
 	}
-	if !p.BelowMin() {
-		t.Fatal("2 free < min 3, BelowMin should hold")
-	}
-	if p.NeedReclaim() != 4 { // to reach 6 free
-		t.Fatalf("NeedReclaim = %d, want 4", p.NeedReclaim())
-	}
-	p.Release(ids[0])
-	p.Release(ids[1])
-	if p.BelowMin() {
-		t.Fatal("4 free >= min 3")
+	p.Release(2) // 4 free
+	if got := p.ReclaimTarget(1); got != 0 {
+		t.Fatalf("ReclaimTarget(1) with 4 free = %d, want 0", got)
 	}
 }
 
@@ -92,39 +81,46 @@ func TestLock(t *testing.T) {
 	if p.NumFree() != 4 || p.LockedFrames() != 6 {
 		t.Fatalf("free=%d locked=%d", p.NumFree(), p.LockedFrames())
 	}
-	for i := 0; i < 4; i++ {
-		if _, ok := p.Alloc(1, int32(i)); !ok {
-			t.Fatal("alloc of unlocked frame failed")
-		}
+	if got := p.Take(5); got != 4 {
+		t.Fatalf("Take(5) with 6 of 10 locked = %d, want 4", got)
 	}
-	if _, ok := p.Alloc(1, 99); ok {
-		t.Fatal("allocated a locked frame")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("released a wired frame")
+			}
+		}()
+		p.Release(5)
+	}()
+	p.Release(4)
+	if p.NumFree() != 4 {
+		t.Fatalf("free after release = %d, want 4", p.NumFree())
 	}
 }
 
 func TestLockTooManyPanics(t *testing.T) {
 	p := New(4, 0, 0)
+	p.Take(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	p.Lock(5)
+	p.Lock(4)
 }
 
+// Releasing more frames than are in use is the count form of a double
+// release.
 func TestDoubleReleasePanics(t *testing.T) {
 	p := New(4, 0, 0)
-	id, _ := p.Alloc(1, 0)
-	p.Release(id)
+	p.Take(1)
+	p.Release(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	p.Release(id)
+	p.Release(1)
 }
 
 func TestBadArgsPanic(t *testing.T) {
@@ -133,10 +129,9 @@ func TestBadArgsPanic(t *testing.T) {
 		func() { New(10, 5, 3) },
 		func() { New(10, -1, 3) },
 		func() { New(10, 3, 11) },
-		func() { New(4, 0, 0).Alloc(0, 0) },
-		func() { New(4, 0, 0).Alloc(-3, 0) },
-		func() { New(4, 0, 0).Frame(99) },
-		func() { New(4, 0, 0).Frame(-2) },
+		func() { New(4, 0, 0).Take(-1) },
+		func() { New(4, 0, 0).Release(-1) },
+		func() { New(4, 0, 0).Lock(-1) },
 	} {
 		func() {
 			defer func() {
@@ -149,38 +144,41 @@ func TestBadArgsPanic(t *testing.T) {
 	}
 }
 
-// Property: random alloc/release interleavings keep the frame table
-// consistent and never hand out the same frame twice.
+// Property: random take/release/lock interleavings conserve frames: free +
+// locked + in use is always the total, and Take never hands out more than
+// was free.
 func TestQuickFrameConsistency(t *testing.T) {
 	type op struct {
-		Alloc bool
-		PID   uint8
-		Which uint8
+		Kind uint8
+		N    uint8
 	}
 	f := func(ops []op) bool {
 		p := New(64, 4, 8)
-		var held []FrameID
+		inUse := 0
 		for _, o := range ops {
-			if o.Alloc {
-				pid := int(o.PID)%5 + 1
-				if id, ok := p.Alloc(pid, 0); ok {
-					for _, h := range held {
-						if h == id {
-							return false
-						}
-					}
-					held = append(held, id)
+			n := int(o.N) % 20
+			switch o.Kind % 3 {
+			case 0:
+				free := p.NumFree()
+				got := p.Take(n)
+				if got != min(n, free) {
+					return false
 				}
-			} else if len(held) > 0 {
-				i := int(o.Which) % len(held)
-				p.Release(held[i])
-				held = append(held[:i], held[i+1:]...)
+				inUse += got
+			case 1:
+				n = min(n, inUse)
+				p.Release(n)
+				inUse -= n
+			case 2:
+				if n <= p.NumFree() {
+					p.Lock(n)
+				}
 			}
-			if err := p.Validate(); err != nil {
+			if p.NumFree()+p.LockedFrames()+inUse != p.NumFrames() {
 				return false
 			}
 		}
-		return p.NumFree() == 64-len(held)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Fatal(err)

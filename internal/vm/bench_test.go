@@ -19,8 +19,7 @@ import (
 const sweepChunk = 8192
 
 // BenchmarkTouchRun is the touch kernel on a Figure-7-sized image (LU
-// class B, 190 MB) whose frames were handed out in shuffled page order, so
-// frame numbers are scattered across the table. Each op touches one
+// class B, 190 MB) faulted in in shuffled page order. Each op touches one
 // 64-page run, sweeping the image; ns/page is the cost per page touched.
 func BenchmarkTouchRun(b *testing.B) {
 	pages := mem.PagesFromMB(190)

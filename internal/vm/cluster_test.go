@@ -3,8 +3,6 @@ package vm
 import (
 	"sort"
 	"testing"
-
-	"repro/internal/mem"
 )
 
 // TestExpandClusters pins the intended behaviour of blind block page-out
@@ -148,15 +146,14 @@ func TestExpandClustersOverTarget(t *testing.T) {
 // markInFlight puts a resident page into the mid-transfer state a demand
 // page-in leaves it in: frame mapped, inFlight set, not counted resident.
 func (r *rig) markInFlight(as *AddressSpace, vp int) {
-	as.inFlight[vp] = true
+	setBit(as.inFlight, vp)
 	clearBit(as.settled, vp)
 	as.resident--
 }
 
 // markEvicted unmaps a resident clean page as a completed eviction would.
 func (r *rig) markEvicted(as *AddressSpace, vp int) {
-	r.vm.Phys().Release(as.frames[vp])
-	as.frames[vp] = mem.NoFrame
+	r.vm.Phys().Release(1)
 	clearBit(as.settled, vp)
 	clearBit(as.ref, vp)
 	as.resident--

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/disk"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -141,12 +140,11 @@ func (w *faultWait) attempt() {
 		return
 	}
 	v.ensureFree(1)
-	fid, ok := v.phys.Alloc(as.pid, int32(w.vpage))
-	if !ok {
+	if v.phys.Take(1) == 0 {
 		v.eng.ScheduleDetached(reclaimRetryDelay, w.attemptFn)
 		return
 	}
-	v.settleZero(as, w.vpage, fid, v.eng.Now())
+	v.settleZero(as, w.vpage, v.eng.Now())
 	v.eng.ScheduleDetached(v.cfg.FaultOverhead+v.cfg.ZeroFillCost, w.finishFn)
 }
 
@@ -162,9 +160,10 @@ func (v *VM) endStall(as *AddressSpace, span, parent obs.SpanID, start, end sim.
 	}
 }
 
-// settleZero installs frame fid at vp as a resident demand-zero page.
-func (v *VM) settleZero(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time) {
-	v.mapFrame(as, vp, fid, now)
+// settleZero installs a frame already taken at vp as a resident
+// demand-zero page.
+func (v *VM) settleZero(as *AddressSpace, vp int, now sim.Time) {
+	v.mapFrame(as, vp, now)
 	setBit(as.settled, vp)
 	as.resident++
 	v.residentSum++
@@ -188,8 +187,8 @@ func (v *VM) settleZero(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time)
 func (v *VM) FoldZeroFill(as *AddressSpace, vpage int, at, next sim.Time, hasNext bool) (d sim.Duration, cat obs.Category, ok bool) {
 	d = v.cfg.FaultOverhead + v.cfg.ZeroFillCost
 	end := at.Add(d)
-	if as.frames[vpage] != mem.NoFrame || as.OnDisk(vpage) ||
-		v.phys.NumFree()-1 < v.phys.FreeMin() || hasNext && end >= next {
+	if as.hasFrame(vpage) || as.OnDisk(vpage) ||
+		v.phys.ReclaimTarget(1) > 0 || hasNext && end >= next {
 		return 0, 0, false
 	}
 	span, parent := v.faultSpan()
@@ -198,8 +197,8 @@ func (v *VM) FoldZeroFill(as *AddressSpace, vpage int, at, next sim.Time, hasNex
 		cat = obs.CatSwitch
 	}
 	v.zeroFillFault(as)
-	fid, _ := v.phys.Alloc(as.pid, int32(vpage)) // a frame is free: see above
-	v.settleZero(as, vpage, fid, at)
+	v.phys.Take(1) // a frame is free: see above
+	v.settleZero(as, vpage, at)
 	v.endStall(as, span, parent, at, end)
 	return d, cat, true
 }
@@ -217,11 +216,10 @@ func (as *AddressSpace) addWaiter(vp int, w *faultWait) {
 	last.next = w
 }
 
-// mapFrame installs a new frame at vp: the page is mapped, referenced,
-// last used now and starts at AgeStart. Callers then mark it settled (zero
-// fill) or in flight (swap read).
-func (v *VM) mapFrame(as *AddressSpace, vp int, fid mem.FrameID, now sim.Time) {
-	as.frames[vp] = fid
+// mapFrame installs a frame the caller took at vp: the page is mapped,
+// referenced, last used now and starts at AgeStart. Callers then mark it
+// settled (zero fill) or in flight (swap read).
+func (v *VM) mapFrame(as *AddressSpace, vp int, now sim.Time) {
 	as.mapped++
 	setBit(as.ref, vp)
 	as.lastUse[vp] = now
@@ -256,7 +254,7 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 		return
 	}
 	// Read already in flight (e.g. adaptive page-in prefetch): wait for it.
-	if as.inFlight[vpage] {
+	if bit(as.inFlight, vpage) {
 		v.minorFault(as)
 		as.addWaiter(vpage, w)
 		return
@@ -278,7 +276,7 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	}
 	group := append(v.getGroup(), vpage)
 	for next := vpage + 1; next < as.numPages && len(group) < v.cfg.ReadAhead; next++ {
-		if as.frames[next] != mem.NoFrame || !as.OnDisk(next) {
+		if as.hasFrame(next) || !as.OnDisk(next) {
 			break
 		}
 		group = append(group, next)
@@ -345,7 +343,7 @@ func (v *VM) ReadPagesInTraced(pid int, vpages []int, prio disk.Priority, parent
 		if vp < 0 || vp >= as.numPages {
 			panic(fmt.Sprintf("vm: ReadPagesIn vpage %d outside footprint of pid %d", vp, pid))
 		}
-		if as.frames[vp] != mem.NoFrame || !as.OnDisk(vp) {
+		if as.hasFrame(vp) || !as.OnDisk(vp) {
 			continue // resident, in flight or demand-zero
 		}
 		group = append(group, vp)
@@ -380,7 +378,7 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	// Re-filter: on a retry some pages may have landed via other requests.
 	filtered := v.getGroup()
 	for _, vp := range group {
-		if as.frames[vp] == mem.NoFrame && as.OnDisk(vp) {
+		if !as.hasFrame(vp) && as.OnDisk(vp) {
 			filtered = append(filtered, vp)
 		}
 	}
@@ -394,30 +392,16 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 		return
 	}
 	avail := v.ensureFree(len(group))
-	if avail < len(group) {
-		if avail < 1 {
-			v.retryReadIn(as, group, prio, parent, onDone)
-			return
-		}
-		group = group[:avail]
-	}
-	now := v.eng.Now()
-	for i, vp := range group {
-		fid, ok := v.phys.Alloc(as.pid, int32(vp))
-		if !ok {
-			// ensureFree guaranteed avail frames; trim to what we got.
-			group = group[:i]
-			break
-		}
-		v.mapFrame(as, vp, fid, now)
-		as.inFlight[vp] = true
-	}
-	if len(group) == 0 {
-		v.putGroup(group)
-		if onDone != nil {
-			onDone()
-		}
+	if avail < 1 {
+		v.retryReadIn(as, group, prio, parent, onDone)
 		return
+	}
+	// ensureFree left at least avail frames free, so Take takes them all.
+	group = group[:v.phys.Take(avail)]
+	now := v.eng.Now()
+	for _, vp := range group {
+		v.mapFrame(as, vp, now)
+		setBit(as.inFlight, vp)
 	}
 	if v.acct != nil {
 		v.acct.MapInFlight(len(group))
@@ -452,10 +436,10 @@ func (v *VM) retryReadIn(as *AddressSpace, group []int, prio disk.Priority, pare
 func (v *VM) completeRead(as *AddressSpace, pages []int) {
 	n := 0
 	for _, vp := range pages {
-		if !as.inFlight[vp] {
+		if !bit(as.inFlight, vp) {
 			continue // process destroyed or page stolen mid-flight
 		}
-		as.inFlight[vp] = false
+		clearBit(as.inFlight, vp)
 		setBit(as.settled, vp)
 		as.resident++
 		v.residentSum++

@@ -9,8 +9,8 @@ import (
 
 // TestRandomOperationSoak drives the full VM surface with a deterministic
 // pseudo-random operation mix — touches, faults, prefetches, reclaims,
-// write-backs, policy flips, process churn — validating the frame table
-// and PTE bookkeeping after every step. This is the failure-injection
+// write-backs, policy flips, process churn — validating frame conservation
+// and the page-state bookkeeping after every step. This is the failure-injection
 // backstop for invariants no single-scenario test covers.
 func TestRandomOperationSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

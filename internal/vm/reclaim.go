@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/disk"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -133,20 +133,12 @@ type dirtyBatch struct {
 
 // ensureFree makes room for an allocation of n frames, running a reclaim
 // pass when free memory would drop below freepages.min — the
-// try_to_free_pages trigger. It reports how many frames are actually free
-// afterwards (possibly fewer than n when nothing more is evictable).
+// try_to_free_pages trigger (mem.Physical.ReclaimTarget). It reports how
+// many of the n frames are free afterwards (fewer than n when nothing more
+// is evictable).
 func (v *VM) ensureFree(n int) int {
-	if v.phys.NumFree()-n >= v.phys.FreeMin() {
-		return n
-	}
-	target := v.phys.FreeHigh() + n - v.phys.NumFree()
-	if target > 0 {
-		v.reclaim(target)
-	}
-	if free := v.phys.NumFree(); free < n {
-		return free
-	}
-	return n
+	v.reclaim(v.phys.ReclaimTarget(n))
+	return min(n, v.phys.NumFree())
 }
 
 // Reclaim frees up to target frames using the active victim policy,
@@ -269,43 +261,76 @@ func (v *VM) selectDefault(target int, out []victim, pass *reclaimPass) []victim
 	base := len(out)
 	cycles := 0
 	for len(out)-base < target && cycles < 3 {
-		as := v.maxSwapCnt()
-		if as == nil {
+		i := v.maxSwapCnt()
+		if i < 0 {
 			// Cycle exhausted: restart it (bounded per pass so reclaim
 			// cannot decay the whole system's ages in one call).
 			cycles++
 			v.resetSwapCnt()
 			continue
 		}
+		as := v.swapOrder[i]
 		scanned, _ := v.clockSweep(as, as.swapCnt, target-(len(out)-base), &out, pass)
 		if scanned == 0 {
-			as.swapCnt = 0
+			v.lowerSwapCnt(i, 0)
 			continue
 		}
-		as.swapCnt = max(as.swapCnt-scanned, 0)
+		v.lowerSwapCnt(i, max(as.swapCnt-scanned, 0))
 	}
 	return out
 }
 
-// maxSwapCnt returns the live process with resident pages and the largest
-// remaining scan counter, or nil when the cycle is spent. The process table
-// is in ascending pid order, so ties go to the lowest pid.
-func (v *VM) maxSwapCnt() *AddressSpace {
-	var best *AddressSpace
-	for _, as := range v.procs {
-		if as.resident > 0 && as.swapCnt > 0 && (best == nil || as.swapCnt > best.swapCnt) {
-			best = as
+// maxSwapCnt returns the index in swapOrder of the live process with
+// resident pages and the largest remaining scan counter, lowest pid first
+// among equal counters, or -1 when the cycle is spent. swapOrder lists
+// exactly the processes whose counter is positive, in that order, so the
+// pick is its first entry with resident pages.
+func (v *VM) maxSwapCnt() int {
+	for i, as := range v.swapOrder {
+		if as.resident > 0 {
+			return i
 		}
 	}
-	return best
+	return -1
+}
+
+// swapsBefore reports whether a precedes a process with scan counter n and
+// the given pid in swapOrder.
+func swapsBefore(a *AddressSpace, n, pid int) bool {
+	return a.swapCnt > n || a.swapCnt == n && a.pid < pid
+}
+
+// lowerSwapCnt sets the scan counter of swapOrder[i] to n, no more than it
+// was, and keeps swapOrder in order: a spent counter leaves the list, and
+// a lowered one moves back past the entries that now precede it.
+func (v *VM) lowerSwapCnt(i, n int) {
+	as := v.swapOrder[i]
+	as.swapCnt = n
+	if n == 0 {
+		v.swapOrder = slices.Delete(v.swapOrder, i, i+1)
+		return
+	}
+	rest := v.swapOrder[i+1:]
+	k := sort.Search(len(rest), func(k int) bool { return !swapsBefore(rest[k], n, as.pid) })
+	copy(v.swapOrder[i:], rest[:k])
+	v.swapOrder[i+k] = as
 }
 
 // resetSwapCnt starts a swap_out cycle: every process's scan counter is
-// its resident size.
+// its resident size, and swapOrder lists those with resident pages,
+// largest counter first. The process table is in ascending pid order and
+// the sort is stable, so equal counters stay in pid order.
 func (v *VM) resetSwapCnt() {
+	clear(v.swapOrder) // drop stale entries past the new length
+	order := v.swapOrder[:0]
 	for _, as := range v.procs {
 		as.swapCnt = as.resident
+		if as.swapCnt > 0 {
+			order = append(order, as)
+		}
 	}
+	slices.SortStableFunc(order, func(a, b *AddressSpace) int { return cmp.Compare(b.swapCnt, a.swapCnt) })
+	v.swapOrder = order
 }
 
 // clockSweep advances as's clock hand for at most one revolution,
@@ -470,8 +495,6 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 		clearBit(as.settled, vp)
 		clearBit(as.ref, vp)
 		clearBit(as.bgClean, vp)
-		v.phys.Release(as.frames[vp])
-		as.frames[vp] = mem.NoFrame
 		as.resident--
 		as.mapped--
 		v.residentSum--
@@ -484,6 +507,9 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 			v.OnPageOut(as.pid, vp)
 		}
 	}
+	// Nothing above reads the free count (the page-out hook included), so
+	// the frames go back in one release.
+	v.phys.Release(len(victims))
 	if v.acct != nil && len(victims) > 0 {
 		v.acct.Unmapped(len(victims), dirtied)
 	}
@@ -559,7 +585,7 @@ func (v *VM) completeWrite(as *AddressSpace, pages []int) {
 		}
 		as.wbPending[vp]--
 		v.wbPendingPages--
-		as.onDisk[vp] = true
+		setBit(as.onDisk, vp)
 	}
 	if v.acct != nil {
 		v.acct.WBLanded(len(pages))

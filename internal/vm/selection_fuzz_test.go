@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/acct"
 	"repro/internal/disk"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -51,8 +50,8 @@ func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
 // returns the first max, in eviction order.
 func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 	var cand []aged
-	for vp, fid := range as.frames {
-		if fid == mem.NoFrame || as.inFlight[vp] {
+	for vp := range as.numPages {
+		if !as.hasFrame(vp) || bit(as.inFlight, vp) {
 			continue
 		}
 		cand = append(cand, aged{vp, as.lastUsed(vp)})
@@ -180,8 +179,8 @@ func refClockSweep(cfg Config, s *sweepState, scanMax, max int, out *[]pageOut) 
 // dirtyPages lists as's resident dirty pages.
 func dirtyPages(as *AddressSpace) []int {
 	var pages []int
-	for vp, fid := range as.frames {
-		if fid != mem.NoFrame && !as.inFlight[vp] && as.Dirty(vp) {
+	for vp := range as.numPages {
+		if as.hasFrame(vp) && !bit(as.inFlight, vp) && as.Dirty(vp) {
 			pages = append(pages, vp)
 		}
 	}
@@ -229,7 +228,7 @@ func lastUses(as *AddressSpace) []sim.Time {
 func refTouchRun(as *AddressSpace, st *touchState, vpage, max int, write bool, at sim.Time) int {
 	vp := vpage
 	for end := min(vpage+max, as.numPages); vp < end; vp++ {
-		if as.frames[vp] == mem.NoFrame || as.inFlight[vp] {
+		if !as.hasFrame(vp) || bit(as.inFlight, vp) {
 			break
 		}
 		setBit(st.ref, vp)

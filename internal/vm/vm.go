@@ -135,22 +135,23 @@ type ProcStats struct {
 type AddressSpace struct {
 	pid      int
 	numPages int
-	frames   []mem.FrameID // frame per vpage, NoFrame when not mapped
-	onDisk   []bool        // a write-back COMPLETED: the swap slot holds a valid copy
-	inFlight []bool        // read from swap in progress
 	// wbPending counts queued-but-incomplete write-backs per page. A page is
 	// swap-backed when onDisk is set OR a write is pending; only a completed
-	// write flips onDisk, so a crash that drops queued writes (Disk.Reset)
+	// write sets onDisk, so a crash that drops queued writes (Disk.Reset)
 	// cannot leave a page claiming a swap copy that never reached the device.
 	wbPending []uint16
 	region    swap.Region
 	resident  int  // settled pages
-	mapped    int  // pages holding a frame: resident plus reads in flight
+	mapped    int  // pages holding a frame: settled plus in flight
 	gone      bool // destroyed; late write completions are ignored
 
-	// Page-state bitmaps. A new frame sets ref, lastUse and age
+	// Page-state bitmaps. A page holds a frame exactly when its settled or
+	// inFlight bit is set (never both); which frame is recorded nowhere,
+	// because nothing depends on it. A new frame sets ref, lastUse and age
 	// (mapFrame); last use and age are only read for settled pages.
 	settled  []uint64 // has a frame and no read in flight: resident
+	inFlight []uint64 // has a frame that a swap read is filling
+	onDisk   []uint64 // a write-back COMPLETED: the swap slot holds a valid copy
 	ref      []uint64 // clock reference bit
 	bgClean  []uint64 // cleaned by the bg writer since last dirtied
 	touchedQ []uint64 // touched this quantum; BeginQuantum clears it
@@ -231,7 +232,12 @@ func (as *AddressSpace) Dirty(vpage int) bool { return bit(as.dirtyMap, vpage) }
 // reads the slot behind that write). onDisk alone only says a write
 // completed.
 func (as *AddressSpace) OnDisk(vpage int) bool {
-	return as.onDisk[vpage] || as.wbPending[vpage] > 0
+	return bit(as.onDisk, vpage) || as.wbPending[vpage] > 0
+}
+
+// hasFrame reports whether vp holds a frame: settled or in flight.
+func (as *AddressSpace) hasFrame(vp int) bool {
+	return (as.settled[vp>>6]|as.inFlight[vp>>6])&(1<<(uint(vp)&63)) != 0
 }
 
 // lastUsed reports vp's last reference time.
@@ -267,13 +273,12 @@ func (as *AddressSpace) settledEnd(lo, hi int) int {
 	return hi
 }
 
-// Frame reports the frame mapped at vpage (NoFrame when not resident).
-// Audit accessor.
-func (as *AddressSpace) Frame(vpage int) mem.FrameID { return as.frames[vpage] }
-
-// InFlight reports whether a swap read of vpage is in progress. Audit
-// accessor.
-func (as *AddressSpace) InFlight(vpage int) bool { return as.inFlight[vpage] }
+// PageWords reports word wi of the settled, in-flight and dirty bitmaps:
+// the state of vpages 64*wi to 64*wi+63. Audit accessor; the auditor's
+// sweep re-derives the mapped, resident and dirty counts from it.
+func (as *AddressSpace) PageWords(wi int) (settled, inFlight, dirty uint64) {
+	return as.settled[wi], as.inFlight[wi], as.dirtyMap[wi]
+}
 
 // PendingWrites reports how many queued write-backs target vpage's slot.
 // Audit accessor.
@@ -282,7 +287,7 @@ func (as *AddressSpace) PendingWrites(vpage int) int { return int(as.wbPending[v
 // WriteCompleted reports whether a write-back of vpage has completed, i.e.
 // the slot's copy is valid even if the node crashes right now. Audit
 // accessor; the fault path uses OnDisk (which also counts pending writes).
-func (as *AddressSpace) WriteCompleted(vpage int) bool { return as.onDisk[vpage] }
+func (as *AddressSpace) WriteCompleted(vpage int) bool { return bit(as.onDisk, vpage) }
 
 // Region reports the process's contiguous swap reservation. Audit accessor.
 func (as *AddressSpace) Region() swap.Region { return as.region }
@@ -297,9 +302,15 @@ type VM struct {
 
 	// procs is the process table: the live address spaces in ascending pid
 	// order. Hot paths hold *AddressSpace directly; pid lookups (per switch
-	// and per daemon pass) binary-search it, and the default policy's
-	// swap_out cycle walks it in pid order for its lowest-pid tie-break.
+	// and per daemon pass) binary-search it, and a swap_out cycle's reset
+	// walks it in pid order for its lowest-pid tie-break (resetSwapCnt).
 	procs []*AddressSpace
+
+	// swapOrder lists the processes whose swap_out scan counter is
+	// positive, largest counter first and lowest pid first among equal
+	// counters, so the default policy picks without scanning the process
+	// table (maxSwapCnt).
+	swapOrder []*AddressSpace
 
 	policy   Policy
 	outgoing int // pid whose pages selective reclaim targets; 0 = none
@@ -668,11 +679,10 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 	as := &AddressSpace{
 		pid:        pid,
 		numPages:   numPages,
-		frames:     make([]mem.FrameID, numPages),
-		onDisk:     make([]bool, numPages),
-		inFlight:   make([]bool, numPages),
 		wbPending:  make([]uint16, numPages),
 		settled:    make([]uint64, words),
+		inFlight:   make([]uint64, words),
+		onDisk:     make([]uint64, words),
 		ref:        make([]uint64, words),
 		bgClean:    make([]uint64, words),
 		touchedQ:   make([]uint64, words),
@@ -685,9 +695,6 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 		passTaken:  make([]uint64, words),
 		region:     region,
 		waiters:    make(map[int]*faultWait),
-	}
-	for i := range as.frames {
-		as.frames[i] = mem.NoFrame
 	}
 	v.procs = slices.Insert(v.procs, slot, as)
 	if v.acct != nil {
@@ -746,6 +753,9 @@ func (v *VM) DestroyProcess(pid int) {
 	}
 	v.space.ReleaseRegion(as.region)
 	v.procs = slices.Delete(v.procs, i, i+1)
+	if j := slices.Index(v.swapOrder, as); j >= 0 {
+		v.swapOrder = slices.Delete(v.swapOrder, j, j+1)
+	}
 	if v.outgoing == pid {
 		v.outgoing = 0
 	}
@@ -753,8 +763,9 @@ func (v *VM) DestroyProcess(pid int) {
 
 // dropImage releases every frame of as without write-back, abandons its
 // in-flight reads and cancels its queued write-backs, leaving no page
-// mapped. It returns the deltas for the accounting shadow, tallied from the
-// page table as it is dismantled rather than from the model's counters.
+// mapped. It returns the deltas for the accounting shadow, counted from the
+// page-state bitmaps a word at a time rather than taken from the model's
+// counters.
 //
 // Queued and in-flight write-backs die with the disk queue (a crash's
 // Disk.Reset drops them), so the data never reached the slot: the pending
@@ -763,22 +774,16 @@ func (v *VM) DestroyProcess(pid int) {
 // an earlier completed write keep onDisk: a valid (if stale) copy really is
 // on the device.
 func (v *VM) dropImage(as *AddressSpace) (mapped, res, inFl, dirtied, wb int) {
-	for vp, fid := range as.frames {
-		if fid != mem.NoFrame {
-			mapped++
-			switch {
-			case as.inFlight[vp]:
-				inFl++
-			case bit(as.dirtyMap, vp):
-				res++
-				dirtied++
-			default:
-				res++
-			}
-			v.phys.Release(fid)
-			as.frames[vp] = mem.NoFrame
-		}
-		if n := as.wbPending[vp]; n > 0 {
+	for wi, settled := range as.settled {
+		inFlight := as.inFlight[wi]
+		mapped += bits.OnesCount64(settled | inFlight)
+		res += bits.OnesCount64(settled)
+		inFl += bits.OnesCount64(inFlight)
+		dirtied += bits.OnesCount64(settled & as.dirtyMap[wi])
+	}
+	v.phys.Release(mapped)
+	for vp, n := range as.wbPending {
+		if n > 0 {
 			wb += int(n)
 			as.wbPending[vp] = 0
 		}
@@ -832,6 +837,8 @@ func (v *VM) Crash() {
 		clear(as.waiters)
 		as.hand, as.swapCnt = 0, 0
 	}
+	clear(v.swapOrder)
+	v.swapOrder = v.swapOrder[:0]
 	v.outgoing = 0
 	for _, w := range resumes {
 		w.finish()
@@ -891,16 +898,16 @@ func (v *VM) PendingWriteBacks() int { return v.wbPendingPages }
 // process-table walk; the full sweep validates it against the page tables.
 func (v *VM) ResidentSum() int { return v.residentSum }
 
-// Validate cross-checks VM bookkeeping against the frame table. Unlike the
-// structured auditor in internal/audit (which grew out of this hook and
-// supersedes it for whole-simulation checking), it is safe to call at any
-// event boundary: pages with an in-flight read own a frame but are not yet
-// counted resident.
+// Validate cross-checks VM bookkeeping: each address space's counters
+// against its page-state bitmaps and the bitmaps against each other, the
+// write-back aggregate against the per-page counts, and frame conservation
+// (free + locked + mapped == total). Unlike the structured auditor in
+// internal/audit (which grew out of this hook and supersedes it for
+// whole-simulation checking), it is safe to call at any event boundary:
+// pages with an in-flight read hold a frame but are not yet counted
+// resident.
 func (v *VM) Validate() error {
-	if err := v.phys.Validate(); err != nil {
-		return err
-	}
-	pending := 0
+	pending, mapped := 0, 0
 	for _, as := range v.procs {
 		if err := v.validateSpace(as); err != nil {
 			return err
@@ -908,51 +915,46 @@ func (v *VM) Validate() error {
 		for _, n := range as.wbPending {
 			pending += int(n)
 		}
+		mapped += as.mapped
 	}
 	if pending != v.wbPendingPages {
 		return fmt.Errorf("vm: write-back pending counter %d, pages say %d", v.wbPendingPages, pending)
 	}
+	counting := 0
+	for _, as := range v.procs {
+		if as.swapCnt > 0 {
+			counting++
+		}
+	}
+	for i, as := range v.swapOrder {
+		if as.swapCnt <= 0 || as.gone || i > 0 && !swapsBefore(v.swapOrder[i-1], as.swapCnt, as.pid) {
+			return fmt.Errorf("vm: swap_out order entry %d (pid %d, counter %d) out of place", i, as.pid, as.swapCnt)
+		}
+	}
+	if counting != len(v.swapOrder) {
+		return fmt.Errorf("vm: %d processes have a swap_out counter but the order lists %d", counting, len(v.swapOrder))
+	}
+	if free, locked := v.phys.NumFree(), v.phys.LockedFrames(); free+locked+mapped != v.phys.NumFrames() {
+		return fmt.Errorf("vm: free %d + locked %d + mapped %d != %d frames", free, locked, mapped, v.phys.NumFrames())
+	}
 	return nil
 }
 
-// validateSpace checks one address space's page table against the frame
-// table, its counters against the page table, and its page-state bitmaps
-// against each other a word at a time.
+// validateSpace checks one address space's page-state bitmaps against each
+// other a word at a time, and its counters against their popcounts.
 func (v *VM) validateSpace(as *AddressSpace) error {
 	pid := as.pid
 	res, mapped, touched := 0, 0, 0
-	for wi := range as.settled {
-		// Rebuild the word's mapped and settled sets from the page table.
-		var mappedW, settledW uint64
-		for b := range 64 {
-			vp := wi<<6 + b
-			if vp >= as.numPages {
-				break
-			}
-			fid := as.frames[vp]
-			if fid == mem.NoFrame {
-				if as.inFlight[vp] {
-					return fmt.Errorf("vm: pid %d vpage %d in flight without a frame", pid, vp)
-				}
-				continue
-			}
-			if f := v.phys.Frame(fid); f.PID != pid || int(f.VPage) != vp {
-				return fmt.Errorf("vm: frame %d labelled (%d,%d), PTE says (%d,%d)",
-					fid, f.PID, f.VPage, pid, vp)
-			}
-			mappedW |= 1 << b
-			if !as.inFlight[vp] {
-				settledW |= 1 << b
-			}
-		}
+	for wi, settled := range as.settled {
+		mappedW := settled | as.inFlight[wi]
 		dirty := as.dirtyMap[wi]
 		for _, c := range [...]struct {
 			bad  uint64
 			what string
 		}{
-			{as.settled[wi] ^ settledW, "settled bit disagrees with the page table"},
-			{dirty &^ settledW, "dirty but not settled"},
-			{as.bgClean[wi] &^ (settledW &^ dirty), "bg-clean but not a clean settled page"},
+			{settled & as.inFlight[wi], "settled and in flight"},
+			{dirty &^ settled, "dirty but not settled"},
+			{as.bgClean[wi] &^ (settled &^ dirty), "bg-clean but not a clean settled page"},
 			{as.ref[wi] &^ mappedW, "referenced without a frame"},
 		} {
 			if c.bad != 0 {
@@ -966,15 +968,15 @@ func (v *VM) validateSpace(as *AddressSpace) error {
 					pid, wi, as.dirtyBound[wi], last, vp)
 			}
 		}
-		res += bits.OnesCount64(settledW)
+		res += bits.OnesCount64(settled)
 		mapped += bits.OnesCount64(mappedW)
 		touched += bits.OnesCount64(as.touchedQ[wi])
 	}
 	if res != as.resident {
-		return fmt.Errorf("vm: pid %d resident counter %d, PTEs say %d", pid, as.resident, res)
+		return fmt.Errorf("vm: pid %d resident counter %d, settled bits say %d", pid, as.resident, res)
 	}
 	if mapped != as.mapped {
-		return fmt.Errorf("vm: pid %d mapped counter %d, PTEs say %d", pid, as.mapped, mapped)
+		return fmt.Errorf("vm: pid %d mapped counter %d, settled and in-flight bits say %d", pid, as.mapped, mapped)
 	}
 	if touched != as.touched {
 		return fmt.Errorf("vm: pid %d touched counter %d, touchedQ holds %d pages", pid, as.touched, touched)

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -82,6 +83,29 @@ func TestNewProcessAndDefaults(t *testing.T) {
 	}
 	if r.vm.NumProcesses() != 1 {
 		t.Fatalf("NumProcesses = %d", r.vm.NumProcesses())
+	}
+}
+
+// TestNewProcessBytesPerPage pins the page table's size: an address space
+// holds no frame index, and its per-page flags are bitmaps, so the arrays
+// NewProcess allocates come to about 12.4 bytes per page (last use 8,
+// write-back count 2, age 1, and nine bitmaps plus two per-word times).
+// Not parallel: it reads the process-wide allocation counter.
+func TestNewProcessBytesPerPage(t *testing.T) {
+	const pages = 65536
+	r := newRig(t, 128, 4, 8, Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	as, err := r.vm.NewProcess(1, pages)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(as)
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / pages
+	t.Logf("NewProcess: %.2f bytes per page", perPage)
+	if perPage > 13 {
+		t.Fatalf("NewProcess allocated %.2f bytes per page, want at most 13", perPage)
 	}
 }
 
@@ -494,10 +518,10 @@ func TestDestroyProcessWithInFlightIO(t *testing.T) {
 	r.eng.Run()
 	r.vm.ReadPagesIn(1, []int{0, 1, 2, 3}, disk.Demand, nil)
 	// Destroy while the read is queued/in service; completion must not
-	// corrupt the frame table.
+	// take or release frames.
 	r.vm.DestroyProcess(1)
 	r.eng.Run()
-	if err := r.phys.Validate(); err != nil {
+	if err := r.vm.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if r.phys.NumFree() != 128 {

@@ -138,8 +138,9 @@ func TestValidateChecksPageState(t *testing.T) {
 		corrupt func(as *AddressSpace)
 		want    string
 	}{
-		{"settled without a frame", func(as *AddressSpace) { setBit(as.settled, unmapped) }, "vpage 180 settled"},
-		{"resident page not settled", func(as *AddressSpace) { clearBit(as.settled, 70) }, "vpage 70 settled"},
+		{"settled without a frame", func(as *AddressSpace) { setBit(as.settled, unmapped) }, "resident counter"},
+		{"resident page not settled", func(as *AddressSpace) { clearBit(as.settled, 70) }, "vpage 70 dirty but not settled"},
+		{"settled and in flight", func(as *AddressSpace) { setBit(as.inFlight, 70) }, "vpage 70 settled and in flight"},
 		{"dirty but not settled", func(as *AddressSpace) { setBit(as.dirtyMap, unmapped) }, "vpage 180 dirty"},
 		{"bg-clean on a dirty page", func(as *AddressSpace) { setBit(as.bgClean, 10) }, "vpage 10 bg-clean"},
 		{"referenced without a frame", func(as *AddressSpace) { setBit(as.ref, unmapped) }, "vpage 180 referenced"},
