@@ -148,13 +148,18 @@ check:
 # through Submit and its completion; 0 allocs/op). BenchmarkAuditSweep is
 # one full-sweep Auditor.Check (the oracle pass that re-derives every
 # counter from the page tables) on a small node stepped to mid-run.
-# BenchmarkScale512 records the 512-node/128-gang scale study.
+# BenchmarkWriteProm is one Prometheus exposition of an observed 16-node
+# run's registry, where the metric views read the model's totals, and
+# BenchmarkBusEmit one event through a bus with a flight ring and a
+# counting sink. BenchmarkScale512 records the 512-node/128-gang scale
+# study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	{ $(GO) test -run NONE -bench 'BenchmarkFig' -benchtime 1x -benchmem -timeout 60m . \
 	  && $(GO) test -run NONE -bench 'BenchmarkScale512$$' -benchtime 1x -benchmem -timeout 60m . \
 	  && $(GO) test -run NONE -bench 'BenchmarkPolicyRun' -benchmem . \
-	  && $(GO) test -run NONE -bench 'BenchmarkRunObs|BenchmarkRunTraced|BenchmarkRunStored' -benchmem . \
+	  && $(GO) test -run NONE -bench 'BenchmarkRunObs|BenchmarkRunTraced|BenchmarkRunStored|BenchmarkWriteProm' -benchmem . \
+	  && $(GO) test -run NONE -bench 'BenchmarkBusEmit$$' -benchmem ./internal/obs \
 	  && $(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem ./internal/sim \
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \

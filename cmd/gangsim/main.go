@@ -250,10 +250,11 @@ func run() (err error) {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, h.Spans()); err != nil {
+		spans := h.Spans()
+		if err := writeTrace(*traceOut, spans); err != nil {
 			return err
 		}
-		log.Printf("%d spans written to %s", len(h.Spans()), *traceOut)
+		log.Printf("%d spans written to %s", len(spans), *traceOut)
 	}
 
 	var cmp *gangsched.Comparison

@@ -145,10 +145,9 @@ func TestFaultLiveness(t *testing.T) {
 		t.Errorf("tally disk errors = %d, events say %d", f.DiskErrors, faultsByClass["diskerr"])
 	}
 
-	// And with the metrics registry.
-	reqs := h.Metrics.Counter(obs.MetricJobRequeues, "", nil).Value()
-	if reqs != float64(f.Requeues) {
-		t.Errorf("requeue counter = %v, tally = %d", reqs, f.Requeues)
+	// And with the metrics exposition.
+	if reqs := promSeries(t, h.Metrics)[obs.MetricJobRequeues]; reqs != promFloat(float64(f.Requeues)) {
+		t.Errorf("requeue counter = %s, tally = %d", reqs, f.Requeues)
 	}
 }
 

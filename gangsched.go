@@ -285,10 +285,12 @@ type RunHandle struct {
 	// Traces holds one recorder per node when Spec.RecordTraces was set.
 	Traces []*trace.Recorder
 	// Events holds the buffered event stream when Spec.Observe asked for
-	// KeepEvents (at most EventCap most-recent events).
+	// KeepEvents (at most obs.DefaultEventCap most-recent events).
 	Events []obs.Event
 	// Metrics is the run's metrics registry when Spec.Observe asked for
-	// Metrics; render it with WriteProm or walk it with Snapshot.
+	// Metrics; render it with WriteProm. Its counters and gauges are views
+	// that read the run's model at exposition, so holding the registry
+	// keeps the run's whole cluster reachable.
 	Metrics *obs.Registry
 	// AuditChecks counts the invariant sweeps performed when Spec.Audit
 	// was set (every sweep passed, or the run would have failed with a
@@ -304,9 +306,9 @@ type RunHandle struct {
 }
 
 // Spans materializes the tracer's retained causal spans when Spec.Observe
-// asked for Trace (at most SpanCap most-recent closed spans, every
-// still-open span closed at end of run; nil otherwise). The copy out of
-// the tracer's compact retention happens here, on demand, so runs that
+// asked for Trace (at most obs.DefaultSpanCap most-recent closed spans,
+// every still-open span closed at end of run; nil otherwise). The copy out
+// of the tracer's compact retention happens here, on demand, so runs that
 // never read their spans don't pay for the export. Export the result with
 // WriteChromeTrace.
 func (h *RunHandle) Spans() []obs.Span {

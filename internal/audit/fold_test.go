@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -18,9 +20,9 @@ import (
 // foldRun is what one run of runFoldCluster leaves behind for comparison.
 type foldRun struct {
 	result, events, prom, spans []byte
-	logical, steps              uint64  // Engine.Executed and Engine.Steps
-	blocker                     uint64  // events the blocker chain fired
-	counted                     float64 // the engine-event counter's value
+	logical, steps              uint64 // Engine.Executed and Engine.Steps
+	blocker                     uint64 // events the blocker chain fired
+	counted                     string // the engine-event series' exposition value
 }
 
 // runFoldCluster runs one node with two over-committed jobs, observability
@@ -107,7 +109,7 @@ func runFoldCluster(t *testing.T, blocked bool) foldRun {
 		t.Fatal(err)
 	}
 	run.events, run.prom = events.Bytes(), prom.Bytes()
-	run.counted = setup.Reg.Counter(obs.MetricEngineEvents, "", nil).Value()
+	run.counted = strings.TrimPrefix(string(engineEvents.Find(run.prom)), obs.MetricEngineEvents+" ")
 	run.logical, run.steps = c.Eng.Executed(), c.Eng.Steps()
 	return run
 }
@@ -115,6 +117,9 @@ func runFoldCluster(t *testing.T, blocked bool) foldRun {
 // engineEvents matches the Prometheus line of the engine's logical event
 // counter, the one series the blocker's own events move.
 var engineEvents = regexp.MustCompile(`(?m)^` + obs.MetricEngineEvents + ` .*$`)
+
+// promCount renders n as the exposition renders a counter.
+func promCount(n uint64) string { return strconv.FormatFloat(float64(n), 'g', -1, 64) }
 
 // TestFoldMatchesUnfolded pins touch-window fast-forwarding, demand-zero
 // fills included, against the schedule without it: every output of a
@@ -139,8 +144,8 @@ func TestFoldMatchesUnfolded(t *testing.T) {
 	}
 	// The blocker's events count in the engine-event series: compare its
 	// exact value less theirs, then the rest of the exposition byte for byte.
-	if free.counted != float64(model) || blocked.counted != float64(blocked.logical) {
-		t.Errorf("engine-event counter %v folded, %v unfolded; want %d and %d",
+	if free.counted != promCount(model) || blocked.counted != promCount(blocked.logical) {
+		t.Errorf("engine-event series %s folded, %s unfolded; want %d and %d",
 			free.counted, blocked.counted, model, blocked.logical)
 	}
 	mask := []byte(obs.MetricEngineEvents + " N")

@@ -168,10 +168,10 @@ func (c *Cluster) EnableAcct() {
 func (c *Cluster) Engines() []*sim.Engine { return []*sim.Engine{c.Eng} }
 
 // EnableObservability attaches the built observability plumbing to every
-// node's VM, disk and kernel, installs the engine step hook that keeps the
-// sim-time gauge and event-throughput counter live, and arranges for job
-// barriers and the scheduler to be instrumented as they are created. Call
-// between New and the first AddJob; a nil or empty setup is a no-op.
+// node's VM, disk and kernel, registers the metric views of the totals the
+// nodes and the engine keep, and arranges for job barriers and the
+// scheduler to be instrumented as they are created. Call between New and
+// the first AddJob; a nil or empty setup is a no-op.
 func (c *Cluster) EnableObservability(setup *obs.Setup) {
 	if setup == nil || (setup.Bus == nil && setup.Reg == nil && setup.Tracer == nil && !setup.Ledger()) {
 		return
@@ -187,16 +187,56 @@ func (c *Cluster) EnableObservability(setup *obs.Setup) {
 		n.Disk.SetObs(n.Obs)
 		n.Kernel.SetObs(n.Obs)
 	}
-	if setup.Reg != nil {
-		simTime := setup.Reg.Gauge(obs.MetricSimTime, "Current simulated time.", nil)
-		events := setup.Reg.Counter(obs.MetricEngineEvents, "Simulation engine events fired.", nil)
-		c.Eng.SetStepHook(func(now sim.Time, fired int) {
-			simTime.Set(now.Seconds())
-			// fired is the step's logical weight: a fast-forwarded touch
-			// run counts every event it collapsed, so the throughput
-			// counter is independent of collapsing.
-			events.Add(float64(fired))
-		})
+	reg := setup.Reg
+	if reg == nil {
+		return
+	}
+	for _, n := range c.Nodes {
+		n.registerViews(reg)
+	}
+	reg.GaugeFunc(obs.MetricSimTime, "Current simulated time.", nil,
+		func() float64 { return c.Eng.Now().Seconds() })
+	// Executed counts logical events, so a fast-forwarded touch run counts
+	// every event it collapsed and the series is independent of collapsing.
+	reg.CounterFunc(obs.MetricEngineEvents, "Simulation engine events fired.", nil,
+		func() float64 { return float64(c.Eng.Executed()) })
+}
+
+// registerViews exposes the node's paging totals, which its VM, kernel and
+// disk already keep for metrics.Collect, as registry series read at
+// exposition. The disk counts a transfer when its service starts.
+func (n *Node) registerViews(reg *obs.Registry) {
+	l := obs.Labels{"node": strconv.Itoa(n.ID)}
+	for _, v := range []struct {
+		name, help string
+		read       func() float64
+	}{
+		{obs.MetricPagesIn, "Pages read from swap (demand + prefetch).",
+			func() float64 { return float64(n.VM.Stats().PagesIn) }},
+		{obs.MetricPagesOut, "Pages written to swap by reclaim and switch page-out.",
+			func() float64 { return float64(n.VM.Stats().PagesOut) }},
+		{obs.MetricBGPagesOut, "Pages written by the background writer.",
+			func() float64 { return float64(n.VM.Stats().BGPagesOut) }},
+		{obs.MetricMajorFaults, "Faults that performed disk I/O.",
+			func() float64 { return float64(n.VM.Stats().MajorFaults) }},
+		{obs.MetricMinorFaults, "Faults satisfied without disk I/O.",
+			func() float64 { return float64(n.VM.Stats().MinorFaults) }},
+		{obs.MetricReclaimPasses, "try_to_free_pages-style reclaim passes.",
+			func() float64 { return float64(n.VM.Stats().ReclaimPasses) }},
+		{obs.MetricPrefaultPages, "Pages scheduled by adaptive page-in replays.",
+			func() float64 { return float64(n.Kernel.Stats().PrefetchedPages) }},
+		{obs.MetricBGWritePasses, "Background-writer passes that queued writes.",
+			func() float64 { return float64(n.Kernel.Stats().BGWritePasses) }},
+		{obs.MetricSwitchEvictions, "Pages evicted synchronously by aggressive page-out.",
+			func() float64 { return float64(n.Kernel.Stats().SwitchEvictions) }},
+		{obs.MetricDiskBusySeconds, "Paging-device service time.",
+			func() float64 { return n.Disk.Stats().BusyTime.Seconds() }},
+		{obs.MetricDiskSeeks, "Disk runs that paid a seek plus rotation.",
+			func() float64 { return float64(n.Disk.Stats().Seeks) }},
+		{obs.MetricDiskRetries, "Disk transfer attempts retried after injected errors.",
+			func() float64 { return float64(n.Disk.Stats().Retries) }},
+	} {
+		reg.CounterFunc(v.name, v.help, l, v.read)
 	}
 }
 
@@ -234,8 +274,12 @@ func (c *Cluster) AddJob(spec JobSpec) (*gang.Job, error) {
 		barrier = mpi.NewBarrier(c.Net, len(c.Nodes))
 		job.Barrier = barrier
 		if c.obs != nil {
-			barrier.Observe(c.obs.Bus, spec.Name, c.obs.JobBarrierCounter(spec.Name))
+			barrier.Observe(c.obs.Bus, spec.Name)
 			barrier.Trace(c.obs.Tracer)
+			name := spec.Name
+			c.obs.Reg.CounterFunc(obs.MetricBarrierWait,
+				"Cumulative rank-time spent blocked in the job's barrier.", obs.Labels{"job": name},
+				func() float64 { return c.barrierWait(name).Seconds() })
 		}
 	}
 	for _, n := range c.Nodes {
@@ -271,9 +315,15 @@ func (c *Cluster) BuildScheduler(opts gang.Options) *gang.Scheduler {
 	if c.sched != nil {
 		panic("cluster: BuildScheduler called twice")
 	}
-	if c.obs != nil && opts.Obs == nil {
-		opts.Obs = obs.NewSchedObs(c.obs.Reg, c.obs.Bus)
-		opts.Obs.Tracer = c.obs.Tracer
+	if c.obs != nil {
+		opts.Obs = c.obs
+		reg := c.obs.Reg
+		reg.CounterFunc(obs.MetricSwitches, "Coordinated job switches performed.", nil,
+			func() float64 { return float64(c.sched.Stats().Switches) })
+		reg.CounterFunc(obs.MetricQuanta, "Quanta (full or partial) served.", nil,
+			func() float64 { return float64(c.sched.Stats().QuantaServed) })
+		reg.CounterFunc(obs.MetricJobRequeues, "Crash victims requeued to the rotation tail.", nil,
+			func() float64 { return float64(c.sched.Stats().Requeues) })
 	}
 	c.sched = gang.NewScheduler(c.Eng, c.jobs, opts, func() {
 		if c.onAllDone != nil {
@@ -281,6 +331,18 @@ func (c *Cluster) BuildScheduler(opts gang.Options) *gang.Scheduler {
 		}
 	})
 	return c.sched
+}
+
+// barrierWait sums the barrier wait of every job named job: the series is
+// keyed by name, and nothing makes job names unique.
+func (c *Cluster) barrierWait(job string) sim.Duration {
+	var d sim.Duration
+	for _, j := range c.jobs {
+		if j.Name == job && j.Barrier != nil {
+			d += j.Barrier.WaitTime()
+		}
+	}
+	return d
 }
 
 // SetOnAllDone registers a callback fired when the last job completes

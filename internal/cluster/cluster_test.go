@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -223,6 +227,94 @@ func TestTraceRecording(t *testing.T) {
 	ds := c.Nodes[0].Disk.Stats()
 	if got, want := in.Total(), float64(ds.PagesRead)*4; got < want-1 || got > want+1 {
 		t.Fatalf("trace pagein %v != disk %v", got, want)
+	}
+}
+
+// TestMetricViewsReadModel pins every counter and gauge series the cluster
+// registers to the model total it reads: each exposition line is that
+// total rendered once, and no series is left unchecked. The two jobs share
+// a name, so their barrier-wait series is the sum of both barriers.
+func TestMetricViewsReadModel(t *testing.T) {
+	nc := tinyNode()
+	nc.MemoryMB = 6
+	c, err := New(1, 2, nc, core.SOAOAIBG, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := (&obs.Options{Metrics: true}).Build()
+	c.EnableObservability(setup)
+	beh := smallBehavior(1000, 40)
+	beh.SyncEveryIter = true
+	beh.MsgBytes = 4096
+	for range 2 {
+		if _, err := c.AddJob(JobSpec{Name: "p", Behavior: beh, Quantum: 30 * sim.Millisecond, PassWSHint: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.BuildScheduler(gang.Options{BGWriteFraction: 0.1})
+	if err := c.Run(2 * sim.Hour); err != nil {
+		t.Fatal(err)
+	}
+
+	ss := s.Stats()
+	want := map[string]float64{
+		obs.MetricSwitches:     float64(ss.Switches),
+		obs.MetricQuanta:       float64(ss.QuantaServed),
+		obs.MetricJobRequeues:  float64(ss.Requeues),
+		obs.MetricSimTime:      c.Eng.Now().Seconds(),
+		obs.MetricEngineEvents: float64(c.Eng.Executed()),
+	}
+	for _, n := range c.Nodes {
+		vs, ks, ds := n.VM.Stats(), n.Kernel.Stats(), n.Disk.Stats()
+		for name, v := range map[string]float64{
+			obs.MetricPagesIn:         float64(vs.PagesIn),
+			obs.MetricPagesOut:        float64(vs.PagesOut),
+			obs.MetricBGPagesOut:      float64(vs.BGPagesOut),
+			obs.MetricMajorFaults:     float64(vs.MajorFaults),
+			obs.MetricMinorFaults:     float64(vs.MinorFaults),
+			obs.MetricReclaimPasses:   float64(vs.ReclaimPasses),
+			obs.MetricPrefaultPages:   float64(ks.PrefetchedPages),
+			obs.MetricBGWritePasses:   float64(ks.BGWritePasses),
+			obs.MetricSwitchEvictions: float64(ks.SwitchEvictions),
+			obs.MetricDiskBusySeconds: ds.BusyTime.Seconds(),
+			obs.MetricDiskSeeks:       float64(ds.Seeks),
+			obs.MetricDiskRetries:     float64(ds.Retries),
+		} {
+			want[fmt.Sprintf(`%s{node="%d"}`, name, n.ID)] = v
+		}
+	}
+	var wait sim.Duration
+	for _, j := range c.Jobs() {
+		wait += j.Barrier.WaitTime()
+	}
+	want[obs.MetricBarrierWait+`{job="p"}`] = wait.Seconds()
+
+	var buf bytes.Buffer
+	if err := setup.Reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") || strings.HasPrefix(line, obs.MetricFaultStall) ||
+			strings.HasPrefix(line, obs.MetricPageOutBatch) {
+			continue
+		}
+		series, val, _ := strings.Cut(line, " ")
+		v, ok := want[series]
+		if !ok {
+			t.Errorf("series %s is not a view of the model", series)
+			continue
+		}
+		seen++
+		if exp := strconv.FormatFloat(v, 'g', -1, 64); val != exp {
+			t.Errorf("%s = %s, model says %s", series, val, exp)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("exposition holds %d of the %d views", seen, len(want))
+	}
+	if ss.Switches == 0 || c.Nodes[0].Kernel.Stats().SwitchEvictions == 0 || c.Jobs()[1].Barrier.WaitTime() == 0 {
+		t.Fatalf("the run exercised no switch paging or barrier wait: %+v", ss)
 	}
 }
 

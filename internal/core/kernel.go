@@ -68,7 +68,7 @@ type Kernel struct {
 	bgTimer *sim.Event
 
 	// obs, when non-nil, receives PrefaultBatch / BGWriteTick events and
-	// the prefault / bg-write / switch-eviction counters.
+	// the page-out drain and prefault spans.
 	obs *obs.NodeObs
 
 	stats Stats
@@ -226,9 +226,6 @@ func (k *Kernel) AdaptivePageOut(inPID, outPID, wsPages int) int {
 		k.vm.EndDrain(k.eng.Now())
 	}
 	k.stats.SwitchEvictions += int64(evicted)
-	if k.obs != nil {
-		k.obs.SwitchEvictions.Add(float64(evicted))
-	}
 	return evicted
 }
 
@@ -256,7 +253,6 @@ func (k *Kernel) AdaptivePageIn(inPID, outPID, wsPages int, onDone func()) int {
 	k.stats.PrefetchedPages += int64(len(pages))
 	k.stats.PrefetchRequests++
 	if k.obs != nil {
-		k.obs.PrefaultPages.Add(float64(len(pages)))
 		k.obs.Bus.Emit(obs.Event{
 			T:     k.eng.Now(),
 			Kind:  obs.KindPrefaultBatch,
@@ -323,7 +319,6 @@ func (k *Kernel) scheduleBGPass() {
 			if n := k.vm.WriteBackDirty(pid, k.cfg.BGWriteBatch, disk.Background); n > 0 {
 				k.stats.BGWritePasses++
 				if k.obs != nil {
-					k.obs.BGWritePasses.Inc()
 					k.obs.Bus.Emit(obs.Event{
 						T:     k.eng.Now(),
 						Kind:  obs.KindBGWriteTick,

@@ -71,7 +71,6 @@ type Request struct {
 	attempt  int          // failed service attempts so far
 	start    sim.Time     // when the current service began
 	svc      sim.Duration // its service time
-	seeks    int64        // its seeks (0 or 1)
 	epoch    uint64       // the disk's epoch when its retry or completion was scheduled
 
 	retryFn, completeFn func() // retry and complete, bound once
@@ -229,8 +228,8 @@ type Disk struct {
 	// an older epoch are dead (the node crashed under them).
 	epoch uint64
 
-	// obs, when non-nil, receives a DiskTransfer event and busy-time /
-	// seek counter updates as each request completes service.
+	// obs, when non-nil, receives a DiskTransfer event (and, when
+	// tracing, spans) as each request completes service.
 	obs *obs.NodeObs
 }
 
@@ -408,7 +407,6 @@ func (d *Disk) serve(r *Request) {
 			d.stats.Retries++
 			d.stats.RetryStall += back
 			if d.obs != nil {
-				d.obs.DiskRetries.Inc()
 				d.obs.Bus.Emit(obs.Event{
 					T:       d.eng.Now(),
 					Kind:    obs.KindDiskRetry,
@@ -437,7 +435,7 @@ func (d *Disk) serve(r *Request) {
 
 	svc, seeks := d.serviceTime(r.Run)
 	svc += extra
-	r.start, r.svc, r.seeks = d.eng.Now(), svc, seeks
+	r.start, r.svc = d.eng.Now(), svc
 	d.head = r.Run.End()
 	d.headStale = false
 	d.stats.Seeks += seeks
@@ -491,12 +489,10 @@ func (r *Request) complete() {
 	d.kick()
 }
 
-// observe reports a completed transfer: its event, busy-time and seek
-// counters, and, when tracing, its queue-wait and transfer spans.
+// observe reports a completed transfer: its event and, when tracing, its
+// queue-wait and transfer spans.
 func (d *Disk) observe(r *Request) {
 	pages := r.Run.N
-	d.obs.DiskBusySeconds.Add(r.svc.Seconds())
-	d.obs.DiskSeeks.Add(float64(r.seeks))
 	d.obs.Bus.Emit(obs.Event{
 		T:     r.start,
 		Kind:  obs.KindDiskTransfer,

@@ -96,9 +96,10 @@ type Options struct {
 	// running job finish instead. It avoids paging entirely at the cost of
 	// batch-like response times; jobs need WSHintPages set.
 	MemoryAware bool
-	// Obs, when non-nil, receives a JobSwitch event per coordinated switch
-	// plus the switch/quantum counters.
-	Obs *obs.SchedObs
+	// Obs, when non-nil, is the run's observability: its bus receives a
+	// JobSwitch event per coordinated switch and a JobRequeued event per
+	// crash victim, and its tracer the switch-epoch spans.
+	Obs *obs.Setup
 }
 
 // Stats summarises scheduler activity.
@@ -225,7 +226,6 @@ func (s *Scheduler) Suspend() *Job {
 	s.cur = -1
 	s.stats.Requeues++
 	if o := s.opts.Obs; o != nil {
-		o.Requeues.Inc()
 		o.Bus.Emit(obs.Event{
 			T:     s.eng.Now(),
 			Kind:  obs.KindJobRequeued,
@@ -405,19 +405,15 @@ func (s *Scheduler) switchTo(next int) {
 		}
 	}
 	s.stats.QuantaServed++
-	if o := s.opts.Obs; o != nil {
-		o.Quanta.Inc()
-		if out != nil {
-			o.Switches.Inc()
-			o.Bus.Emit(obs.Event{
-				T:      s.eng.Now(),
-				Kind:   obs.KindJobSwitch,
-				Node:   obs.ClusterScope,
-				Job:    in.Name,
-				OutJob: out.Name,
-				Ranks:  len(in.Members),
-			})
-		}
+	if o := s.opts.Obs; o != nil && out != nil {
+		o.Bus.Emit(obs.Event{
+			T:      s.eng.Now(),
+			Kind:   obs.KindJobSwitch,
+			Node:   obs.ClusterScope,
+			Job:    in.Name,
+			OutJob: out.Name,
+			Ranks:  len(in.Members),
+		})
 	}
 	s.cur = next
 

@@ -67,10 +67,9 @@ type Barrier struct {
 	arriveTimes []sim.Time
 
 	// Observability (nil when disabled): each barrier opening emits one
-	// BarrierStall event and adds the generation's rank-time to obsWait.
-	obsBus  *obs.Bus
-	obsJob  string
-	obsWait *obs.Counter
+	// BarrierStall event.
+	obsBus *obs.Bus
+	obsJob string
 
 	// Tracing (nil when disabled): each generation is one BarrierGen span
 	// from first arrival to release, emitted retrospectively when the last
@@ -87,13 +86,12 @@ func NewBarrier(net *Network, nRanks int) *Barrier {
 	return &Barrier{net: net, nRanks: nRanks}
 }
 
-// Observe attaches observability outputs for this barrier: bus receives a
-// BarrierStall event per opening (attributed to job), and waitCtr
-// accumulates blocked rank-time in seconds. Either may be nil.
-func (b *Barrier) Observe(bus *obs.Bus, job string, waitCtr *obs.Counter) {
+// Observe attaches the run's event bus (nil for none): it receives a
+// BarrierStall event per opening, attributed to job, which also names the
+// barrier's spans.
+func (b *Barrier) Observe(bus *obs.Bus, job string) {
 	b.obsBus = bus
 	b.obsJob = job
-	b.obsWait = waitCtr
 }
 
 // Trace attaches (or with nil detaches) the run's span tracer.
@@ -140,9 +138,6 @@ func (b *Barrier) Arrive(msgBytes int, release func()) {
 		genWait += now.Sub(at) + cost
 	}
 	b.waitTime += genWait
-	if b.obsWait != nil {
-		b.obsWait.Add(genWait.Seconds())
-	}
 	if b.obsBus != nil {
 		b.obsBus.Emit(obs.Event{
 			T:     now,

@@ -27,11 +27,12 @@
 //
 // Registry holds named metrics, optionally labelled (per-node instruments
 // use a "node" label, per-job ones a "job" label). Counters and gauges are
-// float64; histograms use fixed cumulative buckets, which lets them express
-// distributions — fault-stall latency, page-out batch size — that the flat
-// end-of-run totals in internal/metrics cannot. Registry.Snapshot and
-// Snapshot.Delta support per-quantum readings; WriteProm renders the
-// Prometheus text format.
+// float64, either pushed by instrumented code or registered as views
+// (CounterFunc, GaugeFunc) that read a total the model already keeps when
+// WriteProm renders the Prometheus text format. Histograms use fixed
+// cumulative buckets, which lets them express distributions — fault-stall
+// latency, page-out batch size — that the flat end-of-run totals in
+// internal/metrics cannot.
 //
 // All types are single-goroutine like the simulator itself; they are not
 // safe for concurrent use.

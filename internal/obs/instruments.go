@@ -8,6 +8,12 @@ import (
 )
 
 // Metric names. All durations are seconds, all sizes are 4 KiB pages.
+//
+// The counters and the gauge of the first group are views: internal/cluster
+// registers each as a read of a total the model already keeps (the vm,
+// core, disk and gang Stats, Barrier.WaitTime, the engine's clock and
+// event count), taken at exposition. The histograms and the rest are
+// pushed where the event happens, because no model counter holds them.
 const (
 	MetricPagesIn         = "gangsim_pages_in_total"             // counter{node}
 	MetricPagesOut        = "gangsim_pages_out_total"            // counter{node}
@@ -20,23 +26,23 @@ const (
 	MetricSwitchEvictions = "gangsim_switch_evictions_total"     // counter{node}
 	MetricDiskBusySeconds = "gangsim_disk_busy_seconds_total"    // counter{node}
 	MetricDiskSeeks       = "gangsim_disk_seeks_total"           // counter{node}
-	MetricFaultStall      = "gangsim_fault_stall_seconds"        // histogram{node}
-	MetricPageOutBatch    = "gangsim_pageout_batch_pages"        // histogram{node}
+	MetricDiskRetries     = "gangsim_disk_retries_total"         // counter{node}
 	MetricSwitches        = "gangsim_switches_total"             // counter
 	MetricQuanta          = "gangsim_quanta_total"               // counter
+	MetricJobRequeues     = "gangsim_job_requeues_total"         // counter
 	MetricBarrierWait     = "gangsim_barrier_wait_seconds_total" // counter{job}
 	MetricSimTime         = "gangsim_sim_time_seconds"           // gauge
 	MetricEngineEvents    = "gangsim_engine_events_total"        // counter
 
+	MetricFaultStall     = "gangsim_fault_stall_seconds"   // histogram{node}
+	MetricPageOutBatch   = "gangsim_pageout_batch_pages"   // histogram{node}
 	MetricFaultsInjected = "gangsim_faults_injected_total" // counter{node,fault}
-	MetricDiskRetries    = "gangsim_disk_retries_total"    // counter{node}
 	MetricNodeCrashes    = "gangsim_node_crashes_total"    // counter{node}
 	MetricNodeRestarts   = "gangsim_node_restarts_total"   // counter{node}
-	MetricJobRequeues    = "gangsim_job_requeues_total"    // counter
 
 	// MetricEventsDropped counts events the in-memory ring evicted to make
 	// room. It is registered lazily on the first drop, so drop-free runs
-	// expose (and snapshot) exactly the series they did before.
+	// expose exactly the series they did before.
 	MetricEventsDropped = "gangsim_events_dropped_total" // counter
 )
 
@@ -53,29 +59,18 @@ var PageOutBatchBuckets = []float64{
 	1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536,
 }
 
-// NodeObs bundles one node's instruments: the shared event bus plus the
-// node-labelled metric series. Any field may be nil (that aspect
-// disabled); Bus and all metric types are nil-safe, so instrumented code
-// only guards on the *NodeObs pointer itself.
+// NodeObs bundles one node's instruments: the shared event bus, the span
+// tracer and the node-labelled distributions. Totals the model already
+// keeps are not here: internal/cluster registers them as views. Any field
+// may be nil (that aspect disabled); Bus, Tracer and Histogram are
+// nil-safe, so instrumented code only guards on the *NodeObs pointer
+// itself.
 type NodeObs struct {
 	Bus  *Bus
 	Node int
 	// Tracer is the run's span tracer (nil unless tracing is enabled; all
 	// Tracer methods are nil-safe).
 	Tracer *Tracer
-
-	PagesIn         *Counter
-	PagesOut        *Counter
-	BGPagesOut      *Counter
-	MajorFaults     *Counter
-	MinorFaults     *Counter
-	ReclaimPasses   *Counter
-	PrefaultPages   *Counter
-	BGWritePasses   *Counter
-	SwitchEvictions *Counter
-	DiskBusySeconds *Counter
-	DiskSeeks       *Counter
-	DiskRetries     *Counter
 
 	FaultStall   *Histogram
 	PageOutBatch *Histogram
@@ -86,49 +81,15 @@ type NodeObs struct {
 func NewNodeObs(reg *Registry, bus *Bus, node int) *NodeObs {
 	l := Labels{"node": strconv.Itoa(node)}
 	return &NodeObs{
-		Bus:  bus,
-		Node: node,
-
-		PagesIn:         reg.Counter(MetricPagesIn, "Pages read from swap (demand + prefetch).", l),
-		PagesOut:        reg.Counter(MetricPagesOut, "Pages written to swap by reclaim and switch page-out.", l),
-		BGPagesOut:      reg.Counter(MetricBGPagesOut, "Pages written by the background writer.", l),
-		MajorFaults:     reg.Counter(MetricMajorFaults, "Faults that performed disk I/O.", l),
-		MinorFaults:     reg.Counter(MetricMinorFaults, "Faults satisfied without disk I/O.", l),
-		ReclaimPasses:   reg.Counter(MetricReclaimPasses, "try_to_free_pages-style reclaim passes.", l),
-		PrefaultPages:   reg.Counter(MetricPrefaultPages, "Pages scheduled by adaptive page-in replays.", l),
-		BGWritePasses:   reg.Counter(MetricBGWritePasses, "Background-writer passes that queued writes.", l),
-		SwitchEvictions: reg.Counter(MetricSwitchEvictions, "Pages evicted synchronously by aggressive page-out.", l),
-		DiskBusySeconds: reg.Counter(MetricDiskBusySeconds, "Paging-device service time.", l),
-		DiskSeeks:       reg.Counter(MetricDiskSeeks, "Disk runs that paid a seek plus rotation.", l),
-		DiskRetries:     reg.Counter(MetricDiskRetries, "Disk transfer attempts retried after injected errors.", l),
-
+		Bus:          bus,
+		Node:         node,
 		FaultStall:   reg.Histogram(MetricFaultStall, "Per-fault process stall time in seconds.", l, FaultStallBuckets),
 		PageOutBatch: reg.Histogram(MetricPageOutBatch, "Dirty write-back batch size in pages.", l, PageOutBatchBuckets),
 	}
 }
 
-// SchedObs bundles the gang scheduler's cluster-scope instruments.
-type SchedObs struct {
-	Bus *Bus
-	// Tracer is the run's span tracer (nil unless tracing is enabled).
-	Tracer   *Tracer
-	Switches *Counter
-	Quanta   *Counter
-	Requeues *Counter
-}
-
-// NewSchedObs builds the scheduler instrument set; reg and bus may be nil.
-func NewSchedObs(reg *Registry, bus *Bus) *SchedObs {
-	return &SchedObs{
-		Bus:      bus,
-		Switches: reg.Counter(MetricSwitches, "Coordinated job switches performed.", nil),
-		Quanta:   reg.Counter(MetricQuanta, "Quanta (full or partial) served.", nil),
-		Requeues: reg.Counter(MetricJobRequeues, "Crash victims requeued to the rotation tail.", nil),
-	}
-}
-
-// DefaultEventCap is the ring capacity used when Options.KeepEvents is set
-// without an explicit EventCap.
+// DefaultEventCap is the capacity of the ring that Options.KeepEvents
+// buffers events in.
 const DefaultEventCap = 1 << 16
 
 // Options selects what a run observes. The zero value observes nothing
@@ -139,10 +100,8 @@ type Options struct {
 	// sinks: the run does not flush or close them.
 	Sinks []Sink
 	// KeepEvents additionally buffers events in memory, surfaced as
-	// RunHandle.Events, keeping the most recent EventCap.
+	// RunHandle.Events, keeping the most recent DefaultEventCap.
 	KeepEvents bool
-	// EventCap bounds the in-memory buffer (DefaultEventCap when 0).
-	EventCap int
 	// Metrics enables the metrics registry, surfaced as RunHandle.Metrics.
 	Metrics bool
 	// Trace enables the causal span tracer (and, with Metrics, the
@@ -150,8 +109,6 @@ type Options struct {
 	// traced run's event log and Prometheus series stay byte-identical to
 	// an untraced one.
 	Trace bool
-	// SpanCap bounds the closed-span retention (DefaultSpanCap when 0).
-	SpanCap int
 	// Ledger enables per-rank makespan attribution (the six-way wall-time
 	// decomposition surfaced per job in RunResult and checked by the
 	// ledger-conservation audit law).
@@ -205,11 +162,7 @@ func (o *Options) Build() *Setup {
 	s := &Setup{ledger: o.Ledger, flightTo: o.FlightTo}
 	sinks := append([]Sink(nil), o.Sinks...)
 	if o.KeepEvents {
-		capacity := o.EventCap
-		if capacity <= 0 {
-			capacity = DefaultEventCap
-		}
-		s.ring = NewRing(capacity)
+		s.ring = NewRing(DefaultEventCap)
 		sinks = append(sinks, s.ring)
 	}
 	if o.Flight || o.FlightTo != nil {
@@ -223,7 +176,7 @@ func (o *Options) Build() *Setup {
 		s.Reg = NewRegistry()
 	}
 	if o.Trace {
-		s.Tracer = NewTracer(o.SpanCap)
+		s.Tracer = NewTracer(DefaultSpanCap)
 		if s.Reg != nil {
 			s.Tracer.FaultService = s.Reg.Histogram(MetricTraceFaultService,
 				"Fault span durations (trap to wakeup).", nil, FaultStallBuckets)
@@ -279,12 +232,4 @@ func (s *Setup) DumpFlight(now sim.Time) {
 		return
 	}
 	_ = WriteFlightDump(s.flightTo, s.flight, s.Tracer, now)
-}
-
-// JobBarrierCounter registers the barrier-wait counter for one job.
-func (s *Setup) JobBarrierCounter(job string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.Counter(MetricBarrierWait, "Cumulative rank-time spent blocked in the job's barrier.", Labels{"job": job})
 }

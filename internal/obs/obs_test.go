@@ -186,14 +186,16 @@ func TestNilMetricsAreInert(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Bounds() != nil || h.Cumulative() != nil || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Cumulative() != nil {
 		t.Fatal("nil histogram accumulated")
 	}
 	var r *Registry
 	if r.Counter("x", "", nil) != nil || r.Gauge("x", "", nil) != nil ||
-		r.Histogram("x", "", nil, []float64{1}) != nil || r.Len() != 0 || r.Snapshot() != nil {
+		r.Histogram("x", "", nil, []float64{1}) != nil {
 		t.Fatal("nil registry built metrics")
 	}
+	r.CounterFunc("x", "", nil, func() float64 { return 1 })
+	r.GaugeFunc("y", "", nil, func() float64 { return 1 })
 	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +221,8 @@ func TestRegistryDedupAndTypeClash(t *testing.T) {
 	if r.Counter("m", "help", Labels{"node": "1"}) == a {
 		t.Fatal("distinct labels shared a counter")
 	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.entries) != 2 {
+		t.Fatalf("%d series registered, want 2", len(r.entries))
 	}
 	defer func() {
 		if recover() == nil {
@@ -230,7 +232,46 @@ func TestRegistryDedupAndTypeClash(t *testing.T) {
 	r.Gauge("m", "help", nil)
 }
 
-func TestHistogramBucketsAndQuantile(t *testing.T) {
+// TestRegistryViews checks that a view is read at exposition, keeps its
+// first reader when registered again, and cannot be pushed to.
+func TestRegistryViews(t *testing.T) {
+	r := NewRegistry()
+	total, clock := 3, 1.5
+	r.CounterFunc("v_total", "A view.", Labels{"node": "0"}, func() float64 { return float64(total) })
+	r.CounterFunc("v_total", "A view.", Labels{"node": "0"}, func() float64 { return -1 })
+	r.GaugeFunc("v_clock", "", nil, func() float64 { return clock })
+	render := func() string {
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := "# TYPE v_clock gauge\nv_clock 1.5\n# HELP v_total A view.\n# TYPE v_total counter\nv_total{node=\"0\"} 3\n"
+	if got := render(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	total, clock = 5, 2
+	if got := render(); !strings.Contains(got, "v_clock 2\n") || !strings.Contains(got, `v_total{node="0"} 5`) {
+		t.Fatalf("views not re-read at exposition:\n%s", got)
+	}
+	for name, clash := range map[string]func(){
+		"push to a view":  func() { r.Counter("v_total", "", Labels{"node": "0"}) },
+		"view of a push":  func() { r.Gauge("g", "", nil); r.GaugeFunc("g", "", nil, func() float64 { return 0 }) },
+		"view type clash": func() { r.GaugeFunc("v_total", "", Labels{"node": "1"}, func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			clash()
+		}()
+	}
+}
+
+func TestHistogramBuckets(t *testing.T) {
 	h := NewRegistry().Histogram("h", "", nil, []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 8} {
 		h.Observe(v)
@@ -242,12 +283,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if h.Count() != 6 || h.Sum() != 16 {
 		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
-	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Fatalf("median %v outside its bucket", q)
-	}
-	if q := h.Quantile(1); q != 4 {
-		t.Fatalf("q1 = %v, want upper bound of last finite bucket", q)
 	}
 }
 
@@ -271,30 +306,6 @@ func TestObserveMicrosMatchesFloatBuckets(t *testing.T) {
 	}
 	if microLimit(1e300) != math.MaxInt64 || microLimit(-1e300) != math.MinInt64 {
 		t.Fatal("bounds past 2^53 µs do not clamp")
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c", "", nil)
-	g := r.Gauge("g", "", nil)
-	h := r.Histogram("h", "", nil, []float64{10})
-	c.Add(5)
-	g.Set(100)
-	h.Observe(3)
-	before := r.Snapshot()
-	c.Add(2)
-	g.Set(42)
-	h.Observe(50)
-	d := r.Snapshot().Delta(before)
-	if v := d["c"]; v.Value != 2 {
-		t.Fatalf("counter delta = %v", v.Value)
-	}
-	if v := d["g"]; v.Value != 42 {
-		t.Fatalf("gauge delta should report current value, got %v", v.Value)
-	}
-	if v := d["h"]; v.Count != 1 || v.Sum != 50 || !reflect.DeepEqual(v.Buckets, []int64{0, 1}) {
-		t.Fatalf("histogram delta = %+v", v)
 	}
 }
 
@@ -339,15 +350,22 @@ func TestOptionsBuild(t *testing.T) {
 	if s == nil || s.Bus != nil || s.Reg != nil || s.Events() != nil {
 		t.Fatalf("zero options: %+v", s)
 	}
-	s = (&Options{KeepEvents: true, EventCap: 2, Metrics: true}).Build()
+	s = (&Options{KeepEvents: true, Metrics: true}).Build()
 	if s.Bus == nil || s.Reg == nil {
 		t.Fatal("keep-events + metrics setup incomplete")
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultEventCap+2; i++ {
 		s.Bus.Emit(Event{Kind: KindBGWriteTick})
 	}
-	if got := s.Events(); len(got) != 2 || got[1].Seq != 5 {
-		t.Fatalf("ring cap not honoured: %+v", got)
+	if got := s.Events(); len(got) != DefaultEventCap || got[0].Seq != 3 || got[len(got)-1].Seq != DefaultEventCap+2 {
+		t.Fatalf("ring cap not honoured: %d events kept", len(got))
+	}
+	var prom bytes.Buffer
+	if err := s.Reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\n"+MetricEventsDropped+" 2\n") {
+		t.Fatalf("dropped events not counted:\n%s", prom.String())
 	}
 	count := NewCountSink()
 	s = (&Options{Sinks: []Sink{count}}).Build()
@@ -389,18 +407,18 @@ func TestNodeObsRegistersPerNodeSeries(t *testing.T) {
 	bus := NewBus(NewRing(4))
 	n0 := NewNodeObs(reg, bus, 0)
 	n1 := NewNodeObs(reg, bus, 1)
-	if n0.PagesIn == n1.PagesIn {
-		t.Fatal("nodes share a counter")
+	if n0.FaultStall == n1.FaultStall || n0.PageOutBatch == n1.PageOutBatch {
+		t.Fatal("nodes share a histogram")
 	}
-	n0.PagesIn.Add(3)
-	if n1.PagesIn.Value() != 0 {
+	n0.PageOutBatch.Observe(3)
+	if n1.PageOutBatch.Count() != 0 {
 		t.Fatal("cross-node leak")
 	}
 	// Disabled-metrics variant still yields a usable (inert) instrument set.
 	off := NewNodeObs(nil, bus, 2)
-	off.PagesIn.Add(3)
+	off.PageOutBatch.Observe(3)
 	off.FaultStall.Observe(1)
-	if off.PagesIn.Value() != 0 || off.FaultStall.Count() != 0 {
+	if off.PageOutBatch.Count() != 0 || off.FaultStall.Count() != 0 {
 		t.Fatal("nil-registry NodeObs accumulated")
 	}
 }

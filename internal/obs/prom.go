@@ -10,6 +10,7 @@ import (
 // WriteProm renders every registered series in the Prometheus text
 // exposition format (version 0.0.4): one # HELP / # TYPE header per metric
 // name, then its series sorted by label set. Output is deterministic.
+// Views are read here, so render on the goroutine that runs the model.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -46,11 +47,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 
 func writePromSeries(w io.Writer, m *metricEntry) error {
 	switch m.typ {
-	case TypeCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, promFloat(m.counter.Value()))
-		return err
-	case TypeGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, promFloat(m.gauge.Value()))
+	case TypeCounter, TypeGauge:
+		_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, promFloat(m.value()))
 		return err
 	case TypeHistogram:
 		cum := m.hist.Cumulative()

@@ -161,14 +161,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum + float64(h.sumMicros)/1e6
 }
 
-// Bounds returns the bucket upper bounds (excluding the implicit +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // Cumulative returns the cumulative bucket counts, one per bound plus the
 // trailing +Inf bucket (== Count).
 func (h *Histogram) Cumulative() []int64 {
@@ -184,43 +176,9 @@ func (h *Histogram) Cumulative() []int64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0..1) by linear interpolation inside
-// the containing bucket, taking the bucket's upper bound for the unbounded
-// tail. It returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var run int64
-	for i, c := range h.counts {
-		prev := run
-		run += c
-		if float64(run) < rank || c == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := lo
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // metricEntry is one registered series: a name, canonical labels and one
-// typed value.
+// typed value, either pushed (counter, gauge, hist) or read at exposition
+// (view).
 type metricEntry struct {
 	name   string
 	labels string // canonical form, "" when unlabelled
@@ -231,14 +189,27 @@ type metricEntry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
+	view    func() float64
 }
 
 func (m *metricEntry) id() string { return m.name + m.labels }
 
+// value reads a counter or gauge series.
+func (m *metricEntry) value() float64 {
+	switch {
+	case m.view != nil:
+		return m.view()
+	case m.counter != nil:
+		return m.counter.Value()
+	}
+	return m.gauge.Value()
+}
+
 // Registry holds metrics by (name, labels). Registering the same series
-// twice returns the existing instance; registering a name under two
-// different types panics. A nil *Registry is valid and returns nil (also
-// valid, inert) metrics from every constructor.
+// twice returns the existing instance (or keeps the existing view);
+// registering a name under two different types, or one series both as a
+// view and as a pushed metric, panics. A nil *Registry is valid and
+// returns nil (also valid, inert) metrics from every constructor.
 type Registry struct {
 	entries []*metricEntry
 	index   map[string]*metricEntry
@@ -280,12 +251,21 @@ func (r *Registry) register(name, help string, labels Labels, typ MetricType) *m
 	return m
 }
 
+// pushed registers a series that instrumented code updates.
+func (r *Registry) pushed(name, help string, labels Labels, typ MetricType) *metricEntry {
+	m := r.register(name, help, labels, typ)
+	if m.view != nil {
+		panic(fmt.Sprintf("obs: series %s is a view, not a pushed %s", m.id(), typ))
+	}
+	return m
+}
+
 // Counter registers (or returns the existing) counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, help, labels, TypeCounter)
+	m := r.pushed(name, help, labels, TypeCounter)
 	if m.counter == nil {
 		m.counter = &Counter{}
 	}
@@ -297,11 +277,39 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, help, labels, TypeGauge)
+	m := r.pushed(name, help, labels, TypeGauge)
 	if m.gauge == nil {
 		m.gauge = &Gauge{}
 	}
 	return m.gauge
+}
+
+// CounterFunc registers a counter series whose value is read from fn at
+// exposition: a view of a total the model already keeps, so nothing
+// pushes a copy. fn must never decrease. WriteProm calls it on the
+// goroutine that renders the registry, which must be the one that owns
+// what fn reads.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
+	r.viewOf(name, help, labels, TypeCounter, fn)
+}
+
+// GaugeFunc registers a gauge series read from fn at exposition, like
+// CounterFunc.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.viewOf(name, help, labels, TypeGauge, fn)
+}
+
+func (r *Registry) viewOf(name, help string, labels Labels, typ MetricType, fn func() float64) {
+	if r == nil {
+		return
+	}
+	m := r.register(name, help, labels, typ)
+	if m.counter != nil || m.gauge != nil {
+		panic(fmt.Sprintf("obs: series %s is pushed, not a view", m.id()))
+	}
+	if m.view == nil {
+		m.view = fn
+	}
 }
 
 // Histogram registers (or returns the existing) histogram series with the
@@ -354,74 +362,4 @@ func microLimit(b float64) int64 {
 		u--
 	}
 	return u
-}
-
-// Len reports the number of registered series.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.entries)
-}
-
-// SnapshotValue is the frozen reading of one series.
-type SnapshotValue struct {
-	Type  MetricType
-	Value float64 // counter / gauge value
-	// Histogram readings.
-	Sum     float64
-	Count   int64
-	Buckets []int64 // non-cumulative per-bucket counts
-}
-
-// Snapshot maps series id (name + canonical labels) to a frozen reading.
-type Snapshot map[string]SnapshotValue
-
-// Snapshot freezes every series. Use with Delta for per-quantum readings.
-func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return nil
-	}
-	out := make(Snapshot, len(r.entries))
-	for _, m := range r.entries {
-		sv := SnapshotValue{Type: m.typ}
-		switch m.typ {
-		case TypeCounter:
-			sv.Value = m.counter.Value()
-		case TypeGauge:
-			sv.Value = m.gauge.Value()
-		case TypeHistogram:
-			sv.Sum = m.hist.sum
-			sv.Count = m.hist.count
-			sv.Buckets = append([]int64(nil), m.hist.counts...)
-		}
-		out[m.id()] = sv
-	}
-	return out
-}
-
-// Delta returns s minus prev, series by series: counters and histograms
-// subtract (a series absent from prev counts from zero); gauges keep their
-// current value, since a gauge difference has no meaning.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := make(Snapshot, len(s))
-	for id, cur := range s {
-		p, ok := prev[id]
-		if !ok || cur.Type == TypeGauge {
-			out[id] = cur
-			continue
-		}
-		d := SnapshotValue{Type: cur.Type, Value: cur.Value - p.Value, Sum: cur.Sum - p.Sum, Count: cur.Count - p.Count}
-		if cur.Buckets != nil {
-			d.Buckets = make([]int64, len(cur.Buckets))
-			for i := range cur.Buckets {
-				d.Buckets[i] = cur.Buckets[i]
-				if i < len(p.Buckets) {
-					d.Buckets[i] -= p.Buckets[i]
-				}
-			}
-		}
-		out[id] = d
-	}
-	return out
 }

@@ -118,8 +118,8 @@ var DiskQueueBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// DefaultSpanCap is the closed-span retention used when Options.Trace is
-// set without an explicit SpanCap.
+// DefaultSpanCap is the closed-span retention of a run with Options.Trace
+// set.
 const DefaultSpanCap = 1 << 16
 
 // cspan is the Tracer's internal span representation: pointer-free (the
@@ -163,12 +163,12 @@ type openSpan struct {
 }
 
 // Tracer opens and closes causal spans in simulated time. It keeps the
-// most recent SpanCap closed spans (oldest evicted first, counted as
-// dropped) and feeds the span-duration histograms as spans close. A nil
-// *Tracer is valid and does nothing, so instrumented code pays only a nil
-// check when tracing is off. The Tracer is driven exclusively from the
-// (single-threaded, deterministic) simulation goroutine, so identical
-// seeds yield identical span logs.
+// most recent closed spans up to its capacity (oldest evicted first,
+// counted as dropped) and feeds the span-duration histograms as spans
+// close. A nil *Tracer is valid and does nothing, so instrumented code
+// pays only a nil check when tracing is off. The Tracer is driven
+// exclusively from the (single-threaded, deterministic) simulation
+// goroutine, so identical seeds yield identical span logs.
 type Tracer struct {
 	closed  []cspan
 	max     int // retention cap; closed grows lazily toward it

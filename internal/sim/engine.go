@@ -76,11 +76,6 @@ type Engine struct {
 	nRun  uint64 // logical events executed (collapsed runs included)
 	nStep uint64 // events physically fired
 
-	// stepExtra accumulates CountCollapsed credits within the firing event,
-	// so the step hook can report the step's logical weight.
-	stepExtra int
-	onStep    func(now Time, fired int)
-
 	free []*Event // recycled detached events
 
 	// Calendar queue state (see the comment on bucketShift).
@@ -125,26 +120,14 @@ func (e *Engine) Executed() uint64 { return e.nRun }
 // every event a callback collapsed via CountCollapsed.
 func (e *Engine) Steps() uint64 { return e.nStep }
 
-// SetStepHook installs fn to run after every fired event, with the clock
-// already advanced to the event's timestamp. fired is the step's logical
-// weight: 1 for an ordinary event, 1+k when the callback collapsed k
-// additional events into this step via CountCollapsed. It is the engine's
-// observability hook point (the cluster uses it to track simulated time and
-// event throughput as live metrics); pass nil to remove. The hook must not
-// schedule or cancel events.
-func (e *Engine) SetStepHook(fn func(now Time, fired int)) { e.onStep = fn }
-
 // CountCollapsed credits n additional logical events to the step currently
 // firing: the callback analytically advanced work that would otherwise have
-// taken n more events (touch-run fast-forwarding). Executed and the step
-// hook's weight both reflect the credit. Call only from within an event
-// callback.
+// taken n more events (touch-run fast-forwarding). Executed reflects the
+// credit. Call only from within an event callback.
 func (e *Engine) CountCollapsed(n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		e.nRun += uint64(n)
 	}
-	e.nRun += uint64(n)
-	e.stepExtra += n
 }
 
 // Pending reports the number of events currently scheduled to fire.
@@ -443,7 +426,6 @@ func (e *Engine) Step() bool {
 	ev.fired = true
 	e.nRun++
 	e.nStep++
-	e.stepExtra = 0
 	fn := ev.fn
 	if ev.detached {
 		// Recycle before running fn so a detached event scheduled from
@@ -453,9 +435,6 @@ func (e *Engine) Step() bool {
 		e.free = append(e.free, ev)
 	}
 	fn()
-	if e.onStep != nil {
-		e.onStep(e.now, 1+e.stepExtra)
-	}
 	return true
 }
 

@@ -335,9 +335,10 @@ func TestRunUntilFiresEachEventOnce(t *testing.T) {
 // must still fire exactly once, in order.
 func TestCancelCompaction(t *testing.T) {
 	e := NewEngine(1)
+	var fired []Time
 	evs := make([]*Event, 400)
 	for i := range evs {
-		evs[i] = e.Schedule(Duration(i%97+1), func() {})
+		evs[i] = e.Schedule(Duration(i%97+1), func() { fired = append(fired, e.Now()) })
 	}
 	live := 0
 	for i, ev := range evs {
@@ -352,38 +353,36 @@ func TestCancelCompaction(t *testing.T) {
 	if e.Pending() != live {
 		t.Fatalf("Pending after mass cancel = %d, want %d", e.Pending(), live)
 	}
-	var fired []Time
 	for i, ev := range evs {
 		if i%8 == 0 && !ev.Pending() {
 			t.Fatalf("live event %d lost by compaction", i)
 		}
 	}
-	eFired := 0
-	e.SetStepHook(func(now Time, weight int) { fired = append(fired, now); eFired += weight })
 	e.Run()
-	if eFired != live || len(fired) != live {
-		t.Fatalf("fired %d events (hook weight %d), want %d", len(fired), eFired, live)
+	if e.Executed() != uint64(live) || len(fired) != live {
+		t.Fatalf("fired %d events (Executed %d), want %d", len(fired), e.Executed(), live)
 	}
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Fatalf("fire times not sorted: %v", fired)
 	}
 }
 
-// CountCollapsed adds the collapsed run's weight to Executed and to the step
-// hook's fired argument.
+// CountCollapsed adds the collapsed run's weight to Executed, within the
+// step that collapsed it, and not to Steps.
 func TestCountCollapsedWeighting(t *testing.T) {
 	e := NewEngine(1)
 	type step struct {
-		at Time
-		w  int
+		at       Time
+		executed uint64
 	}
 	var steps []step
-	e.SetStepHook(func(now Time, fired int) { steps = append(steps, step{now, fired}) })
 	e.Schedule(1, func() {})
 	e.Schedule(2, func() { e.CountCollapsed(3) })
 	e.Schedule(3, func() {})
-	e.Run()
-	want := []step{{1, 1}, {2, 4}, {3, 1}}
+	for e.Step() {
+		steps = append(steps, step{e.Now(), e.Executed()})
+	}
+	want := []step{{1, 1}, {2, 5}, {3, 6}}
 	if len(steps) != len(want) {
 		t.Fatalf("steps = %v, want %v", steps, want)
 	}
@@ -392,8 +391,8 @@ func TestCountCollapsedWeighting(t *testing.T) {
 			t.Fatalf("steps = %v, want %v", steps, want)
 		}
 	}
-	if e.Executed() != 6 {
-		t.Fatalf("Executed = %d, want 6 (3 physical + 3 collapsed)", e.Executed())
+	if e.Executed() != 6 || e.Steps() != 3 {
+		t.Fatalf("Executed = %d, Steps = %d; want 6 (3 physical + 3 collapsed) and 3", e.Executed(), e.Steps())
 	}
 }
 

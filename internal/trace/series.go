@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -246,27 +245,4 @@ func (s *Series) ActiveBins(threshold float64) int {
 		}
 	}
 	return n
-}
-
-// Quantile returns the q-quantile (0..1) of non-zero bin values, or 0 when
-// the series is empty of activity.
-func (s *Series) Quantile(q float64) float64 {
-	var nz []float64
-	for _, v := range s.bins {
-		if v != 0 {
-			nz = append(nz, v)
-		}
-	}
-	if len(nz) == 0 {
-		return 0
-	}
-	sort.Float64s(nz)
-	idx := int(q * float64(len(nz)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(nz) {
-		idx = len(nz) - 1
-	}
-	return nz[idx]
 }

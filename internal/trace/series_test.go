@@ -154,22 +154,6 @@ func TestActiveSpanAndBins(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	s := NewSeries("q", sim.Second)
-	for i := 1; i <= 100; i++ {
-		s.Add(sim.Time(i)*1_000_000, float64(i))
-	}
-	if med := s.Quantile(0.5); med < 45 || med > 55 {
-		t.Fatalf("median = %v", med)
-	}
-	if s.Quantile(0) != 1 || s.Quantile(1) != 100 {
-		t.Fatalf("extremes: %v %v", s.Quantile(0), s.Quantile(1))
-	}
-	if NewSeries("e", sim.Second).Quantile(0.5) != 0 {
-		t.Fatal("empty quantile must be 0")
-	}
-}
-
 func TestBadBinWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -271,9 +271,6 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	// swap-backed neighbours, as the Linux 2.2 swap-in path does.
 	v.stats.MajorFaults++
 	as.stats.MajorFaults++
-	if v.obs != nil {
-		v.obs.MajorFaults.Inc()
-	}
 	group := append(v.getGroup(), vpage)
 	for next := vpage + 1; next < as.numPages && len(group) < v.cfg.ReadAhead; next++ {
 		if as.hasFrame(next) || !as.OnDisk(next) {
@@ -312,9 +309,6 @@ func (as *AddressSpace) switchStall(vp int) bool {
 func (v *VM) minorFault(as *AddressSpace) {
 	v.stats.MinorFaults++
 	as.stats.MinorFaults++
-	if v.obs != nil {
-		v.obs.MinorFaults.Inc()
-	}
 }
 
 // zeroFillFault accounts a minor fault that a demand-zero page satisfies.
@@ -462,8 +456,5 @@ func (v *VM) completeRead(as *AddressSpace, pages []int) {
 		// Pages skipped above were already dropped from the shadow by the
 		// crash or teardown that stole them.
 		v.acct.ReadsLanded(n)
-	}
-	if v.obs != nil {
-		v.obs.PagesIn.Add(float64(n))
 	}
 }

@@ -168,7 +168,6 @@ func (v *VM) reclaim(target int) int {
 	v.victimScratch = victims[:0]
 	v.evict(victims, disk.Demand)
 	if v.obs != nil {
-		v.obs.ReclaimPasses.Inc()
 		v.obs.Bus.Emit(obs.Event{
 			T:       v.eng.Now(),
 			Kind:    obs.KindReclaimScan,
@@ -519,7 +518,6 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 		v.stats.PagesOut += n
 		b.as.stats.PagesOut += n
 		if v.obs != nil {
-			v.obs.PagesOut.Add(float64(n))
 			v.obs.PageOutBatch.Observe(float64(n))
 			v.obs.Bus.Emit(obs.Event{
 				T:     v.eng.Now(),
@@ -648,15 +646,9 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	n := int64(len(pages))
 	if prio == disk.Background {
 		v.stats.BGPagesOut += n
-		if v.obs != nil {
-			v.obs.BGPagesOut.Add(float64(n))
-		}
 	} else {
 		v.stats.PagesOut += n
 		as.stats.PagesOut += n
-		if v.obs != nil {
-			v.obs.PagesOut.Add(float64(n))
-		}
 	}
 	if v.obs != nil {
 		v.obs.PageOutBatch.Observe(float64(n))

@@ -319,8 +319,8 @@ type VM struct {
 	// The adaptive page-in recorder (package core) subscribes here.
 	OnPageOut func(pid, vpage int)
 
-	// obs, when non-nil, receives structured events and metric updates
-	// from the fault, reclaim and write-back paths.
+	// obs, when non-nil, receives structured events, spans and
+	// distributions from the fault, reclaim and write-back paths.
 	obs *obs.NodeObs
 
 	// acct, when non-nil, receives O(delta) conservation postings at every

@@ -5,7 +5,9 @@
 package gangsched
 
 import (
+	"io"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -105,6 +107,34 @@ func BenchmarkRunTraced(b *testing.B) {
 		}
 		if h.SpanCount() == 0 {
 			b.Fatal("spans missing")
+		}
+	}
+}
+
+// BenchmarkWriteProm prices one Prometheus exposition of an observed
+// 16-node run's registry. The counters and gauges are views that read
+// the model's totals here, so this is what the metrics cost a reader.
+func BenchmarkWriteProm(b *testing.B) {
+	h, err := RunDetailed(Spec{
+		Nodes:    16,
+		MemoryMB: 6,
+		Policy:   "so/ao/ai/bg",
+		Quantum:  200 * time.Millisecond,
+		Seed:     7,
+		Observe:  &obs.Options{Metrics: true},
+		Jobs: []JobSpec{
+			{Name: "a", Workload: parallelJob(900, 10), HintWorkingSet: true},
+			{Name: "b", Workload: parallelJob(900, 10), HintWorkingSet: true},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Metrics.WriteProm(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package gangsched
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -65,38 +67,125 @@ func TestObserveEventsMatchResult(t *testing.T) {
 		}
 	}
 
-	// The registry's node counters must agree with the collected stats.
+	// Every fault — major or minor — observes its stall exactly once.
 	if h.Metrics == nil {
 		t.Fatal("metrics registry missing")
 	}
 	node := res.Nodes[0]
-	lbl := obs.Labels{"node": "0"}
-	checks := []struct {
-		name string
-		want float64
-	}{
-		{obs.MetricPagesIn, float64(node.PagesIn)},
-		{obs.MetricPagesOut, float64(node.PagesOut)},
-		{obs.MetricBGPagesOut, float64(node.BGPagesOut)},
-		{obs.MetricMajorFaults, float64(node.MajorFaults)},
-		{obs.MetricMinorFaults, float64(node.MinorFaults)},
-		{obs.MetricDiskSeeks, float64(node.DiskSeeks)},
-	}
-	for _, c := range checks {
-		if got := h.Metrics.Counter(c.name, "", lbl).Value(); got != c.want {
-			t.Errorf("%s = %v, stats say %v", c.name, got, c.want)
-		}
-	}
-	if got := h.Metrics.Counter(obs.MetricSwitches, "", nil).Value(); got != float64(res.Switches) {
-		t.Errorf("switch counter = %v, result says %d", got, res.Switches)
-	}
-	// Every fault — major or minor — observes its stall exactly once.
-	stall := h.Metrics.Histogram(obs.MetricFaultStall, "", lbl, obs.FaultStallBuckets)
+	stall := h.Metrics.Histogram(obs.MetricFaultStall, "", obs.Labels{"node": "0"}, obs.FaultStallBuckets)
 	if want := node.MajorFaults + node.MinorFaults; stall.Count() != want {
 		t.Errorf("fault-stall observations = %d, faults = %d", stall.Count(), want)
 	}
 	if diff := stall.Sum() - node.FaultStall.Seconds(); diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("fault-stall sum = %vs, stats say %vs", stall.Sum(), node.FaultStall.Seconds())
+	}
+}
+
+// promSeries renders reg and maps each exposition line's series
+// (name{labels}) to its value text.
+func promSeries(t *testing.T, reg *obs.Registry) map[string]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return parseProm(buf.String())
+}
+
+// parseProm maps each sample line of a Prometheus text exposition to its
+// value text, keyed by series (name{labels}).
+func parseProm(text string) map[string]string {
+	out := make(map[string]string)
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	return out
+}
+
+// promFloat renders v as the exposition does.
+func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// viewMatrixSpecs is the run set every metric view is checked over: the
+// §4.3 policy ladder and batch, on observedSpec and on faultSoakSpec, plus
+// TestObserveBarrierEvents' two-node barrier spec.
+func viewMatrixSpecs(o func() *obs.Options) map[string]Spec {
+	specs := map[string]Spec{"barrier": barrierSpec(o())}
+	for name, mk := range map[string]func(*obs.Options) Spec{"observed": observedSpec, "faultsoak": faultSoakSpec} {
+		for _, policy := range []string{"batch", "orig", "ai", "so", "so/ao", "so/ao/bg", "so/ao/ai/bg"} {
+			s := mk(o())
+			if s.Policy = policy; policy == "batch" {
+				s.Batch, s.Policy = true, "orig"
+			}
+			specs[name+" "+policy] = s
+		}
+	}
+	return specs
+}
+
+// TestObserveViewsMatchResult pins the exposition to the totals RunResult
+// reports, line by line: a view reads the model's own counter, so each
+// line is the RunResult value (or an event-stream tally, for totals the
+// result leaves out) rendered once, with no float sum of its own. The
+// views RunResult cannot see (switch evictions, quanta, the clock and the
+// engine's event count) are pinned against the model in internal/cluster.
+func TestObserveViewsMatchResult(t *testing.T) {
+	specs := viewMatrixSpecs(func() *obs.Options {
+		return &obs.Options{Metrics: true, Trace: true, Ledger: true, KeepEvents: true}
+	})
+	for name, spec := range specs {
+		h, err := RunDetailed(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(h.Events) > 0 && h.Events[0].Seq != 1 {
+			t.Fatalf("%s: event ring dropped events; the tallies below need them all", name)
+		}
+		res := h.Result
+		want := map[string]float64{
+			obs.MetricSwitches:    float64(res.Switches),
+			obs.MetricJobRequeues: float64(res.Faults.Requeues),
+		}
+		for i, n := range res.Nodes {
+			l := fmt.Sprintf(`{node="%d"}`, i)
+			want[obs.MetricPagesIn+l] = float64(n.PagesIn)
+			want[obs.MetricPagesOut+l] = float64(n.PagesOut)
+			want[obs.MetricBGPagesOut+l] = float64(n.BGPagesOut)
+			want[obs.MetricMajorFaults+l] = float64(n.MajorFaults)
+			want[obs.MetricMinorFaults+l] = float64(n.MinorFaults)
+			want[obs.MetricDiskBusySeconds+l] = n.DiskBusy.Seconds()
+			want[obs.MetricDiskSeeks+l] = float64(n.DiskSeeks)
+			want[obs.MetricDiskRetries+l] = float64(n.DiskRetries)
+			want[obs.MetricReclaimPasses+l] = 0
+			want[obs.MetricPrefaultPages+l] = 0
+			want[obs.MetricBGWritePasses+l] = 0
+		}
+		for _, ev := range h.Events {
+			l := fmt.Sprintf(`{node="%d"}`, ev.Node)
+			switch ev.Kind {
+			case obs.KindReclaimScan:
+				want[obs.MetricReclaimPasses+l]++
+			case obs.KindPrefaultBatch:
+				want[obs.MetricPrefaultPages+l] += float64(ev.Pages)
+			case obs.KindBGWriteTick:
+				want[obs.MetricBGWritePasses+l]++
+			}
+		}
+		for k, j := range res.Jobs {
+			if spec.Jobs[k].Workload.SyncEveryIter {
+				want[fmt.Sprintf(`%s{job=%q}`, obs.MetricBarrierWait, j.Name)] = j.BarrierWait.Seconds()
+			}
+		}
+		got := promSeries(t, h.Metrics)
+		for series, v := range want {
+			if got[series] != promFloat(v) {
+				t.Errorf("%s: %s = %q, RunResult says %s", name, series, got[series], promFloat(v))
+			}
+		}
 	}
 }
 
@@ -182,19 +271,23 @@ func TestObserveResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObserveBarrierEvents(t *testing.T) {
-	spec := Spec{
+// barrierSpec is two synchronising jobs time-sharing two nodes.
+func barrierSpec(o *obs.Options) Spec {
+	return Spec{
 		Nodes:    2,
 		MemoryMB: 6,
 		Policy:   "orig",
 		Quantum:  200 * time.Millisecond,
-		Observe:  &obs.Options{KeepEvents: true, Metrics: true},
+		Observe:  o,
 		Jobs: []JobSpec{
 			{Name: "a", Workload: parallelJob(900, 40)},
 			{Name: "b", Workload: parallelJob(900, 40)},
 		},
 	}
-	h, err := RunDetailed(spec)
+}
+
+func TestObserveBarrierEvents(t *testing.T) {
+	h, err := RunDetailed(barrierSpec(&obs.Options{KeepEvents: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +303,5 @@ func TestObserveBarrierEvents(t *testing.T) {
 	}
 	if stalls == 0 {
 		t.Fatal("synchronising jobs emitted no barrier events")
-	}
-	// Barrier-wait counters must agree with the per-job collected totals.
-	for _, j := range h.Result.Jobs {
-		got := h.Metrics.Counter(obs.MetricBarrierWait, "", obs.Labels{"job": j.Name}).Value()
-		want := j.BarrierWait.Seconds()
-		if diff := got - want; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("job %s barrier wait: counter %vs, result %vs", j.Name, got, want)
-		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,7 +261,9 @@ func TestChromeTraceExportValid(t *testing.T) {
 // TestHTTPObserverServes is the live-observer smoke test: during a run,
 // /metrics serves a known counter, /progress reports every job with its
 // attribution, and /events streams at least one NDJSON event; after the
-// run the observer keeps serving the final state until closed.
+// run the observer keeps serving the final state until closed. Two
+// mid-run scrapes read the metric views on the simulation goroutine,
+// through the step drain: no counter and not the clock may go back.
 func TestHTTPObserverServes(t *testing.T) {
 	spec := observedSpec(&obs.Options{Metrics: true, Ledger: true})
 	// Enough iterations that the run is still in flight while we scrape
@@ -317,11 +321,30 @@ func TestHTTPObserverServes(t *testing.T) {
 		t.Fatalf("/events line is not an event: %v in %s", err, line)
 	}
 
-	if code, body := get("/metrics"); code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", code)
-	} else if !bytes.Contains(body, []byte(obs.MetricSimTime)) {
-		t.Fatalf("/metrics lacks %s:\n%s", obs.MetricSimTime, body)
+	scrape := func() map[string]float64 {
+		t.Helper()
+		code, body := get("/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics: status %d", code)
+		}
+		out := make(map[string]float64)
+		for series, text := range parseProm(string(body)) {
+			name, _, _ := strings.Cut(series, "{")
+			if !strings.HasSuffix(name, "_total") && name != obs.MetricSimTime {
+				continue
+			}
+			v, err := strconv.ParseFloat(text, 64)
+			if err != nil {
+				t.Fatalf("/metrics: %s %q: %v", series, text, err)
+			}
+			out[series] = v
+		}
+		if _, ok := out[obs.MetricSimTime]; !ok {
+			t.Fatalf("/metrics lacks %s:\n%s", obs.MetricSimTime, body)
+		}
+		return out
 	}
+	first := scrape()
 
 	code, body := get("/progress")
 	if code != http.StatusOK {
@@ -339,6 +362,16 @@ func TestHTTPObserverServes(t *testing.T) {
 	}
 	if len(doc.Jobs) != 2 || doc.Jobs[0].Name != "a" || doc.Jobs[0].Attribution == nil {
 		t.Fatalf("/progress malformed: %s", body)
+	}
+
+	second := scrape()
+	for series, v := range first {
+		if second[series] < v {
+			t.Errorf("%s went back between scrapes: %v then %v", series, v, second[series])
+		}
+	}
+	if second[obs.MetricEngineEvents] <= 0 {
+		t.Errorf("%s = %v mid-run, want positive", obs.MetricEngineEvents, second[obs.MetricEngineEvents])
 	}
 
 	cancel()
