@@ -143,7 +143,10 @@ check:
 # (journaled enqueue + lease + journaled completion, fsync off), and
 # BenchmarkTouchRun/Fault the VM's touch kernel (ns/page) and fault path
 # (allocs/op), and BenchmarkWriteBackDirty/ReclaimFrom/ClockSweep its victim
-# and write-back selection on one large address space. BenchmarkDiskRequest
+# and write-back selection on one large address space.
+# BenchmarkSwitchPaging is the gang-switch layer: a switch each way between
+# two so/ao/ai/bg processes that overcommit one node, through adaptive
+# page-out and page-in to the last transfer. BenchmarkDiskRequest
 # is the disk model's cost per request (one demand request, reused,
 # through Submit and its completion; 0 allocs/op). BenchmarkAuditSweep is
 # one full-sweep Auditor.Check (the oracle pass that re-derives every
@@ -164,6 +167,7 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkStore' -benchmem ./internal/store \
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
 	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm \
+	  && $(GO) test -run NONE -bench 'BenchmarkSwitchPaging$$' -benchmem ./internal/core \
 	  && $(GO) test -run NONE -bench 'BenchmarkDiskRequest$$' -benchmem ./internal/disk \
 	  && $(GO) test -run NONE -bench 'BenchmarkAuditSweep$$' -benchmem ./internal/audit; } \
 	  | bin/benchjson -o BENCH_sim.json

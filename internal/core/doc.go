@@ -15,7 +15,11 @@
 // be compiled in.
 //
 // The adaptive page-in recorder follows Figure 4: pages are recorded as
-// they are flushed out while their owner is stopped, run-length encoded as
-// (base, count) pairs to bound kernel memory, and prefaulted in large
-// coalesced disk reads when the owner is scheduled again.
+// they are flushed out while their owner is stopped, and prefaulted in
+// large coalesced disk reads when the owner is scheduled again. The paper
+// run-length encodes the record as (base, count) pairs to bound kernel
+// memory; here a PageRecord is a bitmap over the process's pages. The VM's
+// page-out hook reports a bitmap word of victims at a time, which the
+// record ORs in, and the replay hands the bitmap to vm.ReadPageSet, which
+// reads the pages in ascending order: record order never reaches the disk.
 package core

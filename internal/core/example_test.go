@@ -6,20 +6,19 @@ import (
 	"repro/internal/core"
 )
 
-// The adaptive page-in record run-length encodes flushed pages: contiguous
-// addresses collapse into (base, count) entries (paper Figure 4).
+// The adaptive page-in record keeps the pages flushed while their owner
+// was stopped as a bitmap (paper Figure 4 lists them as runs): an eviction
+// adds a bitmap word's worth of pages at a time.
 func ExamplePageRecord() {
 	var rec core.PageRecord
-	for _, vpage := range []int{100, 101, 102, 103, 500, 501, 9} {
-		rec.Append(vpage)
-	}
+	rec.Add(1, 0xf<<36) // vpages 100-103
+	rec.Add(7, 3<<52)   // vpages 500 and 501
+	rec.Add(0, 1<<9)    // vpage 9
 	fmt.Println("pages recorded:", rec.Len())
-	fmt.Println("runs used:", rec.RunCount())
-	fmt.Println("replay:", rec.Pages())
+	fmt.Println("101 and 104 recorded:", rec.Has(101), rec.Has(104))
 	// Output:
 	// pages recorded: 7
-	// runs used: 3
-	// replay: [100 101 102 103 500 501 9]
+	// 101 and 104 recorded: true false
 }
 
 // Policy combinations follow the paper's slash notation.

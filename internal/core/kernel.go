@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/disk"
 	"repro/internal/obs"
@@ -87,10 +88,10 @@ func NewKernel(eng *sim.Engine, v *vm.VM, features Features, cfg Config) *Kernel
 		stopped:  make(map[int]bool),
 	}
 	prev := v.OnPageOut
-	v.OnPageOut = func(pid, vpage int) {
-		k.onPageOut(pid, vpage)
+	v.OnPageOut = func(pid, word int, mask uint64) {
+		k.onPageOut(pid, word, mask)
 		if prev != nil {
-			prev(pid, vpage)
+			prev(pid, word, mask)
 		}
 	}
 	if features.Selective {
@@ -111,7 +112,7 @@ func (k *Kernel) VM() *vm.VM { return k.vm }
 // SetObs attaches the node's observability instruments (nil to detach).
 func (k *Kernel) SetObs(o *obs.NodeObs) { k.obs = o }
 
-func (k *Kernel) onPageOut(pid, vpage int) {
+func (k *Kernel) onPageOut(pid, word int, mask uint64) {
 	if !k.features.AdaptiveIn {
 		return
 	}
@@ -128,8 +129,8 @@ func (k *Kernel) onPageOut(pid, vpage int) {
 	if k.lastRec == nil {
 		return
 	}
-	k.lastRec.Append(vpage)
-	k.stats.RecordedPages++
+	k.lastRec.Add(word, mask)
+	k.stats.RecordedPages += int64(bits.OnesCount64(mask))
 }
 
 // dropCache forgets onPageOut's resolved pid.
@@ -248,9 +249,9 @@ func (k *Kernel) AdaptivePageIn(inPID, outPID, wsPages int, onDone func()) int {
 		}
 		return 0
 	}
-	pages := rec.Pages()
-	rec.Reset()
-	k.stats.PrefetchedPages += int64(len(pages))
+	n := rec.pages
+	rec.pages = 0 // ReadPageSet below takes the pages out of the bitmap
+	k.stats.PrefetchedPages += int64(n)
 	k.stats.PrefetchRequests++
 	if k.obs != nil {
 		k.obs.Bus.Emit(obs.Event{
@@ -258,14 +259,14 @@ func (k *Kernel) AdaptivePageIn(inPID, outPID, wsPages int, onDone func()) int {
 			Kind:  obs.KindPrefaultBatch,
 			Node:  k.obs.Node,
 			PID:   inPID,
-			Pages: len(pages),
+			Pages: n,
 		})
 	}
 	var span obs.SpanID
 	if k.obs != nil {
 		if tr := k.obs.Tracer; tr != nil {
 			span = tr.Begin(k.eng.Now(), obs.SpanPrefault, tr.Epoch(), k.obs.Node, "", inPID)
-			inner, n := onDone, len(pages)
+			inner := onDone
 			onDone = func() {
 				tr.End(k.eng.Now(), span, n)
 				if inner != nil {
@@ -274,8 +275,8 @@ func (k *Kernel) AdaptivePageIn(inPID, outPID, wsPages int, onDone func()) int {
 			}
 		}
 	}
-	k.vm.ReadPagesInTraced(inPID, pages, disk.Demand, span, onDone)
-	return len(pages)
+	k.vm.ReadPageSet(inPID, rec.words, disk.Demand, span, onDone)
+	return n
 }
 
 // StartBGWrite activates the background writer for pid (§3.4): a

@@ -16,7 +16,7 @@ type rig struct {
 	k   *Kernel
 }
 
-func newRig(t *testing.T, frames int, features Features) *rig {
+func newRig(t testing.TB, frames int, features Features) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)
@@ -27,7 +27,7 @@ func newRig(t *testing.T, frames int, features Features) *rig {
 	return &rig{eng, v, k}
 }
 
-func (r *rig) touchAll(t *testing.T, pid, n int, write bool) {
+func (r *rig) touchAll(t testing.TB, pid, n int, write bool) {
 	t.Helper()
 	pos := 0
 	for pos < n {
@@ -178,6 +178,31 @@ func TestAdaptivePageInReplaysRecord(t *testing.T) {
 	}
 }
 
+// TestRecordReset checks that a replay empties the record, and that the
+// record then holds the next stop's page-outs alone.
+func TestRecordReset(t *testing.T) {
+	r := newRig(t, 200, AI)
+	r.vm.NewProcess(1, 100)
+	r.touchAll(t, 1, 100, true)
+	r.k.MarkStopped(1)
+	r.vm.ReclaimFrom(1, 30)
+	r.eng.Run()
+	rec := r.k.records[1]
+	r.k.MarkRunning(1)
+	if n := r.k.AdaptivePageIn(1, 0, 0, nil); n != 30 {
+		t.Fatalf("replayed %d pages, want 30", n)
+	}
+	if rec.Len() != 0 || recordPages(rec) != nil {
+		t.Fatalf("record holds %d pages %v after its replay", rec.Len(), recordPages(rec))
+	}
+	r.eng.Run()
+	r.k.MarkStopped(1)
+	r.vm.ReclaimFrom(1, 10)
+	if rec.Len() != 10 || len(recordPages(rec)) != 10 {
+		t.Fatalf("record holds %d pages %v after 10 more page-outs", rec.Len(), recordPages(rec))
+	}
+}
+
 func TestAdaptivePageInDisabledOrEmpty(t *testing.T) {
 	r := newRig(t, 64, SO)
 	r.vm.NewProcess(1, 10)
@@ -211,7 +236,8 @@ func TestRunningProcessEvictionsNotRecorded(t *testing.T) {
 // the next eviction, even of the pid the hook saw last.
 func TestPageOutRecordFollowsStopMarks(t *testing.T) {
 	r := newRig(t, 64, AI)
-	out := r.vm.OnPageOut
+	hook := r.vm.OnPageOut
+	out := func(pid, vp int) { hook(pid, vp>>6, 1<<(vp&63)) }
 	check := func(step string, rec1, rec2 int, recorded int64) {
 		t.Helper()
 		if r.k.RecordLen(1) != rec1 || r.k.RecordLen(2) != rec2 || r.k.Stats().RecordedPages != recorded {

@@ -1,54 +1,35 @@
 package core
 
-// PageRecord is the adaptive page-in bookkeeping of Figure 4: a run-length
-// encoded list of the pages flushed from memory while their owner was
-// stopped. Contiguous page addresses recorded in sequence collapse into a
-// single (base, count) entry, "saving substantial amount of kernel memory".
+import "math/bits"
+
+// PageRecord is the adaptive page-in bookkeeping of Figure 4 for one
+// process: the pages flushed from memory while it was stopped, one bit per
+// page. The paper encodes the list as (base, count) runs to save kernel
+// memory; the simulator keeps the set as a bitmap instead, because its
+// replay reads the pages in ascending order whatever order they were
+// flushed in (the disk sees the same requests), and an eviction reports a
+// bitmap word of pages at a time.
 type PageRecord struct {
-	runs  []recordRun
-	pages int
+	words []uint64 // bit i of word w records vpage 64·w+i
+	pages int      // pages recorded since the last replay
 }
 
-type recordRun struct {
-	base  int
-	count int
-}
-
-// Append records one flushed page. Appending the page that directly
-// follows the previous one extends the current run.
-func (r *PageRecord) Append(vpage int) {
-	if n := len(r.runs); n > 0 {
-		last := &r.runs[n-1]
-		if vpage == last.base+last.count {
-			last.count++
-			r.pages++
-			return
-		}
+// Add records the pages whose bits are set in mask, vpages 64·w to
+// 64·w+63. Len counts pages as they are added, like the paper's list: a
+// page added twice counts twice.
+func (r *PageRecord) Add(w int, mask uint64) {
+	if w >= len(r.words) {
+		r.words = append(r.words, make([]uint64, w+1-len(r.words))...)
 	}
-	r.runs = append(r.runs, recordRun{base: vpage, count: 1})
-	r.pages++
+	r.words[w] |= mask
+	r.pages += bits.OnesCount64(mask)
 }
 
 // Len reports the number of recorded pages.
 func (r *PageRecord) Len() int { return r.pages }
 
-// RunCount reports how many (base, count) entries the encoding uses — the
-// kernel-memory cost the paper's offset encoding optimises.
-func (r *PageRecord) RunCount() int { return len(r.runs) }
-
-// Pages decodes the record into the flat page list, in recorded order.
-func (r *PageRecord) Pages() []int {
-	out := make([]int, 0, r.pages)
-	for _, run := range r.runs {
-		for i := 0; i < run.count; i++ {
-			out = append(out, run.base+i)
-		}
-	}
-	return out
-}
-
-// Reset clears the record, retaining capacity.
-func (r *PageRecord) Reset() {
-	r.runs = r.runs[:0]
-	r.pages = 0
+// Has reports whether vpage is recorded.
+func (r *PageRecord) Has(vpage int) bool {
+	w := vpage >> 6
+	return w < len(r.words) && r.words[w]&(1<<(uint(vpage)&63)) != 0
 }

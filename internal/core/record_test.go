@@ -1,105 +1,55 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestRecordRLECompression(t *testing.T) {
-	var r PageRecord
-	for vp := 100; vp < 200; vp++ {
-		r.Append(vp)
-	}
-	if r.Len() != 100 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if r.RunCount() != 1 {
-		t.Fatalf("contiguous pages should use 1 run, got %d", r.RunCount())
-	}
-	pages := r.Pages()
-	for i, vp := range pages {
-		if vp != 100+i {
-			t.Fatalf("Pages()[%d] = %d", i, vp)
+// recordPages lists the pages r records, in ascending order.
+func recordPages(r *PageRecord) []int {
+	var pages []int
+	for w, m := range r.words {
+		for ; m != 0; m &= m - 1 {
+			pages = append(pages, w<<6+bits.TrailingZeros64(m))
 		}
 	}
+	return pages
 }
 
+// Scattered runs of pages, added a page or a word mask at a time and in
+// any order, are recorded exactly.
 func TestRecordScatteredRuns(t *testing.T) {
 	var r PageRecord
 	for _, vp := range []int{5, 6, 7, 20, 21, 3} {
-		r.Append(vp)
+		r.Add(vp>>6, 1<<(vp&63))
 	}
-	if r.RunCount() != 3 || r.Len() != 6 {
-		t.Fatalf("runs=%d len=%d", r.RunCount(), r.Len())
+	r.Add(3, 1)     // vpage 192
+	r.Add(2, 3<<62) // vpages 190 and 191
+	if want := []int{3, 5, 6, 7, 20, 21, 190, 191, 192}; r.Len() != len(want) || !slices.Equal(recordPages(&r), want) {
+		t.Fatalf("len %d, pages %v; want %v", r.Len(), recordPages(&r), want)
 	}
-	want := []int{5, 6, 7, 20, 21, 3}
-	got := r.Pages()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Pages = %v", got)
-		}
+	if r.Has(4) || !r.Has(190) || r.Has(1000) {
+		t.Fatal("Has disagrees with the recorded pages")
 	}
 }
 
-func TestRecordReset(t *testing.T) {
-	var r PageRecord
-	r.Append(1)
-	r.Reset()
-	if r.Len() != 0 || r.RunCount() != 0 || len(r.Pages()) != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	r.Append(9)
-	if r.Len() != 1 || r.Pages()[0] != 9 {
-		t.Fatal("record unusable after Reset")
-	}
-}
-
-// Property: encode/decode is the identity on any append sequence.
+// Property: the record holds exactly the pages added, and Len counts every
+// addition.
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(vpages []uint16) bool {
 		var r PageRecord
+		var want []int
 		for _, vp := range vpages {
-			r.Append(int(vp))
+			r.Add(int(vp)>>6, 1<<(vp&63))
+			want = append(want, int(vp))
 		}
-		got := r.Pages()
-		if len(got) != len(vpages) || r.Len() != len(vpages) {
-			return false
-		}
-		for i := range vpages {
-			if got[i] != int(vpages[i]) {
-				return false
-			}
-		}
-		return r.RunCount() <= len(vpages)
+		slices.Sort(want)
+		return r.Len() == len(vpages) && slices.Equal(recordPages(&r), slices.Compact(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(41))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a strictly ascending contiguous sequence always encodes to one
-// run per discontinuity + 1.
-func TestQuickRecordRunCounting(t *testing.T) {
-	f := func(gaps []bool) bool {
-		var r PageRecord
-		vp := 0
-		wantRuns := 0
-		for i, gap := range gaps {
-			if i == 0 || gap {
-				vp += 2 // discontinuity
-				wantRuns++
-			} else {
-				vp++
-			}
-			r.Append(vp)
-		}
-		if len(gaps) == 0 {
-			return r.RunCount() == 0
-		}
-		return r.RunCount() == wantRuns
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,7 +10,10 @@ import (
 // WriteProm renders every registered series in the Prometheus text
 // exposition format (version 0.0.4): one # HELP / # TYPE header per metric
 // name, then its series sorted by label set. Output is deterministic.
-// Views are read here, so render on the goroutine that runs the model.
+// Views are read here, so render on the goroutine that runs the model. Each
+// metric name's lines are built in one buffer with strconv appends and
+// written at once. A histogram's bucket labels are rendered once, at its
+// first exposition, so runs that never render pay nothing for them.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -25,51 +28,63 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		byName[m.name] = append(byName[m.name], m)
 	}
 	sort.Strings(names)
+	var b []byte
 	for _, name := range names {
 		series := byName[name]
 		sort.Slice(series, func(i, j int) bool { return series[i].labels < series[j].labels })
 		if help := r.help[name]; help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
+			b = append(append(append(append(b, "# HELP "...), name...), ' '), help...)
+			b = append(b, '\n')
+		}
+		b = append(append(append(append(b, "# TYPE "...), name...), ' '), r.types[name]...)
+		b = append(b, '\n')
+		for _, m := range series {
+			var err error
+			if b, err = appendPromSeries(b, m); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, r.types[name]); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		for _, m := range series {
-			if err := writePromSeries(w, m); err != nil {
-				return err
-			}
-		}
+		b = b[:0]
 	}
 	return nil
 }
 
-func writePromSeries(w io.Writer, m *metricEntry) error {
+// appendPromSeries appends one series' lines to b.
+func appendPromSeries(b []byte, m *metricEntry) ([]byte, error) {
 	switch m.typ {
 	case TypeCounter, TypeGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, promFloat(m.value()))
-		return err
+		b = strconv.AppendFloat(sample(b, m.name, "", m.labels), m.value(), 'g', -1, 64)
+		return append(b, '\n'), nil
 	case TypeHistogram:
-		cum := m.hist.Cumulative()
-		for i, b := range m.hist.bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				m.name, withLabel(m.lbls, "le", promFloat(b)), cum[i]); err != nil {
-				return err
+		h := m.hist
+		if m.les == nil {
+			m.les = make([]string, len(h.bounds)+1)
+			for i, b := range h.bounds {
+				m.les[i] = withLabel(m.lbls, "le", promFloat(b))
 			}
+			m.les[len(h.bounds)] = withLabel(m.lbls, "le", "+Inf")
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			m.name, withLabel(m.lbls, "le", "+Inf"), m.hist.Count()); err != nil {
-			return err
+		var cum int64
+		for i := range h.bounds {
+			cum += h.counts[i]
+			b = append(strconv.AppendInt(sample(b, m.name, "_bucket", m.les[i]), cum, 10), '\n')
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", m.name, m.labels, promFloat(m.hist.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.labels, m.hist.Count())
-		return err
+		b = append(strconv.AppendInt(sample(b, m.name, "_bucket", m.les[len(h.bounds)]), h.Count(), 10), '\n')
+		b = append(strconv.AppendFloat(sample(b, m.name, "_sum", m.labels), h.Sum(), 'g', -1, 64), '\n')
+		return append(strconv.AppendInt(sample(b, m.name, "_count", m.labels), h.Count(), 10), '\n'), nil
 	default:
-		return fmt.Errorf("obs: unknown metric type %q", m.typ)
+		return b, fmt.Errorf("obs: unknown metric type %q", m.typ)
 	}
+}
+
+// sample appends the start of a sample line: the name with its suffix,
+// the labels and the space before the value. Values are appended as
+// promFloat renders them, or as integers.
+func sample(b []byte, name, suffix, labels string) []byte {
+	return append(append(append(append(b, name...), suffix...), labels...), ' ')
 }
 
 // withLabel renders the series labels plus one extra pair, keys sorted

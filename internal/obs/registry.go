@@ -181,8 +181,9 @@ func (h *Histogram) Cumulative() []int64 {
 // (view).
 type metricEntry struct {
 	name   string
-	labels string // canonical form, "" when unlabelled
-	lbls   Labels // original pairs, for exposition with extra labels
+	labels string   // canonical form, "" when unlabelled
+	lbls   Labels   // original pairs, for exposition with extra labels
+	les    []string // a histogram's labels with each bucket's le pair, +Inf last; built at first exposition
 	typ    MetricType
 	help   string
 

@@ -91,7 +91,7 @@ func TestSwapCntRotationDrainsStoppedProcess(t *testing.T) {
 	r.touchAll(t, 2, 120, false)
 
 	evictions := map[int]int{}
-	r.vm.OnPageOut = func(pid, vp int) { evictions[pid]++ }
+	r.vm.OnPageOut = eachPage(func(pid, vp int) { evictions[pid]++ })
 	for pass := 0; pass < 60; pass++ {
 		r.vm.TouchResident(2, 0, 120, false) // B re-references everything
 		r.vm.Reclaim(4)

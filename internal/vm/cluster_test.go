@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 )
@@ -98,8 +99,8 @@ func TestExpandClusters(t *testing.T) {
 			pass.reset()
 			victims := make([]victim, 0, len(c.seed))
 			for _, vp := range c.seed {
-				pass.add(as, vp)
-				victims = append(victims, victim{as, vp})
+				pass.add(as, vp>>6, 1<<(vp&63))
+				victims = append(victims, victim{as, vp >> 6, 1 << (vp & 63)})
 			}
 			got := r.vm.expandClusters(victims, pass)
 			pages := make([]int, 0, len(got))
@@ -107,7 +108,9 @@ func TestExpandClusters(t *testing.T) {
 				if vi.as != as {
 					t.Fatalf("victim crossed into another address space: %+v", vi)
 				}
-				pages = append(pages, vi.vpage)
+				for m := vi.mask; m != 0; m &= m - 1 {
+					pages = append(pages, vi.wi<<6+bits.TrailingZeros64(m))
+				}
 			}
 			sort.Ints(pages)
 			if !equalInts(pages, c.want) {

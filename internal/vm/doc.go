@@ -18,7 +18,15 @@
 // designated outgoing process, oldest pages first (§3.1). The remaining
 // mechanisms — aggressive page-out, adaptive page-in, background writing —
 // are layered on top by package core using the exported building blocks
-// ReclaimFrom, ReadPagesIn and WriteBackDirty.
+// ReclaimFrom, ReadPageSet and WriteBackDirty.
+//
+// All per-page state lives in the address space as bitmaps and arrays, and
+// the paging paths work a bitmap word (64 pages) at a time: victims are
+// (address space, word, mask) triples, the clock sweep ages a whole word
+// of candidates where no stop can fall inside it, eviction clears state
+// and counts pages per mask, the page-out hook (OnPageOut) reports a word
+// of victims per call, and a page-in reads a bitmap of pages (ReadPageSet;
+// ReadPagesIn takes a list and fills one).
 //
 // Pages are demand-zero on first touch: no disk read happens until a page
 // has been written out at least once, after which its backing slot in the

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/obs"
@@ -163,7 +164,7 @@ func (v *VM) endStall(as *AddressSpace, span, parent obs.SpanID, start, end sim.
 // settleZero installs a frame already taken at vp as a resident
 // demand-zero page.
 func (v *VM) settleZero(as *AddressSpace, vp int, now sim.Time) {
-	v.mapFrame(as, vp, now)
+	v.mapFrames(as, vp>>6, 1<<(uint(vp)&63), now)
 	setBit(as.settled, vp)
 	as.resident++
 	v.residentSum++
@@ -216,15 +217,19 @@ func (as *AddressSpace) addWaiter(vp int, w *faultWait) {
 	last.next = w
 }
 
-// mapFrame installs a frame the caller took at vp: the page is mapped,
-// referenced, last used now and starts at AgeStart. Callers then mark it
-// settled (zero fill) or in flight (swap read).
-func (v *VM) mapFrame(as *AddressSpace, vp int, now sim.Time) {
-	as.mapped++
-	setBit(as.ref, vp)
-	as.lastUse[vp] = now
-	clearBit(as.wordFull, vp)
-	as.age[vp] = uint8(v.cfg.AgeStart)
+// mapFrames installs frames the caller took for the pages of mask in word
+// wi: each page is mapped, referenced, last used now and starts at
+// AgeStart. Callers then mark them settled (zero fill) or in flight (swap
+// read).
+func (v *VM) mapFrames(as *AddressSpace, wi int, mask uint64, now sim.Time) {
+	as.mapped += bits.OnesCount64(mask)
+	as.ref[wi] |= mask
+	as.wordFull[wi] &^= mask
+	for m := mask; m != 0; m &= m - 1 {
+		vp := wi<<6 + bits.TrailingZeros64(m)
+		as.lastUse[vp] = now
+		as.age[vp] = uint8(v.cfg.AgeStart)
+	}
 }
 
 // Fault handles a reference to vpage of as that the caller found
@@ -318,29 +323,72 @@ func (v *VM) zeroFillFault(as *AddressSpace) {
 	as.stats.ZeroFills++
 }
 
-// ReadPagesIn brings the listed pages of pid into memory with batched,
-// coalesced disk reads (the adaptive page-in primitive). Pages that are
-// resident, already in flight, or demand-zero are skipped; a page listed
-// twice is a caller bug and panics. onDone, if non-nil, fires once every
-// transfer issued by this call has completed; it fires immediately if
-// nothing needed reading.
+// ReadPagesIn brings the listed pages of pid into memory through
+// ReadPageSet: it sets their bits in a scratch bitmap and reads that. A
+// page outside the footprint, or listed twice, is a caller bug and panics.
 func (v *VM) ReadPagesIn(pid int, vpages []int, prio disk.Priority, onDone func()) {
-	v.ReadPagesInTraced(pid, vpages, prio, 0, onDone)
-}
-
-// ReadPagesInTraced is ReadPagesIn with a causal parent span stamped onto
-// the disk requests it issues (0 for none).
-func (v *VM) ReadPagesInTraced(pid int, vpages []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
 	as := v.mustProc(pid)
-	group := v.getGroup()
+	if len(v.setScratch) < len(as.settled) {
+		v.setScratch = make([]uint64, len(as.settled))
+	}
+	set := v.setScratch[:len(as.settled)]
 	for _, vp := range vpages {
 		if vp < 0 || vp >= as.numPages {
+			clear(set)
 			panic(fmt.Sprintf("vm: ReadPagesIn vpage %d outside footprint of pid %d", vp, pid))
 		}
-		if as.hasFrame(vp) || !as.OnDisk(vp) {
-			continue // resident, in flight or demand-zero
+		w, b := vp>>6, uint64(1)<<(uint(vp)&63)
+		if set[w]&b != 0 {
+			clear(set)
+			panic(fmt.Sprintf("vm: ReadPagesIn vpage %d of pid %d listed twice", vp, pid))
 		}
-		group = append(group, vp)
+		set[w] |= b
+	}
+	v.ReadPageSet(pid, set, prio, 0, onDone)
+}
+
+// ReadPageSet brings the pages of pid whose bits are set in set (bit i of
+// word w is vpage 64·w+i) into memory with batched, coalesced disk reads:
+// the adaptive page-in primitive. Pages that are resident, already in
+// flight, or demand-zero are skipped. It takes the pages out of set, which
+// it leaves zero, before it reads anything, and builds the ascending read
+// group from the words, sized once. parent is the causal span stamped onto
+// the disk requests (0 for none). onDone, if non-nil, fires once every
+// transfer issued by this call has completed; it fires immediately if
+// nothing needed reading.
+func (v *VM) ReadPageSet(pid int, set []uint64, prio disk.Priority, parent obs.SpanID, onDone func()) {
+	as := v.mustProc(pid)
+	for wi := len(as.settled) - 1; wi < len(set); wi++ {
+		over := set[wi]
+		if wi == len(as.settled)-1 {
+			over &^= ^uint64(0) >> (63 - uint(as.numPages-1)&63)
+		}
+		if over != 0 {
+			panic(fmt.Sprintf("vm: ReadPageSet vpage %d outside footprint of pid %d", wi<<6+bits.TrailingZeros64(over), pid))
+		}
+	}
+	words := min(len(set), len(as.settled))
+	n := 0
+	for wi, w := range set[:words] {
+		if w == 0 {
+			continue
+		}
+		w &^= as.settled[wi] | as.inFlight[wi]
+		backed := w & as.onDisk[wi]
+		for pend := w &^ backed; pend != 0; pend &= pend - 1 {
+			if as.wbPending[wi<<6+bits.TrailingZeros64(pend)] > 0 {
+				backed |= pend & -pend
+			}
+		}
+		set[wi] = backed
+		n += bits.OnesCount64(backed)
+	}
+	group := slices.Grow(v.getGroup(), n)
+	for wi, w := range set[:words] {
+		set[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			group = append(group, wi<<6+bits.TrailingZeros64(w))
+		}
 	}
 	if len(group) == 0 {
 		v.putGroup(group)
@@ -349,7 +397,6 @@ func (v *VM) ReadPagesInTraced(pid int, vpages []int, prio disk.Priority, parent
 		}
 		return
 	}
-	v.orderPages(as, group)
 	v.readIn(as, group, prio, parent, onDone)
 }
 
@@ -360,31 +407,15 @@ const reclaimRetryDelay = 500 * sim.Microsecond
 
 // readIn allocates frames for the group (reclaiming first if needed),
 // splits it into bounded disk transactions and marks pages resident as each
-// transaction completes. When memory is momentarily unfreeable the read is
-// retried; pages that become resident through other transfers in the
-// meantime are dropped from the group (their waiters fire with those
-// transfers).
+// transaction completes. The group holds only pages with no frame and a
+// swap copy. When memory is momentarily unfreeable the read is retried;
+// pages that become resident through other transfers in the meantime are
+// dropped from the group (their waiters fire with those transfers).
 //
 // readIn owns group, a pooled buffer of ascending vpages: it returns it to
 // the pool, or hands it to the read's batch, which returns it once the
 // last transfer lands.
 func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
-	// Re-filter: on a retry some pages may have landed via other requests.
-	filtered := v.getGroup()
-	for _, vp := range group {
-		if !as.hasFrame(vp) && as.OnDisk(vp) {
-			filtered = append(filtered, vp)
-		}
-	}
-	v.putGroup(group)
-	group = filtered
-	if len(group) == 0 {
-		v.putGroup(group)
-		if onDone != nil {
-			onDone()
-		}
-		return
-	}
 	avail := v.ensureFree(len(group))
 	if avail < 1 {
 		v.retryReadIn(as, group, prio, parent, onDone)
@@ -393,9 +424,14 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	// ensureFree left at least avail frames free, so Take takes them all.
 	group = group[:v.phys.Take(avail)]
 	now := v.eng.Now()
-	for _, vp := range group {
-		v.mapFrame(as, vp, now)
-		setBit(as.inFlight, vp)
+	for i := 0; i < len(group); {
+		wi := group[i] >> 6
+		var mask uint64
+		for ; i < len(group) && group[i]>>6 == wi; i++ {
+			mask |= 1 << (uint(group[i]) & 63)
+		}
+		v.mapFrames(as, wi, mask, now)
+		as.inFlight[wi] |= mask
 	}
 	if v.acct != nil {
 		v.acct.MapInFlight(len(group))
@@ -406,24 +442,32 @@ func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent ob
 	v.submitBatch(b, v.coalesceSplit(as, group), prio, parent)
 }
 
-// retryReadIn runs readIn on group again after reclaimRetryDelay, unless the
-// node crashes or the process exits first. It is a function of its own so
-// that only a retry, not every read, moves readIn's arguments to the heap.
+// retryReadIn runs readIn on group again after reclaimRetryDelay, without
+// the pages that landed through other reads or lost their swap copy in the
+// meantime, unless the node crashes or the process exits first. It is a
+// function of its own so that only a retry, not every read, moves readIn's
+// arguments to the heap.
 func (v *VM) retryReadIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
 	epoch := v.epoch
 	v.eng.ScheduleDetached(reclaimRetryDelay, func() {
-		if v.epoch != epoch || as.gone {
-			// Node crashed (Crash resumed the waiters) or the process was
-			// destroyed (its waiters went with it) while waiting for
-			// memory: abandon the read. Reading into a destroyed address
+		kept := group[:0]
+		for _, vp := range group {
+			if !as.hasFrame(vp) && as.OnDisk(vp) {
+				kept = append(kept, vp)
+			}
+		}
+		if v.epoch != epoch || as.gone || len(kept) == 0 {
+			// Node crashed (Crash resumed the waiters), the process was
+			// destroyed (its waiters went with it) or nothing is left to
+			// read: abandon the read. Reading into a destroyed address
 			// space would leak every frame it took.
-			v.putGroup(group)
+			v.putGroup(kept)
 			if onDone != nil {
 				onDone()
 			}
 			return
 		}
-		v.readIn(as, group, prio, parent, onDone)
+		v.readIn(as, kept, prio, parent, onDone)
 	})
 }
 

@@ -12,10 +12,14 @@ import (
 	"repro/internal/sim"
 )
 
-// victim names one evictable page.
+// victim names evictable pages of one address space: the set bits of mask
+// in bitmap word wi, vpages 64·wi to 64·wi+63. Selections append victims
+// so that expanding each mask in ascending bit order, victim by victim,
+// lists the pages in eviction order.
 type victim struct {
-	as    *AddressSpace
-	vpage int
+	as   *AddressSpace
+	wi   int
+	mask uint64
 }
 
 // aged pairs a virtual page with its frame's last-use time; scratch element
@@ -37,19 +41,7 @@ func agedLess(a, b aged) bool {
 	return a.vp > b.vp
 }
 
-func agedSiftUp(heap []aged, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !agedLess(heap[i], heap[parent]) {
-			break
-		}
-		heap[i], heap[parent] = heap[parent], heap[i]
-		i = parent
-	}
-}
-
-func agedSiftDown(heap []aged) {
-	i := 0
+func agedSiftDown(heap []aged, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
@@ -68,15 +60,14 @@ func agedSiftDown(heap []aged) {
 }
 
 // ageRun is a stretch of oldestOf's candidates that are consecutive in
-// ascending vpage order and share one last-use time: the candidates
-// first..first+n-1 of the VM's vpage scratch.
+// ascending vpage order and share one last-use time: the pieces
+// first..end-1 of the VM's age list, each a word's share of the run.
 type ageRun struct {
-	last  sim.Time
-	first int
-	n     int
+	last       sim.Time
+	first, end int
 }
 
-// runFirst orders page-out runs by (last use, first candidate). Runs are
+// runFirst orders page-out runs by (last use, first piece). Runs are
 // disjoint stretches of the ascending candidate list, so of two runs with
 // one time, the one that starts first lies wholly below the other, and
 // expanding the runs in this order lists the pages in (last use, vpage)
@@ -86,6 +77,46 @@ func runFirst(a, b ageRun) int {
 		return c
 	}
 	return cmp.Compare(a.first, b.first)
+}
+
+// agePiece is a word's share of an age run: the candidates mask of word wi.
+type agePiece struct {
+	wi   int
+	mask uint64
+}
+
+// ageList is oldestOf's scratch: the candidates in ascending vpage order as
+// word pieces, cut into runs of one last-use time.
+type ageList struct {
+	pieces []agePiece
+	runs   []ageRun
+}
+
+// add appends the candidates mask of word wi, all last used at last and
+// above every candidate added before. They join the last run when it has
+// the same time, and the last piece when that is the same word.
+func (l *ageList) add(wi int, mask uint64, last sim.Time) {
+	if n := len(l.runs); n > 0 && l.runs[n-1].last == last {
+		if p := &l.pieces[len(l.pieces)-1]; p.wi == wi {
+			p.mask |= mask
+			return
+		}
+		l.pieces = append(l.pieces, agePiece{wi, mask})
+		l.runs[n-1].end++
+		return
+	}
+	l.pieces = append(l.pieces, agePiece{wi, mask})
+	l.runs = append(l.runs, ageRun{last, len(l.pieces) - 1, len(l.pieces)})
+}
+
+// lowBits returns the n lowest set bits of m.
+func lowBits(m uint64, n int) uint64 {
+	var low uint64
+	for ; n > 0 && m != 0; n-- {
+		low |= m & -m
+		m &= m - 1
+	}
+	return low
 }
 
 // dirtyWord is one non-empty dirty-map word queued for the write-back
@@ -160,45 +191,56 @@ func (v *VM) reclaim(target int) int {
 	case PolicySelective:
 		victims = v.selectSelective(target, victims, pass)
 	default:
-		victims = v.selectDefault(target, victims, pass)
+		victims, _ = v.selectDefault(target, victims, pass)
 	}
 	if v.cfg.ClusterOut > 1 {
 		victims = v.expandClusters(victims, pass)
 	}
 	v.victimScratch = victims[:0]
-	v.evict(victims, disk.Demand)
+	n := v.evict(victims, disk.Demand)
 	if v.obs != nil {
 		v.obs.Bus.Emit(obs.Event{
 			T:       v.eng.Now(),
 			Kind:    obs.KindReclaimScan,
 			Node:    v.obs.Node,
 			Scanned: pass.scanned,
-			Pages:   len(victims),
+			Pages:   n,
 		})
 	}
-	return len(victims)
+	return n
 }
 
-// expandClusters grows each victim into a contiguous block of cold pages
-// of the same process (blind block page-out). Pages that are referenced,
-// aged, in flight or already selected stay resident.
+// expandClusters grows each victim page into a contiguous block of cold
+// pages of the same process (blind block page-out): forward from the page,
+// then backward. Pages that are referenced, aged, in flight or already
+// selected stay resident. A forward block joins the last victim appended
+// when it continues that victim's word upwards, so the order of the pages
+// is kept; every backward page is a victim of its own.
 func (v *VM) expandClusters(victims []victim, pass *reclaimPass) []victim {
-	out := victims
+	out, selected := victims, len(victims)
 	for _, vi := range victims {
 		as := vi.as
-		added := 0
-		for _, dir := range [2]int{1, -1} {
-			for off := dir; added < v.cfg.ClusterOut-1; off += dir {
-				vp := vi.vpage + off
-				if vp < 0 || vp >= as.numPages {
-					break
+		for m := vi.mask; m != 0; m &= m - 1 {
+			vp0 := vi.wi<<6 + bits.TrailingZeros64(m)
+			added := 0
+			for _, dir := range [2]int{1, -1} {
+				for off := dir; added < v.cfg.ClusterOut-1; off += dir {
+					vp := vp0 + off
+					if vp < 0 || vp >= as.numPages {
+						break
+					}
+					if !bit(as.settled, vp) || pass.has(as, vp) || bit(as.ref, vp) || as.age[vp] > 0 {
+						break
+					}
+					wi, b := vp>>6, uint64(1)<<(uint(vp)&63)
+					pass.add(as, wi, b)
+					if n := len(out); n > selected && out[n-1].as == as && out[n-1].wi == wi && out[n-1].mask < b {
+						out[n-1].mask |= b
+					} else {
+						out = append(out, victim{as, wi, b})
+					}
+					added++
 				}
-				if !bit(as.settled, vp) || pass.has(as, vp) || bit(as.ref, vp) || as.age[vp] > 0 {
-					break
-				}
-				pass.add(as, vp)
-				out = append(out, victim{as, vp})
-				added++
 			}
 		}
 	}
@@ -226,17 +268,15 @@ func (rp *reclaimPass) has(as *AddressSpace, vp int) bool {
 	return as.passGen == rp.gen && as.passTaken[vp>>6]&(1<<(uint(vp)&63)) != 0
 }
 
-func (rp *reclaimPass) add(as *AddressSpace, vp int) {
+// add marks the pages of mask in word wi taken.
+func (rp *reclaimPass) add(as *AddressSpace, wi int, mask uint64) {
 	if as.passGen != rp.gen {
 		as.passGen = rp.gen
 		clear(as.passTaken)
 		as.passCount = 0
 	}
-	w, bit := vp>>6, uint64(1)<<(uint(vp)&63)
-	if as.passTaken[w]&bit == 0 {
-		as.passTaken[w] |= bit
-		as.passCount++
-	}
+	as.passCount += bits.OnesCount64(mask &^ as.passTaken[wi])
+	as.passTaken[wi] |= mask
 }
 
 // takenFrom reports how many pages of as this pass has already selected.
@@ -255,11 +295,12 @@ func (rp *reclaimPass) takenFrom(as *AddressSpace) int {
 // resident size, so a stopped process's decayed pages are steadily found
 // (and drained) even while a larger, actively-referenced process would
 // otherwise monopolise the sweep. Fresh pages of the faulting process still
-// get selected once their age drains — the paper's false eviction.
-func (v *VM) selectDefault(target int, out []victim, pass *reclaimPass) []victim {
-	base := len(out)
+// get selected once their age drains — the paper's false eviction. It
+// returns out like append, and the number of pages it selected.
+func (v *VM) selectDefault(target int, out []victim, pass *reclaimPass) ([]victim, int) {
+	got := 0
 	cycles := 0
-	for len(out)-base < target && cycles < 3 {
+	for got < target && cycles < 3 {
 		i := v.maxSwapCnt()
 		if i < 0 {
 			// Cycle exhausted: restart it (bounded per pass so reclaim
@@ -269,14 +310,15 @@ func (v *VM) selectDefault(target int, out []victim, pass *reclaimPass) []victim
 			continue
 		}
 		as := v.swapOrder[i]
-		scanned, _ := v.clockSweep(as, as.swapCnt, target-(len(out)-base), &out, pass)
+		scanned, n := v.clockSweep(as, as.swapCnt, target-got, &out, pass)
+		got += n
 		if scanned == 0 {
 			v.lowerSwapCnt(i, 0)
 			continue
 		}
 		v.lowerSwapCnt(i, max(as.swapCnt-scanned, 0))
 	}
-	return out
+	return out, got
 }
 
 // maxSwapCnt returns the index in swapOrder of the live process with
@@ -343,7 +385,9 @@ func (v *VM) resetSwapCnt() {
 // finds them a bitmap word at a time and steps over every other page
 // without visiting it. It examines at most scanMax candidates and stops
 // with the hand just past the page that reached either limit, or, after a
-// whole revolution, where it started.
+// whole revolution, where it started. A word whose candidates cannot reach
+// either limit is swept whole; only the word where the sweep may stop goes
+// page by page. Each word's victims are one mask.
 func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass *reclaimPass) (scanned, got int) {
 	if as.resident-pass.takenFrom(as) <= 0 || max <= 0 || scanMax <= 0 {
 		return 0, 0
@@ -359,34 +403,71 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 			if as.passGen == pass.gen {
 				w &^= as.passTaken[wi]
 			}
+			if w == 0 {
+				continue
+			}
+			if n := bits.OnesCount64(w); scanned+n < scanMax && got+n < max {
+				taken := v.sweepWord(as, wi, w)
+				scanned += n
+				got += v.take(as, wi, taken, out, pass)
+				continue
+			}
+			var taken uint64
 			for ; w != 0; w &= w - 1 {
 				vp := wi<<6 + bits.TrailingZeros64(w)
 				scanned++
-				pass.scanned++
-				switch {
-				case bit(as.ref, vp):
-					// Referenced since the last revolution: rejuvenate.
-					clearBit(as.ref, vp)
-					as.age[vp] = uint8(min(int(as.age[vp])+v.cfg.AgeAdvance, v.cfg.AgeMax))
-				case as.age[vp] > 0:
-					// Cold but not yet old enough: decay towards evictable.
-					as.age[vp]--
-				default:
-					*out = append(*out, victim{as, vp})
-					pass.add(as, vp)
+				if b := w & -w; v.sweepWord(as, wi, b) != 0 {
+					taken |= b
 					got++
 				}
 				if got == max || scanned == scanMax {
+					v.take(as, wi, taken, out, pass)
 					as.hand = vp + 1
 					if as.hand == as.numPages {
 						as.hand = 0
 					}
+					pass.scanned += scanned
 					return scanned, got
 				}
 			}
+			v.take(as, wi, taken, out, pass)
 		}
 	}
+	pass.scanned += scanned
 	return scanned, got
+}
+
+// sweepWord is the clock's visit to the candidates w of word wi. A
+// referenced page loses its bit and gains age (rejuvenated), a cold page
+// with age left loses one (decays towards evictable), and an unreferenced
+// page at age 0 is taken: it returns the mask of those.
+func (v *VM) sweepWord(as *AddressSpace, wi int, w uint64) (taken uint64) {
+	refd := w & as.ref[wi]
+	as.ref[wi] &^= refd
+	ages := as.age[wi<<6 : min(wi<<6+64, as.numPages)]
+	for r := refd; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		ages[i] = uint8(min(int(ages[i])+v.cfg.AgeAdvance, v.cfg.AgeMax))
+	}
+	for c := w &^ refd; c != 0; c &= c - 1 {
+		if i := bits.TrailingZeros64(c); ages[i] > 0 {
+			ages[i]--
+		} else {
+			taken |= c & -c
+		}
+	}
+	return taken
+}
+
+// take appends the pages of mask in word wi to out as one victim and marks
+// them taken, returning how many there are.
+func (v *VM) take(as *AddressSpace, wi int, mask uint64, out *[]victim, pass *reclaimPass) int {
+	if mask == 0 {
+		return 0
+	}
+	*out = append(*out, victim{as, wi, mask})
+	pass.add(as, wi, mask)
+	return bits.OnesCount64(mask)
 }
 
 // selectSelective implements the paper's selective page-out (Figure 2):
@@ -394,74 +475,84 @@ func (v *VM) clockSweep(as *AddressSpace, scanMax, max int, out *[]victim, pass 
 // processes are considered only when the outgoing process has no resident
 // pages left.
 func (v *VM) selectSelective(target int, out []victim, pass *reclaimPass) []victim {
-	base := len(out)
+	got := 0
 	if v.outgoing != 0 {
 		if as := v.Process(v.outgoing); as != nil {
-			out = v.oldestOf(as, target, out, pass)
+			out, got = v.oldestOf(as, target, out, pass)
 		}
 	}
-	if got := len(out) - base; got < target {
-		out = v.selectDefault(target-got, out, pass)
+	if got < target {
+		out, _ = v.selectDefault(target-got, out, pass)
 	}
 	return out
 }
 
 // oldestOf appends up to max of as's resident pages to out, oldest first,
 // skipping pages the current pass has already selected and marking the ones
-// it takes. It returns out like append.
+// it takes. It returns out like append, and the number of pages it took.
 //
 // It sorts runs, not pages. The candidates are collected in ascending vpage
-// order and cut into runs wherever the last-use time changes; the runs are
-// sorted by (time, first candidate) and expanded in that order until max
-// pages are out. That is the (last use, vpage) order of a sort of every
-// page (see runFirst), at the cost of sorting a handful of runs: a touch
-// chunk stamps thousands of pages with one time.
-func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass) []victim {
+// order a bitmap word at a time and cut into runs wherever the last-use
+// time changes; the runs are sorted by (time, first candidate) and expanded
+// in that order until max pages are out, the last run from its lowest
+// pages up. That is the (last use, vpage) order of a sort of every page
+// (see runFirst), at the cost of sorting a handful of runs: a touch chunk
+// stamps thousands of pages with one time. A word whose candidates all read
+// the word's one stamp (wordUse) joins its run whole; only the candidates
+// of other words are timed page by page.
+func (v *VM) oldestOf(as *AddressSpace, max int, out []victim, pass *reclaimPass) ([]victim, int) {
 	if as.resident == 0 || max <= 0 {
-		return out
+		return out, 0
 	}
-	if cap(v.vpScratch) < as.resident {
-		v.vpScratch = make([]int, 0, as.resident)
-	}
-	vps, runs := v.vpScratch[:0], v.ageRuns[:0]
+	l := &v.ages
 	taken := as.passGen == pass.gen
+	cands := 0
 	for wi, w := range as.settled {
 		if taken {
 			w &^= as.passTaken[wi]
 		}
+		if w == 0 {
+			continue
+		}
+		cands += bits.OnesCount64(w)
+		if w&^as.wordFull[wi] == 0 {
+			l.add(wi, w, as.wordUse[wi])
+			continue
+		}
 		for ; w != 0; w &= w - 1 {
-			vp := wi<<6 + bits.TrailingZeros64(w)
-			if last, n := as.lastUsed(vp), len(runs); n > 0 && runs[n-1].last == last {
-				runs[n-1].n++
-			} else {
-				runs = append(runs, ageRun{last, len(vps), 1})
-			}
-			vps = append(vps, vp)
+			l.add(wi, w&-w, as.lastUsed(wi<<6+bits.TrailingZeros64(w)))
 		}
 	}
-	pass.scanned += len(vps)
-	slices.SortFunc(runs, runFirst)
-	left := min(max, len(vps))
-	out = slices.Grow(out, left)
-	for _, r := range runs {
+	pass.scanned += cands
+	slices.SortFunc(l.runs, runFirst)
+	n := min(max, cands)
+	left := n
+	for _, r := range l.runs {
+		for _, p := range l.pieces[r.first:r.end] {
+			if c := bits.OnesCount64(p.mask); c <= left {
+				left -= c
+			} else {
+				p.mask, left = lowBits(p.mask, left), 0
+			}
+			out = append(out, victim{as, p.wi, p.mask})
+			pass.add(as, p.wi, p.mask)
+			if left == 0 {
+				break
+			}
+		}
 		if left == 0 {
 			break
 		}
-		n := min(r.n, left)
-		for _, vp := range vps[r.first : r.first+n] {
-			out = append(out, victim{as, vp})
-			pass.add(as, vp)
-		}
-		left -= n
 	}
-	v.vpScratch, v.ageRuns = vps[:0], runs[:0]
-	return out
+	l.pieces, l.runs = l.pieces[:0], l.runs[:0]
+	return out, n
 }
 
-// evict releases the victims' frames, records them with the page-out hook,
+// evict releases the victims' frames, reports them to the page-out hook,
 // and queues one coalesced write-back per owning process for the dirty
-// ones. Clean pages whose swap copy is valid are dropped for free.
-func (v *VM) evict(victims []victim, prio disk.Priority) {
+// ones. Clean pages whose swap copy is valid are dropped for free. It works
+// a victim mask at a time and returns the number of pages evicted.
+func (v *VM) evict(victims []victim, prio disk.Priority) int {
 	// Dirty victims are batched per owning process, in first-appearance
 	// order (the disk submission order must not depend on anything else).
 	// Victims come in stretches of one process, so the batch is looked up
@@ -470,15 +561,15 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 	batches := v.batchScratch[:0]
 	var batchAS *AddressSpace
 	bi := 0
-	dirtied := 0
+	pages, dirtied := 0, 0
 	for _, vi := range victims {
-		as, vp := vi.as, vi.vpage
-		if !bit(as.settled, vp) {
-			panic(fmt.Sprintf("vm: evicting non-resident page %d of pid %d", vp, as.pid))
+		as, wi, m := vi.as, vi.wi, vi.mask
+		if out := m &^ as.settled[wi]; out != 0 {
+			panic(fmt.Sprintf("vm: evicting non-resident page %d of pid %d", wi<<6+bits.TrailingZeros64(out), as.pid))
 		}
-		if bit(as.dirtyMap, vp) {
-			dirtied++
-			clearBit(as.dirtyMap, vp)
+		if dirty := m & as.dirtyMap[wi]; dirty != 0 {
+			dirtied += bits.OnesCount64(dirty)
+			as.dirtyMap[wi] &^= dirty
 			if as != batchAS {
 				batchAS, bi = as, 0
 				for bi < len(batches) && batches[bi].as != as {
@@ -488,29 +579,36 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 					batches = append(batches, dirtyBatch{as: as, pages: v.getGroup()})
 				}
 			}
-			batches[bi].pages = append(batches[bi].pages, vp)
-			v.queueWriteBack(as, vp)
+			for ; dirty != 0; dirty &= dirty - 1 {
+				vp := wi<<6 + bits.TrailingZeros64(dirty)
+				batches[bi].pages = append(batches[bi].pages, vp)
+				v.queueWriteBack(as, vp)
+			}
 		}
-		clearBit(as.settled, vp)
-		clearBit(as.ref, vp)
-		clearBit(as.bgClean, vp)
-		as.resident--
-		as.mapped--
-		v.residentSum--
+		as.settled[wi] &^= m
+		as.ref[wi] &^= m
+		as.bgClean[wi] &^= m
+		n := bits.OnesCount64(m)
+		pages += n
+		as.resident -= n
+		as.mapped -= n
+		v.residentSum -= n
 		if as.swEvict != nil && as.stopped {
 			// The owner is descheduled: this eviction is switch-time paging,
 			// so a later fault on the page counts as switch overhead.
-			as.swEvict[vp] = true
+			for b := m; b != 0; b &= b - 1 {
+				as.swEvict[wi<<6+bits.TrailingZeros64(b)] = true
+			}
 		}
 		if v.OnPageOut != nil {
-			v.OnPageOut(as.pid, vp)
+			v.OnPageOut(as.pid, wi, m)
 		}
 	}
 	// Nothing above reads the free count (the page-out hook included), so
 	// the frames go back in one release.
-	v.phys.Release(len(victims))
-	if v.acct != nil && len(victims) > 0 {
-		v.acct.Unmapped(len(victims), dirtied)
+	v.phys.Release(pages)
+	if v.acct != nil && pages > 0 {
+		v.acct.Unmapped(pages, dirtied)
 	}
 	for i := range batches {
 		b := &batches[i]
@@ -532,6 +630,7 @@ func (v *VM) evict(victims []victim, prio disk.Priority) {
 		b.pages = nil // owned by the transfer completions now
 	}
 	v.batchScratch = batches[:0]
+	return pages
 }
 
 // queueWriteBack accounts one queued (not yet completed) write of vp.
@@ -597,10 +696,9 @@ func (v *VM) completeWrite(as *AddressSpace, pages []int) {
 func (v *VM) ReclaimFrom(pid, max int) int {
 	as := v.mustProc(pid)
 	v.pass.reset()
-	victims := v.oldestOf(as, max, v.victimScratch[:0], &v.pass)
+	victims, _ := v.oldestOf(as, max, v.victimScratch[:0], &v.pass)
 	v.victimScratch = victims[:0]
-	v.evict(victims, disk.Demand)
-	return len(victims)
+	return v.evict(victims, disk.Demand)
 }
 
 // DirtyPages reports how many of pid's resident pages are dirty.
@@ -666,58 +764,114 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 }
 
 // youngestDirty selects as's max youngest dirty pages — the top max by
-// (lastUse descending, vpage ascending) — into a bounded min-heap whose
-// root, the oldest kept page, is displaced by younger ones. The daemon
-// runs every ~100 ms, so the selection must cost in proportion to what it
-// keeps, not to the dirty set: it visits dirty-map words youngest bound
-// first, lower index first among equal bounds, and stops once the heap is
-// full and the next word cannot hold a page that would get in. Later words
-// are no better than that one, and the root only gets younger, so the kept
-// set is exactly what a scan of every dirty page would keep. The tie rule
-// matters because a whole touch chunk shares one timestamp: among its
-// words only the lowest few can hold a kept page. It returns the kept heap
-// and the indexes of the words it scanned, both VM scratch.
+// (lastUse descending, vpage ascending). The daemon runs every ~100 ms, so
+// the selection must cost in proportion to what it keeps, not to the dirty
+// set: it visits dirty-map words youngest bound first, lower index first
+// among equal bounds, and stops once the kept set is full and the next word
+// cannot hold a page that would get in (settled). Later words are no better
+// than that one, and the kept set's oldest page only gets younger, so the
+// kept set is exactly what a scan of every dirty page would keep. The tie
+// rule matters because a whole touch chunk shares one timestamp: among its
+// words only the lowest few can hold a kept page.
+//
+// The words at the youngest bound come straight from the pass that finds
+// the non-empty words, in index order, which is their visiting order. Only
+// when they do not settle the selection are the remaining words collected
+// and heapified. The kept set fills by appending and is heapified once,
+// when it is full, into a min-heap whose root, its oldest page, younger
+// pages displace. It returns the kept set and the indexes of the words it
+// scanned, both VM scratch.
 func (v *VM) youngestDirty(as *AddressSpace, max int) (kept []aged, scanned []int) {
-	words := v.wordScratch[:0]
+	top := v.topScratch[:0]
+	var topBound, nextBound sim.Time // the youngest bound, and the youngest below it
+	rest := false                    // a non-empty word has a bound below topBound
 	for wi, w := range as.dirtyMap {
-		if w != 0 {
-			words = append(words, dirtyWord{as.dirtyBound[wi], wi})
+		if w == 0 {
+			continue
+		}
+		switch b := as.dirtyBound[wi]; {
+		case len(top) == 0 || b > topBound:
+			if len(top) > 0 {
+				nextBound, rest = topBound, true
+			}
+			top, topBound = append(top[:0], wi), b
+		case b == topBound:
+			top = append(top, wi)
+		default:
+			if b > nextBound {
+				nextBound = b
+			}
+			rest = true
 		}
 	}
-	for i := len(words)/2 - 1; i >= 0; i-- {
-		wordSiftDown(words, i)
+	kept, scanned = v.agedScratch[:0], v.scanScratch[:0]
+	for _, wi := range top {
+		if settled(kept, max, dirtyWord{topBound, wi}) {
+			rest = false
+			break
+		}
+		scanned = append(scanned, wi)
+		kept = keepDirty(kept, max, as, wi)
 	}
-	heap := v.agedScratch[:0]
-	scanned = v.scanScratch[:0]
-	for len(words) > 0 {
-		next := words[0]
-		if len(heap) == max {
-			oldest := heap[0]
-			if next.bound < oldest.last || next.bound == oldest.last && next.wi<<6 > oldest.vp {
-				break
+	if rest && (len(kept) < max || nextBound >= kept[0].last) {
+		words := v.wordScratch[:0]
+		for wi, w := range as.dirtyMap {
+			if w != 0 && as.dirtyBound[wi] < topBound {
+				words = append(words, dirtyWord{as.dirtyBound[wi], wi})
 			}
 		}
-		last := len(words) - 1
-		words[0] = words[last]
-		words = words[:last]
-		wordSiftDown(words, 0)
-		scanned = append(scanned, next.wi)
-		for word := as.dirtyMap[next.wi]; word != 0; word &= word - 1 {
-			vp := next.wi<<6 + bits.TrailingZeros64(word)
-			entry := aged{vp, as.lastUsed(vp)}
-			if len(heap) < max {
-				heap = append(heap, entry)
-				agedSiftUp(heap, len(heap)-1)
-			} else if agedLess(heap[0], entry) {
-				heap[0] = entry
-				agedSiftDown(heap)
-			}
+		for i := len(words)/2 - 1; i >= 0; i-- {
+			wordSiftDown(words, i)
 		}
+		for len(words) > 0 && !settled(kept, max, words[0]) {
+			next := words[0]
+			last := len(words) - 1
+			words[0] = words[last]
+			words = words[:last]
+			wordSiftDown(words, 0)
+			scanned = append(scanned, next.wi)
+			kept = keepDirty(kept, max, as, next.wi)
+		}
+		v.wordScratch = words[:0]
 	}
-	v.wordScratch = words[:0]
-	v.agedScratch = heap[:0]
+	v.topScratch = top[:0]
+	v.agedScratch = kept[:0]
 	v.scanScratch = scanned[:0]
-	return heap, scanned
+	return kept, scanned
+}
+
+// settled reports whether the kept set is full and word d cannot hold a
+// page that would get in: its bound is older than the kept set's oldest
+// page, or as old with every vpage of the word above that page's.
+func settled(kept []aged, max int, d dirtyWord) bool {
+	if len(kept) < max {
+		return false
+	}
+	oldest := kept[0]
+	return d.bound < oldest.last || d.bound == oldest.last && d.wi<<6 > oldest.vp
+}
+
+// keepDirty offers the dirty pages of word wi to the kept set: appended
+// while there is room, heapified once when it fills, and displacing its
+// oldest page after that when younger.
+func keepDirty(kept []aged, max int, as *AddressSpace, wi int) []aged {
+	for word := as.dirtyMap[wi]; word != 0; word &= word - 1 {
+		vp := wi<<6 + bits.TrailingZeros64(word)
+		entry := aged{vp, as.lastUsed(vp)}
+		switch {
+		case len(kept) < max:
+			kept = append(kept, entry)
+			if len(kept) == max {
+				for i := max/2 - 1; i >= 0; i-- {
+					agedSiftDown(kept, i)
+				}
+			}
+		case agedLess(kept[0], entry):
+			kept[0] = entry
+			agedSiftDown(kept, 0)
+		}
+	}
+	return kept
 }
 
 // tightenDirtyBounds lowers the bound of each scanned word to the youngest

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,34 +11,33 @@ import (
 	"repro/internal/sim"
 )
 
-// The references below are the selections the faster ones replaced: the
-// write-back pass scanned every dirty page into its bounded heap,
-// oldest-first page-out sorted every resident page with a reflective sort,
-// and the clock sweep visited every page of its revolution. (last use,
-// vpage) is a total order, so the faster selections must pick exactly the
-// same pages, and page-out must evict them in the same order. The first two
-// read last use through the address space's accessor (lastUsed).
+// The references below are the selections the faster ones replaced, or
+// their definitions: the write-back pass keeps the youngest dirty pages of
+// a sort of every dirty page, oldest-first page-out sorted every resident
+// page with a reflective sort, and the clock sweep visited every page of
+// its revolution. (last use, vpage) is a total order, so the faster
+// selections must pick exactly the same pages, and page-out must evict them
+// in the same order. The first two read last use through the address
+// space's accessor (lastUsed).
 
-// refYoungestDirty is the full dirty-map scan: every dirty page goes through
-// the bounded heap. It returns the kept pages in ascending order.
+// refYoungestDirty sorts every dirty page by (last use descending, vpage
+// ascending) and keeps the first max. It returns the kept pages in
+// ascending order.
 func refYoungestDirty(v *VM, as *AddressSpace, max int) []int {
-	var heap []aged
-	for wi, word := range as.dirtyMap {
-		for word != 0 {
-			vp := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			entry := aged{vp, as.lastUsed(vp)}
-			if len(heap) < max {
-				heap = append(heap, entry)
-				agedSiftUp(heap, len(heap)-1)
-			} else if agedLess(heap[0], entry) {
-				heap[0] = entry
-				agedSiftDown(heap)
-			}
+	var dirty []aged
+	for vp := range as.numPages {
+		if bit(as.dirtyMap, vp) {
+			dirty = append(dirty, aged{vp, as.lastUsed(vp)})
 		}
 	}
-	pages := make([]int, 0, len(heap))
-	for _, d := range heap {
+	sort.Slice(dirty, func(i, j int) bool {
+		if dirty[i].last != dirty[j].last {
+			return dirty[i].last > dirty[j].last
+		}
+		return dirty[i].vp < dirty[j].vp
+	})
+	pages := make([]int, 0, max)
+	for _, d := range dirty[:min(max, len(dirty))] {
 		pages = append(pages, d.vp)
 	}
 	sort.Ints(pages)
@@ -70,6 +68,21 @@ func refOldestOf(v *VM, as *AddressSpace, max int) []int {
 		pages = append(pages, c.vp)
 	}
 	return pages
+}
+
+// refReadGroup is the sorted-list page-in path the bitmap read replaced, up
+// to the group it handed readIn: the listed pages (in record order) that
+// have no frame and a swap copy, sorted ascending.
+func refReadGroup(as *AddressSpace, pages []int) []int {
+	var group []int
+	for _, vp := range pages {
+		if as.hasFrame(vp) || !as.OnDisk(vp) {
+			continue // resident, in flight or demand-zero
+		}
+		group = append(group, vp)
+	}
+	sort.Ints(group)
+	return group
 }
 
 // pageOut is one eviction as OnPageOut reports it.
@@ -299,7 +312,8 @@ func (s *selectionScript) next() int {
 // length and flags (write, direction, chunk code, time step). Chunk codes
 // 0-14 touch 1-15 pages per chunk; code 15 touches wholeWordChunk pages,
 // so its chunks cover whole bitmap words and take the touch kernel's
-// one-stamp-per-word path.
+// one-stamp-per-word path. A page-set read reads three too: start, length
+// and the seed of the pages it picks from that range.
 const (
 	selTouch = iota
 	selWriteBack
@@ -309,6 +323,7 @@ const (
 	selAdvance
 	selCrash
 	selExit
+	selReadSet
 	selOps
 )
 
@@ -364,6 +379,57 @@ func clockScript() []byte {
 	return script
 }
 
+// clockStopScript builds a seed whose default-policy sweeps stop inside a
+// word of mixed referenced and aged pages. Process 0 (268 pages) is written
+// whole and aged by three reclaims of 64: two passes of three revolutions
+// find nothing, and the third takes word 0 whole, stopping on its victim
+// limit at the word's last page. Each round then re-reads a 26-page
+// stretch that starts inside a word, so the sweeps meet words where some
+// candidates are referenced and the rest are ageing or cold. Reclaim
+// targets from 1 to 64 make the sweeps stop on their victim limit, and a
+// scan counter that runs down by the pages each sweep examines makes them
+// stop on their scan limit, at positions that drift through the words.
+func clockStopScript() []byte {
+	script := []byte{0, 236, 203, 106,
+		selTouch, 0, 0, 255, 1 | 15<<2,
+		selReclaimDefault, 0, 63,
+		selReclaimDefault, 0, 63,
+		selReclaimDefault, 0, 63,
+	}
+	for i := byte(0); i < 24; i++ {
+		script = append(script,
+			selReclaimDefault, 0, 1+i*i%64,
+			selTouch, 0, 20+41*i%200, 12, 0|7<<2,
+		)
+	}
+	return script
+}
+
+// fallbackScript builds a seed whose write-backs cannot be filled from the
+// youngest bound. Process 0 (287 pages) is written in 128-page chunks
+// 1 µs apart, so its last 31 pages hold the youngest bound alone, and a
+// write-back of 200 must go on to the older words through the word heap.
+// Reads at a later time then raise bounds over clean pages, and page-outs
+// and page-set reads move pages between memory and swap; the second read
+// of each pair meets the first one's pages in flight.
+func fallbackScript() []byte {
+	script := []byte{0, 255, 106, 206}
+	for round := byte(0); round < 3; round++ {
+		script = append(script,
+			selTouch, 0, 0, 255, 1|15<<2|1<<6,
+			selWriteBack, 0, 200,
+			selAdvance, 0, 3,
+			selTouch, 0, 40*round, 30, 0|15<<2,
+			selWriteBack, 0, 150,
+			selReclaimFrom, 0, 90,
+			selReadSet, 0, 0, 255, round,
+			selReadSet, 0, 0, 255, round+7,
+			selAdvance, 0, 200,
+		)
+	}
+	return script
+}
+
 // FuzzVictimSelection runs random operation sequences on a small VM with
 // several processes and checks every touch against the per-page reference
 // loop (run length, page-state bits, last-use stamps and counters), and
@@ -386,6 +452,8 @@ func FuzzVictimSelection(f *testing.F) {
 		f.Add(random)
 	}
 	f.Add(clockScript())
+	f.Add(clockStopScript())
+	f.Add(fallbackScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &selectionScript{data: data}
 		// ClusterOut 1..4: 1 disables block page-out, the rest expand.
@@ -406,7 +474,7 @@ func FuzzVictimSelection(f *testing.F) {
 			spawn(s.next() + 97*i)
 		}
 		var evicted []pageOut
-		r.vm.OnPageOut = func(pid, vp int) { evicted = append(evicted, pageOut{pid, vp}) }
+		r.vm.OnPageOut = eachPage(func(pid, vp int) { evicted = append(evicted, pageOut{pid, vp}) })
 
 		// touch references pages [lo, hi) of p in chunks, ascending or
 		// descending, faulting in whatever is not resident. Every chunk is
@@ -530,6 +598,45 @@ func FuzzVictimSelection(f *testing.F) {
 			case selCrash:
 				r.vm.Crash()
 				r.dsk.Reset()
+			case selReadSet:
+				// Read a random page set of [lo, hi) through the bitmap
+				// path. The pages it puts in flight must be a prefix of
+				// the sorted-list path's group (the whole group unless
+				// memory ran out), issued as that prefix's runs. The
+				// reads stay in flight until the engine next runs.
+				lo := s.next() * p.pages / 256
+				hi := min(p.pages, lo+1+s.next()*p.pages/128)
+				pick := rand.New(rand.NewSource(int64(s.next())))
+				set := make([]uint64, len(as.settled))
+				var pages []int
+				for _, vp := range pick.Perm(hi - lo) {
+					if pick.Intn(3) > 0 {
+						pages = append(pages, lo+vp)
+						setBit(set, lo+vp)
+					}
+				}
+				want := refReadGroup(as, pages)
+				before := slices.Clone(as.inFlight)
+				r.vm.runScratch = r.vm.runScratch[:0]
+				r.vm.ReadPageSet(p.pid, set, disk.Demand, 0, nil)
+				var got []int
+				for vp := range as.numPages {
+					if bit(as.inFlight, vp) && !bit(before, vp) {
+						got = append(got, vp)
+					}
+				}
+				runs := slices.Clone(r.vm.runScratch)
+				if len(got) < len(want) && r.vm.phys.NumFree() != 0 {
+					t.Fatalf("step %d: page-set read put %d of %d pages in flight with %d frames free",
+						step, len(got), len(want), r.vm.phys.NumFree())
+				}
+				if !slices.Equal(got, want[:len(got)]) || !slices.Equal(runs, r.vm.coalesceSplit(as, got)) {
+					t.Fatalf("step %d: page-set read of pid %d put %v in flight as runs %v; the sorted-list path reads %v",
+						step, p.pid, got, runs, want)
+				}
+				if slices.ContainsFunc(set, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("step %d: page-set read left bits in its set", step)
+				}
 			case selExit:
 				r.vm.DestroyProcess(p.pid)
 				for i, q := range procs {

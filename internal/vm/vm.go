@@ -148,7 +148,7 @@ type AddressSpace struct {
 	// Page-state bitmaps. A page holds a frame exactly when its settled or
 	// inFlight bit is set (never both); which frame is recorded nowhere,
 	// because nothing depends on it. A new frame sets ref, lastUse and age
-	// (mapFrame); last use and age are only read for settled pages.
+	// (mapFrames); last use and age are only read for settled pages.
 	settled  []uint64 // has a frame and no read in flight: resident
 	inFlight []uint64 // has a frame that a swap read is filling
 	onDisk   []uint64 // a write-back COMPLETED: the swap slot holds a valid copy
@@ -159,7 +159,7 @@ type AddressSpace struct {
 	// A page's last reference time is wordUse[vp>>6] when its wordFull bit
 	// is set, else lastUse[vp] (lastUsed). A touch that covers a whole word
 	// stamps the word once and sets all its bits; a partial touch stamps its
-	// pages and clears their bits, and so does mapFrame. The last write
+	// pages and clears their bits, and so does mapFrames. The last write
 	// wins either way, so no ordering of stamps is assumed (DESIGN §17b).
 	lastUse  []sim.Time // per-page last reference time
 	wordUse  []sim.Time // one time per word, for the pages wordFull marks
@@ -315,9 +315,12 @@ type VM struct {
 	policy   Policy
 	outgoing int // pid whose pages selective reclaim targets; 0 = none
 
-	// OnPageOut, when non-nil, observes every page evicted from memory.
-	// The adaptive page-in recorder (package core) subscribes here.
-	OnPageOut func(pid, vpage int)
+	// OnPageOut, when non-nil, observes every page evicted from memory, a
+	// bitmap word at a time: the pages of pid whose bits are set in mask,
+	// vpages 64·word to 64·word+63. Expanding each call's mask in ascending
+	// order lists the pages in eviction order. The adaptive page-in
+	// recorder (package core) subscribes here.
+	OnPageOut func(pid, word int, mask uint64)
 
 	// obs, when non-nil, receives structured events, spans and
 	// distributions from the fault, reclaim and write-back paths.
@@ -359,13 +362,14 @@ type VM struct {
 	// instead, because they live until their disk transfers complete.
 	pass          reclaimPass
 	victimScratch []victim
-	vpScratch     []int
-	ageRuns       []ageRun
+	ages          ageList
 	agedScratch   []aged
+	topScratch    []int
 	wordScratch   []dirtyWord
 	scanScratch   []int
 	runScratch    []disk.Run
 	orderScratch  []uint64
+	setScratch    []uint64
 	batchScratch  []dirtyBatch
 	groupFree     [][]int
 	xferFree      []*transfer

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -29,6 +30,16 @@ func newRig(t testing.TB, frames, freeMin, freeHigh int, cfg Config) *rig {
 	d := disk.New(eng, disk.DefaultParams())
 	sp := swap.New(1 << 20)
 	return &rig{eng, phys, d, sp, New(eng, phys, d, sp, cfg)}
+}
+
+// eachPage adapts a per-page observer to the page-out hook: it expands
+// every mask in ascending order, which is the eviction order.
+func eachPage(fn func(pid, vp int)) func(pid, word int, mask uint64) {
+	return func(pid, word int, mask uint64) {
+		for ; mask != 0; mask &= mask - 1 {
+			fn(pid, word<<6+bits.TrailingZeros64(mask))
+		}
+	}
 }
 
 // reclaimUntil runs reclaim passes until n frames are freed or the page
@@ -330,7 +341,7 @@ func TestSelectivePolicyProtectsIncoming(t *testing.T) {
 	r.touchAll(t, 1, 150, true) // A fills memory
 
 	evictions := map[int]int{}
-	r.vm.OnPageOut = func(pid, vp int) { evictions[pid]++ }
+	r.vm.OnPageOut = eachPage(func(pid, vp int) { evictions[pid]++ })
 	r.vm.SetVictimPolicy(PolicySelective)
 	r.vm.SetOutgoing(1)
 	r.touchAll(t, 2, 150, true) // B faults in
@@ -353,7 +364,7 @@ func TestSelectiveFallsBackWhenOutgoingDrained(t *testing.T) {
 	r.vm.SetVictimPolicy(PolicySelective)
 	r.vm.SetOutgoing(1)
 	evictions := map[int]int{}
-	r.vm.OnPageOut = func(pid, vp int) { evictions[pid]++ }
+	r.vm.OnPageOut = eachPage(func(pid, vp int) { evictions[pid]++ })
 	r.touchAll(t, 2, 200, true)
 	if evictions[1] != 20 {
 		t.Fatalf("outgoing evictions = %d, want all 20", evictions[1])
@@ -370,7 +381,7 @@ func TestDefaultPolicySweepsLargestProcess(t *testing.T) {
 	r.touchAll(t, 1, 10, false)
 	r.touchAll(t, 2, 60, false)
 	evictions := map[int]int{}
-	r.vm.OnPageOut = func(pid, vp int) { evictions[pid]++ }
+	r.vm.OnPageOut = eachPage(func(pid, vp int) { evictions[pid]++ })
 	if freed := reclaimUntil(r.vm, 5); freed != 5 {
 		t.Fatalf("freed = %d", freed)
 	}
@@ -418,7 +429,7 @@ func TestReclaimFromOldestFirst(t *testing.T) {
 	r.eng.Run()
 	r.vm.TouchResident(1, 10, 20, false)
 	evicted := []int{}
-	r.vm.OnPageOut = func(pid, vp int) { evicted = append(evicted, vp) }
+	r.vm.OnPageOut = eachPage(func(pid, vp int) { evicted = append(evicted, vp) })
 	r.vm.ReclaimFrom(1, 10)
 	if len(evicted) != 10 {
 		t.Fatalf("evicted %d pages", len(evicted))
