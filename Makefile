@@ -146,7 +146,10 @@ check:
 # and write-back selection on one large address space.
 # BenchmarkSwitchPaging is the gang-switch layer: a switch each way between
 # two so/ao/ai/bg processes that overcommit one node, through adaptive
-# page-out and page-in to the last transfer. BenchmarkDiskRequest
+# page-out and page-in to the last transfer. BenchmarkColdFill is the
+# process engine's first write of a fresh 64K-page segment on an idle
+# engine, whose touch windows fold the demand-zero fills a stretch at a
+# time (ns/page). BenchmarkDiskRequest
 # is the disk model's cost per request (one demand request, reused,
 # through Submit and its completion; 0 allocs/op). BenchmarkAuditSweep is
 # one full-sweep Auditor.Check (the oracle pass that re-derives every
@@ -168,6 +171,7 @@ bench:
 	  && $(GO) test -run NONE -bench 'BenchmarkQueueEnqueueDispatch' -benchmem ./internal/serve \
 	  && $(GO) test -run NONE -bench 'BenchmarkTouchRun|BenchmarkFault$$|BenchmarkWriteBackDirty|BenchmarkReclaimFrom|BenchmarkClockSweep' -benchmem ./internal/vm \
 	  && $(GO) test -run NONE -bench 'BenchmarkSwitchPaging$$' -benchmem ./internal/core \
+	  && $(GO) test -run NONE -bench 'BenchmarkColdFill$$' -benchmem ./internal/proc \
 	  && $(GO) test -run NONE -bench 'BenchmarkDiskRequest$$' -benchmem ./internal/disk \
 	  && $(GO) test -run NONE -bench 'BenchmarkAuditSweep$$' -benchmem ./internal/audit; } \
 	  | bin/benchjson -o BENCH_sim.json

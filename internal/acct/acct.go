@@ -31,11 +31,11 @@ type Counts struct {
 	Version     uint64 // bumped on every post; the auditor's skip gate
 }
 
-// MapResident posts a zero-fill allocation: a page went straight to
+// MapResident posts n zero-fill allocations: pages that went straight to
 // resident without touching the disk.
-func (c *Counts) MapResident() {
-	c.Mapped++
-	c.Resident++
+func (c *Counts) MapResident(n int) {
+	c.Mapped += n
+	c.Resident += n
 	c.Version++
 }
 

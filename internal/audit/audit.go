@@ -205,7 +205,7 @@ func New(c *cluster.Cluster, cfg Config) *Auditor {
 // events (fail-fast) plus a full sweep at quiescence.
 func Attach(c *cluster.Cluster, cfg Config) *Auditor {
 	a := New(c, cfg)
-	c.SetStepCheck(cfg.Every, a.Check)
+	c.SetStepCheck(cfg.Every, a.checkDue)
 	c.SetFinalCheck(a.Final)
 	return a
 }
@@ -243,15 +243,24 @@ func (a *Auditor) fail(v *Violation) error {
 // crossEvery-th pass is the full page-table sweep instead. Call only at
 // event boundaries (between engine steps): mid-event the model's books are
 // legitimately in motion.
-func (a *Auditor) Check() error {
-	a.checks++
+func (a *Auditor) Check() error { return a.checkDue(1) }
+
+// checkDue runs the n checks that fall due at one event boundary, where a
+// fast-forwarded step stands for several logical events. Nothing runs
+// between them, so they would all see one state and give one verdict:
+// each is counted, the sweep cadence advances by n, and the pass runs
+// once — the sweep when the cadence falls due among them (each due sweep
+// counted), the differential comparison otherwise.
+func (a *Auditor) checkDue(n int) error {
+	a.checks += int64(n)
 	if err := a.checkEngine(); err != nil {
 		return err
 	}
 	if a.crossEvery > 0 {
-		a.sinceSweep++
+		a.sinceSweep += n
 		if a.sinceSweep >= a.crossEvery {
-			a.sinceSweep = 0
+			a.sweeps += int64(a.sinceSweep/a.crossEvery - 1)
+			a.sinceSweep %= a.crossEvery
 			return a.sweep()
 		}
 	}
@@ -430,10 +439,10 @@ func (a *Auditor) checkEngine() error {
 			Detail: fmt.Sprintf("engine 0 clock ran backwards: %v after %v", now, a.prevNow),
 		})
 	}
-	// The checks owed for the logical events one fast-forwarded step stood
-	// for run back to back: while no event fires and the clock holds, the
-	// engine can queue nothing before now, so the queue head the first of
-	// them verified still passes.
+	// A check at the boundary the previous one saw (the quiescence sweep
+	// right after the last step's checks, say): while no event fires and
+	// the clock holds, the engine can queue nothing before now, so the
+	// queue head the previous check verified still passes.
 	steps := eng.Steps()
 	if steps == a.prevSteps && now == a.prevNow && a.checks > 1 {
 		return nil

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -29,18 +30,31 @@ type foldRun struct {
 // fully on (events, metrics, spans, ledgers) and the auditor checking
 // after every logical event. Job "w" writes its whole image, so its first
 // iteration is demand-zero fills, and the node runs out of free frames
-// part way through: later fills meet the watermark and reclaim. Job "r"
-// reads half its image and never writes it, so those pages stay clean and
-// swap-less: the switch page-out drops them, and "r" refaults them as
-// demand-zero fills that the ledger books as switch overhead.
+// part way through: later fills meet the watermark and reclaim. It writes
+// the top two thirds first and then the whole image, so the fills of the
+// bottom third run on into resident pages: the chunk after the last of
+// them touches those too. Job "r" reads most of its image and never writes
+// it, so those pages stay clean and swap-less: the switch page-out drops
+// them, and "r" refaults them as demand-zero fills that the ledger books
+// as switch overhead.
+//
+// With bg set, the background writer starts a tenth of the way into each
+// quantum and cleans 100 pages every 2 ms, so its passes land while "w"
+// fills its image: each picks the youngest dirty pages, those the fills
+// just before it wrote, which only their own last-use stamps tell apart.
 //
 // With blocked set, a no-op event fires every microsecond until the last
 // job finishes. It is always the queue's next event, so no touch window
 // can absorb a chunk or a fill: the run takes the one-event-per-step
 // schedule that fast-forwarding must reproduce (DESIGN §10b).
-func runFoldCluster(t *testing.T, blocked bool) foldRun {
+func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
 	t.Helper()
-	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 8}, core.SOAOAIBG, core.Config{})
+	kcfg, opts := core.Config{}, gang.Options{}
+	if bg {
+		kcfg = core.Config{BGWriteBatch: 100, BGWriteInterval: 2 * sim.Millisecond}
+		opts.BGWriteFraction = 0.9
+	}
+	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 8}, core.SOAOAIBG, kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +67,10 @@ func runFoldCluster(t *testing.T, blocked bool) foldRun {
 		name string
 		segs []proc.Segment
 	}{
-		{"w", []proc.Segment{{Offset: 0, Pages: 1500, Write: true, Passes: 1}}},
+		{"w", []proc.Segment{
+			{Offset: 500, Pages: 1000, Write: true, Passes: 1},
+			{Offset: 0, Pages: 1500, Write: true, Passes: 1},
+		}},
 		{"r", []proc.Segment{
 			{Offset: 0, Pages: 300, Write: true, Passes: 1},
 			{Offset: 300, Pages: 1200, Passes: 2},
@@ -70,7 +87,7 @@ func runFoldCluster(t *testing.T, blocked bool) foldRun {
 			t.Fatal(err)
 		}
 	}
-	c.BuildScheduler(gang.Options{})
+	c.BuildScheduler(opts)
 	a := Attach(c, Config{Every: 1, Ring: setup.Flight()})
 
 	var run foldRun
@@ -124,10 +141,18 @@ func promCount(n uint64) string { return strconv.FormatFloat(float64(n), 'g', -1
 // TestFoldMatchesUnfolded pins touch-window fast-forwarding, demand-zero
 // fills included, against the schedule without it: every output of a
 // fully observed, audited run is byte-identical, and logical events match
-// exactly once the blocker's are taken out.
+// exactly once the blocker's are taken out. It runs the cluster with the
+// default background writer and with one whose passes land among the
+// fills.
 func TestFoldMatchesUnfolded(t *testing.T) {
-	free := runFoldCluster(t, false)
-	blocked := runFoldCluster(t, true)
+	for _, bg := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bg=%v", bg), func(t *testing.T) { checkFold(t, bg) })
+	}
+}
+
+func checkFold(t *testing.T, bg bool) {
+	free := runFoldCluster(t, bg, false)
+	blocked := runFoldCluster(t, bg, true)
 	model := blocked.logical - blocked.blocker
 
 	if !bytes.Equal(free.result, blocked.result) {

@@ -105,7 +105,7 @@ type Cluster struct {
 	faults    FaultStats
 	onAllDone func()
 
-	stepCheck  func() error // invariant check run every checkEvery steps
+	stepCheck  func(due int) error // invariant check run every checkEvery logical events
 	checkEvery int
 	finalCheck func() error // overrides stepCheck at quiescence when set
 
@@ -457,13 +457,15 @@ func (c *Cluster) restoreNode(id int) {
 // Scheduler returns the scheduler (nil before BuildScheduler).
 func (c *Cluster) Scheduler() *gang.Scheduler { return c.sched }
 
-// SetStepCheck installs fn to run after every n-th engine step of
-// RunContext (n <= 0 means after every step) and once more when the engine
-// drains. A non-nil error aborts the run immediately with that error —
-// the invariant auditor's fail-fast hook. Pass nil to remove; the check
-// is consulted only at step boundaries, so a nil check costs one branch
-// per event and nothing else.
-func (c *Cluster) SetStepCheck(every int, fn func() error) {
+// SetStepCheck installs fn to run after every n-th logical engine event of
+// RunContext (n <= 0 means after every event) and once more when the
+// engine drains. fn receives how many checks fall due at the step
+// boundary: a fast-forwarded step stands for several logical events, so
+// it can owe several, and nothing runs between them. A non-nil error
+// aborts the run immediately with that error — the invariant auditor's
+// fail-fast hook. Pass nil to remove; the check is consulted only at step
+// boundaries, so a nil check costs one branch per event and nothing else.
+func (c *Cluster) SetStepCheck(every int, fn func(due int) error) {
 	if every <= 0 {
 		every = 1
 	}
@@ -482,7 +484,7 @@ func (c *Cluster) quiesceCheck() error {
 		return c.finalCheck()
 	}
 	if c.stepCheck != nil {
-		return c.stepCheck()
+		return c.stepCheck(1)
 	}
 	return nil
 }
@@ -599,14 +601,14 @@ func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 			// Cadence is measured in logical events (sim.Engine.Executed),
 			// so a fast-forwarded touch run that collapses k events into
 			// one step still advances the check counter by k — and still
-			// triggers the same number of sweeps, at the first event
-			// boundary on or after where each would have fallen.
+			// owes the same number of checks, due together at the first
+			// event boundary on or after where each would have fallen.
 			exec := c.Eng.Executed()
 			sinceCheck += exec - lastExec
 			lastExec = exec
-			for sinceCheck >= uint64(c.checkEvery) {
-				sinceCheck -= uint64(c.checkEvery)
-				if err := c.stepCheck(); err != nil {
+			if due := sinceCheck / uint64(c.checkEvery); due > 0 {
+				sinceCheck -= due * uint64(c.checkEvery)
+				if err := c.stepCheck(int(due)); err != nil {
 					return err
 				}
 			}

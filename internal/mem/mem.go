@@ -66,6 +66,11 @@ func (p *Physical) ReclaimTarget(n int) int {
 	return p.freeHigh + n - p.free
 }
 
+// Headroom reports how many frames can be taken without triggering
+// reclaim: the largest n with ReclaimTarget(n) == 0, or 0 when there is
+// none.
+func (p *Physical) Headroom() int { return max(p.free-p.freeMin, 0) }
+
 // Lock wires down n frames so they can never be taken, mimicking the
 // paper's mlock() trick for shrinking usable memory. It panics if fewer
 // than n frames are free.

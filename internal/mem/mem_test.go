@@ -73,6 +73,14 @@ func TestWatermarks(t *testing.T) {
 	if got := p.ReclaimTarget(1); got != 0 {
 		t.Fatalf("ReclaimTarget(1) with 4 free = %d, want 0", got)
 	}
+	// Headroom is the largest n that ReclaimTarget lets go: 4 free, min 3.
+	if h := p.Headroom(); h != 1 || p.ReclaimTarget(h) != 0 || p.ReclaimTarget(h+1) == 0 {
+		t.Fatalf("Headroom() with 4 free = %d", h)
+	}
+	p.Take(2) // 2 free, below min
+	if h := p.Headroom(); h != 0 {
+		t.Fatalf("Headroom() with 2 free = %d, want 0", h)
+	}
 }
 
 func TestLock(t *testing.T) {

@@ -50,13 +50,17 @@ func (b *Bus) Emitted() uint64 {
 }
 
 // Ring is a fixed-capacity in-memory sink that keeps the most recent
-// events, oldest first. It backs RunHandle.Events and tests.
+// events, oldest first. It backs RunHandle.Events and tests. Its buffer
+// grows as events arrive, doubling up to the capacity, so a run that emits
+// few events never pays for the whole ring; once it holds capacity events
+// it wraps.
 type Ring struct {
-	buf     []Event
-	next    int
-	wrapped bool
-	dropped uint64
-	onDrop  func()
+	buf      []Event
+	capacity int
+	next     int
+	wrapped  bool
+	dropped  uint64
+	onDrop   func()
 }
 
 // NewRing returns a ring holding up to capacity events.
@@ -64,18 +68,23 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("obs: ring capacity must be positive")
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Emit appends ev, evicting the oldest event when full.
 func (r *Ring) Emit(ev Event) {
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(2*len(r.buf), 16), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, ev)
 		return
 	}
 	r.buf[r.next] = ev
 	r.next++
-	if r.next == cap(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 	}
 	r.wrapped = true

@@ -423,10 +423,13 @@ func (p *Process) stepTouch() bool {
 	// A non-resident page ends the window (the merged resume, or at the
 	// window's start this call, faults it through the normal path) unless
 	// the VM can fill it in place: a demand-zero page whose fault would run
-	// alone (FoldZeroFill). Its stall joins the window and is deferred to
-	// its ledger category. Fills reserve and record fault spans, so they
-	// fold only in a solo window, one that is all that is left of its
-	// event: no other work of the event can then come between them and the
+	// alone (FoldZeroFill). The VM fills a stretch of such pages at once,
+	// each touched as the one-page chunk the un-collapsed schedule runs
+	// between two fills, all but the last, which the next chunk touches.
+	// The stalls join the window and are deferred to their ledger
+	// categories. Fills reserve and record fault spans, so they fold only
+	// in a solo window, one that is all that is left of its event: no
+	// other work of the event can then come between them and the
 	// un-collapsed schedule's trap and finish events. The window also ends
 	// at the end of the touch phase. The folded event count — every chunk
 	// resume and fill finish but the last event — is credited via
@@ -445,11 +448,16 @@ func (p *Process) stepTouch() bool {
 		run := p.v.TouchRun(p.as, p.cursor, max, write, now.Add(total))
 		if run == 0 {
 			if p.solo {
-				if d, cat, ok := p.v.FoldZeroFill(p.as, p.cursor, now.Add(total), nextT, hasNext); ok {
-					p.led.Defer(cat, d)
-					fills++
-					total += d
-					continue // the next chunk touches the page at the fill's end
+				c := p.chunkCost(1)
+				if n, switched, d := p.v.FoldZeroFill(p.as, p.cursor, end-p.cursor, write, now.Add(total), c, nextT, hasNext); n > 0 {
+					p.led.Defer(obs.CatFault, sim.Duration(n-switched)*d)
+					p.led.Defer(obs.CatSwitch, sim.Duration(switched)*d)
+					fills += n
+					chunks += n - 1
+					p.cursor += n - 1
+					p.stats.ComputeTime += sim.Duration(n-1) * c
+					total += sim.Duration(n)*d + sim.Duration(n-1)*c
+					continue // the next chunk touches the last page at its fill's end
 				}
 			}
 			if chunks == 0 {
@@ -464,10 +472,7 @@ func (p *Process) stepTouch() bool {
 		}
 		p.cursor += run
 		chunks++
-		cost := (sim.Duration(run) * p.beh.TouchCost).Scale(p.iterScale)
-		if p.SlowFactor != 1 {
-			cost = cost.Scale(p.SlowFactor)
-		}
+		cost := p.chunkCost(run)
 		p.stats.ComputeTime += cost
 		total += cost
 		if hasNext && nextT <= now.Add(total) {
@@ -507,6 +512,16 @@ func (p *Process) stepTouch() bool {
 	p.block()
 	p.eng.ScheduleDetached(total, p.soloFn)
 	return true
+}
+
+// chunkCost is the compute cost of one chunk that touches run pages,
+// rounded once for the chunk.
+func (p *Process) chunkCost(run int) sim.Duration {
+	cost := (sim.Duration(run) * p.beh.TouchCost).Scale(p.iterScale)
+	if p.SlowFactor != 1 {
+		cost = cost.Scale(p.SlowFactor)
+	}
+	return cost
 }
 
 func (p *Process) endIteration() {

@@ -16,7 +16,7 @@ type rig struct {
 	vm  *vm.VM
 }
 
-func newRig(t *testing.T, frames int) *rig {
+func newRig(t testing.TB, frames int) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	phys := mem.New(frames, 8, 16)

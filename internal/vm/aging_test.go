@@ -186,6 +186,58 @@ func TestReadInRetryDropsPagesReadElsewhere(t *testing.T) {
 	}
 }
 
+// TestReadInRetryReadsWhatIsLeft makes a fault's read-ahead (vpages 5 to
+// 15) and then a page-set read of all 16 pages of the same process wait
+// for memory, pinned by another process's read-back. Frames come back four
+// at a time, as that read-back lands run by run: the fault's retry reads
+// its first four pages, and the set read's retry must then read only pages
+// still without a frame, cut afresh into runs of at most MaxIOPages. Both
+// reads are cut to the frames they get, dropping the rest, as the
+// page-list path did: pages 0-3 and 5-8 are read, each once.
+func TestReadInRetryReadsWhatIsLeft(t *testing.T) {
+	r := newRig(t, 64, 2, 4, Config{MaxIOPages: 4})
+	for _, p := range []struct{ pid, pages int }{{2, 16}, {1, 64}} {
+		r.vm.NewProcess(p.pid, p.pages)
+		r.touchAll(t, p.pid, p.pages, true)
+		r.vm.ReclaimFrom(p.pid, p.pages)
+		r.eng.Run()
+	}
+	r.vm.SetVictimPolicy(PolicySelective)
+	r.vm.SetOutgoing(1)
+	r.vm.ReadPagesIn(1, seqPages(64), disk.Demand, nil) // pins every frame
+	as := r.vm.Process(2)
+	read := make([]int, 16)
+	r.vm.submitted = func(req *disk.Request) {
+		if req.Write || req.Run.N > 4 {
+			t.Fatalf("request %+v: want reads of at most 4 pages", req.Run)
+		}
+		for s := req.Run.Start; s < req.Run.End(); s++ {
+			if vp := int(s - as.Region().Start); vp >= 0 && vp < 16 {
+				read[vp]++
+			}
+		}
+	}
+	resumed := false
+	r.vm.Fault(as, 5, false, func() { resumed = true })
+	r.vm.ReadPagesIn(2, seqPages(16), disk.Demand, nil)
+	r.eng.Run()
+	for vp, n := range read {
+		want := 0
+		if vp < 4 || vp >= 5 && vp < 9 {
+			want = 1
+		}
+		if n != want || as.IsResident(vp) != (want == 1) {
+			t.Fatalf("vpage %d read %d times (resident %v), want %d; reads %v", vp, n, as.IsResident(vp), want, read)
+		}
+	}
+	if !resumed {
+		t.Fatal("the fault never resumed")
+	}
+	if err := r.vm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReadInRetryAbandonedAfterExit destroys a process while its prefetch
 // waits for memory: the retry must drop the read and fire onDone, not take
 // frames for the dead address space, which nothing would ever free.

@@ -126,10 +126,12 @@ func BenchmarkFault(b *testing.B) {
 }
 
 // TestFaultAllocFree pins the allocation-free fault and I/O paths: once
-// the pools are warm, a demand-zero fill, a minor fault on a resident page,
-// a major fault through its read completion (with the clean page-out that
-// sets up the next one), and a write-back pass through its write completion
-// allocate nothing.
+// the pools are warm, a demand-zero fill, a folded stretch of them, a minor
+// fault on a resident page, a major fault through its read completion
+// (with the clean page-out that sets up the next one), a page-set read of
+// several runs through its landing (with a fault waiting in the middle of
+// one), and a write-back pass through its write completion allocate
+// nothing.
 func TestFaultAllocFree(t *testing.T) {
 	r := newRig(t, 1024, 0, 0, Config{})
 	as, _ := r.vm.NewProcess(1, 512)
@@ -177,6 +179,44 @@ func TestFaultAllocFree(t *testing.T) {
 	}
 	if got := r.vm.Stats().PagesIn - in; got != int64(101*ra) || evicted != 101*ra || swapped.Resident() != 0 {
 		t.Fatalf("101 major faults read %d pages and evicted %d, want %d each", got, evicted, 101*ra)
+	}
+
+	// A folded stretch fills 64 pages of process 3 as demand-zero pages
+	// and reads them; paging them out again drops them, clean and
+	// swap-less, so the next stretch fills them afresh.
+	const stretch = 64
+	cold, _ := r.vm.NewProcess(3, stretch)
+	folded := 0
+	fold := func() {
+		n, _, _ := r.vm.FoldZeroFill(cold, 0, stretch, false, r.eng.Now(), sim.Microsecond, 0, false)
+		folded += n
+		r.vm.ReclaimFrom(3, stretch)
+	}
+	if n := testing.AllocsPerRun(100, fold); n != 0 {
+		t.Errorf("folded zero-fill stretch allocates %v times", n)
+	}
+	if folded != 101*stretch || cold.Resident() != 0 {
+		t.Fatalf("101 stretches folded %d pages, want %d", folded, 101*stretch)
+	}
+
+	// A page-set read of every third page of process 2's first 192 is 64
+	// one-page runs; a fault on an in-flight page waits for its landing.
+	set := make([]uint64, (pages+63)/64)
+	in = r.vm.Stats().PagesIn
+	setRead := func() {
+		for vp := 0; vp < 192; vp += 3 {
+			setBit(set, vp)
+		}
+		r.vm.ReadPageSet(2, set, disk.Demand, 0, nil)
+		r.vm.Fault(swapped, 96, false, resume)
+		r.eng.Run()
+		r.vm.ReclaimFrom(2, pages)
+	}
+	if n := testing.AllocsPerRun(100, setRead); n != 0 {
+		t.Errorf("multi-run page-set read allocates %v times", n)
+	}
+	if got := r.vm.Stats().PagesIn - in; got != 101*64 || swapped.Resident() != 0 {
+		t.Fatalf("101 page-set reads landed %d pages, want %d", got, 101*64)
 	}
 
 	written := r.vm.Stats().PagesOut

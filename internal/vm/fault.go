@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -156,9 +157,14 @@ func (v *VM) endStall(as *AddressSpace, span, parent obs.SpanID, start, end sim.
 	v.stats.FaultStall += stall
 	as.stats.FaultStall += stall
 	if v.obs != nil {
-		v.obs.FaultStall.ObserveMicros(int64(stall))
-		v.obs.Tracer.EmitReserved(span, obs.SpanFault, parent, v.obs.Node, as.pid, start, end, 0)
+		v.observeStall(as, span, parent, start, end)
 	}
+}
+
+// observeStall records a fault stall's distribution sample and its span.
+func (v *VM) observeStall(as *AddressSpace, span, parent obs.SpanID, start, end sim.Time) {
+	v.obs.FaultStall.ObserveMicros(int64(end.Sub(start)))
+	v.obs.Tracer.EmitReserved(span, obs.SpanFault, parent, v.obs.Node, as.pid, start, end, 0)
 }
 
 // settleZero installs a frame already taken at vp as a resident
@@ -169,48 +175,158 @@ func (v *VM) settleZero(as *AddressSpace, vp int, now sim.Time) {
 	as.resident++
 	v.residentSum++
 	if v.acct != nil {
-		v.acct.MapResident()
+		v.acct.MapResident(1)
 	}
 }
 
-// FoldZeroFill performs, at virtual time at, the whole demand-zero fault on
-// vpage that a process would trap into when its resume fired then: Fault's
-// zero-fill branch, attempt and finish, in that order and with their
-// timestamps, the stall ending d = FaultOverhead + ZeroFillCost later. The
-// process engine uses it to keep a fast-forwarded touch window going
-// (DESIGN §10b), so it acts only when the fault provably runs alone: the
-// page has no frame and no swap copy, taking a frame leaves free memory at
-// or above freepages.min (no reclaim, so nothing is scheduled or
-// submitted), and, when hasNext, the stall ends strictly before next, the
-// queue's next event. Otherwise it changes nothing and reports ok false.
-// cat is the ledger category the stall belongs to: CatSwitch where Fault
-// would retag it, CatFault otherwise.
-func (v *VM) FoldZeroFill(as *AddressSpace, vpage int, at, next sim.Time, hasNext bool) (d sim.Duration, cat obs.Category, ok bool) {
+// FoldZeroFill performs, from virtual time at, the demand-zero faults of a
+// process touching a stretch of pages one by one from vpage, and the
+// touches between them, as the un-collapsed schedule would (DESIGN §10b).
+// Page i (from 0) is filled at t_i = at + i·(d+c), d = FaultOverhead +
+// ZeroFillCost, its stall ending at t_i + d; every page but the last is
+// then touched (written when write is set) as a one-page chunk costing c.
+// The last page is left for the caller's next chunk, which may run on into
+// resident pages. A page is filled only when its fault provably runs
+// alone: it lies within max of vpage, has no frame and no swap copy, its
+// frame leaves free memory at or above freepages.min (no reclaim), and,
+// when hasNext, its stall ends before next, the queue's next event, which
+// is tested first. It returns the pages filled (0 when it changed
+// nothing), how many of their stalls are the ledger's CatSwitch (where
+// Fault would retag them; the rest are CatFault), and d.
+func (v *VM) FoldZeroFill(as *AddressSpace, vpage, max int, write bool, at sim.Time, c sim.Duration, next sim.Time, hasNext bool) (n, switched int, d sim.Duration) {
 	d = v.cfg.FaultOverhead + v.cfg.ZeroFillCost
-	end := at.Add(d)
-	if as.hasFrame(vpage) || as.OnDisk(vpage) ||
-		v.phys.ReclaimTarget(1) > 0 || hasNext && end >= next {
-		return 0, 0, false
+	step := d + c
+	if hasNext {
+		gap := next.Sub(at) - d // page i fills while i·step < gap
+		if gap <= 0 {
+			return 0, 0, d
+		}
+		if k := (gap-1)/step + 1; k < sim.Duration(max) {
+			max = int(k)
+		}
 	}
-	span, parent := v.faultSpan()
-	cat = obs.CatFault
-	if as.switchStall(vpage) {
-		cat = obs.CatSwitch
+	n = as.zeroRun(vpage, min(max, v.phys.Headroom()))
+	if n == 0 {
+		return 0, 0, d
 	}
-	v.zeroFillFault(as)
-	v.phys.Take(1) // a frame is free: see above
-	v.settleZero(as, vpage, at)
-	v.endStall(as, span, parent, at, end)
-	return d, cat, true
+	end := vpage + n
+	if as.switchStalls() {
+		for _, sw := range as.swEvict[vpage:end] {
+			if sw {
+				switched++
+			}
+		}
+	}
+	v.phys.Take(n) // the headroom covers them: see above
+	v.zeroFillFaults(as, n)
+	stall := sim.Duration(n) * d
+	v.stats.FaultStall += stall
+	as.stats.FaultStall += stall
+	if v.obs != nil {
+		for i := range n {
+			t := at.Add(sim.Duration(i) * step)
+			span, parent := v.faultSpan()
+			v.observeStall(as, span, parent, t, t.Add(d))
+		}
+	}
+
+	// Page state, a word mask at a time: every page is mapped, settled and
+	// referenced, and all but the last are touched. None was resident, so
+	// none was dirty or cleaned by the background writer.
+	last := end - 1
+	dirtied, touched := 0, 0
+	for wi := vpage >> 6; wi<<6 < end; wi++ {
+		m := wordMask(wi, vpage, end)
+		as.settled[wi] |= m
+		as.ref[wi] |= m
+		as.wordFull[wi] &^= m
+		tm := wordMask(wi, vpage, last)
+		if tm == 0 {
+			continue // the last page alone, left untouched
+		}
+		if write {
+			dirtied += bits.OnesCount64(tm)
+			as.dirtyMap[wi] |= tm
+		}
+		touched += bits.OnesCount64(tm &^ as.touchedQ[wi])
+		as.touchedQ[wi] |= tm
+		top := wi<<6 + 63 - bits.LeadingZeros64(tm) // the word's last touched page
+		if t := at.Add(sim.Duration(top-vpage)*step + d); as.dirtyBound[wi] < t {
+			as.dirtyBound[wi] = t
+		}
+	}
+	ages := as.age[vpage:end]
+	for i := range ages {
+		ages[i] = uint8(v.cfg.AgeStart)
+	}
+	uses := as.lastUse[vpage:end]
+	t := at.Add(d)
+	for i := range uses[:n-1] {
+		uses[i] = t
+		t = t.Add(step)
+	}
+	uses[n-1] = t.Add(-d) // its fill time, which the caller's touch replaces
+	as.mapped += n
+	as.resident += n
+	v.residentSum += n
+	as.touched += touched
+	if v.acct != nil {
+		v.acct.MapResident(n)
+		if dirtied > 0 {
+			v.acct.PagesDirtied(dirtied)
+		}
+	}
+	return n, switched, d
+}
+
+// zeroRun returns how many pages from vp, up to max, are demand-zero: no
+// frame and no swap copy, completed or pending. It reads the frame and
+// swap bitmaps a word at a time.
+func (as *AddressSpace) zeroRun(vp, max int) int {
+	end := min(vp+max, as.numPages)
+	hi := vp
+	for hi < end {
+		off := int(uint(hi) & 63)
+		wi := hi >> 6
+		held := (as.settled[wi] | as.inFlight[wi] | as.onDisk[wi]) >> uint(off)
+		k := bits.TrailingZeros64(held) // 64 - off or more: none held in the rest of the word
+		stop := k < 64-off
+		k = min(k, 64-off, end-hi)
+		for i, p := range as.wbPending[hi : hi+k] {
+			if p > 0 {
+				return hi + i - vp
+			}
+		}
+		hi += k
+		if stop {
+			break
+		}
+	}
+	return hi - vp
+}
+
+// pageWaiters is the faults waiting for one in-flight vpage, linked from
+// first in arrival order.
+type pageWaiters struct {
+	vp    int
+	first *faultWait
+}
+
+// waiterIndex returns the index of the first entry of as.waiters at or
+// above vp.
+func (as *AddressSpace) waiterIndex(vp int) int {
+	i, _ := slices.BinarySearchFunc(as.waiters, vp, func(e pageWaiters, vp int) int { return cmp.Compare(e.vp, vp) })
+	return i
 }
 
 // addWaiter queues w behind any earlier waiters on the in-flight vpage.
 func (as *AddressSpace) addWaiter(vp int, w *faultWait) {
-	last := as.waiters[vp]
-	if last == nil {
-		as.waiters[vp] = w
+	i := as.waiterIndex(vp)
+	if i == len(as.waiters) || as.waiters[i].vp != vp {
+		as.waiters = slices.Insert(as.waiters, i, pageWaiters{vp, w})
 		return
 	}
+	last := as.waiters[i].first
 	for last.next != nil {
 		last = last.next
 	}
@@ -266,7 +382,7 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	}
 	// Demand-zero page: no disk involved.
 	if !as.OnDisk(vpage) {
-		v.zeroFillFault(as)
+		v.zeroFillFaults(as, 1)
 		w.epoch = v.epoch
 		w.attempt()
 		return
@@ -276,15 +392,17 @@ func (v *VM) Fault(as *AddressSpace, vpage int, write bool, resume func()) {
 	// swap-backed neighbours, as the Linux 2.2 swap-in path does.
 	v.stats.MajorFaults++
 	as.stats.MajorFaults++
-	group := append(v.getGroup(), vpage)
-	for next := vpage + 1; next < as.numPages && len(group) < v.cfg.ReadAhead; next++ {
-		if as.hasFrame(next) || !as.OnDisk(next) {
-			break
-		}
-		group = append(group, next)
+	hi := vpage + 1
+	for hi < as.numPages && hi-vpage < v.cfg.ReadAhead && !as.hasFrame(hi) && as.OnDisk(hi) {
+		hi++
 	}
+	runs := v.readRuns[:0]
+	for lo := vpage; lo < hi; lo += v.cfg.MaxIOPages {
+		runs = append(runs, pageRun{lo, min(hi-lo, v.cfg.MaxIOPages)})
+	}
+	v.readRuns = runs
 	as.addWaiter(vpage, w)
-	v.readIn(as, group, disk.Demand, w.span, nil)
+	v.readIn(as, runs, disk.Demand, w.span, nil)
 }
 
 // faultSpan reserves a fault's span ID and names its parent. The fault span
@@ -307,8 +425,12 @@ func (v *VM) faultSpan() (span, parent obs.SpanID) {
 // was evicted while its owner was descheduled (or is still in flight from
 // the switch's prefetch).
 func (as *AddressSpace) switchStall(vp int) bool {
-	return as.led != nil && as.swEvict != nil && as.swEvict[vp]
+	return as.switchStalls() && as.swEvict[vp]
 }
+
+// switchStalls reports whether any stall of as can be switch overhead: the
+// rank has a ledger and the switch-eviction marks.
+func (as *AddressSpace) switchStalls() bool { return as.led != nil && as.swEvict != nil }
 
 // minorFault accounts one fault satisfied without disk I/O.
 func (v *VM) minorFault(as *AddressSpace) {
@@ -316,11 +438,12 @@ func (v *VM) minorFault(as *AddressSpace) {
 	as.stats.MinorFaults++
 }
 
-// zeroFillFault accounts a minor fault that a demand-zero page satisfies.
-func (v *VM) zeroFillFault(as *AddressSpace) {
-	v.minorFault(as)
-	v.stats.ZeroFills++
-	as.stats.ZeroFills++
+// zeroFillFaults accounts n minor faults that demand-zero pages satisfy.
+func (v *VM) zeroFillFaults(as *AddressSpace, n int) {
+	v.stats.MinorFaults += int64(n)
+	as.stats.MinorFaults += int64(n)
+	v.stats.ZeroFills += int64(n)
+	as.stats.ZeroFills += int64(n)
 }
 
 // ReadPagesIn brings the listed pages of pid into memory through
@@ -328,10 +451,7 @@ func (v *VM) zeroFillFault(as *AddressSpace) {
 // page outside the footprint, or listed twice, is a caller bug and panics.
 func (v *VM) ReadPagesIn(pid int, vpages []int, prio disk.Priority, onDone func()) {
 	as := v.mustProc(pid)
-	if len(v.setScratch) < len(as.settled) {
-		v.setScratch = make([]uint64, len(as.settled))
-	}
-	set := v.setScratch[:len(as.settled)]
+	set := v.scratchSet(len(as.settled))
 	for _, vp := range vpages {
 		if vp < 0 || vp >= as.numPages {
 			clear(set)
@@ -350,10 +470,10 @@ func (v *VM) ReadPagesIn(pid int, vpages []int, prio disk.Priority, onDone func(
 // ReadPageSet brings the pages of pid whose bits are set in set (bit i of
 // word w is vpage 64·w+i) into memory with batched, coalesced disk reads:
 // the adaptive page-in primitive. Pages that are resident, already in
-// flight, or demand-zero are skipped. It takes the pages out of set, which
-// it leaves zero, before it reads anything, and builds the ascending read
-// group from the words, sized once. parent is the causal span stamped onto
-// the disk requests (0 for none). onDone, if non-nil, fires once every
+// flight, or demand-zero are skipped. It cuts the rest straight from the
+// words into runs (cutRuns), taking them out of set, which it leaves zero,
+// before it reads anything. parent is the causal span stamped onto the
+// disk requests (0 for none). onDone, if non-nil, fires once every
 // transfer issued by this call has completed; it fires immediately if
 // nothing needed reading.
 func (v *VM) ReadPageSet(pid int, set []uint64, prio disk.Priority, parent obs.SpanID, onDone func()) {
@@ -368,7 +488,7 @@ func (v *VM) ReadPageSet(pid int, set []uint64, prio disk.Priority, parent obs.S
 		}
 	}
 	words := min(len(set), len(as.settled))
-	n := 0
+	lo, hi := words, 0 // the words left non-empty
 	for wi, w := range set[:words] {
 		if w == 0 {
 			continue
@@ -381,23 +501,18 @@ func (v *VM) ReadPageSet(pid int, set []uint64, prio disk.Priority, parent obs.S
 			}
 		}
 		set[wi] = backed
-		n += bits.OnesCount64(backed)
-	}
-	group := slices.Grow(v.getGroup(), n)
-	for wi, w := range set[:words] {
-		set[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			group = append(group, wi<<6+bits.TrailingZeros64(w))
+		if backed != 0 {
+			lo, hi = min(lo, wi), wi+1
 		}
 	}
-	if len(group) == 0 {
-		v.putGroup(group)
+	if lo >= hi {
 		if onDone != nil {
 			onDone()
 		}
 		return
 	}
-	v.readIn(as, group, prio, parent, onDone)
+	v.readRuns = v.cutRuns(v.readRuns[:0], set, lo, hi)
+	v.readIn(as, v.readRuns, prio, parent, onDone)
 }
 
 // reclaimRetryDelay is how long a page-in waits when not a single frame can
@@ -405,88 +520,105 @@ func (v *VM) ReadPageSet(pid int, set []uint64, prio disk.Priority, parent obs.S
 // the analogue of sleeping on kswapd.
 const reclaimRetryDelay = 500 * sim.Microsecond
 
-// readIn allocates frames for the group (reclaiming first if needed),
-// splits it into bounded disk transactions and marks pages resident as each
-// transaction completes. The group holds only pages with no frame and a
-// swap copy. When memory is momentarily unfreeable the read is retried;
-// pages that become resident through other transfers in the meantime are
-// dropped from the group (their waiters fire with those transfers).
-//
-// readIn owns group, a pooled buffer of ascending vpages: it returns it to
-// the pool, or hands it to the read's batch, which returns it once the
-// last transfer lands.
-func (v *VM) readIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
-	avail := v.ensureFree(len(group))
+// readIn allocates frames for the pages of runs (reclaiming first if
+// needed), issues one disk request per run and marks pages resident as
+// each request completes. The runs are ascending, cut as cutRuns cuts
+// them, and hold only pages with no frame and a swap copy. When fewer
+// frames are free than pages, the read is cut to the pages the frames
+// cover, in order. When memory is momentarily unfreeable the read is
+// retried; pages that become resident through other transfers in the
+// meantime are dropped from it (their waiters fire with those transfers).
+// runs is the caller's scratch: readIn is done with it when it returns.
+func (v *VM) readIn(as *AddressSpace, runs []pageRun, prio disk.Priority, parent obs.SpanID, onDone func()) {
+	n := 0
+	for _, r := range runs {
+		n += r.n
+	}
+	avail := v.ensureFree(n)
 	if avail < 1 {
-		v.retryReadIn(as, group, prio, parent, onDone)
+		v.retryReadIn(as, slices.Clone(runs), prio, parent, onDone)
 		return
 	}
 	// ensureFree left at least avail frames free, so Take takes them all.
-	group = group[:v.phys.Take(avail)]
+	v.phys.Take(avail)
 	now := v.eng.Now()
-	for i := 0; i < len(group); {
-		wi := group[i] >> 6
-		var mask uint64
-		for ; i < len(group) && group[i]>>6 == wi; i++ {
-			mask |= 1 << (uint(group[i]) & 63)
+	k := 0
+	for left := avail; left > 0; k++ {
+		r := &runs[k]
+		r.n = min(r.n, left)
+		left -= r.n
+		for wi, end := r.vp>>6, r.vp+r.n; wi<<6 < end; wi++ {
+			m := wordMask(wi, r.vp, end)
+			v.mapFrames(as, wi, m, now)
+			as.inFlight[wi] |= m
 		}
-		v.mapFrames(as, wi, mask, now)
-		as.inFlight[wi] |= mask
 	}
 	if v.acct != nil {
-		v.acct.MapInFlight(len(group))
+		v.acct.MapInFlight(avail)
 	}
 	// One request per run; each completion marks its run's pages resident.
 	b := v.getBatch()
-	b.as, b.group, b.onDone = as, group, onDone
-	v.submitBatch(b, v.coalesceSplit(as, group), prio, parent)
+	b.as, b.onDone = as, onDone
+	v.submitRuns(b, runs[:k], prio, parent)
 }
 
-// retryReadIn runs readIn on group again after reclaimRetryDelay, without
-// the pages that landed through other reads or lost their swap copy in the
-// meantime, unless the node crashes or the process exits first. It is a
-// function of its own so that only a retry, not every read, moves readIn's
-// arguments to the heap.
-func (v *VM) retryReadIn(as *AddressSpace, group []int, prio disk.Priority, parent obs.SpanID, onDone func()) {
+// retryReadIn runs readIn again after reclaimRetryDelay on the pages of
+// runs (a copy the retry owns) that have not landed through other reads or
+// lost their swap copy in the meantime, cut into runs afresh, unless the
+// node crashes or the process exits first. It is a function of its own so
+// that only a retry, not every read, allocates.
+func (v *VM) retryReadIn(as *AddressSpace, runs []pageRun, prio disk.Priority, parent obs.SpanID, onDone func()) {
 	epoch := v.epoch
 	v.eng.ScheduleDetached(reclaimRetryDelay, func() {
-		kept := group[:0]
-		for _, vp := range group {
-			if !as.hasFrame(vp) && as.OnDisk(vp) {
-				kept = append(kept, vp)
+		set := v.scratchSet(len(as.settled))
+		lo, hi := len(set), 0
+		if v.epoch == epoch && !as.gone {
+			for _, r := range runs {
+				for vp := r.vp; vp < r.vp+r.n; vp++ {
+					if !as.hasFrame(vp) && as.OnDisk(vp) {
+						setBit(set, vp)
+						lo, hi = min(lo, vp>>6), vp>>6+1
+					}
+				}
 			}
 		}
-		if v.epoch != epoch || as.gone || len(kept) == 0 {
+		if lo >= hi {
 			// Node crashed (Crash resumed the waiters), the process was
 			// destroyed (its waiters went with it) or nothing is left to
 			// read: abandon the read. Reading into a destroyed address
 			// space would leak every frame it took.
-			v.putGroup(kept)
 			if onDone != nil {
 				onDone()
 			}
 			return
 		}
-		v.readIn(as, kept, prio, parent, onDone)
+		v.readRuns = v.cutRuns(v.readRuns[:0], set, lo, hi)
+		v.readIn(as, v.readRuns, prio, parent, onDone)
 	})
 }
 
-func (v *VM) completeRead(as *AddressSpace, pages []int) {
-	n := 0
-	for _, vp := range pages {
-		if !bit(as.inFlight, vp) {
-			continue // process destroyed or page stolen mid-flight
+// completeRead lands the in-flight pages among the n from vp: it marks
+// them resident in ascending order, a word mask at a time, and finishes
+// each landed page's waiters before it lands any page above it. A resumed
+// process may touch or fault on the pages above at once, and it must find
+// them still in flight, switch-eviction marks and all, as it would if
+// they landed one by one. Waiters are looked up only on the pages that
+// have them.
+func (v *VM) completeRead(as *AddressSpace, vp, n int) {
+	landed := 0
+	for hi := vp + n; vp < hi; {
+		end := hi
+		i := as.waiterIndex(vp)
+		waited := i < len(as.waiters) && as.waiters[i].vp < hi
+		if waited {
+			end = as.waiters[i].vp + 1
+			waited = bit(as.inFlight, end-1) // only a landed page's waiters run
 		}
-		clearBit(as.inFlight, vp)
-		setBit(as.settled, vp)
-		as.resident++
-		v.residentSum++
-		n++
-		if as.swEvict != nil {
-			as.swEvict[vp] = false // resident again: next eviction decides anew
-		}
-		if w := as.waiters[vp]; w != nil {
-			delete(as.waiters, vp)
+		landed += v.land(as, vp, end)
+		vp = end
+		if waited {
+			w := as.waiters[i].first
+			as.waiters = slices.Delete(as.waiters, i, i+1)
 			for w != nil {
 				next := w.next // finish recycles w
 				w.finish()
@@ -494,11 +626,36 @@ func (v *VM) completeRead(as *AddressSpace, pages []int) {
 			}
 		}
 	}
-	v.stats.PagesIn += int64(n)
-	as.stats.PagesIn += int64(n)
-	if v.acct != nil && n > 0 {
-		// Pages skipped above were already dropped from the shadow by the
+	v.stats.PagesIn += int64(landed)
+	as.stats.PagesIn += int64(landed)
+	if v.acct != nil && landed > 0 {
+		// Pages skipped by land were already dropped from the shadow by the
 		// crash or teardown that stole them.
-		v.acct.ReadsLanded(n)
+		v.acct.ReadsLanded(landed)
 	}
+}
+
+// land marks the pages of [lo, hi) that are in flight resident, a word at
+// a time, and returns how many there were. Pages not in flight were stolen
+// mid-flight: their process was destroyed or their node crashed.
+func (v *VM) land(as *AddressSpace, lo, hi int) int {
+	n := 0
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		m := wordMask(wi, lo, hi) & as.inFlight[wi]
+		if m == 0 {
+			continue
+		}
+		as.inFlight[wi] &^= m
+		as.settled[wi] |= m
+		n += bits.OnesCount64(m)
+		if as.swEvict != nil {
+			// Resident again: the next eviction decides anew.
+			for b := m; b != 0; b &= b - 1 {
+				as.swEvict[wi<<6+bits.TrailingZeros64(b)] = false
+			}
+		}
+	}
+	as.resident += n
+	v.residentSum += n
+	return n
 }

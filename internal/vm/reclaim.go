@@ -153,13 +153,26 @@ func wordSiftDown(heap []dirtyWord, i int) {
 	}
 }
 
-// dirtyBatch groups one process's dirty victims for a coalesced write-back.
-// The page list is a pooled group buffer: it must outlive the eviction call
-// (until the write transfers complete), so unlike the batch slice itself it
-// cannot be flat VM scratch.
+// dirtyBatch gathers one process's dirty victims for a coalesced
+// write-back: n pages, whose bits are set in set, a bitmap the size of the
+// address space that is zero outside words lo to hi-1. The bitmaps are VM
+// scratch (batchSet), since cutRuns turns them into runs and clears them
+// before the eviction call returns.
 type dirtyBatch struct {
-	as    *AddressSpace
-	pages []int
+	as        *AddressSpace
+	set       []uint64
+	lo, hi, n int
+}
+
+// batchSet returns the i'th dirty batch's bitmap, words long and zero.
+func (v *VM) batchSet(i, words int) []uint64 {
+	if i == len(v.batchSets) {
+		v.batchSets = append(v.batchSets, nil)
+	}
+	if len(v.batchSets[i]) < words {
+		v.batchSets[i] = make([]uint64, words)
+	}
+	return v.batchSets[i][:words]
 }
 
 // ensureFree makes room for an allocation of n frames, running a reclaim
@@ -557,7 +570,7 @@ func (v *VM) evict(victims []victim, prio disk.Priority) int {
 	// order (the disk submission order must not depend on anything else).
 	// Victims come in stretches of one process, so the batch is looked up
 	// once per stretch, among the few batches of this call. The batch slice
-	// is VM scratch, reused across evictions.
+	// and its bitmaps are VM scratch, reused across evictions.
 	batches := v.batchScratch[:0]
 	var batchAS *AddressSpace
 	bi := 0
@@ -576,13 +589,15 @@ func (v *VM) evict(victims []victim, prio disk.Priority) int {
 					bi++
 				}
 				if bi == len(batches) {
-					batches = append(batches, dirtyBatch{as: as, pages: v.getGroup()})
+					batches = append(batches, dirtyBatch{as: as, set: v.batchSet(bi, len(as.settled)), lo: wi, hi: wi + 1})
 				}
 			}
+			b := &batches[bi]
+			b.set[wi] |= dirty
+			b.lo, b.hi = min(b.lo, wi), max(b.hi, wi+1)
+			b.n += bits.OnesCount64(dirty)
 			for ; dirty != 0; dirty &= dirty - 1 {
-				vp := wi<<6 + bits.TrailingZeros64(dirty)
-				batches[bi].pages = append(batches[bi].pages, vp)
-				v.queueWriteBack(as, vp)
+				v.queueWriteBack(as, wi<<6+bits.TrailingZeros64(dirty))
 			}
 		}
 		as.settled[wi] &^= m
@@ -612,7 +627,7 @@ func (v *VM) evict(victims []victim, prio disk.Priority) int {
 	}
 	for i := range batches {
 		b := &batches[i]
-		n := int64(len(b.pages))
+		n := int64(b.n)
 		v.stats.PagesOut += n
 		b.as.stats.PagesOut += n
 		if v.obs != nil {
@@ -626,8 +641,7 @@ func (v *VM) evict(victims []victim, prio disk.Priority) int {
 				Prio:  prio.String(),
 			})
 		}
-		v.submitWriteBack(b.as, b.pages, prio)
-		b.pages = nil // owned by the transfer completions now
+		v.submitWriteBack(b.as, b.set, b.lo, b.hi, b.n, prio)
 	}
 	v.batchScratch = batches[:0]
 	return pages
@@ -645,47 +659,49 @@ func (v *VM) queueWriteBack(as *AddressSpace, vp int) {
 	}
 }
 
-// submitWriteBack issues coalesced write transactions for the listed pages
-// of as, taking ownership of pages (a pooled group buffer, distinct
-// vpages). Ordered ascending, the pages fall into coalesceSplit's runs in
-// order, so each transaction's completion marks exactly its chunk's slots
-// valid, and the buffer is recycled when the last one lands. This mirrors
-// readIn on the read side.
-func (v *VM) submitWriteBack(as *AddressSpace, pages []int, prio disk.Priority) {
-	v.orderPages(as, pages)
-	runs := v.coalesceSplit(as, pages)
+// submitWriteBack issues coalesced write transactions for the n pages of
+// as set in words lo to hi-1 of set: cutRuns cuts them into runs, clearing
+// the words, and each run is one request, whose completion marks exactly
+// its run's slots valid. This mirrors readIn on the read side.
+func (v *VM) submitWriteBack(as *AddressSpace, set []uint64, lo, hi, n int, prio disk.Priority) {
+	runs := v.cutRuns(v.writeRuns[:0], set, lo, hi)
+	v.writeRuns = runs
 	b := v.getBatch()
-	b.as, b.group, b.write, b.drain = as, pages, true, v.drain
+	b.as, b.write, b.drain = as, true, v.drain
 	var parent obs.SpanID
 	if d := v.drain; d != nil {
 		d.pending += len(runs)
-		d.pages += len(pages)
+		d.pages += n
 		parent = d.span
 	}
-	v.submitBatch(b, runs, prio, parent)
+	v.submitRuns(b, runs, prio, parent)
 }
 
-// completeWrite records that one write transaction reached the device: its
-// pages now have a valid swap copy. Completions for a process that exited
-// while the write was queued are ignored — its region was released at
-// destroy time and may already belong to a new process, so a late write
-// must not resurrect slot state. The gone flag lives on the destroyed
-// address space itself, so pid reuse cannot confuse it. Crash-dropped writes never get here: Disk.Reset's epoch
-// guard swallows their completions.
-func (v *VM) completeWrite(as *AddressSpace, pages []int) {
+// completeWrite records that one write transaction, the n pages from vp,
+// reached the device: those pages now have a valid swap copy. Completions
+// for a process that exited while the write was queued are ignored — its
+// region was released at destroy time and may already belong to a new
+// process, so a late write must not resurrect slot state. The gone flag
+// lives on the destroyed address space itself, so pid reuse cannot confuse
+// it. Crash-dropped writes never get here: Disk.Reset's epoch guard
+// swallows their completions.
+func (v *VM) completeWrite(as *AddressSpace, vp, n int) {
 	if as.gone {
 		return
 	}
-	for _, vp := range pages {
-		if as.wbPending[vp] == 0 {
-			panic(fmt.Sprintf("vm: write-back completion without a pending write on pid %d vpage %d", as.pid, vp))
+	end := vp + n
+	for p, pending := range as.wbPending[vp:end] {
+		if pending == 0 {
+			panic(fmt.Sprintf("vm: write-back completion without a pending write on pid %d vpage %d", as.pid, vp+p))
 		}
-		as.wbPending[vp]--
-		v.wbPendingPages--
-		setBit(as.onDisk, vp)
+		as.wbPending[vp+p]--
+	}
+	v.wbPendingPages -= n
+	for wi := vp >> 6; wi<<6 < end; wi++ {
+		as.onDisk[wi] |= wordMask(wi, vp, end)
 	}
 	if v.acct != nil {
-		v.acct.WBLanded(len(pages))
+		v.acct.WBLanded(n)
 	}
 }
 
@@ -729,19 +745,24 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 	if len(kept) == 0 {
 		return 0
 	}
-	pages := v.getGroup()
+	set := v.scratchSet(len(as.settled))
+	lo, hi := len(set), 0
 	for _, d := range kept {
 		vp := d.vp
 		clearBit(as.dirtyMap, vp)
 		setBit(as.bgClean, vp)
 		v.queueWriteBack(as, vp)
-		pages = append(pages, vp)
+		setBit(set, vp)
+		lo = min(lo, vp>>6)
+		if vp>>6 >= hi {
+			hi = vp>>6 + 1
+		}
 	}
 	if v.acct != nil {
-		v.acct.PagesCleaned(len(pages))
+		v.acct.PagesCleaned(len(kept))
 	}
 	v.tightenDirtyBounds(as, scanned)
-	n := int64(len(pages))
+	n := int64(len(kept))
 	if prio == disk.Background {
 		v.stats.BGPagesOut += n
 	} else {
@@ -759,7 +780,7 @@ func (v *VM) WriteBackDirty(pid, max int, prio disk.Priority) int {
 			Prio:  prio.String(),
 		})
 	}
-	v.submitWriteBack(as, pages, prio)
+	v.submitWriteBack(as, set, lo, hi, len(kept), prio)
 	return int(n)
 }
 

@@ -85,6 +85,63 @@ func refReadGroup(as *AddressSpace, pages []int) []int {
 	return group
 }
 
+// refCoalesce is the cut the bitmap routine (cutRuns) replaced: it turns
+// ascending, distinct vpages of as into the slot runs that hold them, a gap
+// starting a run and a run cut at MaxIOPages.
+func refCoalesce(v *VM, as *AddressSpace, pages []int) []disk.Run {
+	var runs []disk.Run
+	for i, vp := range pages {
+		if n := len(runs); n > 0 && vp == pages[i-1]+1 && runs[n-1].N < v.cfg.MaxIOPages {
+			runs[n-1].N++
+			continue
+		}
+		runs = append(runs, disk.Run{Start: as.region.SlotFor(vp), N: 1})
+	}
+	return runs
+}
+
+// sentRequest is one disk request as the VM submitted it.
+type sentRequest struct {
+	run   disk.Run
+	write bool
+	prio  disk.Priority
+}
+
+// refRequests appends the requests that move pages, ascending vpages of
+// as, as the page-list path submitted them: one per refCoalesce run.
+func refRequests(dst []sentRequest, v *VM, as *AddressSpace, pages []int, write bool, prio disk.Priority) []sentRequest {
+	for _, r := range refCoalesce(v, as, pages) {
+		dst = append(dst, sentRequest{r, write, prio})
+	}
+	return dst
+}
+
+// refEvictWrites lists the write-backs an eviction of the pages in evicted
+// (in eviction order) submits: one batch per process whose evicted pages
+// were dirty (dirty holds each process's dirty bitmap from before the
+// eviction), in the order the processes' first dirty pages were evicted,
+// each batch sorted and coalesced.
+func refEvictWrites(v *VM, evicted []pageOut, dirty map[int][]uint64) []sentRequest {
+	var order []int
+	batches := map[int][]int{}
+	for _, e := range evicted {
+		if !bit(dirty[e.pid], e.vp) {
+			continue
+		}
+		if _, ok := batches[e.pid]; !ok {
+			order = append(order, e.pid)
+		}
+		batches[e.pid] = append(batches[e.pid], e.vp)
+	}
+	var want []sentRequest
+	for _, pid := range order {
+		pages := batches[pid]
+		sort.Ints(pages)
+		want = refRequests(want, v, v.Process(pid), pages, true, disk.Demand)
+	}
+	return want
+}
+
 // pageOut is one eviction as OnPageOut reports it.
 type pageOut struct{ pid, vp int }
 
@@ -438,10 +495,13 @@ func fallbackScript() []byte {
 // every default-policy Reclaim must evict the reference's pages in the
 // reference's order, as seen through OnPageOut, and a default-policy
 // Reclaim must leave every process's hand, scan counter, reference bits and
-// ages as the reference does. Touch runs go in either direction, read or
-// write, often at repeated timestamps so lastUse ties are common; reclaim
-// runs under both policies with blind block page-out, and crashes and
-// process exits mix in. VM.Validate runs after every step.
+// ages as the reference does. The disk must receive, from each write-back,
+// eviction and page-set read, exactly the requests of the page-list path:
+// each batch's pages sorted and coalesced (refCoalesce). Touch runs go in
+// either direction, read or write, often at repeated timestamps so lastUse
+// ties are common; reclaim runs under both policies with blind block
+// page-out, and crashes and process exits mix in. VM.Validate runs after
+// every step.
 func FuzzVictimSelection(f *testing.F) {
 	f.Add(sweepScript(false))
 	f.Add(sweepScript(true))
@@ -457,7 +517,10 @@ func FuzzVictimSelection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &selectionScript{data: data}
 		// ClusterOut 1..4: 1 disables block page-out, the rest expand.
-		r := newRig(t, 320, 4, 12, Config{ReadAhead: 8, ClusterOut: 1 + s.next()%4})
+		// MaxIOPages is the default 1,024, above any process here, or 2, 5
+		// or 64, so that requests are cut at the cap too.
+		cfg := s.next()
+		r := newRig(t, 320, 4, 12, Config{ReadAhead: 8, ClusterOut: 1 + cfg%4, MaxIOPages: [...]int{1024, 2, 5, 64}[cfg/4%4]})
 		r.vm.SetAcct(&acct.Counts{})
 		type proc struct{ pid, pages int }
 		var procs []proc
@@ -475,6 +538,23 @@ func FuzzVictimSelection(f *testing.F) {
 		}
 		var evicted []pageOut
 		r.vm.OnPageOut = eachPage(func(pid, vp int) { evicted = append(evicted, pageOut{pid, vp}) })
+		var sent []sentRequest
+		r.vm.submitted = func(req *disk.Request) { sent = append(sent, sentRequest{req.Run, req.Write, req.Prio}) }
+		// dirtyBefore copies every process's dirty bitmap, for the
+		// write-backs an eviction must submit.
+		dirtyBefore := func() map[int][]uint64 {
+			dirty := map[int][]uint64{}
+			for _, q := range procs {
+				dirty[q.pid] = slices.Clone(r.vm.Process(q.pid).dirtyMap)
+			}
+			return dirty
+		}
+		checkSent := func(step int, what string, want []sentRequest) {
+			t.Helper()
+			if !slices.Equal(sent, want) {
+				t.Fatalf("step %d: %s submitted %v, the page-list path submits %v", step, what, sent, want)
+			}
+		}
 
 		// touch references pages [lo, hi) of p in chunks, ascending or
 		// descending, faulting in whatever is not resident. Every chunk is
@@ -509,8 +589,26 @@ func FuzzVictimSelection(f *testing.F) {
 						vp += n
 						continue
 					}
+					// A major fault reads its page first. The read's other
+					// pages, those newly in flight, must still be in
+					// flight when the faulting process resumes: landing
+					// runs its waiters before any page above its own.
 					done := false
-					r.vm.Fault(as, vp, write, func() { done = true })
+					before := slices.Clone(as.inFlight)
+					var read []int
+					r.vm.Fault(as, vp, write, func() {
+						done = true
+						for _, q := range read {
+							if !bit(as.inFlight, q) {
+								t.Fatalf("fault on pid %d vpage %d resumed after vpage %d of its read landed", p.pid, vp, q)
+							}
+						}
+					})
+					for q := vp + 1; q < as.numPages; q++ {
+						if bit(as.inFlight, q) && !bit(before, q) {
+							read = append(read, q)
+						}
+					}
 					r.eng.Run()
 					if !done {
 						t.Fatalf("fault on pid %d vpage %d never resumed", p.pid, vp)
@@ -525,6 +623,7 @@ func FuzzVictimSelection(f *testing.F) {
 			op := s.next() % selOps
 			p := procs[s.next()%len(procs)]
 			as := r.vm.Process(p.pid)
+			sent, evicted = sent[:0], evicted[:0]
 			switch op {
 			case selTouch:
 				lo := s.next() * p.pages / 256
@@ -556,10 +655,11 @@ func FuzzVictimSelection(f *testing.F) {
 					t.Fatalf("step %d: WriteBackDirty(pid %d, %d) returned %d and cleaned %v, reference cleans %v",
 						step, p.pid, limit, n, cleaned, want)
 				}
+				checkSent(step, "WriteBackDirty", refRequests(nil, r.vm, as, cleaned, true, disk.Background))
 			case selReclaimFrom:
 				limit := s.next()
 				want := refOldestOf(r.vm, as, limit)
-				evicted = evicted[:0]
+				dirty := dirtyBefore()
 				n := r.vm.ReclaimFrom(p.pid, limit)
 				got := make([]int, 0, len(evicted))
 				for _, e := range evicted {
@@ -572,16 +672,18 @@ func FuzzVictimSelection(f *testing.F) {
 					t.Fatalf("step %d: ReclaimFrom(pid %d, %d) returned %d and evicted %v, reference evicts %v",
 						step, p.pid, limit, n, got, want)
 				}
+				checkSent(step, "ReclaimFrom", refEvictWrites(r.vm, evicted, dirty))
 			case selReclaimDefault:
 				r.vm.SetVictimPolicy(PolicyDefault)
 				r.vm.SetOutgoing(0)
 				target := 1 + s.next()%64
 				want, states := refReclaimDefault(r.vm, target)
-				evicted = evicted[:0]
+				dirty := dirtyBefore()
 				if n := r.vm.Reclaim(target); n != len(want) || !slices.Equal(evicted, want) {
 					t.Fatalf("step %d: Reclaim(%d) returned %d and evicted %v, reference evicts %v",
 						step, target, n, evicted, want)
 				}
+				checkSent(step, "default-policy Reclaim", refEvictWrites(r.vm, evicted, dirty))
 				for _, st := range states {
 					as := st.as
 					if as.hand != st.hand || as.swapCnt != st.swapCnt || !slices.Equal(as.age, st.age) || !slices.Equal(as.ref, st.ref) {
@@ -592,7 +694,9 @@ func FuzzVictimSelection(f *testing.F) {
 			case selReclaimSelective:
 				r.vm.SetVictimPolicy(PolicySelective)
 				r.vm.SetOutgoing(p.pid)
+				dirty := dirtyBefore()
 				r.vm.Reclaim(1 + s.next()%64)
+				checkSent(step, "selective Reclaim", refEvictWrites(r.vm, evicted, dirty))
 			case selAdvance:
 				r.eng.RunFor(sim.Duration(s.next()) * 100 * sim.Microsecond)
 			case selCrash:
@@ -602,8 +706,10 @@ func FuzzVictimSelection(f *testing.F) {
 				// Read a random page set of [lo, hi) through the bitmap
 				// path. The pages it puts in flight must be a prefix of
 				// the sorted-list path's group (the whole group unless
-				// memory ran out), issued as that prefix's runs. The
-				// reads stay in flight until the engine next runs.
+				// memory ran out), and the disk must receive that
+				// prefix's runs, after the write-backs of whatever the
+				// read's reclaim evicted. The reads stay in flight until
+				// the engine next runs.
 				lo := s.next() * p.pages / 256
 				hi := min(p.pages, lo+1+s.next()*p.pages/128)
 				pick := rand.New(rand.NewSource(int64(s.next())))
@@ -617,7 +723,7 @@ func FuzzVictimSelection(f *testing.F) {
 				}
 				want := refReadGroup(as, pages)
 				before := slices.Clone(as.inFlight)
-				r.vm.runScratch = r.vm.runScratch[:0]
+				dirty := dirtyBefore()
 				r.vm.ReadPageSet(p.pid, set, disk.Demand, 0, nil)
 				var got []int
 				for vp := range as.numPages {
@@ -625,15 +731,15 @@ func FuzzVictimSelection(f *testing.F) {
 						got = append(got, vp)
 					}
 				}
-				runs := slices.Clone(r.vm.runScratch)
 				if len(got) < len(want) && r.vm.phys.NumFree() != 0 {
 					t.Fatalf("step %d: page-set read put %d of %d pages in flight with %d frames free",
 						step, len(got), len(want), r.vm.phys.NumFree())
 				}
-				if !slices.Equal(got, want[:len(got)]) || !slices.Equal(runs, r.vm.coalesceSplit(as, got)) {
-					t.Fatalf("step %d: page-set read of pid %d put %v in flight as runs %v; the sorted-list path reads %v",
-						step, p.pid, got, runs, want)
+				if !slices.Equal(got, want[:len(got)]) {
+					t.Fatalf("step %d: page-set read of pid %d put %v in flight; the sorted-list path reads %v",
+						step, p.pid, got, want)
 				}
+				checkSent(step, "page-set read", refRequests(refEvictWrites(r.vm, evicted, dirty), r.vm, as, got, false, disk.Demand))
 				if slices.ContainsFunc(set, func(w uint64) bool { return w != 0 }) {
 					t.Fatalf("step %d: page-set read left bits in its set", step)
 				}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/acct"
 	"repro/internal/disk"
@@ -192,7 +191,7 @@ type AddressSpace struct {
 	prevWS     int // distinct pages touched during the previous quantum
 	everRanQtm bool
 
-	waiters map[int]*faultWait // fault waiters per in-flight vpage, linked in arrival order
+	waiters []pageWaiters // the in-flight pages that faults wait for, ascending vpage
 
 	// Attribution (nil / unallocated unless the run enabled the ledger):
 	// led is the owning rank's wall-time ledger, stopped mirrors the
@@ -356,10 +355,16 @@ type VM struct {
 
 	stats Stats
 
+	// submitted, when non-nil, sees every disk request as the VM submits
+	// it; tests compare the runs the disk receives with a reference.
+	submitted func(*disk.Request)
+
 	// Scratch buffers reused across hot-path calls. All reclaim, eviction
 	// and read-in work is synchronous within one engine event, so a single
-	// set per VM suffices. Page groups, transfers and batches are pools
-	// instead, because they live until their disk transfers complete.
+	// set per VM suffices. Transfers and batches are pools instead, because
+	// they live until their disk requests complete. A read keeps its runs
+	// in readRuns while it reclaims, and the write-backs that reclaim
+	// submits cut theirs into writeRuns.
 	pass          reclaimPass
 	victimScratch []victim
 	ages          ageList
@@ -367,49 +372,86 @@ type VM struct {
 	topScratch    []int
 	wordScratch   []dirtyWord
 	scanScratch   []int
-	runScratch    []disk.Run
-	orderScratch  []uint64
+	readRuns      []pageRun
+	writeRuns     []pageRun
 	setScratch    []uint64
 	batchScratch  []dirtyBatch
-	groupFree     [][]int
+	batchSets     [][]uint64
 	xferFree      []*transfer
 	ioFree        []*ioBatch
 }
 
-// getGroup takes a page-group buffer from the pool (empty, capacity kept).
-func (v *VM) getGroup() []int {
-	if n := len(v.groupFree); n > 0 {
-		g := v.groupFree[n-1]
-		v.groupFree[n-1] = nil
-		v.groupFree = v.groupFree[:n-1]
-		return g[:0]
+// scratchSet returns the VM's scratch page bitmap, words long. It is zero
+// between calls: every user clears what it set before it returns.
+func (v *VM) scratchSet(words int) []uint64 {
+	if len(v.setScratch) < words {
+		v.setScratch = make([]uint64, words)
 	}
-	return make([]int, 0, 64)
+	return v.setScratch[:words]
 }
 
-// putGroup returns a page-group buffer to the pool once no transfer or
-// retry closure references it any longer.
-func (v *VM) putGroup(g []int) {
-	if cap(g) > 0 {
-		v.groupFree = append(v.groupFree, g)
+// pageRun is n consecutive vpages from vp: the pages one disk request
+// moves, from or to slots Start+vp onwards of the owner's region.
+type pageRun struct{ vp, n int }
+
+// wordMask returns the bits of bitmap word wi that stand for vpages in
+// [lo, hi), none when the word lies outside the range.
+func wordMask(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := wi << 6; lo > base {
+		m <<= uint(lo - base)
 	}
+	if end := wi<<6 + 64; hi < end {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
+}
+
+// cutRuns appends to runs the runs of the vpages set in words lo to hi-1
+// of set, in ascending order, and clears those words. A region maps vpage
+// v to slot Start+v, so consecutive vpages are one extent on disk: a gap
+// starts a run, and a run is cut at MaxIOPages. It works a word at a time,
+// a stretch of set bits at a time.
+func (v *VM) cutRuns(runs []pageRun, set []uint64, lo, hi int) []pageRun {
+	maxN := v.cfg.MaxIOPages
+	for wi := lo; wi < hi; wi++ {
+		w := set[wi]
+		set[wi] = 0
+		for w != 0 {
+			i := bits.TrailingZeros64(w)
+			n := bits.TrailingZeros64(^(w >> uint(i))) // the stretch's length
+			if i+n < 64 {
+				w &= ^uint64(0) << uint(i+n)
+			} else {
+				w = 0
+			}
+			for vp := wi<<6 + i; n > 0; {
+				k := len(runs) - 1
+				if k < 0 || runs[k].vp+runs[k].n != vp || runs[k].n == maxN {
+					runs = append(runs, pageRun{vp, 0})
+					k++
+				}
+				add := min(n, maxN-runs[k].n)
+				runs[k].n += add
+				vp, n = vp+add, n-add
+			}
+		}
+	}
+	return runs
 }
 
 // ioBatch is one call's disk transfers: a write-back of one process's pages
-// or a read of one page group. It owns the call's pooled group buffer,
-// which its transfers' page lists slice, until the last transfer lands.
-// Batches are pooled per VM, like faultWait records.
+// or a read. Batches are pooled per VM, like faultWait records.
 type ioBatch struct {
 	as        *AddressSpace
-	group     []int
 	write     bool
 	remaining int         // transfers not yet completed
 	onDone    func()      // a read's completion callback, fired after the last transfer
 	drain     *drainTrack // a write-back's page-out drain, told of every transfer
 }
 
-// transfer is one disk request of a batch, covering one run of its group.
-// It embeds the request, whose Done is bound to the record once, when the
+// transfer is one disk request of a batch, moving one run of vpages. It
+// embeds the request, whose Done is bound to the record once, when the
 // record is created, so a pooled transfer submits without allocating. A
 // record goes back to the pool when its request completes; a request that
 // Disk.Reset drops never completes, and the collector takes its record (and
@@ -418,7 +460,7 @@ type transfer struct {
 	v     *VM
 	req   disk.Request
 	batch *ioBatch
-	pages []int // the batch's pages this request moves, ascending
+	vp    int // the run's first vpage; req.Run.N is its length
 }
 
 // getBatch takes a batch record from the VM's pool.
@@ -443,16 +485,17 @@ func (v *VM) getTransfer() *transfer {
 	return t
 }
 
-// submitBatch issues one request per run, in order. The runs are
-// coalesceSplit's over b's group, so each covers the next chunk of it.
-func (v *VM) submitBatch(b *ioBatch, runs []disk.Run, prio disk.Priority, parent obs.SpanID) {
+// submitRuns issues one request of batch b per run, in order.
+func (v *VM) submitRuns(b *ioBatch, runs []pageRun, prio disk.Priority, parent obs.SpanID) {
 	b.remaining = len(runs)
-	idx := 0
 	for _, r := range runs {
 		t := v.getTransfer()
-		t.batch, t.pages = b, b.group[idx:idx+r.N]
-		idx += r.N
-		t.req.Run, t.req.Write, t.req.Prio, t.req.Parent = r, b.write, prio, parent
+		t.batch, t.vp = b, r.vp
+		t.req.Run = disk.Run{Start: b.as.region.SlotFor(r.vp), N: r.n}
+		t.req.Write, t.req.Prio, t.req.Parent = b.write, prio, parent
+		if v.submitted != nil {
+			v.submitted(&t.req)
+		}
 		v.dsk.Submit(&t.req)
 	}
 }
@@ -462,20 +505,19 @@ func (v *VM) submitBatch(b *ioBatch, runs []disk.Run, prio disk.Priority, parent
 // transfer's callbacks: a read landing resumes processes, and one that
 // faults again at once takes records from the pools.
 func (t *transfer) done(sim.Duration) {
-	v, b, pages := t.v, t.batch, t.pages
-	t.batch, t.pages = nil, nil
+	v, b, vp, n := t.v, t.batch, t.vp, t.req.Run.N
+	t.batch = nil
 	v.xferFree = append(v.xferFree, t)
 	if b.write {
-		v.completeWrite(b.as, pages)
+		v.completeWrite(b.as, vp, n)
 	} else {
-		v.completeRead(b.as, pages)
+		v.completeRead(b.as, vp, n)
 	}
 	b.remaining--
 	drain, onDone := b.drain, b.onDone
 	if b.remaining > 0 {
 		onDone = nil
 	} else {
-		v.putGroup(b.group)
 		*b = ioBatch{}
 		v.ioFree = append(v.ioFree, b)
 	}
@@ -484,58 +526,6 @@ func (t *transfer) done(sim.Duration) {
 	}
 	if onDone != nil {
 		onDone()
-	}
-}
-
-// coalesceSplit turns ascending, distinct vpages of as into the slot runs
-// that hold them. A region maps vpage v to slot Start+v, so consecutive
-// vpages are one extent on disk: a gap starts a new run, and a run is cut
-// at MaxIOPages. The returned slice is VM scratch, valid until the next
-// call; Submit copies each run.
-func (v *VM) coalesceSplit(as *AddressSpace, pages []int) []disk.Run {
-	runs := v.runScratch[:0]
-	for i, vp := range pages {
-		if n := len(runs); n > 0 && vp == pages[i-1]+1 && runs[n-1].N < v.cfg.MaxIOPages {
-			runs[n-1].N++
-			continue
-		}
-		runs = append(runs, disk.Run{Start: as.region.SlotFor(vp), N: 1})
-	}
-	v.runScratch = runs
-	return runs
-}
-
-// orderPages sorts pages, distinct vpages of as, into ascending order with
-// one pass over the bitmap words their span covers: O(pages + span/64), no
-// comparisons. A page listed twice is a caller bug and panics.
-func (v *VM) orderPages(as *AddressSpace, pages []int) {
-	if len(pages) < 2 {
-		return
-	}
-	lo, hi := pages[0], pages[0]
-	for _, vp := range pages[1:] {
-		lo, hi = min(lo, vp), max(hi, vp)
-	}
-	base, n := lo>>6, hi>>6-lo>>6+1
-	if cap(v.orderScratch) < n {
-		v.orderScratch = make([]uint64, n)
-	}
-	words := v.orderScratch[:n]
-	for _, vp := range pages {
-		w, b := vp>>6-base, uint64(1)<<(uint(vp)&63)
-		if words[w]&b != 0 {
-			clear(words)
-			panic(fmt.Sprintf("vm: vpage %d of pid %d listed twice", vp, as.pid))
-		}
-		words[w] |= b
-	}
-	i := 0
-	for wi, w := range words {
-		words[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			pages[i] = (base+wi)<<6 + bits.TrailingZeros64(w)
-			i++
-		}
 	}
 }
 
@@ -698,7 +688,6 @@ func (v *VM) NewProcess(pid, numPages int) (*AddressSpace, error) {
 		dirtyBound: make([]sim.Time, words),
 		passTaken:  make([]uint64, words),
 		region:     region,
-		waiters:    make(map[int]*faultWait),
 	}
 	v.procs = slices.Insert(v.procs, slot, as)
 	if v.acct != nil {
@@ -828,17 +817,13 @@ func (v *VM) Crash() {
 		}
 		// Collect waiters in vpage order, then fire after all bookkeeping is
 		// consistent: a resumed process may immediately re-fault.
-		vps := make([]int, 0, len(as.waiters))
-		for vp := range as.waiters {
-			vps = append(vps, vp)
-		}
-		sort.Ints(vps)
-		for _, vp := range vps {
-			for w := as.waiters[vp]; w != nil; w = w.next {
+		for _, pw := range as.waiters {
+			for w := pw.first; w != nil; w = w.next {
 				resumes = append(resumes, w)
 			}
 		}
 		clear(as.waiters)
+		as.waiters = as.waiters[:0]
 		as.hand, as.swapCnt = 0, 0
 	}
 	clear(v.swapOrder)

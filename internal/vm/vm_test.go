@@ -618,15 +618,22 @@ func TestValidateDetectsNothingOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestCoalesceSplit checks the slot runs a transfer's ascending page list
-// becomes: a gap in the vpages starts a new run, a run longer than
-// MaxIOPages is cut at the cap, and an empty list gives no runs. Vpage v is
-// slot Start+v of the process's region.
-func TestCoalesceSplit(t *testing.T) {
-	r := newRig(t, 64, 0, 0, Config{MaxIOPages: 4})
+// TestCutRuns checks the runs a bitmap of vpages is cut into: a gap starts
+// a run, a stretch longer than MaxIOPages is cut at the cap, a run crosses
+// word boundaries, and an empty set gives no runs. Every set comes back
+// zero, and random sets give the runs of the page-list cut (refCoalesce).
+func TestCutRuns(t *testing.T) {
+	r := newRig(t, 64, 0, 0, Config{})
 	r.vm.NewProcess(1, 8) // so the second region does not start at slot 0
-	as, _ := r.vm.NewProcess(2, 200)
+	as, _ := r.vm.NewProcess(2, 5000)
 	start := as.Region().Start
+	stretch := func(lo, n int) []int {
+		pages := make([]int, n)
+		for i := range pages {
+			pages[i] = lo + i
+		}
+		return pages
+	}
 	for _, c := range []struct {
 		pages []int
 		want  []disk.Run
@@ -634,47 +641,44 @@ func TestCoalesceSplit(t *testing.T) {
 		{nil, nil},
 		{[]int{5}, []disk.Run{{Start: start + 5, N: 1}}},
 		{[]int{5, 7, 8}, []disk.Run{{Start: start + 5, N: 1}, {Start: start + 7, N: 2}}},
-		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 101, 102},
-			[]disk.Run{{Start: start, N: 4}, {Start: start + 4, N: 4}, {Start: start + 8, N: 2}, {Start: start + 100, N: 3}}},
-		{[]int{196, 197, 198, 199}, []disk.Run{{Start: start + 196, N: 4}}},
+		{stretch(60, 10), []disk.Run{{Start: start + 60, N: 10}}},
+		{append(stretch(100, 2500), 2700, 4999),
+			[]disk.Run{{Start: start + 100, N: 1024}, {Start: start + 1124, N: 1024}, {Start: start + 2148, N: 452},
+				{Start: start + 2700, N: 1}, {Start: start + 4999, N: 1}}},
 	} {
-		if got := r.vm.coalesceSplit(as, c.pages); !slices.Equal(got, c.want) {
-			t.Errorf("coalesceSplit(%v) = %v, want %v", c.pages, got, c.want)
+		if got := cutSet(t, r.vm, as, c.pages); !slices.Equal(got, c.want) {
+			t.Errorf("cutRuns(%v) = %v, want %v", c.pages, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for range 50 {
+		var pages []int
+		for vp, p := 0, rng.Float64(); vp < as.numPages; vp++ {
+			if rng.Float64() < p {
+				pages = append(pages, vp)
+			}
+		}
+		if got, want := cutSet(t, r.vm, as, pages), refCoalesce(r.vm, as, pages); !slices.Equal(got, want) {
+			t.Fatalf("cutRuns of %d pages = %v, the page-list cut gives %v", len(pages), got, want)
 		}
 	}
 }
 
-// TestOrderPages checks the bitmap ordering of transfer page lists against
-// a comparison sort, from an empty list to spans across many words, and
-// that a page listed twice panics without leaving the scratch dirty.
-func TestOrderPages(t *testing.T) {
-	r := newRig(t, 64, 0, 0, Config{})
-	as, _ := r.vm.NewProcess(1, 5000)
-	rng := rand.New(rand.NewSource(3))
-	cases := [][]int{nil, {7}, {64, 63}, {4999, 0, 128, 127, 65, 3000}}
-	for range 50 {
-		cases = append(cases, rng.Perm(5000)[:1+rng.Intn(300)])
+// cutSet cuts ascending vpages of as through a bitmap, as the write-back
+// and page-set read paths do, and returns the slot runs. It fails the test
+// if the bitmap does not come back zero.
+func cutSet(t *testing.T, v *VM, as *AddressSpace, pages []int) []disk.Run {
+	t.Helper()
+	set := make([]uint64, len(as.settled))
+	for _, vp := range pages {
+		setBit(set, vp)
 	}
-	for _, pages := range cases {
-		got := slices.Clone(pages)
-		r.vm.orderPages(as, got)
-		want := slices.Clone(pages)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("orderPages(%v) = %v, want %v", pages, got, want)
-		}
+	var runs []disk.Run
+	for _, r := range v.cutRuns(nil, set, 0, len(set)) {
+		runs = append(runs, disk.Run{Start: as.region.SlotFor(r.vp), N: r.n})
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("a page listed twice did not panic")
-			}
-		}()
-		r.vm.orderPages(as, []int{70, 900, 5, 70})
-	}()
-	got := []int{900, 70, 5}
-	r.vm.orderPages(as, got)
-	if !slices.Equal(got, []int{5, 70, 900}) {
-		t.Fatalf("after the duplicate panic, orderPages gave %v", got)
+	if slices.ContainsFunc(set, func(w uint64) bool { return w != 0 }) {
+		t.Fatalf("cutRuns of %d pages left bits in its set", len(pages))
 	}
+	return runs
 }

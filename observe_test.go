@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,6 +29,32 @@ func observedSpec(o *obs.Options) Spec {
 			{Name: "a", Workload: fastJob(1000, 40), HintWorkingSet: true},
 			{Name: "b", Workload: fastJob(1000, 40), HintWorkingSet: true},
 		},
+	}
+}
+
+// TestKeepEventsAllocatesWhatItKeeps pins that a run keeping its events
+// pays for the events it keeps, not for the ring's whole capacity: a
+// KeepEvents run of the four-node spec (a few hundred events) allocates
+// under 1 MB in all, where a ring built at DefaultEventCap up front would
+// take 10 MB by itself. It reads runtime.MemStats.TotalAlloc, so it must
+// not run in parallel.
+func TestKeepEventsAllocatesWhatItKeeps(t *testing.T) {
+	spec := fourNodeSpec("so/ao/ai/bg")
+	spec.Observe = &obs.Options{KeepEvents: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := RunDetailed(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Events) == 0 {
+		t.Fatal("KeepEvents run kept no events")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("KeepEvents run of %d events: %d bytes", len(h.Events), got)
+	if got >= 1<<20 {
+		t.Fatalf("KeepEvents run of %d events allocated %d bytes, want under 1 MiB", len(h.Events), got)
 	}
 }
 
