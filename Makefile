@@ -95,8 +95,11 @@ serve-smoke:
 # store's >=5x bytes-per-event compression floor plus bytes/event growth),
 # and the two overhead gates: RunTraced and RunStored may each cost at most
 # 10% over RunObsEnabled (spans/ledgers and the store's delta encoder both
-# ride the existing instrument points).
+# ride the existing instrument points). Before all that, every internal
+# package must be linked by some binary (a command, an example or
+# perfbench): the grep prints any that none links and fails the gate.
 check:
+	! $(GO) list ./internal/... | grep -vxF "$$($(GO) list -deps ./cmd/... ./examples/... && cd perfbench && $(GO) list -deps .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -156,8 +159,8 @@ check:
 # counter from the page tables) on a small node stepped to mid-run.
 # BenchmarkWriteProm is one Prometheus exposition of an observed 16-node
 # run's registry, where the metric views read the model's totals, and
-# BenchmarkBusEmit one event through a bus with a flight ring and a
-# counting sink. BenchmarkScale512 records the 512-node/128-gang scale
+# BenchmarkBusEmit one event through a bus with a full 256-event ring and
+# a counting sink. BenchmarkScale512 records the 512-node/128-gang scale
 # study.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson

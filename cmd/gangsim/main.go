@@ -53,6 +53,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plot"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -308,12 +309,12 @@ func run() (err error) {
 // specForPair mirrors the paper's experimental setup (internal/expt): two
 // instances of the model time-share a cluster of m.Ranks nodes with 1 GB
 // each, memory locked down to the model's available size, working-set hints
-// passed through the kernel API. SP on four machines gets a 7-minute
-// quantum when the configured one is the default 5 (§4.2).
+// passed through the kernel API, and the quantum workload.Model.Quantum
+// gives the model.
 func specForPair(m workload.Model, policy string, batch bool, quantum time.Duration, seed int64) gangsched.Spec {
 	q := quantum
-	if m.App == workload.SP && m.Ranks == 4 && q == 5*time.Minute {
-		q = 7 * time.Minute
+	if sq := sim.DurationOf(q); m.Quantum(sq) != sq {
+		q = time.Duration(m.Quantum(sq)) * time.Microsecond
 	}
 	beh := m.Behavior()
 	return gangsched.Spec{

@@ -197,9 +197,6 @@ type AuditSpec struct {
 	// 0 picks audit.DefaultCrossEvery, 1 sweeps on every check (the
 	// pre-differential behaviour), negative sweeps only at quiescence.
 	CrossEvery int
-	// TraceTail bounds the observability-event tail attached to a
-	// violation report (0 picks the default of 32; negative disables).
-	TraceTail int
 }
 
 // Violation is a broken conservation law reported by the auditor; run
@@ -397,22 +394,16 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 		// to unaudited ones.
 		cl.EnableAcct()
 	}
-	// The auditor wants a short event tail for violation forensics: attach
-	// the flight-recorder ring (Options.Flight), which doubles as that
-	// tail. Observability never feeds back into the model, so the extra
-	// sinks cannot perturb an otherwise identical run: the paging-series
-	// fold behind RecordTraces and the live observer's /events hub ride
-	// along the same way.
+	// The auditor wants a short event tail for violation forensics: its
+	// ring rides the bus as one more sink. Observability never feeds back
+	// into the model, so the extra sinks cannot perturb an otherwise
+	// identical run: the paging-series fold behind RecordTraces and the
+	// live observer's /events hub ride along the same way.
 	obsOpts := spec.Observe
+	var tail *obs.Ring
 	if spec.Audit != nil {
-		tail := spec.Audit.TraceTail
-		if tail == 0 {
-			tail = audit.DefaultTraceTail
-		}
-		if tail > 0 {
-			obsOpts = obsOpts.WithSinks()
-			obsOpts.Flight = true
-		}
+		tail = obs.NewRing(audit.TraceTail)
+		obsOpts = obsOpts.WithSinks(tail)
 	}
 	var paging *trace.Paging
 	if spec.RecordTraces {
@@ -459,8 +450,7 @@ func RunDetailedContext(ctx context.Context, spec Spec) (*RunHandle, error) {
 		auditor = audit.Attach(cl, audit.Config{
 			Every:      spec.Audit.Every,
 			CrossEvery: spec.Audit.CrossEvery,
-			TraceTail:  spec.Audit.TraceTail,
-			Ring:       setup.Flight(),
+			Ring:       tail,
 		})
 	}
 	var observer *live.Observer

@@ -79,16 +79,14 @@ type Config struct {
 	// at quiescence. Clusters without shadow aggregates (EnableAcct never
 	// called) always sweep, whatever this says.
 	CrossEvery int
-	// TraceTail bounds how many trailing observability events a violation
-	// report carries (0 picks DefaultTraceTail; negative disables).
-	TraceTail int
-	// Ring, when non-nil, supplies the event tail for violation reports.
+	// Ring, when non-nil, supplies the event tail for violation reports:
+	// its last TraceTail events. Attach it to the run's bus as a sink.
 	Ring *obs.Ring
 }
 
-// DefaultTraceTail is the violation-report event tail when Config.TraceTail
-// is zero.
-const DefaultTraceTail = 32
+// TraceTail is how many trailing observability events a violation report
+// carries.
+const TraceTail = 32
 
 // DefaultCrossEvery is the sweep cross-check cadence when Config.CrossEvery
 // is zero: roughly amortises the O(pages) sweep to noise against the
@@ -175,9 +173,6 @@ type Auditor struct {
 // full sweep, preserving the pre-differential contract for hand-built
 // clusters.
 func New(c *cluster.Cluster, cfg Config) *Auditor {
-	if cfg.TraceTail == 0 {
-		cfg.TraceTail = DefaultTraceTail
-	}
 	a := &Auditor{c: c, cfg: cfg}
 	acctOK := len(c.Nodes) > 0
 	for _, n := range c.Nodes {
@@ -223,17 +218,14 @@ func (a *Auditor) Violations() int64 { return a.violations }
 // fail stamps the shared fields of a violation and returns it as an error.
 func (a *Auditor) fail(v *Violation) error {
 	v.Time = a.c.Eng.Now()
-	if a.cfg.Ring != nil && a.cfg.TraceTail > 0 {
+	if a.cfg.Ring != nil {
 		tail := a.cfg.Ring.Events()
-		if len(tail) > a.cfg.TraceTail {
-			tail = tail[len(tail)-a.cfg.TraceTail:]
+		if len(tail) > TraceTail {
+			tail = tail[len(tail)-TraceTail:]
 		}
 		v.Trace = tail
 	}
 	a.violations++
-	// A violation is exactly what the flight recorder exists for: dump the
-	// retained event/span tail before the run dies.
-	a.c.Obs().DumpFlight(v.Time)
 	return v
 }
 

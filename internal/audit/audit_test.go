@@ -2,12 +2,15 @@ package audit
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gang"
+	"repro/internal/obs"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -405,6 +408,66 @@ func TestAuditCrossCadence(t *testing.T) {
 	}
 	if ap.Sweeps() != ap.Checks() {
 		t.Fatalf("acct-less cluster swept %d of %d checks, want all", ap.Sweeps(), ap.Checks())
+	}
+}
+
+// TestViolationCarriesEventTail pins a violation's event tail: the last 32
+// events the run's bus delivered, oldest first, each listed in the error
+// text. The auditor's ring holds more than 32, so the cut is the auditor's.
+func TestViolationCarriesEventTail(t *testing.T) {
+	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 2}, core.SOAOAIBG, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableAcct()
+	all, tail := obs.NewRing(1<<16), obs.NewRing(64)
+	c.EnableObservability((&obs.Options{Sinks: []obs.Sink{all, tail}}).Build())
+	// Each job needs several quanta, so the two switch, page and emit.
+	for _, name := range []string{"a", "b"} {
+		beh := proc.Behavior{
+			FootprintPages: 300,
+			Iterations:     40,
+			Segments:       []proc.Segment{{Offset: 0, Pages: 300, Write: true, Passes: 1}},
+			TouchCost:      10 * sim.Microsecond,
+		}
+		if _, err := c.AddJob(cluster.JobSpec{Name: name, Behavior: beh, Quantum: 20 * sim.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.BuildScheduler(gang.Options{})
+	a := New(c, Config{CrossEvery: 1, Ring: tail})
+	c.Scheduler().Start()
+	step(t, c, 1500)
+	if err := a.Check(); err != nil {
+		t.Fatalf("pre-corruption sweep failed: %v", err)
+	}
+	if _, err := c.Nodes[0].Swap.Reserve(10); err != nil {
+		t.Fatal(err)
+	}
+	var v *Violation
+	if err := a.Check(); !errors.As(err, &v) {
+		t.Fatalf("corruption not detected (err = %v)", err)
+	}
+	events := all.Events()
+	if len(events) <= 64 {
+		t.Fatalf("only %d events before the violation; the tail ring never wrapped", len(events))
+	}
+	want := events[len(events)-32:]
+	if !reflect.DeepEqual(v.Trace, want) {
+		t.Fatalf("violation tail holds %d events %v,\nwant the last 32 delivered %v", len(v.Trace), v.Trace, want)
+	}
+	msg := v.Error()
+	_, rest, ok := strings.Cut(msg, "\nlast 32 events:")
+	if !ok {
+		t.Fatalf("violation message lists no 32-event tail:\n%s", msg)
+	}
+	for i, ev := range want {
+		line := fmt.Sprintf("\n  %v %s node=%d", ev.T, ev.Kind, ev.Node)
+		at := strings.Index(rest, line)
+		if at < 0 {
+			t.Fatalf("event %d (%q) missing or out of order in:\n%s", i, line, msg)
+		}
+		rest = rest[at+len(line):]
 	}
 }
 

@@ -61,7 +61,8 @@ func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
 	c.EnableAcct()
 	var events bytes.Buffer
 	sink := obs.NewJSONL(&events)
-	setup := (&obs.Options{Sinks: []obs.Sink{sink}, Metrics: true, Trace: true, Ledger: true, Flight: true}).Build()
+	tail := obs.NewRing(TraceTail)
+	setup := (&obs.Options{Sinks: []obs.Sink{sink, tail}, Metrics: true, Trace: true, Ledger: true}).Build()
 	c.EnableObservability(setup)
 	jobs := []struct {
 		name string
@@ -88,7 +89,7 @@ func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
 		}
 	}
 	c.BuildScheduler(opts)
-	a := Attach(c, Config{Every: 1, Ring: setup.Flight()})
+	a := Attach(c, Config{Every: 1, Ring: tail})
 
 	var run foldRun
 	if blocked {

@@ -425,9 +425,6 @@ func (c *Cluster) CrashNode(id int, downtime sim.Duration) {
 	n.Kernel.CrashReset()
 	n.VM.Crash()
 	n.Disk.Reset()
-	if c.obs != nil {
-		c.obs.DumpFlight(c.Eng.Now())
-	}
 	c.Eng.ScheduleDetached(downtime, func() { c.restoreNode(id) })
 }
 

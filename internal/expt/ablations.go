@@ -18,6 +18,22 @@ type SweepPoint struct {
 	Overhead      float64
 }
 
+// sweepPoints reports each x's run against the batch run: the results
+// hold batch first, then one run per x.
+func sweepPoints(xs []float64, results []metrics.RunResult) []SweepPoint {
+	batch := results[0]
+	out := make([]SweepPoint, len(xs))
+	for i, x := range xs {
+		run := results[i+1]
+		out[i] = SweepPoint{
+			X:             x,
+			CompletionSec: run.Makespan.Seconds(),
+			Overhead:      metrics.SwitchingOverhead(run.Makespan, batch.Makespan),
+		}
+	}
+	return out
+}
+
 // BGFractionSweep varies the fraction of the quantum given to the
 // background writer (§3.4 claims the last ~10% is best) on serial LU with
 // so/ao/bg.
@@ -27,30 +43,20 @@ func BGFractionSweep(cfg Config, fractions []float64) ([]SweepPoint, error) {
 		fractions = []float64{0.02, 0.05, 0.10, 0.20, 0.40, 0.70}
 	}
 	m := workload.MustGet(workload.LU, workload.ClassB, 1)
-	// Task 0 is the batch baseline; task i+1 runs fraction i. All are
+	// The batch baseline comes first, then one run per fraction. All are
 	// independent, so the whole sweep fans out at once.
-	results, err := mapN(cfg, 1+len(fractions), func(i int) (metrics.RunResult, error) {
-		if i == 0 {
-			return cfg.RunPair(m, core.Orig, gang.Batch)
-		}
-		c := cfg
-		c.BGWriteFraction = fractions[i-1]
-		return c.RunPair(m, core.SOAOBG, gang.Gang)
-	})
+	specs := []runSpec{cfg.pair(m, core.Orig, gang.Batch)}
+	for _, f := range fractions {
+		s := cfg.pair(m, core.SOAOBG, gang.Gang)
+		s.study, s.label = "bg-fraction sweep", fmt.Sprintf("%g", f)
+		s.sched.BGWriteFraction = f
+		specs = append(specs, s)
+	}
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	batch := results[0]
-	var out []SweepPoint
-	for i, f := range fractions {
-		run := results[i+1]
-		out = append(out, SweepPoint{
-			X:             f,
-			CompletionSec: run.Makespan.Seconds(),
-			Overhead:      metrics.SwitchingOverhead(run.Makespan, batch.Makespan),
-		})
-	}
-	return out, nil
+	return sweepPoints(fractions, results), nil
 }
 
 // ReadAheadSweep varies the kernel read-ahead group size under the
@@ -62,47 +68,20 @@ func ReadAheadSweep(cfg Config, sizes []int) ([]SweepPoint, error) {
 		sizes = []int{4, 16, 64, 256, 1024}
 	}
 	m := workload.MustGet(workload.LU, workload.ClassB, 1)
-	results, err := mapN(cfg, 1+len(sizes), func(i int) (metrics.RunResult, error) {
-		if i == 0 {
-			return cfg.RunPair(m, core.Orig, gang.Batch)
-		}
-		ra := sizes[i-1]
-		nc := cluster.DefaultNodeConfig()
-		nc.LockedMB = nc.MemoryMB - m.AvailMB
-		nc.VM.ReadAhead = ra
-		cl, err := cluster.New(cfg.Seed, 1, nc, core.Orig, core.Config{})
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		for j := 1; j <= 2; j++ {
-			if _, err := cl.AddJob(cluster.JobSpec{
-				Name:     fmt.Sprintf("LU-%d", j),
-				Behavior: m.Behavior(),
-				Quantum:  cfg.Quantum,
-			}); err != nil {
-				return metrics.RunResult{}, err
-			}
-		}
-		cl.BuildScheduler(gang.Options{BGWriteFraction: cfg.BGWriteFraction})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return metrics.RunResult{}, err
-		}
-		return metrics.Collect(cl, fmt.Sprintf("ra=%d", ra)), nil
-	})
+	specs := []runSpec{cfg.pair(m, core.Orig, gang.Batch)}
+	xs := make([]float64, len(sizes))
+	for i, ra := range sizes {
+		s := cfg.pair(m, core.Orig, gang.Gang)
+		s.study, s.label = "read-ahead sweep", fmt.Sprintf("ra=%d", ra)
+		s.node.VM.ReadAhead = ra
+		specs = append(specs, s)
+		xs[i] = float64(ra)
+	}
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	batch := results[0]
-	var out []SweepPoint
-	for i, ra := range sizes {
-		res := results[i+1]
-		out = append(out, SweepPoint{
-			X:             float64(ra),
-			CompletionSec: res.Makespan.Seconds(),
-			Overhead:      metrics.SwitchingOverhead(res.Makespan, batch.Makespan),
-		})
-	}
-	return out, nil
+	return sweepPoints(xs, results), nil
 }
 
 // QuantumSweep reproduces the Wang et al. trade-off the paper discusses in
@@ -116,28 +95,21 @@ func QuantumSweep(cfg Config, quanta []sim.Duration) ([]SweepPoint, error) {
 		}
 	}
 	m := workload.MustGet(workload.LU, workload.ClassB, 1)
-	results, err := mapN(cfg, 1+len(quanta), func(i int) (metrics.RunResult, error) {
-		if i == 0 {
-			return cfg.RunPair(m, core.Orig, gang.Batch)
-		}
+	specs := []runSpec{cfg.pair(m, core.Orig, gang.Batch)}
+	xs := make([]float64, len(quanta))
+	for i, q := range quanta {
 		c := cfg
-		c.Quantum = quanta[i-1]
-		return c.RunPair(m, core.Orig, gang.Gang)
-	})
+		c.Quantum = q
+		s := c.pair(m, core.Orig, gang.Gang)
+		s.study, s.label = "quantum sweep", q.String()
+		specs = append(specs, s)
+		xs[i] = q.Seconds()
+	}
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	batch := results[0]
-	var out []SweepPoint
-	for i, q := range quanta {
-		run := results[i+1]
-		out = append(out, SweepPoint{
-			X:             q.Seconds(),
-			CompletionSec: run.Makespan.Seconds(),
-			Overhead:      metrics.SwitchingOverhead(run.Makespan, batch.Makespan),
-		})
-	}
-	return out, nil
+	return sweepPoints(xs, results), nil
 }
 
 // MemoryPressureResult reports the Moreira et al. motivation experiment.
@@ -151,45 +123,37 @@ type MemoryPressureResult struct {
 // a 45 MB footprint gang-scheduled on a 128 MB versus a 256 MB machine.
 func MemoryPressure(cfg Config) (MemoryPressureResult, error) {
 	cfg.fillDefaults()
-	run := func(memMB int) (sim.Duration, error) {
-		nc := cluster.DefaultNodeConfig()
-		nc.MemoryMB = memMB
+	beh := workload.Model{
+		App: "JOB", Class: "-", Ranks: 1,
+		FootprintMB: 45, Iterations: 400,
+		TouchCost: 60 * sim.Microsecond, DirtyFrac: 0.7,
+	}.Behavior()
+	var specs []runSpec
+	for _, memMB := range []int{128, 256} {
+		s := runSpec{
+			study: "memory pressure", label: fmt.Sprintf("%d MB", memMB),
+			nodes: 1, node: cluster.DefaultNodeConfig(), features: core.Orig,
+			sched: gang.Options{BGWriteFraction: cfg.BGWriteFraction},
+		}
+		s.node.MemoryMB = memMB
 		// AIX plus system daemons claim a share of the machine; only the
 		// rest is available to the three jobs. This is what makes 3 x 45 MB
 		// over-commit the 128 MB machine but fit the 256 MB one.
-		nc.LockedMB = memMB / 5
-		cl, err := cluster.New(cfg.Seed, 1, nc, core.Orig, core.Config{})
-		if err != nil {
-			return 0, err
-		}
-		beh := workload.Model{
-			App: "JOB", Class: "-", Ranks: 1,
-			FootprintMB: 45, Iterations: 400,
-			TouchCost: 60 * sim.Microsecond, DirtyFrac: 0.7,
-		}.Behavior()
+		s.node.LockedMB = memMB / 5
 		for i := 1; i <= 3; i++ {
-			if _, err := cl.AddJob(cluster.JobSpec{
+			s.jobs = append(s.jobs, cluster.JobSpec{
 				Name:     fmt.Sprintf("job-%d", i),
 				Behavior: beh,
 				Quantum:  30 * sim.Second,
-			}); err != nil {
-				return 0, err
-			}
+			})
 		}
-		cl.BuildScheduler(gang.Options{BGWriteFraction: cfg.BGWriteFraction})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return 0, err
-		}
-		return metrics.Collect(cl, "orig").Makespan, nil
+		specs = append(specs, s)
 	}
-	sizes := []int{128, 256}
-	results, err := mapN(cfg, len(sizes), func(i int) (sim.Duration, error) {
-		return run(sizes[i])
-	})
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return MemoryPressureResult{}, err
 	}
-	small, large := results[0], results[1]
+	small, large := results[0].Makespan, results[1].Makespan
 	return MemoryPressureResult{
 		SmallMemSec: small.Seconds(),
 		LargeMemSec: large.Seconds(),

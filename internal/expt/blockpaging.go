@@ -1,9 +1,6 @@
 package expt
 
 import (
-	"fmt"
-
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gang"
 	"repro/internal/metrics"
@@ -28,48 +25,16 @@ type BlockPagingRow struct {
 func BlockPagingStudy(cfg Config) ([]BlockPagingRow, error) {
 	cfg.fillDefaults()
 	m := workload.MustGet(workload.LU, workload.ClassB, 1)
-
-	run := func(scheme string, features core.Features, mode gang.Mode, readAhead, clusterOut int) (metrics.RunResult, error) {
-		nc := cluster.DefaultNodeConfig()
-		nc.LockedMB = nc.MemoryMB - m.AvailMB
-		nc.VM.ReadAhead = readAhead
-		nc.VM.ClusterOut = clusterOut
-		cl, err := cluster.New(cfg.Seed, 1, nc, features, core.Config{})
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		for i := 1; i <= 2; i++ {
-			if _, err := cl.AddJob(cluster.JobSpec{
-				Name:       fmt.Sprintf("LU-%d", i),
-				Behavior:   m.Behavior(),
-				Quantum:    cfg.Quantum,
-				PassWSHint: true,
-			}); err != nil {
-				return metrics.RunResult{}, err
-			}
-		}
-		cl.BuildScheduler(gang.Options{Mode: mode, BGWriteFraction: cfg.BGWriteFraction})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return metrics.RunResult{}, fmt.Errorf("expt: block-paging %s: %w", scheme, err)
-		}
-		return metrics.Collect(cl, scheme), nil
+	// Blind block paging is the original policy with 128-page read-ahead
+	// clusters and 128-page page-out clusters.
+	blind := cfg.pair(m, core.Orig, gang.Gang)
+	blind.node.VM.ReadAhead, blind.node.VM.ClusterOut = 128, 128
+	cmp := cfg.compared(m)
+	specs := []runSpec{cmp[0], cmp[1], blind, cmp[2]}
+	for i, name := range []string{"batch", "orig", "block", "adaptive"} {
+		specs[i].study, specs[i].label = "block-paging", name
 	}
-
-	schemes := []struct {
-		name      string
-		features  core.Features
-		mode      gang.Mode
-		ra, clOut int
-	}{
-		{"batch", core.Orig, gang.Batch, 0, 0},
-		{"orig", core.Orig, gang.Gang, 0, 0},
-		{"block", core.Orig, gang.Gang, 128, 128},
-		{"adaptive", core.SOAOAIBG, gang.Gang, 0, 0},
-	}
-	results, err := mapN(cfg, len(schemes), func(i int) (metrics.RunResult, error) {
-		s := schemes[i]
-		return run(s.name, s.features, s.mode, s.ra, s.clOut)
-	})
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -89,19 +54,4 @@ func BlockPagingStudy(cfg Config) ([]BlockPagingRow, error) {
 		row("blind block paging (128/128)", block),
 		row("gang-aware so/ao/ai/bg", adaptive),
 	}, nil
-}
-
-// FormatBlockPaging renders the study.
-func FormatBlockPaging(rows []BlockPagingRow) string {
-	s := "Block paging vs gang-aware adaptive paging (LU serial)\n"
-	s += fmt.Sprintf("%-30s %9s %9s %10s\n", "scheme", "time_s", "overhead", "reduction")
-	for _, r := range rows {
-		if r.Scheme == "batch" {
-			s += fmt.Sprintf("%-30s %9.0f %9s %10s\n", r.Scheme, r.TimeSec, "-", "-")
-			continue
-		}
-		s += fmt.Sprintf("%-30s %9.0f %9s %10s\n",
-			r.Scheme, r.TimeSec, metrics.Pct(r.Overhead), metrics.Pct(r.Reduction))
-	}
-	return s
 }

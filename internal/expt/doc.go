@@ -16,6 +16,10 @@
 //   - MemoryPressure: the Moreira et al. motivation (§1) — three 45 MB
 //     jobs on a 128 MB vs a 256 MB machine.
 //
+// Every study describes each of its runs as a runSpec, plain data that one
+// builder (Config.build) turns into an observed cluster; most runs are the
+// paper's pair (Config.pair) with one field changed.
+//
 // Every runner is deterministic for a given Config.Seed and returns plain
 // result structs; formatting lives in report.go so cmd/figures, the bench
 // harness and EXPERIMENTS.md all share one source of numbers.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gang"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/proc"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -65,64 +64,106 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// quantumFor returns the quantum a model needs: SP on four machines gets 7
-// minutes "to avoid continuous memory thrashing" (§4.2) whenever the
-// configured quantum is the default 5.
-func (c Config) quantumFor(m workload.Model) sim.Duration {
-	if m.App == workload.SP && m.Ranks == 4 && c.Quantum == 5*sim.Minute {
-		return 7 * sim.Minute
-	}
-	return c.Quantum
+// runSpec describes one cluster a study runs, as plain data. Every study
+// states its runs this way; most start from the paper's pair and change one
+// field.
+type runSpec struct {
+	study string // names the study in errors
+	label string // names the run in errors and labels its result
+	nodes int
+	node  cluster.NodeConfig
+	// features is the kernel mechanism set on every node.
+	features core.Features
+	jobs     []cluster.JobSpec
+	sched    gang.Options
 }
 
-// buildPair constructs a cluster running two instances of the model under
-// the given feature set and scheduling mode.
-func (c Config) buildPair(m workload.Model, features core.Features, mode gang.Mode) (*cluster.Cluster, error) {
-	return c.buildPairWithBehavior(m, m.Behavior(), features, mode)
-}
-
-// buildPairWithBehavior is buildPair with an explicit (possibly modified)
-// per-rank behaviour, used by studies that add jitter or tweak segments.
-func (c Config) buildPairWithBehavior(m workload.Model, beh proc.Behavior, features core.Features, mode gang.Mode) (*cluster.Cluster, error) {
-	nc := cluster.DefaultNodeConfig()
-	nc.LockedMB = nc.MemoryMB - m.AvailMB
-	cl, err := cluster.New(c.Seed, m.Ranks, nc, features, core.Config{})
-	if err != nil {
-		return nil, err
+// pair describes the paper's experiment for m: two instances named
+// <App>-1 and <App>-2 on m.Ranks machines, all memory but m.AvailMB
+// wired, the working-set hint passed, and the quantum m runs with.
+func (c Config) pair(m workload.Model, features core.Features, mode gang.Mode) runSpec {
+	s := runSpec{
+		study:    fmt.Sprintf("%s/%s/%d", m.App, m.Class, m.Ranks),
+		label:    features.String(),
+		nodes:    m.Ranks,
+		node:     cluster.DefaultNodeConfig(),
+		features: features,
+		sched:    gang.Options{Mode: mode, BGWriteFraction: c.BGWriteFraction},
 	}
-	cl.EnableObservability(c.Observe.Build())
-	q := c.quantumFor(m)
+	if mode == gang.Batch {
+		s.label = "batch"
+	}
+	s.node.LockedMB = s.node.MemoryMB - m.AvailMB
+	beh, q := m.Behavior(), m.Quantum(c.Quantum)
 	for i := 1; i <= 2; i++ {
-		spec := cluster.JobSpec{
+		s.jobs = append(s.jobs, cluster.JobSpec{
 			Name:       fmt.Sprintf("%s-%d", m.App, i),
 			Behavior:   beh,
 			Quantum:    q,
 			PassWSHint: true,
-		}
-		if _, err := cl.AddJob(spec); err != nil {
-			return nil, err
+		})
+	}
+	return s
+}
+
+// compared describes the runs an AppResult compares for m: batch, the
+// original policy and the full adaptive combination, in that order.
+func (c Config) compared(m workload.Model) []runSpec {
+	return []runSpec{
+		c.pair(m, core.Orig, gang.Batch),
+		c.pair(m, core.Orig, gang.Gang),
+		c.pair(m, core.SOAOAIBG, gang.Gang),
+	}
+}
+
+// build assembles the cluster s describes, observed as c.Observe asks.
+// Each build gets its own observability Setup, so concurrent runs share
+// nothing.
+func (c Config) build(s runSpec) (*cluster.Cluster, error) {
+	cl, err := cluster.New(c.Seed, s.nodes, s.node, s.features, core.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("expt: %s %s: %w", s.study, s.label, err)
+	}
+	cl.EnableObservability(c.Observe.Build())
+	for _, j := range s.jobs {
+		if _, err := cl.AddJob(j); err != nil {
+			return nil, fmt.Errorf("expt: %s %s: %w", s.study, s.label, err)
 		}
 	}
-	cl.BuildScheduler(gang.Options{Mode: mode, BGWriteFraction: c.BGWriteFraction})
+	cl.BuildScheduler(s.sched)
 	return cl, nil
+}
+
+// complete runs a cluster built from s to completion and collects it.
+func (c Config) complete(s runSpec, cl *cluster.Cluster) (metrics.RunResult, error) {
+	if err := cl.Run(c.TimeLimit); err != nil {
+		return metrics.RunResult{}, fmt.Errorf("expt: %s %s: %w", s.study, s.label, err)
+	}
+	return metrics.Collect(cl, s.label), nil
+}
+
+// run builds s and runs it to completion.
+func (c Config) run(s runSpec) (metrics.RunResult, error) {
+	cl, err := c.build(s)
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	return c.complete(s, cl)
+}
+
+// runAll runs every spec across the worker pool and returns the results
+// in spec order.
+func (c Config) runAll(specs []runSpec) ([]metrics.RunResult, error) {
+	return mapN(c, len(specs), func(i int) (metrics.RunResult, error) {
+		return c.run(specs[i])
+	})
 }
 
 // RunPair executes two instances of the model to completion and returns
 // the collected result.
 func (c Config) RunPair(m workload.Model, features core.Features, mode gang.Mode) (metrics.RunResult, error) {
 	c.fillDefaults()
-	cl, err := c.buildPair(m, features, mode)
-	if err != nil {
-		return metrics.RunResult{}, err
-	}
-	if err := cl.Run(c.TimeLimit); err != nil {
-		return metrics.RunResult{}, fmt.Errorf("expt: %s %s/%s: %w", m.App, features, mode, err)
-	}
-	label := features.String()
-	if mode == gang.Batch {
-		label = "batch"
-	}
-	return metrics.Collect(cl, label), nil
+	return c.run(c.pair(m, features, mode))
 }
 
 // mapN fans f out over [0, n) on the configured worker count and returns
@@ -131,22 +172,6 @@ func (c Config) RunPair(m workload.Model, features core.Features, mode gang.Mode
 func mapN[T any](c Config, n int, f func(i int) (T, error)) ([]T, error) {
 	return runner.Map(context.Background(), c.Parallel, n, func(_ context.Context, i int) (T, error) {
 		return f(i)
-	})
-}
-
-// pairRun names one RunPair invocation inside a batch.
-type pairRun struct {
-	m        workload.Model
-	features core.Features
-	mode     gang.Mode
-}
-
-// runPairs executes the listed runs concurrently and returns their
-// results in submission order.
-func (c Config) runPairs(runs []pairRun) ([]metrics.RunResult, error) {
-	return mapN(c, len(runs), func(i int) (metrics.RunResult, error) {
-		r := runs[i]
-		return c.RunPair(r.m, r.features, r.mode)
 	})
 }
 
@@ -165,28 +190,15 @@ type AppResult struct {
 	Reduction        float64 // paging reduction of adaptive vs orig
 }
 
-// comparePair runs batch, orig and full-adaptive for one model.
-func (c Config) comparePair(m workload.Model) (AppResult, error) {
-	rows, err := c.compareAll([]workload.Model{m})
-	if err != nil {
-		return AppResult{}, err
-	}
-	return rows[0], nil
-}
-
 // compareAll runs the batch / orig / full-adaptive triple for every model,
 // fanning all 3×len(models) independent runs across the worker pool at
 // once, and assembles one AppResult per model in input order.
 func (c Config) compareAll(models []workload.Model) ([]AppResult, error) {
-	runs := make([]pairRun, 0, 3*len(models))
+	specs := make([]runSpec, 0, 3*len(models))
 	for _, m := range models {
-		runs = append(runs,
-			pairRun{m, core.Orig, gang.Batch},
-			pairRun{m, core.Orig, gang.Gang},
-			pairRun{m, core.SOAOAIBG, gang.Gang},
-		)
+		specs = append(specs, c.compared(m)...)
 	}
-	results, err := c.runPairs(runs)
+	results, err := c.runAll(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -30,20 +31,27 @@ func TestRunPairBasics(t *testing.T) {
 	}
 }
 
-func TestSPGetsSevenMinuteQuantumOnFourMachines(t *testing.T) {
+// TestPairDescribesThePaperExperiment pins what the paper's pair fixes:
+// the job names, the wired memory, the working-set hint and the quantum
+// workload.Model.Quantum gives the model.
+func TestPairDescribesThePaperExperiment(t *testing.T) {
 	cfg := DefaultConfig()
 	sp4 := workload.MustGet(workload.SP, workload.ClassC, 4)
-	if q := cfg.quantumFor(sp4); q != 7*sim.Minute {
-		t.Fatalf("SP@4 quantum = %v, want 7m", q)
+	s := cfg.pair(sp4, core.SOAOAIBG, gang.Gang)
+	if s.nodes != 4 || s.node.MemoryMB-s.node.LockedMB != sp4.AvailMB || s.label != "so/ao/ai/bg" {
+		t.Fatalf("SP@4 pair: %d nodes, %d MB of %d wired, label %q",
+			s.nodes, s.node.LockedMB, s.node.MemoryMB, s.label)
 	}
-	lu := workload.MustGet(workload.LU, workload.ClassB, 1)
-	if q := cfg.quantumFor(lu); q != 5*sim.Minute {
-		t.Fatalf("LU quantum = %v, want 5m", q)
+	if len(s.jobs) != 2 {
+		t.Fatalf("SP@4 pair has %d jobs", len(s.jobs))
 	}
-	// An explicit non-default quantum is respected even for SP@4.
-	cfg.Quantum = 2 * sim.Minute
-	if q := cfg.quantumFor(sp4); q != 2*sim.Minute {
-		t.Fatalf("override quantum = %v", q)
+	for i, j := range s.jobs {
+		if want := fmt.Sprintf("SP-%d", i+1); j.Name != want || !j.PassWSHint || j.Quantum != 7*sim.Minute {
+			t.Fatalf("job %d = %s, hint %v, quantum %v; want %s, hint, 7m", i, j.Name, j.PassWSHint, j.Quantum, want)
+		}
+	}
+	if s := cfg.pair(sp4, core.Orig, gang.Batch); s.label != "batch" || s.sched.Mode != gang.Batch {
+		t.Fatalf("batch pair: label %q, mode %v", s.label, s.sched.Mode)
 	}
 }
 

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/gang"
@@ -77,43 +76,21 @@ func WSHintSweep(cfg Config, fractions []float64) ([]SweepPoint, error) {
 			return cfg.RunPair(m, core.Orig, gang.Batch)
 		}
 		f := fractions[i-1]
-		nc := cluster.DefaultNodeConfig()
-		nc.LockedMB = nc.MemoryMB - m.AvailMB
-		cl, err := cluster.New(cfg.Seed, 1, nc, core.SOAOAIBG, core.Config{})
+		s := cfg.pair(m, core.SOAOAIBG, gang.Gang)
+		s.study, s.label = "ws-hint sweep", fmt.Sprintf("hint=%.2f", f)
+		cl, err := cfg.build(s)
 		if err != nil {
 			return metrics.RunResult{}, err
 		}
-		for j := 1; j <= 2; j++ {
-			job, err := cl.AddJob(cluster.JobSpec{
-				Name:     fmt.Sprintf("LU-%d", j),
-				Behavior: m.Behavior(),
-				Quantum:  cfg.Quantum,
-			})
-			if err != nil {
-				return metrics.RunResult{}, err
-			}
-			job.WSHintPages = int(f * float64(trueWS))
+		for _, j := range cl.Jobs() {
+			j.WSHintPages = int(f * float64(trueWS))
 		}
-		cl.BuildScheduler(gang.Options{BGWriteFraction: cfg.BGWriteFraction})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return metrics.RunResult{}, err
-		}
-		return metrics.Collect(cl, fmt.Sprintf("hint=%.2f", f)), nil
+		return cfg.complete(s, cl)
 	})
 	if err != nil {
 		return nil, err
 	}
-	batch := results[0]
-	var out []SweepPoint
-	for i, f := range fractions {
-		res := results[i+1]
-		out = append(out, SweepPoint{
-			X:             f,
-			CompletionSec: res.Makespan.Seconds(),
-			Overhead:      metrics.SwitchingOverhead(res.Makespan, batch.Makespan),
-		})
-	}
-	return out, nil
+	return sweepPoints(fractions, results), nil
 }
 
 // DiskModelComparison reports one app's results under the binary seek
@@ -133,52 +110,25 @@ func DiskModelAblation(cfg Config) ([]DiskModelComparison, error) {
 	cfg.fillDefaults()
 	m := workload.MustGet(workload.LU, workload.ClassB, 1)
 	modes := []string{"binary", "positional"}
-	type setup struct {
-		mode     string
-		features core.Features
-		sched    gang.Mode
-	}
-	var setups []setup
+	var specs []runSpec
 	for _, mode := range modes {
-		setups = append(setups,
-			setup{mode, core.Orig, gang.Batch},
-			setup{mode, core.Orig, gang.Gang},
-			setup{mode, core.SOAOAIBG, gang.Gang},
-		)
-	}
-	results, err := mapN(cfg, len(setups), func(i int) (float64, error) {
-		s := setups[i]
-		nc := cluster.DefaultNodeConfig()
-		nc.LockedMB = nc.MemoryMB - m.AvailMB
-		if s.mode == "positional" {
-			nc.Disk = disk.PositionalParams()
-		}
-		cl, err := cluster.New(cfg.Seed, 1, nc, s.features, core.Config{})
-		if err != nil {
-			return 0, err
-		}
-		for j := 1; j <= 2; j++ {
-			if _, err := cl.AddJob(cluster.JobSpec{
-				Name:       fmt.Sprintf("LU-%d", j),
-				Behavior:   m.Behavior(),
-				Quantum:    cfg.Quantum,
-				PassWSHint: true,
-			}); err != nil {
-				return 0, err
+		for _, s := range cfg.compared(m) {
+			s.study = mode + " disk model"
+			if mode == "positional" {
+				s.node.Disk = disk.PositionalParams()
 			}
+			specs = append(specs, s)
 		}
-		cl.BuildScheduler(gang.Options{Mode: s.sched, BGWriteFraction: cfg.BGWriteFraction})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return 0, err
-		}
-		return metrics.Collect(cl, s.mode).Makespan.Seconds(), nil
-	})
+	}
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
 	var out []DiskModelComparison
 	for i, mode := range modes {
-		batch, orig, adpt := results[3*i], results[3*i+1], results[3*i+2]
+		batch := results[3*i].Makespan.Seconds()
+		orig := results[3*i+1].Makespan.Seconds()
+		adpt := results[3*i+2].Makespan.Seconds()
 		red := 0.0
 		if orig > batch {
 			red = 1 - (adpt-batch)/(orig-batch)

@@ -148,13 +148,6 @@ func TestReadAheadSweepShape(t *testing.T) {
 	}
 }
 
-func TestResponseFormatter(t *testing.T) {
-	s := FormatResponse([]ResponseRow{{Scheduler: "batch", ShortJobSec: 1, LongJobSec: 2, MeanSec: 1.5}})
-	if len(s) == 0 {
-		t.Fatal("empty")
-	}
-}
-
 func TestFigure6WindowDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second paper-scale run")

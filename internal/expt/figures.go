@@ -99,14 +99,14 @@ func Figure9(cfg Config) (map[string][]PolicyResult, error) {
 	setups := Figure9Setups()
 	combos := core.PaperCombos()
 	perSetup := 1 + len(combos) // batch baseline first, then each combo
-	runs := make([]pairRun, 0, len(setups)*perSetup)
+	specs := make([]runSpec, 0, len(setups)*perSetup)
 	for _, setup := range setups {
-		runs = append(runs, pairRun{setup.Model, core.Orig, gang.Batch})
+		specs = append(specs, cfg.pair(setup.Model, core.Orig, gang.Batch))
 		for _, combo := range combos {
-			runs = append(runs, pairRun{setup.Model, combo, gang.Gang})
+			specs = append(specs, cfg.pair(setup.Model, combo, gang.Gang))
 		}
 	}
-	results, err := cfg.runPairs(runs)
+	results, err := cfg.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func Figure6Trace(cfg Config, features core.Features, window sim.Duration) (Trac
 	m := workload.MustGet(workload.LU, workload.ClassC, 4)
 	paging := trace.NewPaging(m.Ranks, sim.Second)
 	cfg.Observe = cfg.Observe.WithSinks(paging)
-	cl, err := cfg.buildPair(m, features, gang.Gang)
+	cl, err := cfg.build(cfg.pair(m, features, gang.Gang))
 	if err != nil {
 		return TraceResult{}, err
 	}

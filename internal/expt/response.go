@@ -1,13 +1,9 @@
 package expt
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gang"
-	"repro/internal/metrics"
-	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -58,58 +54,40 @@ func MixedWorkloadStudy(cfg Config) ([]ResponseRow, error) {
 		{"gang+orig", core.Orig, gang.Gang, false},
 		{"gang+so/ao/ai/bg", core.SOAOAIBG, gang.Gang, false},
 	}
-	return mapN(cfg, len(scheds), func(i int) (ResponseRow, error) {
-		sc := scheds[i]
-		nc := cluster.DefaultNodeConfig()
-		nc.LockedMB = nc.MemoryMB - longBeh.AvailMB
-		cl, err := cluster.New(cfg.Seed, 1, nc, sc.features, core.Config{})
-		if err != nil {
-			return ResponseRow{}, err
+	specs := make([]runSpec, len(scheds))
+	for i, sc := range scheds {
+		s := runSpec{
+			study: "mixed workload", label: sc.name,
+			nodes: 1, node: cluster.DefaultNodeConfig(), features: sc.features,
+			sched: gang.Options{
+				Mode:            sc.mode,
+				BGWriteFraction: cfg.BGWriteFraction,
+				MemoryAware:     sc.memoryAware,
+			},
 		}
-		add := func(name string, beh proc.Behavior) error {
-			_, err := cl.AddJob(cluster.JobSpec{
-				Name:       name,
-				Behavior:   beh,
-				Quantum:    cfg.Quantum,
-				PassWSHint: true,
-			})
-			return err
-		}
+		s.node.LockedMB = s.node.MemoryMB - longBeh.AvailMB
 		// The long job is already running; the short job shares the node.
-		if err := add("long", longBeh.Behavior()); err != nil {
-			return ResponseRow{}, err
+		s.jobs = []cluster.JobSpec{
+			{Name: "long", Behavior: longBeh.Behavior(), Quantum: cfg.Quantum, PassWSHint: true},
+			{Name: "short", Behavior: shortBeh.Behavior(), Quantum: cfg.Quantum, PassWSHint: true},
 		}
-		if err := add("short", shortBeh.Behavior()); err != nil {
-			return ResponseRow{}, err
-		}
-		cl.BuildScheduler(gang.Options{
-			Mode:            sc.mode,
-			BGWriteFraction: cfg.BGWriteFraction,
-			MemoryAware:     sc.memoryAware,
-		})
-		if err := cl.Run(cfg.TimeLimit); err != nil {
-			return ResponseRow{}, fmt.Errorf("expt: mixed workload under %s: %w", sc.name, err)
-		}
-		res := metrics.Collect(cl, sc.name)
+		specs[i] = s
+	}
+	results, err := cfg.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ResponseRow, len(results))
+	for i, res := range results {
 		short, _ := res.CompletionOf("short")
 		long, _ := res.CompletionOf("long")
-		return ResponseRow{
-			Scheduler:    sc.name,
+		rows[i] = ResponseRow{
+			Scheduler:    res.Policy,
 			ShortJobSec:  short.Seconds(),
 			LongJobSec:   long.Seconds(),
 			MeanSec:      res.MeanCompletion().Seconds(),
 			PagesMovedGB: float64(res.TotalPagesMoved()) * 4096 / (1 << 30),
-		}, nil
-	})
-}
-
-// FormatResponse renders the mixed-workload study.
-func FormatResponse(rows []ResponseRow) string {
-	s := "Mixed workload — short job sharing a machine with a long job\n"
-	s += fmt.Sprintf("%-18s %10s %10s %10s %10s\n", "scheduler", "short_s", "long_s", "mean_s", "paged_GB")
-	for _, r := range rows {
-		s += fmt.Sprintf("%-18s %10.0f %10.0f %10.0f %10.2f\n",
-			r.Scheduler, r.ShortJobSec, r.LongJobSec, r.MeanSec, r.PagesMovedGB)
+		}
 	}
-	return s
+	return rows, nil
 }

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -58,42 +57,42 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	if nodes < 1 || gangs < 1 {
 		return ScaleResult{}, fmt.Errorf("expt: scale study wants positive nodes and gangs, got %d/%d", nodes, gangs)
 	}
-	nc := cluster.DefaultNodeConfig()
+	s := runSpec{
+		study: "scale", label: fmt.Sprintf("%dx%d", nodes, gangs),
+		nodes: nodes, node: cluster.DefaultNodeConfig(), features: core.SOAOAIBG,
+		sched: gang.Options{Mode: gang.Gang, BGWriteFraction: cfg.BGWriteFraction},
+	}
 	// Size memory so the resident gang plus prefetch headroom fit but the
 	// full job set does not: the adaptive mechanisms stay on the critical
 	// path without the run degenerating into a pure thrash test.
-	nc.MemoryMB = 64
-	cl, err := cluster.New(cfg.Seed, nodes, nc, core.SOAOAIBG, core.Config{})
+	s.node.MemoryMB = 64
+	beh := scaleBehavior()
+	for i := 0; i < gangs; i++ {
+		s.jobs = append(s.jobs, cluster.JobSpec{
+			Name:       fmt.Sprintf("gang-%03d", i),
+			Behavior:   beh,
+			Quantum:    100 * sim.Millisecond,
+			PassWSHint: true,
+		})
+	}
+	cl, err := cfg.build(s)
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	cl.EnableObservability(cfg.Observe.Build())
-	beh := scaleBehavior()
-	quantum := 100 * sim.Millisecond
-	for i := 0; i < gangs; i++ {
-		if _, err := cl.AddJob(cluster.JobSpec{
-			Name:       fmt.Sprintf("gang-%03d", i),
-			Behavior:   beh,
-			Quantum:    quantum,
-			PassWSHint: true,
-		}); err != nil {
-			return ScaleResult{}, err
-		}
-	}
-	cl.BuildScheduler(gang.Options{Mode: gang.Gang, BGWriteFraction: cfg.BGWriteFraction})
-	if err := cl.Run(cfg.TimeLimit); err != nil {
-		return ScaleResult{}, fmt.Errorf("expt: scale %dx%d: %w", nodes, gangs, err)
+	run, err := cfg.complete(s, cl)
+	if err != nil {
+		return ScaleResult{}, err
 	}
 
 	res := ScaleResult{
 		Nodes:    nodes,
 		Gangs:    gangs,
 		Events:   cl.Eng.Executed(),
-		Switches: cl.Scheduler().Stats().Switches,
+		Switches: run.Switches,
 	}
 	var sum float64
-	for _, j := range cl.Jobs() {
-		sec := sim.Duration(j.FinishedAt()).Seconds()
+	for _, j := range run.Jobs {
+		sec := sim.Duration(j.FinishedAt).Seconds()
 		res.GangSec = append(res.GangSec, sec)
 		sum += sec
 		if sec > res.MaxGangSec {
@@ -105,20 +104,4 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	}
 	res.MeanGangSec = sum / float64(gangs)
 	return res, nil
-}
-
-// FormatScaleTable renders the scale study as a text figure.
-func FormatScaleTable(title string, r ScaleResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-28s %12s\n", "metric", "value")
-	row := func(name, val string) { fmt.Fprintf(&b, "%-28s %12s\n", name, val) }
-	row("nodes", fmt.Sprintf("%d", r.Nodes))
-	row("gangs", fmt.Sprintf("%d", r.Gangs))
-	row("makespan (s)", fmt.Sprintf("%.1f", r.MakespanSec))
-	row("engine events", fmt.Sprintf("%d", r.Events))
-	row("gang switches", fmt.Sprintf("%d", r.Switches))
-	row("mean gang completion (s)", fmt.Sprintf("%.1f", r.MeanGangSec))
-	row("max gang completion (s)", fmt.Sprintf("%.1f", r.MaxGangSec))
-	return b.String()
 }

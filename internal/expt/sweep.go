@@ -3,8 +3,8 @@ package expt
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/gang"
 	"repro/internal/workload"
 )
 
@@ -35,7 +35,7 @@ type MatrixPoint struct {
 // submissions through this.
 func PolicyMatrix(cfg Config, m workload.Model) []MatrixPoint {
 	cfg.fillDefaults()
-	nc := cluster.DefaultNodeConfig()
+	s := cfg.pair(m, core.Orig, gang.Batch)
 	points := []MatrixPoint{{Label: "batch", Policy: core.Orig.String(), Batch: true}}
 	for _, f := range core.PaperCombos() {
 		points = append(points, MatrixPoint{Label: f.String(), Policy: f.String()})
@@ -44,10 +44,10 @@ func PolicyMatrix(cfg Config, m workload.Model) []MatrixPoint {
 		points[i].App = string(m.App)
 		points[i].Class = string(m.Class)
 		points[i].Ranks = m.Ranks
-		points[i].MemoryMB = nc.MemoryMB
-		points[i].LockedMB = nc.MemoryMB - m.AvailMB
-		points[i].Quantum = cfg.quantumFor(m).String()
-		points[i].BGFrac = cfg.BGWriteFraction
+		points[i].MemoryMB = s.node.MemoryMB
+		points[i].LockedMB = s.node.LockedMB
+		points[i].Quantum = s.jobs[0].Quantum.String()
+		points[i].BGFrac = s.sched.BGWriteFraction
 		points[i].Seed = cfg.Seed
 	}
 	return points

@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/gang"
 	"repro/internal/workload"
@@ -26,44 +24,25 @@ type SyncRow struct {
 func SyncStudy(cfg Config) ([]SyncRow, error) {
 	cfg.fillDefaults()
 	m := workload.MustGet(workload.LU, workload.ClassC, 4)
-	beh := m.Behavior()
-	beh.Jitter = 0.10
 	policies := []core.Features{core.Orig, core.SOAOAIBG}
 	return mapN(cfg, len(policies), func(i int) (SyncRow, error) {
-		features := policies[i]
-		cl2, err := cfg.buildPairWithBehavior(m, beh, features, gang.Gang)
+		s := cfg.pair(m, policies[i], gang.Gang)
+		s.study = "sync study"
+		for j := range s.jobs {
+			s.jobs[j].Behavior.Jitter = 0.10
+		}
+		res, err := cfg.run(s)
 		if err != nil {
 			return SyncRow{}, err
 		}
-		if err := cl2.Run(cfg.TimeLimit); err != nil {
-			return SyncRow{}, fmt.Errorf("expt: sync study %s: %w", features, err)
-		}
 		var wait float64
-		for _, j := range cl2.Jobs() {
-			if j.Barrier != nil {
-				wait += j.Barrier.WaitTime().Seconds()
-			}
-		}
-		var makespan float64
-		for _, j := range cl2.Jobs() {
-			if s := j.FinishedAt().Seconds(); s > makespan {
-				makespan = s
-			}
+		for _, j := range res.Jobs {
+			wait += j.BarrierWait.Seconds()
 		}
 		return SyncRow{
-			Policy:         features.String(),
-			MakespanSec:    makespan,
+			Policy:         res.Policy,
+			MakespanSec:    res.Makespan.Seconds(),
 			BarrierWaitSec: wait,
 		}, nil
 	})
-}
-
-// FormatSync renders the synchronization study.
-func FormatSync(rows []SyncRow) string {
-	s := "Synchronization under ±10% rank jitter (LU class C, 4 machines)\n"
-	s += fmt.Sprintf("%-14s %12s %16s\n", "policy", "makespan_s", "barrier_wait_s")
-	for _, r := range rows {
-		s += fmt.Sprintf("%-14s %12.0f %16.0f\n", r.Policy, r.MakespanSec, r.BarrierWaitSec)
-	}
-	return s
 }

@@ -22,7 +22,4 @@ func TestSyncStudyShape(t *testing.T) {
 		t.Errorf("adaptive barrier wait %v not below orig %v",
 			adaptive.BarrierWaitSec, orig.BarrierWaitSec)
 	}
-	if s := FormatSync(rows); len(s) == 0 {
-		t.Fatal("empty format")
-	}
 }

@@ -3,11 +3,11 @@ package obs
 import "testing"
 
 // BenchmarkBusEmit prices one event through a run's bus: the sequence
-// stamp and the fan-out to a full (wrapping) flight-recorder ring and a
-// counting sink, the sinks of an audited run. It allocates nothing.
+// stamp and the fan-out to a full (wrapping) 256-event ring and a
+// counting sink. It allocates nothing.
 func BenchmarkBusEmit(b *testing.B) {
 	count := NewCountSink()
-	bus := NewBus(NewRing(DefaultFlightCap), count)
+	bus := NewBus(NewRing(256), count)
 	ev := Event{T: 1, Kind: KindPageOutBatch, Node: 3, PID: 2, Pages: 64, Prio: "demand"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"io"
-	"strconv"
-
-	"repro/internal/sim"
-)
+import "strconv"
 
 // Metric names. All durations are seconds, all sizes are 4 KiB pages.
 //
@@ -113,14 +108,6 @@ type Options struct {
 	// decomposition surfaced per job in RunResult and checked by the
 	// ledger-conservation audit law).
 	Ledger bool
-	// FlightTo, when set, receives a flight-recorder dump (ring tail plus
-	// recent spans) whenever the auditor trips or the fault injector
-	// crashes a node.
-	FlightTo io.Writer
-	// Flight attaches the flight-recorder ring (and therefore the event
-	// bus) without a FlightTo writer — the auditor sets it so violation
-	// reports always have an event tail.
-	Flight bool
 }
 
 // Setup is the built observability plumbing for one run.
@@ -132,10 +119,8 @@ type Setup struct {
 	// Tracer is nil unless Options.Trace was set.
 	Tracer *Tracer
 
-	ring     *Ring
-	flight   *Ring
-	ledger   bool
-	flightTo io.Writer
+	ring   *Ring
+	ledger bool
 }
 
 // WithSinks returns a copy of o (of the zero Options when o is nil) whose
@@ -151,23 +136,17 @@ func (o *Options) WithSinks(sinks ...Sink) *Options {
 }
 
 // Build assembles the bus, sinks, registry and tracer an Options
-// describes. A nil receiver yields a nil Setup. When Flight or FlightTo
-// asks for it, the flight-recorder ring rides along as an extra sink: a
-// fixed-size tail for post-mortem dumps. A run whose sinks only fold
+// describes. A nil receiver yields a nil Setup. A run whose sinks only fold
 // events does not copy every event into a ring that nothing reads.
 func (o *Options) Build() *Setup {
 	if o == nil {
 		return nil
 	}
-	s := &Setup{ledger: o.Ledger, flightTo: o.FlightTo}
+	s := &Setup{ledger: o.Ledger}
 	sinks := append([]Sink(nil), o.Sinks...)
 	if o.KeepEvents {
 		s.ring = NewRing(DefaultEventCap)
 		sinks = append(sinks, s.ring)
-	}
-	if o.Flight || o.FlightTo != nil {
-		s.flight = NewRing(DefaultFlightCap)
-		sinks = append(sinks, s.flight)
 	}
 	if len(sinks) > 0 {
 		s.Bus = NewBus(sinks...)
@@ -204,32 +183,5 @@ func (s *Setup) Events() []Event {
 	return s.ring.Events()
 }
 
-// Spans returns the tracer's retained spans (nil unless Trace was set).
-func (s *Setup) Spans() []Span {
-	if s == nil {
-		return nil
-	}
-	return s.Tracer.Spans()
-}
-
-// Flight returns the flight-recorder ring (nil unless Flight or FlightTo
-// was set).
-func (s *Setup) Flight() *Ring {
-	if s == nil {
-		return nil
-	}
-	return s.flight
-}
-
 // Ledger reports whether per-rank attribution ledgers are enabled.
 func (s *Setup) Ledger() bool { return s != nil && s.ledger }
-
-// DumpFlight writes a flight-recorder dump to the configured FlightTo
-// writer, if any. The auditor and the fault injector call it at the
-// moment of a violation or an injected crash.
-func (s *Setup) DumpFlight(now sim.Time) {
-	if s == nil || s.flightTo == nil {
-		return
-	}
-	_ = WriteFlightDump(s.flightTo, s.flight, s.Tracer, now)
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -105,8 +104,8 @@ func TestOptionsWithSinks(t *testing.T) {
 	shared := &Options{Sinks: make([]Sink, 1, 4), Metrics: true}
 	shared.Sinks[0] = a
 	o := shared.WithSinks(b)
-	o.Flight = true
-	if len(shared.Sinks) != 1 || shared.Flight || shared.Sinks[:2][1] != nil {
+	o.KeepEvents = true
+	if len(shared.Sinks) != 1 || shared.KeepEvents || shared.Sinks[:2][1] != nil {
 		t.Fatalf("WithSinks changed its receiver: %+v", shared)
 	}
 	if len(o.Sinks) != 2 || o.Sinks[0] != a || o.Sinks[1] != b || !o.Metrics {
@@ -376,29 +375,6 @@ func TestOptionsBuild(t *testing.T) {
 	}
 	if s.Events() != nil {
 		t.Fatal("events buffered without KeepEvents")
-	}
-}
-
-// TestOptionsBuildFlightRing checks that the flight-recorder ring is built
-// only when something reads it: sinks alone get a bus but no ring, and
-// Flight or FlightTo adds one.
-func TestOptionsBuildFlightRing(t *testing.T) {
-	s := (&Options{Sinks: []Sink{NewCountSink()}}).Build()
-	if s.Bus == nil || s.Flight() != nil {
-		t.Fatalf("sinks only: bus %v, flight ring %v", s.Bus, s.Flight())
-	}
-	if s := (&Options{KeepEvents: true}).Build(); s.Flight() != nil {
-		t.Fatal("KeepEvents built a flight ring")
-	}
-	for _, o := range []*Options{{Flight: true}, {FlightTo: io.Discard}, {Sinks: []Sink{NewCountSink()}, Flight: true}} {
-		s := o.Build()
-		if s.Bus == nil || s.Flight() == nil {
-			t.Fatalf("%+v: bus %v, flight ring %v", o, s.Bus, s.Flight())
-		}
-		s.Bus.Emit(Event{Kind: KindJobSwitch})
-		if got := s.Flight().Events(); len(got) != 1 {
-			t.Fatalf("%+v: flight ring holds %d events, want 1", o, len(got))
-		}
 	}
 }
 

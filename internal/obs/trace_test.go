@@ -1,11 +1,10 @@
 // Unit tests for the tracing subsystem's primitives: the span tracer, the
-// rank attribution ledger, the flight-recorder dump and the stream sink.
+// rank attribution ledger and the stream sink.
 package obs
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -285,50 +284,6 @@ func TestLedgerCheckCatchesClockSkew(t *testing.T) {
 	}
 	if err := l.Check(100); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFlightDumpFormat(t *testing.T) {
-	ring := NewRing(2)
-	bus := NewBus(ring)
-	for i := 0; i < 5; i++ {
-		bus.Emit(Event{T: sim.Time(i), Kind: KindDiskTransfer, Node: 0, PID: 1})
-	}
-	tr := NewTracer(8)
-	id := tr.Begin(0, SpanFault, 0, 0, "", 1)
-	tr.End(10, id, 0)
-	tr.Begin(20, SpanPrefault, 0, 0, "", 2) // left open
-	var buf bytes.Buffer
-	if err := WriteFlightDump(&buf, ring, tr, 1234); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	// Header + 2 retained events + 1 closed span.
-	if len(lines) != 4 {
-		t.Fatalf("want 4 lines, got %d:\n%s", len(lines), buf.String())
-	}
-	want := "# flight recorder @ 1.234ms: 2 events retained (3 dropped), 1 spans retained (0 dropped, 1 open)"
-	if lines[0] != want {
-		t.Fatalf("header %q, want %q", lines[0], want)
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatalf("event line: %v", err)
-	}
-	var sp Span
-	if !strings.HasPrefix(lines[3], "span ") {
-		t.Fatalf("span line %q", lines[3])
-	}
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(lines[3], "span ")), &sp); err != nil {
-		t.Fatalf("span line: %v", err)
-	}
-	// Both nil is still a valid (empty) dump.
-	buf.Reset()
-	if err := WriteFlightDump(&buf, nil, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "0 events retained") {
-		t.Fatalf("empty dump header: %q", buf.String())
 	}
 }
 

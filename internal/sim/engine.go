@@ -72,9 +72,10 @@ const (
 type Engine struct {
 	now   Time
 	seq   uint64
-	rng   *rand.Rand
-	nRun  uint64 // logical events executed (collapsed runs included)
-	nStep uint64 // events physically fired
+	seed  int64
+	rng   *rand.Rand // built from seed on the first Rand call
+	nRun  uint64     // logical events executed (collapsed runs included)
+	nStep uint64     // events physically fired
 
 	free []*Event // recycled detached events
 
@@ -101,14 +102,20 @@ type Engine struct {
 // seeded with seed. All model randomness must come from Engine.Rand so runs
 // are reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand exposes the engine's deterministic random source. The source is
+// seeded on the first call, so a run that never draws never pays for it.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Executed reports how many logical events have fired so far. A fast-
 // forwarded run that collapses k would-be events into one (see

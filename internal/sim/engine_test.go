@@ -197,9 +197,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		var out []int64
 		var rec func()
 		rec = func() {
-			out = append(out, int64(e.Now()), e.rng.Int63n(1000))
+			out = append(out, int64(e.Now()), e.Rand().Int63n(1000))
 			if len(out) < 40 {
-				e.Schedule(Duration(e.rng.Int63n(50)+1), rec)
+				e.Schedule(Duration(e.Rand().Int63n(50)+1), rec)
 			}
 		}
 		e.Schedule(1, rec)
@@ -213,6 +213,27 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("run diverged at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRandSeededOnFirstUse pins that a run whose callbacks never draw
+// builds no random source, and that the first draw sees the seed's
+// sequence.
+func TestRandSeededOnFirstUse(t *testing.T) {
+	var e *Engine
+	if n := testing.AllocsPerRun(10, func() { e = NewEngine(5) }); n != 1 {
+		t.Fatalf("NewEngine allocates %v times, want 1 (the engine only)", n)
+	}
+	e.Schedule(1, func() { e.Schedule(2, func() {}) })
+	e.Run()
+	if e.rng != nil {
+		t.Fatal("a run that never called Rand built a random source")
+	}
+	want := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		if got, w := e.Rand().Int63(), want.Int63(); got != w {
+			t.Fatalf("draw %d = %d, want %d from seed 5", i, got, w)
 		}
 	}
 }

@@ -66,6 +66,16 @@ type Model struct {
 // FootprintPages reports the per-rank footprint in pages.
 func (m Model) FootprintPages() int { return mem.PagesFromMB(m.FootprintMB) }
 
+// Quantum returns the gang quantum the paper runs m with when q is the
+// configured one: SP on four machines gets 7 minutes "to avoid continuous
+// memory thrashing" (§4.2) whenever q is the default 5.
+func (m Model) Quantum(q sim.Duration) sim.Duration {
+	if m.App == SP && m.Ranks == 4 && q == 5*sim.Minute {
+		return 7 * sim.Minute
+	}
+	return q
+}
+
 // Behavior builds the proc reference pattern for one rank.
 func (m Model) Behavior() proc.Behavior {
 	f := m.FootprintPages()

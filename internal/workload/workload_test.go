@@ -157,3 +157,18 @@ func TestRuntimeScale(t *testing.T) {
 		}
 	}
 }
+
+func TestSPGetsSevenMinuteQuantumOnFourMachines(t *testing.T) {
+	sp4 := MustGet(SP, ClassC, 4)
+	if q := sp4.Quantum(5 * sim.Minute); q != 7*sim.Minute {
+		t.Fatalf("SP@4 quantum = %v, want 7m", q)
+	}
+	lu := MustGet(LU, ClassB, 1)
+	if q := lu.Quantum(5 * sim.Minute); q != 5*sim.Minute {
+		t.Fatalf("LU quantum = %v, want 5m", q)
+	}
+	// An explicit non-default quantum is respected even for SP@4.
+	if q := sp4.Quantum(2 * sim.Minute); q != 2*sim.Minute {
+		t.Fatalf("override quantum = %v", q)
+	}
+}

@@ -74,9 +74,9 @@ func TestTraceDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestTraceAuditedUnchanged requires the auditor (which forces the flight
-// ring and sweeps every event) to leave the span log, event log and result
-// of a traced run untouched.
+// TestTraceAuditedUnchanged requires the auditor (which adds its event-tail
+// ring to the bus and sweeps every event) to leave the span log, event log
+// and result of a traced run untouched.
 func TestTraceAuditedUnchanged(t *testing.T) {
 	plain, err := RunDetailed(observedSpec(tracedOptions()))
 	if err != nil {
