@@ -16,6 +16,12 @@ func FuzzAuditedRun(f *testing.F) {
 	f.Add(int64(2), uint8(1), uint16(1150), uint8(8), uint8(0), uint8(3), true)
 	f.Add(int64(3), uint8(7), uint16(700), uint8(2), uint8(3), uint8(9), true)
 	f.Add(int64(99), uint8(3), uint16(64), uint8(12), uint8(2), uint8(7), false)
+	// One node whose 11 MB hold both jobs (1,100 and 900 pages), 12
+	// iterations of 55 and 45 ms, and 300 ms quanta: resident touch windows
+	// skip iterations. Then the same with disk faults and a crash at 1 s,
+	// inside the second job's second quantum.
+	f.Add(int64(4), uint8(7), uint16(1000), uint8(11), uint8(5), uint8(10), false)
+	f.Add(int64(6), uint8(7), uint16(1000), uint8(11), uint8(4), uint8(10), true)
 
 	policies := []string{"orig", "ai", "so", "so/ao", "so/ao/bg", "so/ao/ai/bg"}
 	f.Fuzz(func(t *testing.T, seed int64, memB uint8, pagesU uint16, itersB, policyB, quantumB uint8, faults bool) {

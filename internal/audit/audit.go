@@ -470,6 +470,12 @@ func (a *Auditor) checkNode(n *cluster.Node) error {
 		}
 		dirtyTotal += dirty
 		wbPending += wb
+		if got := as.PendingWriteBacks(); got != wb {
+			return a.fail(&Violation{
+				Invariant: InvWriteBackPending, Node: n.ID, PID: pid, VPage: -1,
+				Detail: fmt.Sprintf("pending write-back counter %d but per-page counts sum to %d", got, wb),
+			})
+		}
 		if res != as.Resident() {
 			return a.fail(&Violation{
 				Invariant: InvResidentCounter, Node: n.ID, PID: pid, VPage: -1,

@@ -16,8 +16,9 @@ import (
 )
 
 // makeCluster wires one node with two jobs whose combined footprint
-// over-commits memory, so a short run exercises fault, reclaim, write-back
-// and switch paths. The scheduler is started but the engine not yet driven.
+// over-commits memory: 600 pages in 512 frames. Each job needs several
+// 20 ms quanta, so the node switches, reclaims, writes back and prefetches
+// before either finishes. The scheduler is built but not started.
 func makeCluster(t testing.TB) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(1, 1, cluster.NodeConfig{MemoryMB: 2}, core.SOAOAIBG, core.Config{})
@@ -28,7 +29,7 @@ func makeCluster(t testing.TB) *cluster.Cluster {
 	for _, name := range []string{"a", "b"} {
 		beh := proc.Behavior{
 			FootprintPages: 300,
-			Iterations:     4,
+			Iterations:     40,
 			Segments:       []proc.Segment{{Offset: 0, Pages: 300, Write: true, Passes: 1}},
 			TouchCost:      10 * sim.Microsecond,
 		}
@@ -38,6 +39,54 @@ func makeCluster(t testing.TB) *cluster.Cluster {
 	}
 	c.BuildScheduler(gang.Options{})
 	return c
+}
+
+// notPaging says why the node of a makeCluster run is not yet mid-paging,
+// or returns "" once it is: a switch has happened, one job's rank runs and
+// the other's is stopped, neither job has finished, and the disk is
+// serving a transfer.
+func notPaging(c *cluster.Cluster) string {
+	s := c.Scheduler()
+	if s.Stats().Switches == 0 {
+		return "no switch yet"
+	}
+	running := 0
+	for _, j := range s.Jobs() {
+		if j.Done() {
+			return fmt.Sprintf("job %s finished", j.Name)
+		}
+		if j.Members[0].Proc.Running() {
+			running++
+		}
+	}
+	if running != 1 {
+		return fmt.Sprintf("%d of 2 ranks running", running)
+	}
+	if !c.Nodes[0].Disk.Busy() {
+		return "no transfer in flight"
+	}
+	return ""
+}
+
+// stepToPaging starts the scheduler and fires events one at a time until
+// the node is mid-paging (see notPaging), where each corruption test
+// corrupts.
+func stepToPaging(t testing.TB, c *cluster.Cluster) {
+	t.Helper()
+	c.Scheduler().Start()
+	for notPaging(c) != "" {
+		if !c.Eng.Step() {
+			t.Fatalf("engine drained before the node paged: %s", notPaging(c))
+		}
+	}
+}
+
+// requirePaging fails the test unless the node is still mid-paging.
+func requirePaging(t testing.TB, c *cluster.Cluster) {
+	t.Helper()
+	if why := notPaging(c); why != "" {
+		t.Fatalf("node not mid-paging before the corruption: %s", why)
+	}
 }
 
 // step drives the engine until it has executed n logical events (the
@@ -138,11 +187,11 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			// Oracle mode: every Check is a full sweep, so per-page laws see
 			// corruptions that never touch a shadow aggregate.
 			a := New(c, Config{CrossEvery: 1})
-			c.Scheduler().Start()
-			step(t, c, 400) // mid-run: pages resident, reclaim under way
+			stepToPaging(t, c)
 			if err := a.Check(); err != nil {
 				t.Fatalf("pre-corruption sweep failed: %v", err)
 			}
+			requirePaging(t, c)
 			tc.corrupt(t, c)
 			err := a.Check()
 			var v *Violation
@@ -201,8 +250,7 @@ func TestAuditCheckZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := makeCluster(t)
 			a := New(c, Config{CrossEvery: tc.crossEvery})
-			c.Scheduler().Start()
-			step(t, c, 400)
+			stepToPaging(t, c)
 			if err := a.Check(); err != nil { // warm-up sizes scratch buffers
 				t.Fatal(err)
 			}
@@ -304,11 +352,11 @@ func TestAuditDifferentialDetectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := makeCluster(t)
 			a := New(c, Config{CrossEvery: -1})
-			c.Scheduler().Start()
-			step(t, c, 400)
+			stepToPaging(t, c)
 			if err := a.Check(); err != nil {
 				t.Fatalf("pre-corruption check failed: %v", err)
 			}
+			requirePaging(t, c)
 			tc.corrupt(t, c)
 			c.Nodes[0].Acct.Touch()
 			err := a.Check()
@@ -333,11 +381,11 @@ func TestAuditDifferentialDetectsCorruption(t *testing.T) {
 func TestAuditSweepCatchesAcctDrift(t *testing.T) {
 	c := makeCluster(t)
 	a := New(c, Config{CrossEvery: -1})
-	c.Scheduler().Start()
-	step(t, c, 400)
+	stepToPaging(t, c)
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
+	requirePaging(t, c)
 	cnt := c.Nodes[0].Acct
 	if cnt.Dirty > 0 {
 		cnt.Dirty--

@@ -24,30 +24,82 @@ type foldRun struct {
 	logical, steps              uint64 // Engine.Executed and Engine.Steps
 	blocker                     uint64 // events the blocker chain fired
 	counted                     string // the engine-event series' exposition value
+	skipped                     int    // iterations the jobs' touch windows skipped
 }
 
-// runFoldCluster runs one node with two over-committed jobs, observability
-// fully on (events, metrics, spans, ledgers) and the auditor checking
-// after every logical event. Job "w" writes its whole image, so its first
-// iteration is demand-zero fills, and the node runs out of free frames
-// part way through: later fills meet the watermark and reclaim. It writes
-// the top two thirds first and then the whole image, so the fills of the
-// bottom third run on into resident pages: the chunk after the last of
-// them touches those too. Job "r" reads most of its image and never writes
-// it, so those pages stay clean and swap-less: the switch page-out drops
-// them, and "r" refaults them as demand-zero fills that the ledger books
-// as switch overhead.
+// foldJobs is the pair of jobs a fold cluster runs: each one's segments,
+// and whether its first iteration writes every page (InitWrite), plus the
+// footprint, iteration count and per-page cost they share.
+type foldJobs struct {
+	names      [2]string
+	segs       [2][]proc.Segment
+	initWrite  [2]bool
+	footprint  int
+	iterations int
+	touch      sim.Duration
+}
+
+// pagingJobs over-commit the fold cluster's memory (see runFoldCluster).
+var pagingJobs = foldJobs{
+	names: [2]string{"w", "r"},
+	segs: [2][]proc.Segment{{
+		{Offset: 500, Pages: 1000, Write: true, Passes: 1},
+		{Offset: 0, Pages: 1500, Write: true, Passes: 1},
+	}, {
+		{Offset: 0, Pages: 300, Write: true, Passes: 1},
+		{Offset: 300, Pages: 1200, Passes: 2},
+	}},
+	footprint: 1500, iterations: 3, touch: 10 * sim.Microsecond,
+}
+
+// residentJobs fit the fold cluster's memory together, and one 2 µs/page
+// iteration is about a tenth of a quantum, so each job's image stays
+// resident through many iterations of every quantum: those are the
+// windows that skip iterations. Job "i" writes its read-only matrix in its
+// first iteration (InitWrite), so iteration 0 differs from the rest.
+var residentJobs = foldJobs{
+	names: [2]string{"i", "s"},
+	segs: [2][]proc.Segment{{
+		{Offset: 0, Pages: 200, Write: true, Passes: 1},
+		{Offset: 200, Pages: 600, Passes: 2},
+	}, {
+		{Offset: 100, Pages: 500, Write: true, Passes: 2},
+		{Offset: 0, Pages: 800, Passes: 1},
+	}},
+	initWrite: [2]bool{true, false},
+	footprint: 800, iterations: 40, touch: 2 * sim.Microsecond,
+}
+
+// runFoldCluster runs one node with two jobs, observability fully on
+// (events, metrics, spans, ledgers) and the auditor checking after every
+// logical event.
+//
+// With pagingJobs, the two over-commit memory. Job "w" writes its whole
+// image, so its first iteration is demand-zero fills, and the node runs
+// out of free frames part way through: later fills meet the watermark and
+// reclaim. It writes the top two thirds first and then the whole image, so
+// the fills of the bottom third run on into resident pages: the chunk
+// after the last of them touches those too. Job "r" reads most of its
+// image and never writes it, so those pages stay clean and swap-less: the
+// switch page-out drops them, and "r" refaults them as demand-zero fills
+// that the ledger books as switch overhead. Each runs three iterations.
+//
+// With residentJobs, each runs 40 iterations, most of them resident
+// within a quantum, so touch windows cross iteration boundaries and skip
+// whole iterations.
 //
 // With bg set, the background writer starts a tenth of the way into each
 // quantum and cleans 100 pages every 2 ms, so its passes land while "w"
 // fills its image: each picks the youngest dirty pages, those the fills
 // just before it wrote, which only their own last-use stamps tell apart.
+// Among resident iterations, its passes clean pages the next iteration
+// dirties again.
 //
 // With blocked set, a no-op event fires every microsecond until the last
 // job finishes. It is always the queue's next event, so no touch window
 // can absorb a chunk or a fill: the run takes the one-event-per-step
 // schedule that fast-forwarding must reproduce (DESIGN §10b).
-func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
+func runFoldCluster(t *testing.T, jobs foldJobs, bg, blocked bool) foldRun {
 	t.Helper()
 	kcfg, opts := core.Config{}, gang.Options{}
 	if bg {
@@ -64,27 +116,15 @@ func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
 	tail := obs.NewRing(TraceTail)
 	setup := (&obs.Options{Sinks: []obs.Sink{sink, tail}, Metrics: true, Trace: true, Ledger: true}).Build()
 	c.EnableObservability(setup)
-	jobs := []struct {
-		name string
-		segs []proc.Segment
-	}{
-		{"w", []proc.Segment{
-			{Offset: 500, Pages: 1000, Write: true, Passes: 1},
-			{Offset: 0, Pages: 1500, Write: true, Passes: 1},
-		}},
-		{"r", []proc.Segment{
-			{Offset: 0, Pages: 300, Write: true, Passes: 1},
-			{Offset: 300, Pages: 1200, Passes: 2},
-		}},
-	}
-	for _, j := range jobs {
+	for i, name := range jobs.names {
 		beh := proc.Behavior{
-			FootprintPages: 1500,
-			Iterations:     3,
-			Segments:       j.segs,
-			TouchCost:      10 * sim.Microsecond,
+			FootprintPages: jobs.footprint,
+			Iterations:     jobs.iterations,
+			Segments:       jobs.segs[i],
+			TouchCost:      jobs.touch,
+			InitWrite:      jobs.initWrite[i],
 		}
-		if _, err := c.AddJob(cluster.JobSpec{Name: j.name, Behavior: beh, Quantum: 40 * sim.Millisecond}); err != nil {
+		if _, err := c.AddJob(cluster.JobSpec{Name: name, Behavior: beh, Quantum: 40 * sim.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,6 +169,9 @@ func runFoldCluster(t *testing.T, bg, blocked bool) foldRun {
 	run.events, run.prom = events.Bytes(), prom.Bytes()
 	run.counted = strings.TrimPrefix(string(engineEvents.Find(run.prom)), obs.MetricEngineEvents+" ")
 	run.logical, run.steps = c.Eng.Executed(), c.Eng.Steps()
+	for _, j := range c.Jobs() {
+		run.skipped += j.Members[0].Proc.Stats().SkippedIterations
+	}
 	return run
 }
 
@@ -140,20 +183,28 @@ var engineEvents = regexp.MustCompile(`(?m)^` + obs.MetricEngineEvents + ` .*$`)
 func promCount(n uint64) string { return strconv.FormatFloat(float64(n), 'g', -1, 64) }
 
 // TestFoldMatchesUnfolded pins touch-window fast-forwarding, demand-zero
-// fills included, against the schedule without it: every output of a
-// fully observed, audited run is byte-identical, and logical events match
-// exactly once the blocker's are taken out. It runs the cluster with the
-// default background writer and with one whose passes land among the
-// fills.
+// fills and skipped iterations included, against the schedule without it:
+// every output of a fully observed, audited run is byte-identical, and
+// logical events match exactly once the blocker's are taken out. It runs
+// the over-committed cluster with the default background writer and with
+// one whose passes land among the fills, and the resident cluster with
+// both, where the folded runs must skip iterations.
 func TestFoldMatchesUnfolded(t *testing.T) {
 	for _, bg := range []bool{false, true} {
-		t.Run(fmt.Sprintf("bg=%v", bg), func(t *testing.T) { checkFold(t, bg) })
+		t.Run(fmt.Sprintf("bg=%v", bg), func(t *testing.T) { checkFold(t, pagingJobs, bg) })
+	}
+	for _, bg := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resident,bg=%v", bg), func(t *testing.T) {
+			if free := checkFold(t, residentJobs, bg); free.skipped == 0 {
+				t.Error("no touch window skipped an iteration")
+			}
+		})
 	}
 }
 
-func checkFold(t *testing.T, bg bool) {
-	free := runFoldCluster(t, bg, false)
-	blocked := runFoldCluster(t, bg, true)
+func checkFold(t *testing.T, jobs foldJobs, bg bool) foldRun {
+	free := runFoldCluster(t, jobs, bg, false)
+	blocked := runFoldCluster(t, jobs, bg, true)
 	model := blocked.logical - blocked.blocker
 
 	if !bytes.Equal(free.result, blocked.result) {
@@ -184,5 +235,10 @@ func checkFold(t *testing.T, bg bool) {
 	if free.steps*10 > model {
 		t.Errorf("folded run took %d engine steps for %d model events, want at most a tenth", free.steps, model)
 	}
-	t.Logf("model events %d, folded steps %d, blocker events %d", model, free.steps, blocked.blocker)
+	if blocked.skipped != 0 {
+		t.Errorf("blocked run skipped %d iterations", blocked.skipped)
+	}
+	t.Logf("model events %d, folded steps %d, blocker events %d, skipped iterations %d",
+		model, free.steps, blocked.blocker, free.skipped)
+	return free
 }

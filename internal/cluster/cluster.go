@@ -570,7 +570,10 @@ func (c *Cluster) Run(limit sim.Duration) error {
 // RunContext is Run with cooperative cancellation: the context is
 // checked at every engine-step boundary, and ctx.Err() is returned as
 // soon as it is non-nil, leaving the cluster in a consistent (if
-// unfinished) state that metrics collection can still read.
+// unfinished) state that metrics collection can still read. Each step
+// runs under the time limit as its stop (sim.Engine.StepUntil), so a run
+// cut short by the limit leaves the state the one-event-per-step schedule
+// leaves there; one cut short by ctx may have fast-forwarded past it.
 func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 	if c.sched == nil {
 		panic("cluster: Run before BuildScheduler")
@@ -586,14 +589,12 @@ func (c *Cluster) RunContext(ctx context.Context, limit sim.Duration) error {
 		if c.drain != nil {
 			c.drainRequests()
 		}
-		at, ok := c.Eng.NextEventTime()
-		if !ok {
+		if !c.Eng.StepUntil(deadline) {
+			if _, ok := c.Eng.NextEventTime(); ok {
+				return &TimeLimitError{Limit: limit, Progress: c.Progress()}
+			}
 			break
 		}
-		if at > deadline {
-			return &TimeLimitError{Limit: limit, Progress: c.Progress()}
-		}
-		c.Eng.Step()
 		if c.stepCheck != nil {
 			// Cadence is measured in logical events (sim.Engine.Executed),
 			// so a fast-forwarded touch run that collapses k events into

@@ -327,6 +327,43 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeLimitMatchesBlocked pins the run's deadline as a bound of every
+// touch window: a run cut short by its time limit reports the progress,
+// and leaves the compute time, of the one-event-per-chunk schedule, which
+// its blocked twin takes because a no-op event fires every microsecond.
+func TestTimeLimitMatchesBlocked(t *testing.T) {
+	const limit = 35 * sim.Millisecond // about three 10 ms iterations
+	run := func(blocked bool) (string, proc.Stats) {
+		c, _ := New(1, 1, tinyNode(), core.Orig, core.Config{})
+		j, err := c.AddJob(JobSpec{Name: "a", Behavior: smallBehavior(2000, 50), Quantum: sim.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.BuildScheduler(gang.Options{})
+		if blocked {
+			var tick func()
+			tick = func() {
+				if c.Eng.Now() < sim.Time(limit) {
+					c.Eng.ScheduleDetached(sim.Microsecond, tick)
+				}
+			}
+			c.Eng.ScheduleDetached(0, tick)
+		}
+		err = c.Run(limit)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("blocked=%v: err = %v, want timeout", blocked, err)
+		}
+		st := j.Members[0].Proc.Stats()
+		st.SkippedIterations = 0
+		return err.Error(), st
+	}
+	freeErr, free := run(false)
+	blockedErr, blocked := run(true)
+	if freeErr != blockedErr || free != blocked {
+		t.Fatalf("time-limited run:\nfolded   %s %+v\nunfolded %s %+v", freeErr, free, blockedErr, blocked)
+	}
+}
+
 func TestSwapExhaustionSurfacesAsError(t *testing.T) {
 	nc := tinyNode()
 	nc.SwapMB = 1 // 256 slots

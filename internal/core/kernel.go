@@ -67,6 +67,9 @@ type Kernel struct {
 
 	bgPID   int // process being background-written, 0 when inactive
 	bgTimer *sim.Event
+	// bgPassFn is bgPass bound once: each pass re-arms bgTimer with it, so
+	// a steady writer allocates nothing per pass.
+	bgPassFn func()
 
 	// obs, when non-nil, receives PrefaultBatch / BGWriteTick events and
 	// the page-out drain and prefault spans.
@@ -87,6 +90,7 @@ func NewKernel(eng *sim.Engine, v *vm.VM, features Features, cfg Config) *Kernel
 		records:  make(map[int]*PageRecord),
 		stopped:  make(map[int]bool),
 	}
+	k.bgPassFn = k.bgPass
 	prev := v.OnPageOut
 	v.OnPageOut = func(pid, word int, mask uint64) {
 		k.onPageOut(pid, word, mask)
@@ -292,11 +296,12 @@ func (k *Kernel) StartBGWrite(pid int) {
 	}
 	k.StopBGWrite()
 	k.bgPID = pid
-	k.scheduleBGPass()
+	k.bgTimer = k.eng.Schedule(k.cfg.BGWriteInterval, k.bgPassFn)
 }
 
 // StopBGWrite deactivates the daemon; the paper switches it off when the
-// actual job switch begins.
+// actual job switch begins. Its pending pass is cancelled, so it never
+// fires.
 func (k *Kernel) StopBGWrite() {
 	if k.bgTimer != nil {
 		k.bgTimer.Cancel()
@@ -310,28 +315,25 @@ func (k *Kernel) BGWriteActive() (pid int, active bool) {
 	return k.bgPID, k.bgPID != 0
 }
 
-func (k *Kernel) scheduleBGPass() {
-	k.bgTimer = k.eng.Schedule(k.cfg.BGWriteInterval, func() {
-		pid := k.bgPID
-		if pid == 0 {
-			return
-		}
-		if k.vm.Process(pid) != nil {
-			if n := k.vm.WriteBackDirty(pid, k.cfg.BGWriteBatch, disk.Background); n > 0 {
-				k.stats.BGWritePasses++
-				if k.obs != nil {
-					k.obs.Bus.Emit(obs.Event{
-						T:     k.eng.Now(),
-						Kind:  obs.KindBGWriteTick,
-						Node:  k.obs.Node,
-						PID:   pid,
-						Pages: n,
-					})
-				}
+// bgPass is one background-writer wake-up: it queues a batch of the
+// process's dirty pages and re-arms its own event, bgTimer, for the next.
+func (k *Kernel) bgPass() {
+	pid := k.bgPID
+	if k.vm.Process(pid) != nil {
+		if n := k.vm.WriteBackDirty(pid, k.cfg.BGWriteBatch, disk.Background); n > 0 {
+			k.stats.BGWritePasses++
+			if k.obs != nil {
+				k.obs.Bus.Emit(obs.Event{
+					T:     k.eng.Now(),
+					Kind:  obs.KindBGWriteTick,
+					Node:  k.obs.Node,
+					PID:   pid,
+					Pages: n,
+				})
 			}
 		}
-		k.scheduleBGPass()
-	})
+	}
+	k.eng.Rearm(k.bgTimer, k.cfg.BGWriteInterval)
 }
 
 // RecordLen reports the current page-record size for pid (testing and

@@ -299,6 +299,29 @@ func TestBGWriterFlushesDirtyPages(t *testing.T) {
 	}
 }
 
+// TestBGPassAllocFree pins a steady background writer at zero
+// allocations per pass: the pass is bound once and re-arms its own event,
+// and the write-back it queues uses pooled records.
+func TestBGPassAllocFree(t *testing.T) {
+	r := newRig(t, 4096, SOAOBG)
+	r.vm.NewProcess(1, 1024)
+	r.touchAll(t, 1, 1024, true)
+	r.k.StartBGWrite(1)
+	interval := DefaultConfig().BGWriteInterval
+	r.eng.RunFor(2 * interval) // sizes the pools
+	before := r.k.Stats().BGWritePasses
+	allocs := testing.AllocsPerRun(50, func() {
+		r.vm.TouchResident(1, 0, 1024, true) // dirty again for the next pass
+		r.eng.RunFor(interval)
+	})
+	if passes := r.k.Stats().BGWritePasses - before; passes < 50 {
+		t.Fatalf("%d passes wrote back, want one per interval", passes)
+	}
+	if allocs != 0 {
+		t.Fatalf("a background-writer pass allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestBGWriterDisabledFeature(t *testing.T) {
 	r := newRig(t, 64, SO)
 	r.vm.NewProcess(1, 10)

@@ -57,24 +57,7 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	if nodes < 1 || gangs < 1 {
 		return ScaleResult{}, fmt.Errorf("expt: scale study wants positive nodes and gangs, got %d/%d", nodes, gangs)
 	}
-	s := runSpec{
-		study: "scale", label: fmt.Sprintf("%dx%d", nodes, gangs),
-		nodes: nodes, node: cluster.DefaultNodeConfig(), features: core.SOAOAIBG,
-		sched: gang.Options{Mode: gang.Gang, BGWriteFraction: cfg.BGWriteFraction},
-	}
-	// Size memory so the resident gang plus prefetch headroom fit but the
-	// full job set does not: the adaptive mechanisms stay on the critical
-	// path without the run degenerating into a pure thrash test.
-	s.node.MemoryMB = 64
-	beh := scaleBehavior()
-	for i := 0; i < gangs; i++ {
-		s.jobs = append(s.jobs, cluster.JobSpec{
-			Name:       fmt.Sprintf("gang-%03d", i),
-			Behavior:   beh,
-			Quantum:    100 * sim.Millisecond,
-			PassWSHint: true,
-		})
-	}
+	s := cfg.scale(nodes, gangs)
 	cl, err := cfg.build(s)
 	if err != nil {
 		return ScaleResult{}, err
@@ -104,4 +87,28 @@ func ScaleStudy(cfg Config, nodes, gangs int) (ScaleResult, error) {
 	}
 	res.MeanGangSec = sum / float64(gangs)
 	return res, nil
+}
+
+// scale describes the scale study's one run: `gangs` copies of
+// scaleBehavior, each spanning all `nodes` 64 MB machines.
+func (c Config) scale(nodes, gangs int) runSpec {
+	s := runSpec{
+		study: "scale", label: fmt.Sprintf("%dx%d", nodes, gangs),
+		nodes: nodes, node: cluster.DefaultNodeConfig(), features: core.SOAOAIBG,
+		sched: gang.Options{Mode: gang.Gang, BGWriteFraction: c.BGWriteFraction},
+	}
+	// Size memory so the resident gang plus prefetch headroom fit but the
+	// full job set does not: the adaptive mechanisms stay on the critical
+	// path without the run degenerating into a pure thrash test.
+	s.node.MemoryMB = 64
+	beh := scaleBehavior()
+	for i := 0; i < gangs; i++ {
+		s.jobs = append(s.jobs, cluster.JobSpec{
+			Name:       fmt.Sprintf("gang-%03d", i),
+			Behavior:   beh,
+			Quantum:    100 * sim.Millisecond,
+			PassWSHint: true,
+		})
+	}
+	return s
 }

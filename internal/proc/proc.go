@@ -133,8 +133,13 @@ type Stats struct {
 	ComputeTime    sim.Duration
 	BarrierWaits   int64
 	IterationsDone int
-	StartedAt      sim.Time
-	FinishedAt     sim.Time
+	// SkippedIterations counts the iterations, among IterationsDone, that
+	// a touch window charged without touching because the next iteration's
+	// touches overwrite theirs (DESIGN §10b). The one-event-per-chunk
+	// schedule skips none; nothing else differs.
+	SkippedIterations int
+	StartedAt         sim.Time
+	FinishedAt        sim.Time
 }
 
 // Process executes a Behavior against a VM under external start/stop
@@ -202,6 +207,12 @@ type Process struct {
 	// stepTouch); credited to the engine's logical event count when that
 	// resume fires.
 	ffCollapsed int
+
+	// iterCost and iterChunks are one resident iteration's compute time and
+	// chunk count, which a window that skips the iteration charges
+	// (iterWork); zero until first needed.
+	iterCost   sim.Duration
+	iterChunks int
 }
 
 // New creates a process engine for pid, whose address space must already
@@ -410,15 +421,16 @@ func (p *Process) stepTouch() bool {
 	// Touch-run fast-forwarding: charge as many chunks as provably behave
 	// exactly like the one-event-per-chunk schedule, then block on a single
 	// merged resume. A chunk beyond the first may be folded in only when the
-	// resume that would have fired it is the queue's next event — no queued
-	// event has an earlier timestamp (or the same timestamp, where the
-	// earlier-scheduled event's smaller seq makes it fire first). Then no
-	// policy decision, reclaim, stop, crash or audit-bearing step can run
-	// inside the window: residency cannot change, no RNG is drawn, and the
-	// merged resume at the window's end is indistinguishable from the last
-	// chunk's. Touches are stamped with the per-chunk times (and costs are
-	// rounded per chunk) so frame ages and ComputeTime match the un-collapsed
-	// schedule bit for bit.
+	// resume that would have fired it falls before the engine's Horizon: no
+	// queued event has an earlier timestamp (or the same timestamp, where the
+	// earlier-scheduled event's smaller seq makes it fire first), and the
+	// caller driving the engine does not stop before it (StepUntil's bound). Then no policy
+	// decision, reclaim, stop, crash, audit-bearing step or caller between
+	// engine calls can act inside the window: residency cannot change, no
+	// RNG is drawn, and the merged resume at the window's end is
+	// indistinguishable from the last chunk's. Touches are stamped with the
+	// per-chunk times (and costs are rounded per chunk) so frame ages and
+	// ComputeTime match the un-collapsed schedule bit for bit.
 	//
 	// A non-resident page ends the window (the merged resume, or at the
 	// window's start this call, faults it through the normal path) unless
@@ -430,16 +442,27 @@ func (p *Process) stepTouch() bool {
 	// categories. Fills reserve and record fault spans, so they fold only
 	// in a solo window, one that is all that is left of its event: no
 	// other work of the event can then come between them and the
-	// un-collapsed schedule's trap and finish events. The window also ends
-	// at the end of the touch phase. The folded event count — every chunk
-	// resume and fill finish but the last event — is credited via
-	// Engine.CountCollapsed when the merged resume fires (DESIGN §10b).
+	// un-collapsed schedule's trap and finish events.
+	//
+	// The window ends at the end of the touch phase unless it may cross the
+	// iteration boundary (crossing): then it ends the iteration itself and
+	// runs on. Once it has touched one whole iteration, so the image is
+	// resident, it skips each iteration whose successor also ends before
+	// the horizon: the successor sets the same bits, overwrites every stamp
+	// and counts what the skipped one would have. The folded event count —
+	// every chunk resume (skipped ones included) and fill finish but the
+	// last event — is credited via Engine.CountCollapsed when the merged
+	// resume fires (DESIGN §10b).
 	now := p.eng.Now()
-	nextT, hasNext := p.eng.NextEventTime()
+	horizon, bounded := p.eng.Horizon()
 	write := seg.Write || (p.beh.InitWrite && p.iter == 0)
 	p.led.Transition(now, obs.CatCompute)
 	var total sim.Duration
 	chunks, fills := 0, 0
+	// whole is set while the window has touched the current iteration from
+	// its start; resident once it has touched one whole iteration.
+	whole := p.segIdx == 0 && p.pass == 0 && p.cursor == seg.Offset
+	resident := false
 	for {
 		max := end - p.cursor
 		if max > p.ChunkPages {
@@ -449,7 +472,7 @@ func (p *Process) stepTouch() bool {
 		if run == 0 {
 			if p.solo {
 				c := p.chunkCost(1)
-				if n, switched, d := p.v.FoldZeroFill(p.as, p.cursor, end-p.cursor, write, now.Add(total), c, nextT, hasNext); n > 0 {
+				if n, switched, d := p.v.FoldZeroFill(p.as, p.cursor, end-p.cursor, write, now.Add(total), c, horizon, bounded); n > 0 {
 					p.led.Defer(obs.CatFault, sim.Duration(n-switched)*d)
 					p.led.Defer(obs.CatSwitch, sim.Duration(switched)*d)
 					fills += n
@@ -475,13 +498,13 @@ func (p *Process) stepTouch() bool {
 		cost := p.chunkCost(run)
 		p.stats.ComputeTime += cost
 		total += cost
-		if hasNext && nextT <= now.Add(total) {
-			break // an external event interleaves before the resume
+		if bounded && horizon <= now.Add(total) {
+			break // an external event or the caller's stop comes first
 		}
 		// The resume at now+total would fire next: fast-forward through the
 		// free boundary steps it would take, stopping at the phase end (the
 		// merged resume performs the phase switch, as the last chunk's
-		// resume does today).
+		// resume does today) unless the window may cross it.
 		stay := true
 		for p.cursor >= end {
 			p.pass++
@@ -500,9 +523,27 @@ func (p *Process) stepTouch() bool {
 			}
 			p.segIdx = 0
 			p.cursor = p.beh.Segments[0].Offset
-			p.ph = phaseIterCompute
-			stay = false
-			break
+			if !p.crossing() {
+				p.ph = phaseIterCompute
+				stay = false
+				break
+			}
+			p.endIteration()
+			resident = resident || whole
+			whole = true
+			if resident {
+				cost, n := p.iterWork()
+				for p.iter+1 < p.beh.Iterations && (!bounded || now.Add(total+2*cost) < horizon) {
+					p.stats.ComputeTime += cost
+					p.stats.SkippedIterations++
+					total += cost
+					chunks += n
+					p.endIteration()
+				}
+			}
+			seg = p.beh.Segments[0]
+			end = seg.Offset + seg.Pages
+			write = seg.Write || (p.beh.InitWrite && p.iter == 0)
 		}
 		if !stay {
 			break
@@ -512,6 +553,31 @@ func (p *Process) stepTouch() bool {
 	p.block()
 	p.eng.ScheduleDetached(total, p.soloFn)
 	return true
+}
+
+// crossing reports whether a touch window may run on through the end of
+// the current iteration: the window is solo, the boundary schedules
+// nothing (no per-iteration compute, no barrier) and draws nothing (no
+// jitter), and another iteration follows.
+func (p *Process) crossing() bool {
+	return p.solo && p.beh.ComputePerIter == 0 && !p.beh.SyncEveryIter &&
+		p.beh.Jitter <= 0 && p.iter+1 < p.beh.Iterations
+}
+
+// iterWork reports one whole resident iteration's compute time and chunk
+// count, as a touch window charges them: every segment pass cut into
+// ChunkPages chunks, each chunk's cost rounded alone. It is computed on
+// first use, for a process whose iterations all cost the same.
+func (p *Process) iterWork() (sim.Duration, int) {
+	if p.iterChunks == 0 {
+		for _, s := range p.beh.Segments {
+			for left := s.Pages; left > 0; left -= p.ChunkPages {
+				p.iterCost += sim.Duration(s.Passes) * p.chunkCost(min(left, p.ChunkPages))
+				p.iterChunks += s.Passes
+			}
+		}
+	}
+	return p.iterCost, p.iterChunks
 }
 
 // chunkCost is the compute cost of one chunk that touches run pages,

@@ -309,3 +309,59 @@ func TestMemoryPressureSlowsCompletion(t *testing.T) {
 		t.Fatalf("tight memory (%v) not >> ample (%v)", tight, ample)
 	}
 }
+
+// stoppedRun is what runStoppedBetweenRunFor leaves behind.
+type stoppedRun struct {
+	stats   Stats
+	iter    int
+	vm      vm.Stats
+	dirty   int
+	drained sim.Time
+}
+
+// runStoppedBetweenRunFor runs a 20,000-page writer for 500 ms, stops it
+// between RunFor calls and drains the engine: the chunk in flight at the
+// stop completes and the process idles. With blocked set, a no-op event
+// fires every microsecond until the stop, so no touch window absorbs a
+// chunk: the one-event-per-chunk schedule.
+func runStoppedBetweenRunFor(t *testing.T, blocked bool) stoppedRun {
+	const pages = 20000
+	r := newRig(t, pages+64)
+	r.vm.NewProcess(1, pages)
+	p := New(r.eng, r.vm, 1, simpleBehavior(pages, 10), nil, nil)
+	stop := sim.Time(0).Add(500 * sim.Millisecond)
+	if blocked {
+		var tick func()
+		tick = func() {
+			if r.eng.Now() < stop {
+				r.eng.ScheduleDetached(sim.Microsecond, tick)
+			}
+		}
+		r.eng.ScheduleDetached(0, tick)
+	}
+	p.Start()
+	r.eng.RunFor(500 * sim.Millisecond)
+	p.Stop()
+	r.eng.Run()
+	if p.Done() {
+		t.Fatalf("blocked=%v: finished before the stop", blocked)
+	}
+	st := p.Stats()
+	if blocked && st.SkippedIterations != 0 {
+		t.Fatalf("blocked run skipped %d iterations", st.SkippedIterations)
+	}
+	st.SkippedIterations = 0
+	return stoppedRun{st, p.Iteration(), r.vm.Stats(), r.vm.DirtyPages(1), r.eng.Now()}
+}
+
+// TestStopBetweenRunForMatchesBlocked pins the caller's stop as a bound
+// of every touch window: a caller that stops the process between RunFor
+// calls finds it where the one-event-per-chunk schedule leaves it, with
+// the same compute time, iteration and page state.
+func TestStopBetweenRunForMatchesBlocked(t *testing.T) {
+	free, blocked := runStoppedBetweenRunFor(t, false), runStoppedBetweenRunFor(t, true)
+	if free != blocked {
+		t.Fatalf("stopped between RunFor calls:\nfolded   %+v\nunfolded %+v", free, blocked)
+	}
+	t.Logf("%+v", free)
+}

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
+
+// never is later than any time a run reaches: the stop of an engine that
+// no caller bounds.
+const never Time = math.MaxInt64
 
 // Event is a scheduled callback. Events are created by Engine.Schedule and
 // Engine.At; holding the returned pointer allows cancellation.
@@ -77,6 +82,10 @@ type Engine struct {
 	nRun  uint64     // logical events executed (collapsed runs included)
 	nStep uint64     // events physically fired
 
+	// stop is the last time the current caller fires events at: StepUntil's
+	// bound while its event runs, never otherwise (see Horizon).
+	stop Time
+
 	free []*Event // recycled detached events
 
 	// Calendar queue state (see the comment on bucketShift).
@@ -102,7 +111,7 @@ type Engine struct {
 // seeded with seed. All model randomness must come from Engine.Rand so runs
 // are reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed}
+	return &Engine{seed: seed, stop: never}
 }
 
 // Now reports the current simulated time.
@@ -196,6 +205,22 @@ func (e *Engine) AtDetached(t Time, fn func()) {
 	} else {
 		ev = &Event{at: t, seq: e.seq, fn: fn, detached: true}
 	}
+	e.enqueue(ev)
+}
+
+// Rearm queues ev, an event that has fired, to fire again after delay
+// with the same callback. It takes the next sequence number, as Schedule
+// would, and can be cancelled again. A periodic callback that re-arms its
+// own event allocates nothing per period.
+func (e *Engine) Rearm(ev *Event, delay Duration) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: Rearm with negative delay %v at %v", delay, e.now))
+	}
+	if !ev.fired || ev.detached {
+		panic("sim: Rearm of an event that has not fired")
+	}
+	e.seq++
+	ev.at, ev.seq, ev.fired, ev.eng = e.now.Add(delay), e.seq, false, e
 	e.enqueue(ev)
 }
 
@@ -445,6 +470,21 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// StepUntil fires the next event if it is due at or before t, and reports
+// whether it did. While the event runs, Horizon stops at t, so work the
+// event fast-forwards ends where the caller stops: a caller that acts once
+// StepUntil reports false sees the state the one-event-per-step schedule
+// leaves there.
+func (e *Engine) StepUntil(t Time) bool {
+	if ev := e.peek(); ev == nil || ev.at > t {
+		return false
+	}
+	e.stop = t
+	e.Step()
+	e.stop = never
+	return true
+}
+
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
@@ -455,12 +495,7 @@ func (e *Engine) Run() {
 // exactly t. Events scheduled beyond t remain queued. The peeked head is
 // cached, so the Step that consumes it does not rescan the queue.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
-		e.Step()
+	for e.StepUntil(t) {
 	}
 	if t > e.now {
 		e.now = t
@@ -478,4 +513,17 @@ func (e *Engine) NextEventTime() (Time, bool) {
 		return 0, false
 	}
 	return ev.at, true
+}
+
+// Horizon bounds what the running event may fast-forward: an event that
+// would fire at h or later would not fire next, because a queued event
+// fires first (ties go to the earlier-scheduled) or the caller stops
+// before h. h is the queue's next event time or just past StepUntil's
+// bound, whichever is earlier; bounded is false when neither exists.
+func (e *Engine) Horizon() (h Time, bounded bool) {
+	h, bounded = e.NextEventTime()
+	if e.stop != never && (!bounded || e.stop < h) {
+		return e.stop + 1, true
+	}
+	return h, bounded
 }

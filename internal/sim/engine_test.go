@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -177,6 +178,73 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := e.NextEventTime(); ok {
 		t.Fatal("cancelled event still reported as next")
 	}
+}
+
+// TestHorizonStopsWhereTheCallerStops pins what an event may fast-forward
+// through: up to the queue's next event, and no further than just past
+// StepUntil's bound while that bound's event runs.
+func TestHorizonStopsWhereTheCallerStops(t *testing.T) {
+	e := NewEngine(1)
+	type seen struct {
+		h       Time
+		bounded bool
+	}
+	var got []seen
+	probe := func() {
+		h, ok := e.Horizon()
+		got = append(got, seen{h, ok})
+	}
+	e.Schedule(10, probe)
+	e.Schedule(10, probe)
+	e.Schedule(50, probe)
+	e.RunUntil(20) // the tie at 10 bounds the first; the stop at 20 the second
+	e.Step()       // no caller bound: only the queue, now empty
+	e.Schedule(5, probe)
+	e.RunFor(100) // at 55; the stop at 150 bounds it
+	want := []seen{{10, true}, {21, true}, {0, false}, {151, true}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("horizons %v, want %v", got, want)
+	}
+	if h, ok := e.Horizon(); ok {
+		t.Fatalf("idle engine reports horizon %v", h)
+	}
+	if e.StepUntil(never) {
+		t.Fatal("StepUntil fired on an empty queue")
+	}
+}
+
+// TestRearmReusesTheEvent pins Rearm: a fired event fires again with its
+// callback after the delay, in (at, seq) order as if newly scheduled, and
+// can be cancelled again.
+func TestRearmReusesTheEvent(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	var ev *Event
+	ev = e.Schedule(5, func() {
+		order = append(order, fmt.Sprint("tick@", int64(e.Now())))
+		if e.Now() < 15 {
+			e.Rearm(ev, 5)
+		}
+	})
+	e.Schedule(10, func() { order = append(order, "other@10") })
+	e.Run()
+	if want := "[tick@5 other@10 tick@10 tick@15]"; fmt.Sprint(order) != want {
+		t.Fatalf("fired %v, want %s", order, want)
+	}
+	e.Rearm(ev, 1)
+	if !ev.Pending() || !ev.Cancel() {
+		t.Fatal("a re-armed event is not pending or cannot be cancelled")
+	}
+	e.Run()
+	if len(order) != 4 {
+		t.Fatalf("cancelled re-arm fired: %v", order)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rearm of a pending event did not panic")
+		}
+	}()
+	e.Rearm(e.Schedule(1, func() {}), 1)
 }
 
 func TestExecutedCountsOnlyFired(t *testing.T) {

@@ -37,14 +37,22 @@ func (q *refQueue) Pop() any {
 }
 
 // FuzzEngineOrder interprets the input as a script of (op, arg, arg) triples
-// — schedule, schedule-detached, cancel, run-until — executed against both
-// the Engine and the reference heap, and asserts identical firing order,
-// firing clocks, pending counts and executed totals.
+// — schedule, schedule-detached, cancel, run-until, and re-arm of a fired
+// handle (a schedule op with bit 6 set) — executed against both the Engine
+// and the reference heap, and asserts identical firing order, firing
+// clocks, pending counts and executed totals. A re-armed handle fires
+// again as a new id, and cancelling the handle cancels that firing.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 0, 0, 10, 3, 0, 255})
 	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 0, 0, 3, 255, 255})
 	f.Add([]byte{128, 255, 255, 0, 0, 1, 129, 200, 0, 3, 255, 255, 2, 1, 0})
 	f.Add([]byte{0, 0, 5, 2, 0, 0, 2, 0, 0, 1, 0, 7, 3, 0, 20})
+	// Re-arm: a fired handle re-armed once and twice, among ties, then
+	// cancelled while re-armed.
+	f.Add([]byte{0, 0, 5, 0, 0, 5, 3, 0, 5, 64, 0, 5, 1, 0, 5, 3, 0, 10, 64, 1, 0, 64, 0, 0, 3, 0, 0})
+	f.Add([]byte{0, 0, 1, 3, 0, 1, 64, 0, 3, 2, 0, 0, 64, 0, 3, 3, 0, 10, 64, 0, 3, 3, 0, 10})
+	// Re-arm deep into the spill tier, crossing rotations.
+	f.Add([]byte{0, 0, 2, 3, 0, 2, 192, 255, 255, 0, 0, 9, 3, 255, 255, 192, 1, 0, 3, 255, 255})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine(1)
 		var q refQueue
@@ -55,8 +63,13 @@ func FuzzEngineOrder(f *testing.F) {
 		var got, want []rec
 		alive := make(map[int]bool)     // scheduled, not yet fired or cancelled
 		cancelled := make(map[int]bool) // lazily skipped by the reference pop
-		handles := make(map[int]*Event)
-		var handleIDs []int
+		// A handle is one cancellable event and the id of its latest
+		// scheduling, which a re-arm renews.
+		type handle struct {
+			ev *Event
+			id int
+		}
+		var handles []*handle
 		seq := uint64(0)
 		nextID := 0
 		refNow := Time(0)
@@ -89,14 +102,31 @@ func FuzzEngineOrder(f *testing.F) {
 				delay *= 64 // up to ~4.2 s: deep into the spill tier
 			}
 			switch op % 4 {
-			case 0: // cancellable schedule
+			case 0:
+				if op&64 != 0 { // re-arm a handle that has fired
+					if len(handles) == 0 {
+						continue
+					}
+					h := handles[int(a)%len(handles)]
+					if alive[h.id] || cancelled[h.id] {
+						continue
+					}
+					seq++
+					h.id = nextID
+					nextID++
+					e.Rearm(h.ev, delay)
+					alive[h.id] = true
+					heap.Push(&q, &refEvent{at: refNow.Add(delay), seq: seq, id: h.id})
+					continue
+				}
+				// cancellable schedule
 				seq++
-				id := nextID
+				h := &handle{id: nextID}
 				nextID++
-				handles[id] = e.Schedule(delay, record(id))
-				handleIDs = append(handleIDs, id)
-				alive[id] = true
-				heap.Push(&q, &refEvent{at: refNow.Add(delay), seq: seq, id: id})
+				h.ev = e.Schedule(delay, func() { got = append(got, rec{h.id, e.Now()}) })
+				handles = append(handles, h)
+				alive[h.id] = true
+				heap.Push(&q, &refEvent{at: refNow.Add(delay), seq: seq, id: h.id})
 			case 1: // detached schedule (free-list path, not cancellable)
 				seq++
 				id := nextID
@@ -105,17 +135,17 @@ func FuzzEngineOrder(f *testing.F) {
 				alive[id] = true
 				heap.Push(&q, &refEvent{at: refNow.Add(delay), seq: seq, id: id})
 			case 2: // cancel an arbitrary earlier handle
-				if len(handleIDs) == 0 {
+				if len(handles) == 0 {
 					continue
 				}
-				id := handleIDs[int(a)%len(handleIDs)]
-				wantOK := alive[id]
-				if gotOK := handles[id].Cancel(); gotOK != wantOK {
-					t.Fatalf("Cancel(%d) = %v, reference says %v", id, gotOK, wantOK)
+				h := handles[int(a)%len(handles)]
+				wantOK := alive[h.id]
+				if gotOK := h.ev.Cancel(); gotOK != wantOK {
+					t.Fatalf("Cancel(%d) = %v, reference says %v", h.id, gotOK, wantOK)
 				}
 				if wantOK {
-					cancelled[id] = true
-					delete(alive, id)
+					cancelled[h.id] = true
+					delete(alive, h.id)
 				}
 			case 3: // run until refNow + delay
 				target := refNow.Add(delay)

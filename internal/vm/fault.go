@@ -222,7 +222,9 @@ func (v *VM) FoldZeroFill(as *AddressSpace, vpage, max int, write bool, at sim.T
 	stall := sim.Duration(n) * d
 	v.stats.FaultStall += stall
 	as.stats.FaultStall += stall
-	if v.obs != nil {
+	// Only the stall histogram and the tracer record fills: a run observed
+	// for its events alone (an audited run's tail ring) skips the loop.
+	if o := v.obs; o != nil && (o.FaultStall != nil || o.Tracer != nil) {
 		for i := range n {
 			t := at.Add(sim.Duration(i) * step)
 			span, parent := v.faultSpan()
@@ -292,9 +294,11 @@ func (as *AddressSpace) zeroRun(vp, max int) int {
 		k := bits.TrailingZeros64(held) // 64 - off or more: none held in the rest of the word
 		stop := k < 64-off
 		k = min(k, 64-off, end-hi)
-		for i, p := range as.wbPending[hi : hi+k] {
-			if p > 0 {
-				return hi + i - vp
+		if as.wbPages > 0 {
+			for i, p := range as.wbPending[hi : hi+k] {
+				if p > 0 {
+					return hi + i - vp
+				}
 			}
 		}
 		hi += k

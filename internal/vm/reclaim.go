@@ -653,6 +653,7 @@ func (v *VM) queueWriteBack(as *AddressSpace, vp int) {
 		panic(fmt.Sprintf("vm: write-back pending overflow on pid %d vpage %d", as.pid, vp))
 	}
 	as.wbPending[vp]++
+	as.wbPages++
 	v.wbPendingPages++
 	if v.acct != nil {
 		v.acct.WBQueued()
@@ -696,6 +697,7 @@ func (v *VM) completeWrite(as *AddressSpace, vp, n int) {
 		}
 		as.wbPending[vp+p]--
 	}
+	as.wbPages -= n
 	v.wbPendingPages -= n
 	for wi := vp >> 6; wi<<6 < end; wi++ {
 		as.onDisk[wi] |= wordMask(wi, vp, end)

@@ -139,6 +139,7 @@ type AddressSpace struct {
 	// write sets onDisk, so a crash that drops queued writes (Disk.Reset)
 	// cannot leave a page claiming a swap copy that never reached the device.
 	wbPending []uint16
+	wbPages   int // sum of wbPending: dropImage and zeroRun skip their walks at 0
 	region    swap.Region
 	resident  int  // settled pages
 	mapped    int  // pages holding a frame: settled plus in flight
@@ -282,6 +283,10 @@ func (as *AddressSpace) PageWords(wi int) (settled, inFlight, dirty uint64) {
 // PendingWrites reports how many queued write-backs target vpage's slot.
 // Audit accessor.
 func (as *AddressSpace) PendingWrites(vpage int) int { return int(as.wbPending[vpage]) }
+
+// PendingWriteBacks reports the queued-but-incomplete write-backs of the
+// whole image: the sum of PendingWrites over its pages.
+func (as *AddressSpace) PendingWriteBacks() int { return as.wbPages }
 
 // WriteCompleted reports whether a write-back of vpage has completed, i.e.
 // the slot's copy is valid even if the node crashes right now. Audit
@@ -775,11 +780,9 @@ func (v *VM) dropImage(as *AddressSpace) (mapped, res, inFl, dirtied, wb int) {
 		dirtied += bits.OnesCount64(settled & as.dirtyMap[wi])
 	}
 	v.phys.Release(mapped)
-	for vp, n := range as.wbPending {
-		if n > 0 {
-			wb += int(n)
-			as.wbPending[vp] = 0
-		}
+	if wb = as.wbPages; wb > 0 {
+		clear(as.wbPending)
+		as.wbPages = 0
 	}
 	clear(as.inFlight)
 	clear(as.settled)
@@ -901,9 +904,14 @@ func (v *VM) Validate() error {
 		if err := v.validateSpace(as); err != nil {
 			return err
 		}
+		own := 0
 		for _, n := range as.wbPending {
-			pending += int(n)
+			own += int(n)
 		}
+		if own != as.wbPages {
+			return fmt.Errorf("vm: pid %d write-back pending counter %d, pages say %d", as.pid, as.wbPages, own)
+		}
+		pending += own
 		mapped += as.mapped
 	}
 	if pending != v.wbPendingPages {

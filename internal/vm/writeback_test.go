@@ -146,6 +146,7 @@ func TestValidateChecksPageState(t *testing.T) {
 		{"referenced without a frame", func(as *AddressSpace) { setBit(as.ref, unmapped) }, "vpage 180 referenced"},
 		{"touched counter drift", func(as *AddressSpace) { as.touched++ }, "touched counter"},
 		{"mapped counter drift", func(as *AddressSpace) { as.mapped-- }, "mapped counter"},
+		{"pending write-back counter drift", func(as *AddressSpace) { as.wbPages++ }, "write-back pending counter"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
