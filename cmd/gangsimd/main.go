@@ -13,10 +13,10 @@
 //	curl -s 'localhost:8080/events?run=j000000&from=10m&to=20m&node=2'
 //
 // A run submitted with "events":true has its event history persisted to
-// the binary trace store (-store, default <dir>/store); /events?run= then
-// serves it as a bounded range query against the store's block index,
-// falling back to the result document's embedded events for runs that
-// predate the store.
+// the binary trace store (-store, default <dir>/store), and only there:
+// GET /jobs/{id} fills the events into the run's result document at read
+// time, and /events?run= serves a bounded range query against the
+// store's block index.
 //
 // Every accepted job is journaled (fsync'd) before the HTTP response, so
 // kill -9 loses nothing: restart with the same -dir and unfinished work

@@ -222,14 +222,12 @@ func (k *Kernel) AdaptivePageOut(inPID, outPID, wsPages int) int {
 	if tr != nil {
 		// The drain span stays open until the last dirty write-back this
 		// eviction pass queued reaches the device (closed via the VM's drain
-		// tracker); it is zero-width when every evicted page was clean.
+		// latch); it is zero-width when every evicted page was clean.
 		span := tr.Begin(k.eng.Now(), obs.SpanPageOutDrain, tr.Epoch(), k.obs.Node, "", outPID)
 		k.vm.BeginDrain(tr, span)
 	}
 	evicted := k.vm.ReclaimFrom(outPID, need)
-	if tr != nil {
-		k.vm.EndDrain(k.eng.Now())
-	}
+	k.vm.EndDrain(k.eng.Now())
 	k.stats.SwitchEvictions += int64(evicted)
 	return evicted
 }

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/gang"
 	"repro/internal/workload"
 )
 
@@ -30,34 +33,73 @@ type behaviour struct {
 	Seeks       int64  `json:"seeks"`
 	Switches    int64  `json:"switches"`
 	MakespanUS  int64  `json:"makespan_us"`
+	// Crashes and DiskErrors count injected faults (RunResult.Faults).
+	Crashes    int64 `json:"crashes,omitempty"`
+	DiskErrors int64 `json:"disk_errors,omitempty"`
+}
+
+// pinnedRun is one pinned run: a study's run and, for the fault-injected
+// run, the fault plan attached between build and run.
+type pinnedRun struct {
+	runSpec
+	faults string
 }
 
 // behaviourSpecs lists the pinned runs: the 15 experiments of Figure 7
-// (batch, orig and so/ao/ai/bg for each serial class B app) and a small
-// scale study, 96 gangs on two nodes, which over-commits memory and pages.
-func behaviourSpecs(c Config) []runSpec {
-	var specs []runSpec
-	for _, app := range workload.Apps() {
-		specs = append(specs, c.compared(workload.MustGet(app, workload.ClassB, 1))...)
+// (batch, orig and so/ao/ai/bg for each serial class B app); a small
+// scale study, 96 gangs on two nodes, which over-commits memory and pages;
+// one Figure 8 row, CG class B on two machines; the two-machine row of
+// Figure 9's policy ladder; and the serial LU pair under a disk error rate
+// and a node crash.
+func behaviourSpecs(c Config) []pinnedRun {
+	var runs []pinnedRun
+	add := func(faults string, specs ...runSpec) {
+		for _, s := range specs {
+			runs = append(runs, pinnedRun{s, faults})
+		}
 	}
-	return append(specs, c.scale(2, 96))
+	for _, app := range workload.Apps() {
+		add("", c.compared(workload.MustGet(app, workload.ClassB, 1))...)
+	}
+	add("", c.scale(2, 96))
+	add("", c.compared(workload.MustGet(workload.CG, workload.ClassB, 2))...)
+	lu2 := Figure9Setups()[1].Model
+	add("", c.pair(lu2, core.Orig, gang.Batch))
+	for _, combo := range core.PaperCombos() {
+		add("", c.pair(lu2, combo, gang.Gang))
+	}
+	const plan = "crash=n0@30s,downtime=2s;diskerr=0.003"
+	faulted := c.pair(workload.MustGet(workload.LU, workload.ClassB, 1), core.SOAOAIBG, gang.Gang)
+	faulted.label += " " + plan
+	add(plan, faulted)
+	return runs
 }
 
-// TestBehaviourPinned runs every pinned run through Config.build and
-// fails on any difference from testdata/behaviour.json. Physical engine
-// steps are logged, not pinned: fast-forwarding changes them by design.
-// With -update it rewrites the file instead.
+// TestBehaviourPinned runs every pinned run through Config.build, with
+// faults.Attach for the fault-injected one, and fails on any difference
+// from testdata/behaviour.json. Physical engine steps are logged, not
+// pinned: fast-forwarding changes them by design. With -update it
+// rewrites the file instead.
 func TestBehaviourPinned(t *testing.T) {
 	cfg := DefaultConfig()
 	specs := behaviourSpecs(cfg)
 	steps := make([]uint64, len(specs))
 	got, err := mapN(cfg, len(specs), func(i int) (behaviour, error) {
 		s := specs[i]
-		cl, err := cfg.build(s)
+		cl, err := cfg.build(s.runSpec)
 		if err != nil {
 			return behaviour{}, err
 		}
-		r, err := cfg.complete(s, cl)
+		if s.faults != "" {
+			plan, err := faults.ParsePlan(s.faults)
+			if err == nil {
+				_, err = faults.Attach(cl, plan, cfg.Seed)
+			}
+			if err != nil {
+				return behaviour{}, err
+			}
+		}
+		r, err := cfg.complete(s.runSpec, cl)
 		if err != nil {
 			return behaviour{}, err
 		}
@@ -67,6 +109,8 @@ func TestBehaviourPinned(t *testing.T) {
 			Events:     cl.Eng.Executed(),
 			Switches:   r.Switches,
 			MakespanUS: int64(r.Makespan),
+			Crashes:    r.Faults.Crashes,
+			DiskErrors: r.Faults.DiskErrors,
 		}
 		for _, n := range r.Nodes {
 			b.MajorFaults += n.MajorFaults

@@ -357,33 +357,6 @@ func (s *Scheduler) fitsWithNext(in *Job) bool {
 	return true
 }
 
-// epochTrack closes one switch-epoch span once every member's adaptive
-// page-in replay has landed. Completions may fire synchronously inside
-// AdaptivePageIn, so the span is only closed after arm() — zero-width
-// when no member had anything to prefetch.
-type epochTrack struct {
-	eng     *sim.Engine
-	tracer  *obs.Tracer
-	span    obs.SpanID
-	pending int
-	pages   int
-	armed   bool
-}
-
-func (e *epochTrack) complete() {
-	e.pending--
-	if e.armed && e.pending == 0 {
-		e.tracer.End(e.eng.Now(), e.span, e.pages)
-	}
-}
-
-func (e *epochTrack) arm() {
-	e.armed = true
-	if e.pending == 0 {
-		e.tracer.End(e.eng.Now(), e.span, e.pages)
-	}
-}
-
 // switchTo performs the coordinated context switch to jobs[next]. A
 // negative next stops scheduling.
 func (s *Scheduler) switchTo(next int) {
@@ -419,14 +392,17 @@ func (s *Scheduler) switchTo(next int) {
 
 	// Open the switch-epoch span: the causal root every drain, prefault and
 	// post-switch fault of this quantum parents to. It closes when the last
-	// member's page-in replay lands, but its ID stays valid as a parent for
-	// the rest of the quantum.
-	var et *epochTrack
+	// member's page-in replay lands (the latch is armed once every replay
+	// is issued), but its ID stays valid as a parent for the rest of the
+	// quantum.
+	var et *obs.Latch
+	var release func()
 	if o := s.opts.Obs; o != nil && o.Tracer != nil {
 		tr := o.Tracer
 		span := tr.Begin(s.eng.Now(), obs.SpanSwitchEpoch, 0, obs.ClusterScope, in.Name, 0)
 		tr.SetEpoch(span)
-		et = &epochTrack{eng: s.eng, tracer: tr, span: span}
+		et = obs.NewLatch(tr, span)
+		release = func() { et.Release(s.eng.Now()) }
 	}
 
 	// Stop the outgoing job on every node first (coordinated SIGSTOPs),
@@ -466,15 +442,8 @@ func (s *Scheduler) switchTo(next int) {
 		// The incoming job's page record is replayed even when no job is
 		// being de-scheduled (e.g. the previous job just exited): the
 		// record holds whatever was flushed while it was stopped.
-		var onDone func()
-		if et != nil {
-			et.pending++
-			onDone = et.complete
-		}
-		n := m.Kernel.AdaptivePageIn(inPID, outPID, in.WSHintPages, onDone)
-		if et != nil {
-			et.pages += n
-		}
+		et.Hold(1)
+		et.Add(m.Kernel.AdaptivePageIn(inPID, outPID, in.WSHintPages, release))
 		m.Proc.Start()
 		if in.finished {
 			// Starting this rank finished the job's last running rank (the
@@ -485,9 +454,7 @@ func (s *Scheduler) switchTo(next int) {
 		}
 	}
 	in.started = true
-	if et != nil {
-		et.arm()
-	}
+	et.Arm(s.eng.Now())
 	if in.finished {
 		return // the nested switch owns the quantum timers
 	}

@@ -350,6 +350,71 @@ func (t *Tracer) push(s cspan) {
 	t.dropped++
 }
 
+// Latch closes an open span after its last asynchronous completion: Hold
+// counts completions to come, Release retires one, and Arm marks the
+// synchronous part done. The span ends, with the pages added as its
+// payload, at the Release or Arm that leaves it armed with nothing held,
+// so a completion fired inside the holding call cannot end it early. A
+// nil *Latch does nothing.
+type Latch struct {
+	tracer      *Tracer
+	span        SpanID
+	held, pages int
+	armed       bool
+}
+
+// NewLatch returns a latch on the open span id (nil without a span).
+func NewLatch(t *Tracer, id SpanID) *Latch {
+	if t == nil || id == 0 {
+		return nil
+	}
+	return &Latch{tracer: t, span: id}
+}
+
+// Span returns the latched span, the parent of the work it waits for.
+func (l *Latch) Span() SpanID {
+	if l == nil {
+		return 0
+	}
+	return l.span
+}
+
+// Hold counts n more completions to wait for.
+func (l *Latch) Hold(n int) {
+	if l != nil {
+		l.held += n
+	}
+}
+
+// Add adds pages to the span's payload.
+func (l *Latch) Add(pages int) {
+	if l != nil {
+		l.pages += pages
+	}
+}
+
+// Release retires one completion at now.
+func (l *Latch) Release(now sim.Time) {
+	if l != nil {
+		l.held--
+		l.end(now)
+	}
+}
+
+// Arm marks the synchronous part done at now.
+func (l *Latch) Arm(now sim.Time) {
+	if l != nil {
+		l.armed = true
+		l.end(now)
+	}
+}
+
+func (l *Latch) end(now sim.Time) {
+	if l.armed && l.held == 0 {
+		l.tracer.End(now, l.span, l.pages)
+	}
+}
+
 // SetEpoch records the current switch-epoch span; subsequent faults
 // parent to it until the next switch.
 func (t *Tracer) SetEpoch(id SpanID) {

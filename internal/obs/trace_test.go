@@ -88,6 +88,44 @@ func TestTracerEndUnknownIgnored(t *testing.T) {
 	}
 }
 
+func TestLatchClosesAfterLastCompletion(t *testing.T) {
+	var nilLatch *Latch
+	if NewLatch(nil, 1) != nil || NewLatch(NewTracer(4), 0) != nil {
+		t.Fatal("latch on no span")
+	}
+	nilLatch.Hold(1)
+	nilLatch.Add(1)
+	nilLatch.Release(1)
+	nilLatch.Arm(1)
+	if nilLatch.Span() != 0 {
+		t.Fatal("nil latch has a span")
+	}
+
+	tr := NewTracer(4)
+	l := NewLatch(tr, tr.Begin(10, SpanPageOutDrain, 0, 0, "", 1))
+	l.Hold(2)
+	l.Add(8)
+	l.Release(12) // fired inside the holding call: must not close
+	if tr.Open() != 1 {
+		t.Fatal("span closed before Arm")
+	}
+	l.Arm(15)
+	l.Add(4)
+	if tr.Open() != 1 {
+		t.Fatal("span closed with a completion held")
+	}
+	l.Release(30)
+	if s := tr.Spans(); len(s) != 1 || s[0].Start != 10 || s[0].End != 30 || s[0].Pages != 12 {
+		t.Fatalf("latched span: %+v", s)
+	}
+
+	zero := NewLatch(tr, tr.Begin(40, SpanSwitchEpoch, 0, ClusterScope, "job", 0))
+	zero.Arm(40)
+	if s := tr.Spans(); len(s) != 2 || s[1].Duration() != 0 {
+		t.Fatalf("latch with nothing held: %+v", s)
+	}
+}
+
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 7; i++ {

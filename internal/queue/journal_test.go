@@ -3,11 +3,14 @@ package queue
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 )
 
 // buildJournal writes a journal with the given payloads and returns its
@@ -183,12 +186,93 @@ func TestJournalReopenAppendsAfterTornTail(t *testing.T) {
 	}
 }
 
+// cleanReplay is the state a clean replay of a checkpoint's records
+// yields, with leases reverted at now as Open reverts them, keyed by job
+// ID; ok is false when the records do not read back whole.
+func cleanReplay(rec RecoveredJournal, err error, now time.Time) (jobs map[string]Job, ok bool) {
+	if err != nil || rec.DroppedBytes != 0 {
+		return nil, false
+	}
+	jobs = map[string]Job{}
+	for _, payload := range rec.Records {
+		var e struct {
+			Jobs     []*Job `json:"jobs"`
+			Snapshot *struct {
+				Jobs []*Job `json:"jobs"`
+			} `json:"snapshot"`
+		}
+		if json.Unmarshal(payload, &e) != nil {
+			return nil, false
+		}
+		all := e.Jobs
+		if e.Snapshot != nil {
+			all = append(all, e.Snapshot.Jobs...)
+		}
+		if slices.Contains(all, nil) {
+			return nil, false
+		}
+		for _, j := range all {
+			if cur, seen := jobs[j.ID]; !seen || j.Version > cur.Version {
+				jobs[j.ID] = *j
+			}
+		}
+	}
+	for id, j := range jobs {
+		if j.State == StateLeased {
+			j.State, j.Worker = StatePending, ""
+			j.LeaseDeadline, j.NotBefore, j.UpdatedAt = time.Time{}, time.Time{}, now
+			j.Crashes++
+			j.Version++
+			jobs[id] = j
+		}
+	}
+	return jobs, true
+}
+
+// openAsCheckpoint opens data as a queue's checkpoint: Open must fail
+// with ErrCorrupt, or restore exactly the jobs a clean replay of its
+// records yields, never part of them.
+func openAsCheckpoint(t *testing.T, data []byte) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, checkpointName)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Skip()
+	}
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	rec, err := recoverJournal(path)
+	want, ok := cleanReplay(rec, err, now)
+	q, _, err := Open(Options{Dir: dir, NoSync: true, Clock: func() time.Time { return now }})
+	if !ok {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("checkpoint that does not read back whole: Open err %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("Open of a whole checkpoint: %v", err)
+	}
+	defer q.Close()
+	got := q.List()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d jobs, a clean replay yields %d", len(got), len(want))
+	}
+	for _, j := range got {
+		w, found := want[j.ID]
+		gb, gerr := json.Marshal(j)
+		wb, werr := json.Marshal(w)
+		if !found || gerr != nil || werr != nil || !bytes.Equal(gb, wb) {
+			t.Fatalf("restored job %s differs from a clean replay:\n%s\n%s", j.ID, gb, wb)
+		}
+	}
+}
+
 // FuzzJournalRecover feeds arbitrary bytes (seeded with valid, truncated
 // and bit-flipped journals) through recovery. Recovery must never panic,
 // must only return records that re-verify against their checksums at a
 // contiguous valid prefix (no partial-record resurrection), and must
 // account for every byte of the file as either recovered prefix or
-// dropped suffix.
+// dropped suffix. The same bytes opened as a checkpoint must restore
+// exactly what a clean replay yields, or fail with ErrCorrupt.
 func FuzzJournalRecover(f *testing.F) {
 	valid := buildJournal(f, []byte(`{"jobs":[{"id":"j000001","state":"pending","version":1}]}`),
 		[]byte(`{"jobs":[{"id":"j000001","state":"leased","version":2}]}`),
@@ -202,8 +286,11 @@ func FuzzJournalRecover(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(valid)/2] ^= 0x01
 	f.Add(flipped)
+	// A checkpoint in the older layout: every job in one snapshot record.
+	f.Add(buildJournal(f, []byte(`{"snapshot":{"nextSeq":2,"jobs":[{"id":"j000000","seq":0,"state":"done","version":3},{"id":"j000001","seq":1,"state":"leased","version":2}]}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		openAsCheckpoint(t, data)
 		path := filepath.Join(t.TempDir(), "j")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()

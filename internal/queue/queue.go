@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -201,16 +202,12 @@ const (
 	checkpointName = "queue.checkpoint"
 )
 
-// entry is one journal record: either a batch of job upserts or (in the
-// checkpoint file) a full snapshot.
+// entry is one journal or checkpoint record (a checkpoint holds one per
+// job): a batch of job upserts. Snapshot is the older checkpoint layout,
+// every job in one record, which Open still reads.
 type entry struct {
-	Jobs     []*Job    `json:"jobs,omitempty"`
-	Snapshot *snapshot `json:"snapshot,omitempty"`
-}
-
-type snapshot struct {
-	NextSeq uint64 `json:"nextSeq"`
-	Jobs    []*Job `json:"jobs"`
+	Jobs     []*Job `json:"jobs,omitempty"`
+	Snapshot *entry `json:"snapshot,omitempty"`
 }
 
 // Queue is the durable job queue. All methods are safe for concurrent use.
@@ -248,18 +245,20 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 		depths: make(map[State]int),
 	}
 
-	// Seed state from the checkpoint, when one exists and is intact.
+	// Seed state from the checkpoint. It is written whole and renamed into
+	// place, and the journal it absorbed was reset, so a checkpoint that
+	// does not read back whole is damage to report, not a tail to drop.
 	ckPath := filepath.Join(opts.Dir, checkpointName)
-	if rec, err := recoverJournal(ckPath); err == nil {
-		if snap := decodeSnapshot(rec.Records); snap != nil {
-			q.nextSeq = snap.NextSeq
-			for _, j := range snap.Jobs {
-				q.applyJob(j)
-			}
-			stats.FromCheckpoint = true
+	ck, err := recoverJournal(ckPath)
+	if err == nil {
+		_, err = q.replay(ck.Records)
+		if err == nil && ck.DroppedBytes > 0 {
+			err = fmt.Errorf("%w: %d bytes after the last whole record", ErrCorrupt, ck.DroppedBytes)
 		}
-	} else if !errors.Is(err, os.ErrNotExist) && !errors.Is(err, ErrCorrupt) {
-		return nil, stats, err
+		stats.FromCheckpoint = err == nil
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, stats, fmt.Errorf("queue: checkpoint %s: %w", ckPath, err)
 	}
 
 	// Replay the journal over it.
@@ -275,19 +274,11 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 	case err != nil:
 		return nil, stats, err
 	default:
-		for _, payload := range rec.Records {
-			var e entry
-			if err := json.Unmarshal(payload, &e); err != nil {
-				// A record that passed its CRC but does not decode was
-				// written by something else entirely; treat like corruption
-				// from here on.
-				break
-			}
-			for _, j := range e.Jobs {
-				q.applyJob(j)
-			}
-			stats.JournalRecords++
-		}
+		// A record that passed its CRC but does not decode was written by
+		// something else entirely; replay treats it like corruption from
+		// there on.
+		n, _ := q.replay(rec.Records)
+		stats.JournalRecords = int64(n)
 		stats.DroppedBytes = rec.DroppedBytes
 		stats.DroppedRecords = rec.DroppedRecords
 		if q.jnl, err = openJournal(jnlPath, rec.Tail, !opts.NoSync); err != nil {
@@ -327,16 +318,23 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 	return q, stats, nil
 }
 
-// decodeSnapshot extracts the snapshot from a checkpoint file's records.
-func decodeSnapshot(records [][]byte) *snapshot {
-	if len(records) != 1 {
-		return nil
+// replay applies journal or checkpoint records in order, stopping at the
+// first that does not decode, and reports how many it applied.
+func (q *Queue) replay(records [][]byte) (int, error) {
+	for i, payload := range records {
+		var e entry
+		err := json.Unmarshal(payload, &e)
+		if e.Snapshot != nil {
+			e.Jobs = append(e.Jobs, e.Snapshot.Jobs...)
+		}
+		if err != nil || slices.Contains(e.Jobs, nil) {
+			return i, fmt.Errorf("%w: record %d does not decode to jobs", ErrCorrupt, i)
+		}
+		for _, j := range e.Jobs {
+			q.applyJob(j)
+		}
 	}
-	var e entry
-	if json.Unmarshal(records[0], &e) != nil {
-		return nil
-	}
-	return e.Snapshot
+	return len(records), nil
 }
 
 // applyJob upserts a replayed job if it is newer than what we have.
@@ -776,11 +774,13 @@ func (q *Queue) Depths() map[State]int {
 	return out
 }
 
-// Checkpoint compacts the queue: the full state is written to a temporary
-// file, fsync'd, atomically renamed over the checkpoint, the directory
-// entry fsync'd, and the journal truncated back to a bare header. A crash
-// at any point leaves either the old (checkpoint, journal) pair or the new
-// checkpoint with a journal whose replay is idempotent over it.
+// Checkpoint compacts the queue: every job is written, one record each
+// in enqueue order, to a temporary file, which is fsync'd and atomically
+// renamed over the checkpoint; then the directory entry is fsync'd and the
+// journal truncated back to a bare header. No record grows with the number
+// of jobs. A crash at any point leaves either the old (checkpoint,
+// journal) pair or the new checkpoint with a journal whose replay is
+// idempotent over it.
 func (q *Queue) Checkpoint() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -791,25 +791,29 @@ func (q *Queue) Checkpoint() error {
 }
 
 func (q *Queue) checkpointLocked() error {
-	snap := snapshot{NextSeq: q.nextSeq, Jobs: make([]*Job, 0, len(q.jobs))}
+	jobs := make([]*Job, 0, len(q.jobs))
 	for _, j := range q.jobs {
-		snap.Jobs = append(snap.Jobs, j)
+		jobs = append(jobs, j)
 	}
-	sort.Slice(snap.Jobs, func(a, b int) bool { return snap.Jobs[a].Seq < snap.Jobs[b].Seq })
-	payload, err := json.Marshal(entry{Snapshot: &snap})
-	if err != nil {
-		return err
-	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Seq < jobs[b].Seq })
 	final := filepath.Join(q.opts.Dir, checkpointName)
 	tmp := final + ".tmp"
-	ck, err := createJournal(tmp, !q.opts.NoSync)
+	// One fsync at Close covers every record, not one per job.
+	ck, err := createJournal(tmp, false)
 	if err != nil {
 		return err
 	}
-	if err := ck.Append(payload); err != nil {
-		ck.Close()
-		return err
+	for _, j := range jobs {
+		payload, err := json.Marshal(entry{Jobs: []*Job{j}})
+		if err == nil {
+			err = ck.Append(payload)
+		}
+		if err != nil {
+			ck.Close()
+			return err
+		}
 	}
+	ck.sync = !q.opts.NoSync
 	if err := ck.Close(); err != nil {
 		return err
 	}

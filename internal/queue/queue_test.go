@@ -1,9 +1,13 @@
 package queue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -540,6 +544,133 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 			}
 			if len(events) != nEvents {
 				t.Errorf("refused op emitted %+v", events[nEvents:])
+			}
+		})
+	}
+}
+
+// checkpointed returns a queue directory whose checkpoint holds n jobs,
+// each completed with result, and whose journal is a bare header.
+func checkpointed(t *testing.T, n int, result json.RawMessage) string {
+	t.Helper()
+	dir := t.TempDir()
+	q, _ := openTest(t, dir, func(o *Options) { o.CheckpointEvery = -1; o.NoSync = true })
+	for i := 0; i < n; i++ {
+		j := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})[0]
+		mustLease(t, q, "w")
+		if err := q.Complete(j.ID, "w", result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	return dir
+}
+
+// TestCheckpointHoldsOneRecordPerJob checkpoints more result bytes than
+// one journal record may hold: each job is its own record, so the
+// checkpoint succeeds and reopens with every job.
+func TestCheckpointHoldsOneRecordPerJob(t *testing.T) {
+	result := json.RawMessage(`"` + strings.Repeat("r", 1<<20) + `"`)
+	dir := checkpointed(t, 20, result)
+	rec, err := recoverJournal(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 20 || rec.DroppedBytes != 0 {
+		t.Fatalf("checkpoint holds %d records and %d dropped bytes, want 20 and 0", len(rec.Records), rec.DroppedBytes)
+	}
+	q, stats := openTest(t, dir, nil)
+	if !stats.FromCheckpoint || stats.JournalRecords != 0 {
+		t.Fatalf("reopen stats: %+v", stats)
+	}
+	jobs := q.List()
+	if len(jobs) != 20 {
+		t.Fatalf("reopened with %d jobs, want 20", len(jobs))
+	}
+	for i, j := range jobs {
+		if j.Seq != uint64(i) || j.State != StateDone || !bytes.Equal(j.Result, result) {
+			t.Fatalf("job %d: seq %d, state %s, %d result bytes", i, j.Seq, j.State, len(j.Result))
+		}
+	}
+}
+
+// TestSnapshotCheckpointStillOpens opens a checkpoint in the older layout,
+// the whole state as one snapshot record: a waiting sweep parent with a
+// done, a backing-off and a leased child, and a pending run.
+func TestSnapshotCheckpointStillOpens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "snapshot.checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, stats := openTest(t, dir, nil)
+	if !stats.FromCheckpoint || stats.RevertedLeases != 1 {
+		t.Fatalf("open stats: %+v", stats)
+	}
+	want := []struct {
+		state    State
+		attempts int
+		crashes  int
+	}{{StateWaiting, 0, 0}, {StateDone, 0, 0}, {StatePending, 1, 0}, {StatePending, 0, 1}, {StatePending, 0, 0}}
+	jobs := q.List()
+	if len(jobs) != len(want) {
+		t.Fatalf("opened with %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, w := range want {
+		j := jobs[i]
+		if j.Seq != uint64(i) || j.State != w.state || j.Attempts != w.attempts || j.Crashes != w.crashes {
+			t.Fatalf("job %d: %+v, want %+v", i, j, w)
+		}
+	}
+	if got := string(jobs[1].Result); got != `{"label":"a","result":{"Makespan":1}}` {
+		t.Fatalf("done child result %s", got)
+	}
+	if got := q.Children(jobs[0].ID); len(got) != 3 {
+		t.Fatalf("sweep parent has %d children, want 3", len(got))
+	}
+	if nj := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1}); nj[0].Seq != 5 {
+		t.Fatalf("next seq %d, want 5", nj[0].Seq)
+	}
+}
+
+// TestDamagedCheckpointFailsOpen damages a checkpoint of five jobs: the
+// journal it absorbed is gone, so Open must fail naming the file rather
+// than start without those jobs.
+func TestDamagedCheckpointFailsOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped magic byte", func(b []byte) []byte { b[0] ^= 0x01; return b }},
+		{"flipped payload byte", func(b []byte) []byte { b[journalHeaderLen+recordHeaderLen+2] ^= 0x01; return b }},
+		{"torn last record", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"record that does not decode", func(b []byte) []byte {
+			return buildJournal(t, []byte(`{"jobs":[{"id":"j000000","version":1}]}`), []byte(`{"jobs":[null]}`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := checkpointed(t, 5, json.RawMessage(`"ok"`))
+			path := filepath.Join(dir, checkpointName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			q, _, err := Open(Options{Dir: dir})
+			if err == nil {
+				q.Close()
+				t.Fatalf("Open of a damaged checkpoint succeeded with %d jobs", len(q.List()))
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open: %v, want ErrCorrupt naming %s", err, path)
 			}
 		})
 	}

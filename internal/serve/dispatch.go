@@ -238,20 +238,13 @@ func (s *Server) reclaimLoop() {
 	}
 }
 
-// RunExec is the production executor: it decodes the job's runPayload,
-// builds the Spec, and runs the simulator under the dispatch context. The
-// result document is a pure function of the payload (every run is
-// deterministic under its seeds), which is what makes re-dispatch after a
-// crash idempotent.
-func RunExec(ctx context.Context, job queue.Job) (json.RawMessage, error) {
-	return runExec(ctx, job, nil)
-}
-
-// runExec is RunExec with an optional trace store. With a store, an
-// event-capturing run's history is persisted under the job ID before the
-// verdict lands, so a done job always has complete stored history; the
-// run-is-a-pure-function contract carries over because a re-dispatched
-// attempt resets its history before rewriting it.
+// runExec is the production executor: it decodes the job's runPayload,
+// builds the Spec, and runs the simulator under the dispatch context. An
+// event-capturing run writes its events to the trace store under the job
+// ID, and only there, before the verdict lands; GET /jobs/{id} fills them
+// into the result document. The result is a pure function of the payload,
+// and a re-dispatched attempt resets the stored history before rewriting
+// it, which is what makes re-dispatch after a crash idempotent.
 func runExec(ctx context.Context, job queue.Job, st *store.Store) (json.RawMessage, error) {
 	var p runPayload
 	if err := json.Unmarshal(job.Spec, &p); err != nil {
@@ -263,18 +256,15 @@ func runExec(ctx context.Context, job queue.Job, st *store.Store) (json.RawMessa
 	}
 	var sink *store.Sink
 	if p.Events {
-		spec.Observe = &obs.Options{KeepEvents: true}
-		if st != nil {
-			if err := st.Reset(job.ID); err != nil {
-				return nil, fmt.Errorf("resetting stored events: %w", err)
-			}
-			w, err := st.Writer(job.ID, store.WriterOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("opening event store: %w", err)
-			}
-			sink = store.NewSink(w)
-			spec.Observe.Sinks = []obs.Sink{sink}
+		if err := st.Reset(job.ID); err != nil {
+			return nil, fmt.Errorf("resetting stored events: %w", err)
 		}
+		w, err := st.Writer(job.ID, store.WriterOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("opening event store: %w", err)
+		}
+		sink = store.NewSink(w)
+		spec.Observe = &obs.Options{Sinks: []obs.Sink{sink}}
 	}
 	h, err := gangsched.RunDetailedContext(ctx, spec)
 	if sink != nil {
@@ -286,12 +276,5 @@ func runExec(ctx context.Context, job queue.Job, st *store.Store) (json.RawMessa
 	if err != nil {
 		return nil, err
 	}
-	doc := runDoc{Label: p.Label, Result: h.Result}
-	if p.Events {
-		doc.Events = h.Events
-		if doc.Events == nil {
-			doc.Events = []obs.Event{}
-		}
-	}
-	return json.Marshal(doc)
+	return json.Marshal(runDoc{Label: p.Label, Result: h.Result})
 }

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
+	gangsched "repro"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/queue"
+	"repro/internal/store"
 )
 
 // getRunEvents fetches /events?run=... with extra query params appended
@@ -52,51 +56,154 @@ func eventsJSONL(t *testing.T, events []obs.Event, filter func(obs.Event) bool) 
 	return buf.Bytes()
 }
 
-// doneRunDoc submits one event-capturing run, waits for it, and returns
-// the finished job plus its decoded result document.
-func doneRunDoc(t *testing.T, s *Server, events bool) (queue.Job, runDoc) {
+// directRun runs sc directly, as gangsim -events does, and returns its
+// result, its JSONL event log and the events parsed back from it.
+func directRun(t *testing.T, sc gangsched.SpecConfig) (metrics.RunResult, []byte, []obs.Event) {
+	t.Helper()
+	spec, err := sc.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	spec.Observe = &obs.Options{Sinks: []obs.Sink{sink}}
+	res, err := gangsched.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("run captured no events")
+	}
+	return res, buf.Bytes(), events
+}
+
+// doneRun submits one run of fastSpec(7) and waits for it to finish.
+func doneRun(t *testing.T, s *Server, events bool) queue.Job {
 	t.Helper()
 	resp := submit(t, s, submitRequest{Kind: "run", Spec: ptr(fastSpec(7)), Events: events})
 	job := waitTerminal(t, s.Queue(), resp.ID, 30*time.Second)
 	if job.State != queue.StateDone {
 		t.Fatalf("job %s: state %s, error %q", job.ID, job.State, job.Error)
 	}
-	var doc runDoc
-	if err := json.Unmarshal(job.Result, &doc); err != nil {
-		t.Fatal(err)
-	}
-	return job, doc
+	return job
 }
 
-// TestRunEventsStoreServed exercises the primary tier: an event-capturing
-// run's history lands in the binary trace store, and /events?run= serves
-// it as JSONL byte-identical to the embedded event log, honouring the
+// getResult fetches GET /jobs/{id} and returns its result field.
+func getResult(t *testing.T, s *Server, id string) json.RawMessage {
+	t.Helper()
+	resp, err := http.Get("http://" + s.Addr() + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET /jobs/%s: %d %s", id, resp.StatusCode, body)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	return view.Result
+}
+
+// TestGetFillsEventsFromStore keeps each run's events only in the trace
+// store: the queue's result documents hold none, and GET /jobs/{id} fills
+// them in, for a run and for every document in a sweep parent's
+// aggregate, byte-equal to the document of a direct run with its events.
+func TestGetFillsEventsFromStore(t *testing.T) {
+	s := start(t, testConfig(t, t.TempDir()))
+	defer s.Kill()
+
+	noEvents := func(j queue.Job) {
+		t.Helper()
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(j.Result, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := doc["events"]; ok {
+			t.Fatalf("queue stores job %s's events in its result", j.ID)
+		}
+	}
+	direct := func(label string, sc gangsched.SpecConfig) runDoc {
+		res, _, events := directRun(t, sc)
+		return runDoc{Label: label, Result: res, Events: events}
+	}
+
+	job := doneRun(t, s, true)
+	noEvents(job)
+	want, err := json.Marshal(direct("", fastSpec(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := getResult(t, s, job.ID); !bytes.Equal(got, want) {
+		t.Fatalf("GET result of an event-capturing run differs from a direct run:\ngot %d bytes\nwant %d bytes", len(got), len(want))
+	}
+
+	resp := submit(t, s, submitRequest{
+		Kind:   "sweep",
+		Specs:  []gangsched.SpecConfig{fastSpec(1), fastSpec(2)},
+		Labels: []string{"one", "two"},
+		Events: true,
+	})
+	parent := waitTerminal(t, s.Queue(), resp.ID, 30*time.Second)
+	if parent.State != queue.StateDone {
+		t.Fatalf("parent %s: %s (%s)", parent.ID, parent.State, parent.Error)
+	}
+	for _, c := range s.Queue().Children(parent.ID) {
+		noEvents(c)
+	}
+	want, err = json.Marshal([]runDoc{direct("one", fastSpec(1)), direct("two", fastSpec(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := getResult(t, s, parent.ID); !bytes.Equal(got, want) {
+		t.Fatalf("GET result of a sweep parent differs from direct runs:\ngot %d bytes\nwant %d bytes", len(got), len(want))
+	}
+
+	// A run without events is served as stored.
+	plain := doneRun(t, s, false)
+	if got := getResult(t, s, plain.ID); !bytes.Equal(got, plain.Result) {
+		t.Fatalf("GET result of a run without events:\n%s\nwant\n%s", got, plain.Result)
+	}
+}
+
+// TestRunEventsStoreServed covers /events?run=: an event-capturing run's
+// history lands in the binary trace store, and the endpoint serves it as
+// JSONL byte-identical to a direct run's event log, honouring the
 // from/to/node range parameters.
 func TestRunEventsStoreServed(t *testing.T) {
 	s := start(t, testConfig(t, t.TempDir()))
 	defer s.Kill()
 
-	job, doc := doneRunDoc(t, s, true)
-	if len(doc.Events) == 0 {
-		t.Fatal("run captured no events")
-	}
+	job := doneRun(t, s, true)
+	_, log, events := directRun(t, fastSpec(7))
 	if !s.store.Has(job.ID) {
-		t.Fatalf("store has no run %q: the store tier is not being exercised", job.ID)
+		t.Fatalf("store has no run %q", job.ID)
 	}
 
 	status, body := getRunEvents(t, s, job.ID, "")
 	if status != http.StatusOK {
 		t.Fatalf("GET /events?run=%s: %d %s", job.ID, status, body)
 	}
-	if want := eventsJSONL(t, doc.Events, nil); !bytes.Equal(body, want) {
-		t.Fatalf("store-served stream differs from embedded events:\ngot %d bytes\nwant %d bytes", len(body), len(want))
+	if !bytes.Equal(body, log) {
+		t.Fatalf("store-served stream differs from the direct run's log:\ngot %d bytes\nwant %d bytes", len(body), len(log))
 	}
 
 	// A bounded window with a node filter must match the same filter
-	// applied to the embedded log. Pick the window from the data so the
-	// filter is non-vacuous on both sides.
-	mid := doc.Events[len(doc.Events)/2].T
-	last := doc.Events[len(doc.Events)-1].T
+	// applied to the direct run's events. Pick the window from the data so
+	// the filter is non-vacuous on both sides.
+	mid := events[len(events)/2].T
+	last := events[len(events)-1].T
 	if !(mid > 0 && mid < last) {
 		t.Fatalf("degenerate event log: mid=%d last=%d", mid, last)
 	}
@@ -106,52 +213,19 @@ func TestRunEventsStoreServed(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("range query: %d %s", status, body)
 	}
-	want := eventsJSONL(t, doc.Events, func(ev obs.Event) bool {
+	want := eventsJSONL(t, events, func(ev obs.Event) bool {
 		return ev.T >= mid && ev.T < last && ev.Node == 0
 	})
 	if len(want) == 0 {
 		t.Fatal("range filter selected no events; widen the window")
 	}
 	if !bytes.Equal(body, want) {
-		t.Fatalf("ranged store stream differs from filtered embedded events:\ngot %d bytes\nwant %d bytes", len(body), len(want))
-	}
-}
-
-// TestRunEventsEmbeddedFallback covers runs the store has never seen
-// (custom executor): /events?run= falls back to the events embedded in
-// the result document, applying the same range semantics.
-func TestRunEventsEmbeddedFallback(t *testing.T) {
-	cfg := testConfig(t, t.TempDir())
-	cfg.Exec = RunExec // no store: events live only in the result document
-	s := start(t, cfg)
-	defer s.Kill()
-
-	job, doc := doneRunDoc(t, s, true)
-	if s.store.Has(job.ID) {
-		t.Fatalf("store unexpectedly has run %q: fallback not exercised", job.ID)
-	}
-
-	status, body := getRunEvents(t, s, job.ID, "")
-	if status != http.StatusOK {
-		t.Fatalf("GET /events?run=%s: %d %s", job.ID, status, body)
-	}
-	if want := eventsJSONL(t, doc.Events, nil); !bytes.Equal(body, want) {
-		t.Fatal("fallback stream differs from embedded events")
-	}
-
-	mid := doc.Events[len(doc.Events)/2].T
-	status, body = getRunEvents(t, s, job.ID, "to="+(time.Duration(mid)*time.Microsecond).String())
-	if status != http.StatusOK {
-		t.Fatalf("ranged fallback: %d %s", status, body)
-	}
-	want := eventsJSONL(t, doc.Events, func(ev obs.Event) bool { return ev.T < mid })
-	if !bytes.Equal(body, want) {
-		t.Fatal("ranged fallback stream differs from filtered embedded events")
+		t.Fatalf("ranged store stream differs from the filtered direct events:\ngot %d bytes\nwant %d bytes", len(body), len(want))
 	}
 }
 
 // TestRunEventsValidation rejects malformed range parameters before
-// touching either tier.
+// touching the store.
 func TestRunEventsValidation(t *testing.T) {
 	s := start(t, testConfig(t, t.TempDir()))
 	defer s.Kill()
@@ -170,17 +244,21 @@ func TestRunEventsValidation(t *testing.T) {
 	}
 }
 
-// TestRunEventsNotFound covers the 404 tiers: unknown run, unfinished
-// run, and a finished run submitted without events:true.
+// TestRunEventsNotFound covers the 404s: unknown run, unfinished run, and
+// a finished run submitted without events:true.
 func TestRunEventsNotFound(t *testing.T) {
 	block := make(chan struct{})
 	cfg := testConfig(t, t.TempDir())
+	st, err := store.Open(filepath.Join(cfg.Dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
 		}
-		return runExec(ctx, job, nil)
+		return runExec(ctx, job, st)
 	}
 	s := start(t, cfg)
 	defer s.Kill()
@@ -212,14 +290,14 @@ func TestRunEventsNotFound(t *testing.T) {
 	}
 }
 
-// TestRunEventsSurviveRestart is the durability half of the store tier: a
+// TestRunEventsSurviveRestart is the durability half of the store: a
 // run's event history outlives the process that captured it, because it
-// lives in segment files rather than the queue's result documents.
+// lives in segment files.
 func TestRunEventsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := start(t, testConfig(t, dir))
-	job, doc := doneRunDoc(t, s, true)
-	want := eventsJSONL(t, doc.Events, nil)
+	job := doneRun(t, s, true)
+	_, want, _ := directRun(t, fastSpec(7))
 	drain(t, s)
 
 	s2 := start(t, testConfig(t, dir))
@@ -232,6 +310,6 @@ func TestRunEventsSurviveRestart(t *testing.T) {
 		t.Fatalf("GET after restart: %d %s", status, body)
 	}
 	if !bytes.Equal(body, want) {
-		t.Fatal("store-served stream after restart differs from original embedded events")
+		t.Fatal("store-served stream after restart differs from the direct run's log")
 	}
 }

@@ -38,8 +38,8 @@ import (
 )
 
 // Exec runs one leased job to completion and returns its result document.
-// A nil Config.Exec uses RunExec (the real simulator); tests substitute
-// failing or sleeping executors.
+// A nil Config.Exec runs the simulator; tests substitute failing or
+// sleeping executors.
 type Exec func(ctx context.Context, job queue.Job) (json.RawMessage, error)
 
 // Config configures Start.
@@ -65,7 +65,7 @@ type Config struct {
 	Seed              int64
 	CrashAfterRecords int64
 
-	// Exec overrides the job executor (default RunExec).
+	// Exec overrides the job executor (default: the simulator).
 	Exec Exec
 	// Clock overrides wall time for the queue (tests).
 	Clock func() time.Time
@@ -130,8 +130,6 @@ func Start(cfg Config) (*Server, error) {
 		hub:          live.NewHub[queue.Event](1024),
 	}
 	if s.exec == nil {
-		// The default executor is RunExec persisting each event-capturing
-		// run's history to the trace store.
 		s.exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
 			return runExec(ctx, job, s.store)
 		}
@@ -367,8 +365,9 @@ func (s *Server) routes() http.Handler {
 //     paper's §4.3 policy matrix (batch baseline + policy ladder) as a
 //     sweep.
 //
-// Events embeds each run's observability event log in its result document
-// (and so in what /jobs/{id} returns).
+// Events captures each run's observability event log in the trace store;
+// GET /jobs/{id} serves it inside the run's result document and
+// /events?run= serves time and node windows of it.
 type submitRequest struct {
 	Kind   string                 `json:"kind,omitempty"`
 	Spec   *gangsched.SpecConfig  `json:"spec,omitempty"`
@@ -388,7 +387,8 @@ type runPayload struct {
 	Events bool                 `json:"events,omitempty"`
 }
 
-// runDoc is the result document of one "run" job.
+// runDoc is the result document of one "run" job. The queue stores it
+// without Events; GET /jobs/{id} fills them in from the trace store.
 type runDoc struct {
 	Label  string            `json:"label,omitempty"`
 	Result metrics.RunResult `json:"result"`
@@ -572,9 +572,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	var children []jobView
-	for _, c := range s.q.Children(j.ID) {
+	kids := s.q.Children(j.ID)
+	children := make([]jobView, 0, len(kids))
+	for _, c := range kids {
 		children = append(children, viewOf(c))
+	}
+	result, err := s.withEvents(j, kids)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("job %s events: %v", j.ID, err), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
@@ -582,7 +588,46 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		Spec     json.RawMessage `json:"spec,omitempty"`
 		Result   json.RawMessage `json:"result,omitempty"`
 		Children []jobView       `json:"children,omitempty"`
-	}{viewOf(j), j.Spec, j.Result, children})
+	}{viewOf(j), j.Spec, result, children})
+}
+
+// withEvents returns job j's result as GET /jobs/{id} serves it, with each
+// run's stored events filled in: a run's document, or a done parent's
+// aggregate of its children's documents (kids, as settleParent built it).
+func (s *Server) withEvents(j queue.Job, kids []queue.Job) (json.RawMessage, error) {
+	if j.State != queue.StateDone || len(kids) == 0 {
+		return s.runWithEvents(j)
+	}
+	parts := make([]json.RawMessage, len(kids))
+	for i, c := range kids {
+		var err error
+		if parts[i], err = s.runWithEvents(c); err != nil {
+			return nil, err
+		}
+	}
+	return json.Marshal(parts)
+}
+
+// runWithEvents fills done run j's stored events into its document.
+// RunResult holds no floats or maps, so decoding it, setting Events and
+// marshalling again gives the bytes of the document with its events
+// embedded; one that already embeds them is served as stored.
+func (s *Server) runWithEvents(j queue.Job) (json.RawMessage, error) {
+	var p runPayload
+	var doc runDoc
+	if j.State != queue.StateDone || json.Unmarshal(j.Spec, &p) != nil || !p.Events ||
+		json.Unmarshal(j.Result, &doc) != nil || doc.Events != nil {
+		return j.Result, nil
+	}
+	events, err := s.store.Events(store.Query{Run: j.ID})
+	if errors.Is(err, store.ErrNoRun) {
+		return j.Result, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	doc.Events = events
+	return json.Marshal(doc)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -653,61 +698,29 @@ func parseEventQuery(r *http.Request) (store.Query, error) {
 	return q, nil
 }
 
-// handleRunEvents serves one run's simulation event history as JSONL,
-// identical byte-for-byte to what gangsim -events writes for the same
-// spec. The primary tier is the trace store — the range query decodes
-// only the blocks covering the requested window — with the events
-// embedded in the run's result document as the in-memory fallback (runs
-// executed before the store existed, or by a custom executor).
+// handleRunEvents serves one run's simulation event history from the
+// trace store as JSONL, identical byte-for-byte to what gangsim -events
+// writes for the same spec; the range query decodes only the blocks
+// covering the requested window.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	q, err := parseEventQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.store != nil && s.store.Has(q.Run) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		jw := obs.NewJSONL(w)
-		if err := s.store.Scan(q, func(ev obs.Event) error {
-			jw.Emit(ev)
-			return jw.Err()
-		}); err != nil {
-			// Headers are out; all we can do is truncate and log.
-			s.logf("events %s: %v", q.Run, err)
-			return
-		}
-		if err := jw.Flush(); err != nil {
-			s.logf("events %s: %v", q.Run, err)
-		}
-		return
-	}
-	job, ok := s.q.Get(q.Run)
-	if !ok {
-		http.Error(w, "no such run", http.StatusNotFound)
-		return
-	}
-	if job.State != queue.StateDone || len(job.Result) == 0 {
-		http.Error(w, "run has not completed", http.StatusNotFound)
-		return
-	}
-	var doc runDoc
-	if err := json.Unmarshal(job.Result, &doc); err != nil || doc.Events == nil {
-		http.Error(w, "run captured no events (submit with \"events\":true)", http.StatusNotFound)
+	if !s.store.Has(q.Run) {
+		http.Error(w, fmt.Sprintf("run %q has no stored events: unknown, not started, or submitted without \"events\":true", q.Run), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	jw := obs.NewJSONL(w)
-	for _, ev := range doc.Events {
-		if ev.T < q.From || (q.To > 0 && ev.T >= q.To) {
-			continue
-		}
-		if q.Node != nil && ev.Node != *q.Node {
-			continue
-		}
+	if err := s.store.Scan(q, func(ev obs.Event) error {
 		jw.Emit(ev)
-		if jw.Err() != nil {
-			return
-		}
+		return jw.Err()
+	}); err != nil {
+		// Headers are out; all we can do is truncate and log.
+		s.logf("events %s: %v", q.Run, err)
+		return
 	}
 	if err := jw.Flush(); err != nil {
 		s.logf("events %s: %v", q.Run, err)

@@ -110,9 +110,17 @@ func TestSubmitRunCompletesWithRealResult(t *testing.T) {
 		t.Fatalf("job %s: state %s, error %q", job.ID, job.State, job.Error)
 	}
 
-	// The served result must be byte-identical to a direct execution of
-	// the same payload: the run is a pure function of its spec.
-	want, err := RunExec(context.Background(), job)
+	// The served result must be byte-identical to a direct run of the
+	// same spec: the run is a pure function of its spec.
+	spec, err := fastSpec(7).Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gangsched.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(runDoc{Result: res})
 	if err != nil {
 		t.Fatal(err)
 	}

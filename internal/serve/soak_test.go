@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
 	gangsched "repro"
 	"repro/internal/queue"
+	"repro/internal/store"
 )
 
 // soakSubmission is the workload every crash trial replays: a two-run
-// sweep with embedded event logs, so byte-comparing results also compares
-// the runs' observability streams.
+// sweep that captures its event logs, so the trials compare the runs'
+// stored observability streams as well as their results.
 func soakSubmission() submitRequest {
 	return submitRequest{
 		Kind:   "sweep",
@@ -52,12 +54,27 @@ func runSoakTrial(t *testing.T, dir string, crashAfter int64, parentID *string) 
 	}
 }
 
+// storedEvents returns run's event history from the trace store under
+// dir as JSONL.
+func storedEvents(t *testing.T, dir, run string) []byte {
+	t.Helper()
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Dump(run, &buf); err != nil {
+		t.Fatalf("stored events of %s: %v", run, err)
+	}
+	return buf.Bytes()
+}
+
 // TestCrashResumeSoak kills the service at every journal record boundary a
 // clean pass writes (enqueue, each lease, each completion, the finalize)
 // and restarts it, asserting the resumed run loses nothing, duplicates
-// nothing, and produces results — including the embedded per-run event
-// logs — byte-identical to an uninterrupted pass. Exhausting every
-// boundary subsumes sampling random ones.
+// nothing, and produces results and stored per-run event logs
+// byte-identical to an uninterrupted pass. Exhausting every boundary
+// subsumes sampling random ones.
 func TestCrashResumeSoak(t *testing.T) {
 	// Uninterrupted reference pass.
 	baseDir := t.TempDir()
@@ -115,7 +132,10 @@ func TestCrashResumeSoak(t *testing.T) {
 					t.Fatalf("child %s: %s (%s)", c.ID, c.State, c.Error)
 				}
 				if !bytes.Equal(c.Result, b.Result) {
-					t.Fatalf("child %s result (with event log) differs after crash-resume", c.ID)
+					t.Fatalf("child %s result differs after crash-resume", c.ID)
+				}
+				if !bytes.Equal(storedEvents(t, dir, c.ID), storedEvents(t, baseDir, b.ID)) {
+					t.Fatalf("child %s event log differs after crash-resume", c.ID)
 				}
 				if c.Attempts != 0 {
 					t.Fatalf("child %s consumed %d attempts from a crash (should be attempt-neutral)",

@@ -669,13 +669,9 @@ func (v *VM) submitWriteBack(as *AddressSpace, set []uint64, lo, hi, n int, prio
 	v.writeRuns = runs
 	b := v.getBatch()
 	b.as, b.write, b.drain = as, true, v.drain
-	var parent obs.SpanID
-	if d := v.drain; d != nil {
-		d.pending += len(runs)
-		d.pages += n
-		parent = d.span
-	}
-	v.submitRuns(b, runs, prio, parent)
+	v.drain.Hold(len(runs))
+	v.drain.Add(n)
+	v.submitRuns(b, runs, prio, v.drain.Span())
 }
 
 // completeWrite records that one write transaction, the n pages from vp,

@@ -356,7 +356,7 @@ type VM struct {
 	// synchronous switch-time page-out so the page-out-drain span can
 	// close when the last of them reaches the device. Bracketed by
 	// BeginDrain/EndDrain around the kernel's AdaptivePageOut work.
-	drain *drainTrack
+	drain *obs.Latch
 
 	stats Stats
 
@@ -450,9 +450,9 @@ func (v *VM) cutRuns(runs []pageRun, set []uint64, lo, hi int) []pageRun {
 type ioBatch struct {
 	as        *AddressSpace
 	write     bool
-	remaining int         // transfers not yet completed
-	onDone    func()      // a read's completion callback, fired after the last transfer
-	drain     *drainTrack // a write-back's page-out drain, told of every transfer
+	remaining int        // transfers not yet completed
+	onDone    func()     // a read's completion callback, fired after the last transfer
+	drain     *obs.Latch // a write-back's page-out drain, told of every transfer
 }
 
 // transfer is one disk request of a batch, moving one run of vpages. It
@@ -526,54 +526,23 @@ func (t *transfer) done(sim.Duration) {
 		*b = ioBatch{}
 		v.ioFree = append(v.ioFree, b)
 	}
-	if drain != nil {
-		drain.complete(v.eng.Now())
-	}
+	drain.Release(v.eng.Now())
 	if onDone != nil {
 		onDone()
-	}
-}
-
-// drainTrack follows one switch-time page-out drain: every write-back
-// request submitted while it is current counts as pending, and the span
-// closes when the last completes (or immediately at EndDrain if the
-// eviction queued no writes).
-type drainTrack struct {
-	tracer  *obs.Tracer
-	span    obs.SpanID
-	pending int
-	pages   int
-	armed   bool
-}
-
-func (d *drainTrack) complete(now sim.Time) {
-	d.pending--
-	if d.armed && d.pending == 0 {
-		d.tracer.End(now, d.span, d.pages)
 	}
 }
 
 // BeginDrain makes span the current page-out drain: write-backs submitted
 // until EndDrain parent to it and hold it open until they land.
 func (v *VM) BeginDrain(t *obs.Tracer, span obs.SpanID) {
-	if t == nil || span == 0 {
-		return
-	}
-	v.drain = &drainTrack{tracer: t, span: span}
+	v.drain = obs.NewLatch(t, span)
 }
 
 // EndDrain closes the synchronous part of the drain; the span ends now if
 // no write-back is outstanding, else when the last one completes.
 func (v *VM) EndDrain(now sim.Time) {
-	d := v.drain
-	if d == nil {
-		return
-	}
+	v.drain.Arm(now)
 	v.drain = nil
-	d.armed = true
-	if d.pending == 0 {
-		d.tracer.End(now, d.span, d.pages)
-	}
 }
 
 // New assembles a VM over the given physical memory, disk and swap space.

@@ -12,8 +12,12 @@
 # sweep captures the queue-event stream; after the daemon drains on SIGTERM
 # and exits 0, curl must have exited by itself (the event hub ended the
 # stream) and the capture must show every child enqueued, leased and
-# completed, and the sweep parent finalized. Each passing step prints one
-# ✓ line.
+# completed, and the sweep parent finalized. A last stage submits more
+# than 16 MiB of events, the cap on one queue record, as one sweep on a
+# fresh state dir: the parent must finalize, the drain must leave the
+# queue's journal and checkpoint under 1 MiB, and after a restart every
+# child's result and /events stream must still match the CLI goldens.
+# Each passing step prints one ✓ line.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +38,45 @@ $GO build -o "$workdir/gangsimd" ./cmd/gangsimd
 $GO build -o "$workdir/store" ./cmd/store
 echo "✓ binaries built"
 
+# start_daemon DIR boots gangsimd over the state dir DIR, logging to
+# DIR.log, and sets daemon_pid and addr.
+start_daemon() {
+    "$workdir/gangsimd" -addr 127.0.0.1:0 -dir "$1" -drain-grace 30s 2> "$1.log" &
+    daemon_pid=$!
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$1.log" | head -1)
+        [ -n "$addr" ] && return 0
+        kill -0 "$daemon_pid" 2>/dev/null || { echo "gangsimd died at startup:"; cat "$1.log"; exit 1; }
+        sleep 0.1
+    done
+    echo "gangsimd never reported its address"; cat "$1.log"; exit 1
+}
+
+# stop_daemon DIR sends SIGTERM and requires a clean drain: exit 0 and the
+# drain marker in DIR.log.
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    local rc=0
+    wait "$daemon_pid" || rc=$?
+    daemon_pid=""
+    [ "$rc" -eq 0 ] || { echo "gangsimd exited $rc on SIGTERM (want clean drain):"; cat "$1.log"; exit 1; }
+    grep -q drained "$1.log" || { echo "daemon log missing drain marker"; cat "$1.log"; exit 1; }
+}
+
+# wait_done JOB WHAT polls the job list until JOB is done, and fails if it
+# dead-letters or is still unfinished after a minute.
+wait_done() {
+    local state=""
+    for _ in $(seq 1 300); do
+        state=$(curl -sSf "http://$addr/jobs" | jq -r --arg id "$1" '.jobs[] | select(.id == $id) | .state')
+        [ "$state" = done ] && return 0
+        [ "$state" = dead ] && { echo "$2 dead-lettered:"; curl -s "http://$addr/jobs" | jq --arg id "$1" '.jobs[] | select(.id == $id)'; exit 1; }
+        sleep 0.2
+    done
+    echo "$2 stuck in state '$state'"; exit 1
+}
+
 spec() {
     cat <<EOF
 {"seed":$1,"nodes":1,"memoryMB":8,"policy":"so/ao/ai/bg","quantum":"1s","jobs":[
@@ -51,18 +94,7 @@ spec 22 > "$workdir/spec2.json"
 "$workdir/gangsim" -config "$workdir/spec2.json" -json | jq -S . > "$workdir/golden2.json"
 echo "✓ CLI goldens written"
 
-"$workdir/gangsimd" -addr 127.0.0.1:0 -dir "$workdir/state" -drain-grace 30s \
-    2> "$workdir/daemon.log" &
-daemon_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$workdir/daemon.log" | head -1)
-    [ -n "$addr" ] && break
-    kill -0 "$daemon_pid" 2>/dev/null || { echo "gangsimd died at startup:"; cat "$workdir/daemon.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "gangsimd never reported its address"; cat "$workdir/daemon.log"; exit 1; }
+start_daemon "$workdir/state"
 echo "✓ gangsimd listening on $addr"
 
 # Follow the queue-event stream from before the first submission until the
@@ -80,15 +112,7 @@ jq -n --slurpfile a "$workdir/spec1.json" --slurpfile b "$workdir/spec2.json" \
     '{kind:"sweep", specs:[$a[0], $b[0]]}' > "$workdir/submit.json"
 parent=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit.json" | jq -r .id)
 echo "✓ submitted sweep $parent"
-
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -sSf "http://$addr/jobs/$parent" | jq -r .state)
-    [ "$state" = done ] && break
-    [ "$state" = dead ] && { echo "sweep dead-lettered:"; curl -s "http://$addr/jobs/$parent" | jq .; exit 1; }
-    sleep 0.2
-done
-[ "$state" = done ] || { echo "sweep stuck in state '$state'"; exit 1; }
+wait_done "$parent" sweep
 echo "✓ sweep done"
 
 curl -sSf "http://$addr/jobs/$parent" | jq -S '.result[0].result' > "$workdir/served1.json"
@@ -106,14 +130,7 @@ echo "✓ served results match CLI goldens"
 jq -n --slurpfile s "$workdir/spec1.json" '{kind:"run", spec:$s[0], events:true}' > "$workdir/submit4.json"
 evjob=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit4.json" | jq -r .id)
 echo "✓ submitted event-capturing run $evjob"
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -sSf "http://$addr/jobs/$evjob" | jq -r .state)
-    [ "$state" = done ] && break
-    [ "$state" = dead ] && { echo "event run dead-lettered:"; curl -s "http://$addr/jobs/$evjob" | jq .; exit 1; }
-    sleep 0.2
-done
-[ "$state" = done ] || { echo "event run stuck in state '$state'"; exit 1; }
+wait_done "$evjob" "event run"
 
 curl -sSf "http://$addr/events?run=$evjob" > "$workdir/served.jsonl"
 cmp "$workdir/golden1.jsonl" "$workdir/served.jsonl" \
@@ -138,12 +155,7 @@ echo "✓ /metrics and /healthz answer"
 children=$(curl -sSf "http://$addr/jobs/$parent" | jq -r '.children[].id')
 [ "$(echo "$children" | wc -w)" -eq 2 ] || { echo "sweep has children '$children', want 2"; exit 1; }
 
-kill -TERM "$daemon_pid"
-rc=0
-wait "$daemon_pid" || rc=$?
-daemon_pid=""
-[ "$rc" -eq 0 ] || { echo "gangsimd exited $rc on SIGTERM (want clean drain):"; cat "$workdir/daemon.log"; exit 1; }
-grep -q drained "$workdir/daemon.log" || { echo "daemon log missing drain marker"; cat "$workdir/daemon.log"; exit 1; }
+stop_daemon "$workdir/state"
 echo "✓ SIGTERM drained cleanly (exit 0)"
 
 # The drain closes the event hub, which ends every /events stream: curl
@@ -172,3 +184,55 @@ for child in $children; do
 done
 has_event "$parent" finalized || { echo "/events lacks finalized for sweep $parent"; exit 1; }
 echo "✓ /events showed each child enqueued, leased and completed, and the sweep finalized"
+
+# More than 16 MiB of events: the five class B orig pairs of Figure 7 as
+# one event-capturing sweep (about 17 MB of JSONL). Each spec sets the
+# pair up as gangsim -app does: memory locked down to the model's
+# available size (AvailMB in internal/workload), a 5m quantum and
+# working-set hints; its CLI result must equal gangsim -app's.
+pairs=(LU:238 SP:400 CG:450 IS:380 MG:560)
+bytes=0
+for pair in "${pairs[@]}"; do
+    app=${pair%:*}
+    jq -n --arg app "$app" --argjson locked $((1024 - ${pair#*:})) \
+        '{seed:1, nodes:1, memoryMB:1024, lockedMB:$locked, policy:"orig", quantum:"5m",
+          jobs:[{name:"\($app)-1", app:$app, class:"B", hintWS:true},
+                {name:"\($app)-2", app:$app, class:"B", hintWS:true}]}' > "$workdir/$app.json"
+    "$workdir/gangsim" -config "$workdir/$app.json" -json -events "$workdir/$app.jsonl" | jq -S . > "$workdir/$app.golden.json"
+    "$workdir/gangsim" -app "$app" -class B -policy orig -json | jq -S . \
+        | diff -u "$workdir/$app.golden.json" - || { echo "$app spec differs from gangsim -app"; exit 1; }
+    bytes=$((bytes + $(stat -c %s "$workdir/$app.jsonl")))
+done
+[ "$bytes" -gt $((16 << 20)) ] || { echo "the pairs' events hold $bytes bytes, want over 16 MiB"; exit 1; }
+echo "✓ class B orig pair goldens written ($bytes bytes of events)"
+
+start_daemon "$workdir/big"
+jq -n '{kind:"sweep", events:true, specs:[inputs]}' \
+    "$workdir/LU.json" "$workdir/SP.json" "$workdir/CG.json" "$workdir/IS.json" "$workdir/MG.json" > "$workdir/submit_big.json"
+big=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit_big.json" | jq -r .id)
+echo "✓ submitted event-capturing sweep $big on a fresh state dir"
+wait_done "$big" "event-capturing sweep"
+echo "✓ parent done"
+mapfile -t kids < <(curl -sSf "http://$addr/jobs" | jq -r --arg id "$big" '.jobs[] | select(.parent == $id) | .id')
+[ "${#kids[@]}" -eq 5 ] || { echo "sweep has ${#kids[@]} children, want 5"; exit 1; }
+stop_daemon "$workdir/big"
+echo "✓ SIGTERM drained cleanly (exit 0)"
+qbytes=$(( $(stat -c %s "$workdir/big/queue.journal") + $(stat -c %s "$workdir/big/queue.checkpoint") ))
+[ "$qbytes" -lt $((1 << 20)) ] || { echo "queue journal and checkpoint hold $qbytes bytes, want under 1 MiB"; exit 1; }
+echo "✓ queue journal and checkpoint hold $qbytes bytes"
+
+start_daemon "$workdir/big"
+echo "✓ gangsimd restarted on $addr"
+for i in "${!kids[@]}"; do
+    app=${pairs[$i]%:*}
+    curl -sSf "http://$addr/jobs/${kids[$i]}" | jq -S .result.result \
+        | diff -u "$workdir/$app.golden.json" - || { echo "$app result differs from its CLI golden"; exit 1; }
+done
+echo "✓ every child's result matches its CLI golden"
+for i in "${!kids[@]}"; do
+    app=${pairs[$i]%:*}
+    curl -sSf "http://$addr/events?run=${kids[$i]}" | cmp "$workdir/$app.jsonl" - \
+        || { echo "$app /events stream differs from its CLI JSONL golden"; exit 1; }
+done
+echo "✓ every child's /events stream matches its CLI JSONL golden"
+stop_daemon "$workdir/big"
