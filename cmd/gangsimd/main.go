@@ -20,10 +20,13 @@
 //
 // Every accepted job is journaled (fsync'd) before the HTTP response, so
 // kill -9 loses nothing: restart with the same -dir and unfinished work
-// re-dispatches while finished runs keep their results. SIGINT/SIGTERM
-// drains gracefully — intake stops, in-flight runs get -drain-grace to
-// finish, leases are handed back, the journal is compacted — and a second
-// signal forces immediate exit.
+// re-dispatches while finished runs keep their results. Each of the
+// -workers holds the job it leased until the run's verdict: a lease has no
+// expiry, a panicking run or a result the journal cannot hold fails its
+// attempt at once, and only a dead process or a failing disk leaves a
+// lease unsettled, which the restart reverts without charging an attempt. SIGINT/SIGTERM drains gracefully — intake stops,
+// in-flight runs get -drain-grace to finish, leases are handed back, the
+// journal is compacted — and a second signal forces immediate exit.
 package main
 
 import (
@@ -44,7 +47,6 @@ func main() {
 		dir         = flag.String("dir", "gangsimd.state", "durable state directory (journal + checkpoint)")
 		workers     = flag.Int("workers", 0, "concurrent simulation runs (0 = one per CPU)")
 		maxAttempts = flag.Int("max-attempts", 0, "failed attempts before a job dead-letters (0 = default 5)")
-		leaseTTL    = flag.Duration("lease", 0, "lease TTL without heartbeat (0 = default 30s)")
 		retryBase   = flag.Duration("retry-base", 0, "base retry backoff (0 = default 500ms)")
 		retryCap    = flag.Duration("retry-cap", 0, "max retry backoff (0 = default 30s)")
 		ckEvery     = flag.Int("checkpoint-every", 0, "journal records between compactions (0 = default 1024)")
@@ -62,7 +64,6 @@ func main() {
 		Addr:            *addr,
 		Workers:         *workers,
 		MaxAttempts:     *maxAttempts,
-		LeaseTTL:        *leaseTTL,
 		RetryBase:       *retryBase,
 		RetryCap:        *retryCap,
 		CheckpointEvery: *ckEvery,

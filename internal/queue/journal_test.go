@@ -219,8 +219,7 @@ func cleanReplay(rec RecoveredJournal, err error, now time.Time) (jobs map[strin
 	}
 	for id, j := range jobs {
 		if j.State == StateLeased {
-			j.State, j.Worker = StatePending, ""
-			j.LeaseDeadline, j.NotBefore, j.UpdatedAt = time.Time{}, time.Time{}, now
+			j.State, j.NotBefore, j.UpdatedAt = StatePending, time.Time{}, now
 			j.Crashes++
 			j.Version++
 			jobs[id] = j
@@ -266,13 +265,60 @@ func openAsCheckpoint(t *testing.T, data []byte) {
 	}
 }
 
+// openAsJournal opens data as a queue's journal, enqueues one job and
+// opens the queue again: the second Open must list every job the first
+// listed, and the new one, whatever the first Open dropped.
+func openAsJournal(t *testing.T, data []byte) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
+		t.Skip()
+	}
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	opts := Options{Dir: dir, NoSync: true, Clock: func() time.Time { return now }}
+	q, _, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open of a journal: %v", err)
+	}
+	want := map[string]Job{}
+	for _, j := range q.List() {
+		want[j.ID] = j
+	}
+	added, err := q.Enqueue(NewJob{Kind: "run", ParentIndex: -1})
+	if err != nil {
+		t.Fatalf("Enqueue after Open: %v", err)
+	}
+	if _, taken := want[added[0].ID]; taken {
+		t.Fatalf("Enqueue reused the ID %s", added[0].ID)
+	}
+	want[added[0].ID] = *added[0]
+	q.Close()
+	q, _, err = Open(opts)
+	if err != nil {
+		t.Fatalf("second Open: %v", err)
+	}
+	defer q.Close()
+	got := q.List()
+	if len(got) != len(want) {
+		t.Fatalf("second Open lists %d jobs, want the first Open's and the new one: %d", len(got), len(want))
+	}
+	for _, j := range got {
+		w, found := want[j.ID]
+		gb, gerr := json.Marshal(j)
+		wb, werr := json.Marshal(w)
+		if !found || gerr != nil || werr != nil || !bytes.Equal(gb, wb) {
+			t.Fatalf("job %s after the second Open:\n%s\nwant\n%s", j.ID, gb, wb)
+		}
+	}
+}
+
 // FuzzJournalRecover feeds arbitrary bytes (seeded with valid, truncated
 // and bit-flipped journals) through recovery. Recovery must never panic,
 // must only return records that re-verify against their checksums at a
 // contiguous valid prefix (no partial-record resurrection), and must
 // account for every byte of the file as either recovered prefix or
 // dropped suffix. The same bytes opened as a checkpoint must restore
-// exactly what a clean replay yields, or fail with ErrCorrupt.
+// exactly what a clean replay yields, or fail with ErrCorrupt; opened as
+// a queue's journal, they must keep what a later enqueue appends.
 func FuzzJournalRecover(f *testing.F) {
 	valid := buildJournal(f, []byte(`{"jobs":[{"id":"j000001","state":"pending","version":1}]}`),
 		[]byte(`{"jobs":[{"id":"j000001","state":"leased","version":2}]}`),
@@ -288,9 +334,14 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(flipped)
 	// A checkpoint in the older layout: every job in one snapshot record.
 	f.Add(buildJournal(f, []byte(`{"snapshot":{"nextSeq":2,"jobs":[{"id":"j000000","seq":0,"state":"done","version":3},{"id":"j000001","seq":1,"state":"leased","version":2}]}}`)))
+	// An enqueue, then a record that passes its checksum but does not
+	// decode.
+	f.Add(buildJournal(f, []byte(`{"jobs":[{"id":"j000000","seq":0,"kind":"run","state":"pending","version":1}]}`),
+		[]byte(`{"jobs":"not a list"}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		openAsCheckpoint(t, data)
+		openAsJournal(t, data)
 		path := filepath.Join(t.TempDir(), "j")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()

@@ -21,8 +21,8 @@ const (
 	// StatePending jobs are ready (or backing off) and will be handed to
 	// the next Lease once NotBefore passes.
 	StatePending State = "pending"
-	// StateLeased jobs are owned by a worker until it completes, fails,
-	// releases, or lets the lease deadline expire.
+	// StateLeased jobs are held by the worker that leased them until it
+	// completes, fails or releases them, or until the process dies.
 	StateLeased State = "leased"
 	// StateWaiting jobs are never leased: they are aggregates (sweep
 	// parents) finalized explicitly once their children settle.
@@ -48,9 +48,8 @@ type Job struct {
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 
-	State    State  `json:"state"`
-	Worker   string `json:"worker,omitempty"`
-	Attempts int    `json:"attempts"` // failed attempts (Fail + lease expiry)
+	State    State `json:"state"`
+	Attempts int   `json:"attempts"` // failed attempts
 	// Crashes counts leases voided by queue recovery: the owning process
 	// died without failing the job, so the revert is attempt-neutral.
 	Crashes int    `json:"crashes,omitempty"`
@@ -65,8 +64,6 @@ type Job struct {
 	UpdatedAt  time.Time `json:"updatedAt"`
 	// NotBefore gates re-dispatch while a failed job backs off.
 	NotBefore time.Time `json:"notBefore,omitzero"`
-	// LeaseDeadline is when the current lease expires unless heartbeated.
-	LeaseDeadline time.Time `json:"leaseDeadline,omitzero"`
 }
 
 // Terminal reports whether the job can no longer change state.
@@ -93,7 +90,6 @@ type Event struct {
 	Job      string        `json:"job,omitempty"`
 	JobKind  string        `json:"jobKind,omitempty"`
 	Parent   string        `json:"parent,omitempty"`
-	Worker   string        `json:"worker,omitempty"`
 	State    State         `json:"state,omitempty"`
 	Attempts int           `json:"attempts,omitempty"`
 	Err      string        `json:"error,omitempty"`
@@ -108,7 +104,6 @@ const (
 	EvCompleted  = "completed"
 	EvFailed     = "failed"    // failed, will retry after backoff
 	EvDead       = "dead"      // failed terminally (dead letter)
-	EvReclaimed  = "reclaimed" // lease deadline expired, returned to pending
 	EvReleased   = "released"  // lease handed back gracefully (drain)
 	EvFinalized  = "finalized" // waiting aggregate resolved
 	EvRecovered  = "recovered" // queue reopened from disk
@@ -129,8 +124,6 @@ type Options struct {
 	// attempts (defaults 500ms and 30s).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// LeaseTTL is how long a lease lives without a heartbeat (default 30s).
-	LeaseTTL time.Duration
 	// CheckpointEvery compacts journal into checkpoint after this many
 	// records (default 1024; negative disables auto-compaction).
 	CheckpointEvery int
@@ -159,9 +152,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.RetryCap <= 0 {
 		o.RetryCap = 30 * time.Second
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 1024
@@ -193,7 +183,7 @@ type RecoveryStats struct {
 var (
 	ErrClosed    = errors.New("queue: closed")
 	ErrNotFound  = errors.New("queue: no such job")
-	ErrNotLeased = errors.New("queue: job not leased by this worker")
+	ErrNotLeased = errors.New("queue: job not leased")
 	ErrBadState  = errors.New("queue: operation invalid in this state")
 )
 
@@ -275,13 +265,17 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 		return nil, stats, err
 	default:
 		// A record that passed its CRC but does not decode was written by
-		// something else entirely; replay treats it like corruption from
-		// there on.
+		// something else entirely. It is dropped with every record after
+		// it, as a torn tail is, so that appends land where replay stops.
 		n, _ := q.replay(rec.Records)
+		tail := rec.Tail
+		for _, payload := range rec.Records[n:] {
+			tail -= recordHeaderLen + int64(len(payload))
+		}
 		stats.JournalRecords = int64(n)
-		stats.DroppedBytes = rec.DroppedBytes
-		stats.DroppedRecords = rec.DroppedRecords
-		if q.jnl, err = openJournal(jnlPath, rec.Tail, !opts.NoSync); err != nil {
+		stats.DroppedBytes = rec.DroppedBytes + rec.Tail - tail
+		stats.DroppedRecords = rec.DroppedRecords + int64(len(rec.Records)-n)
+		if q.jnl, err = openJournal(jnlPath, tail, !opts.NoSync); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -296,8 +290,6 @@ func Open(opts Options) (*Queue, RecoveryStats, error) {
 			q.depths[j.State]--
 			j.State = StatePending
 			q.depths[j.State]++
-			j.Worker = ""
-			j.LeaseDeadline = time.Time{}
 			j.NotBefore = time.Time{}
 			j.Crashes++
 			j.Version++
@@ -427,7 +419,6 @@ func (q *Queue) eventFor(kind string, j *Job) Event {
 		Job:      j.ID,
 		JobKind:  j.Kind,
 		Parent:   j.Parent,
-		Worker:   j.Worker,
 		State:    j.State,
 		Attempts: j.Attempts,
 		Err:      j.Error,
@@ -448,9 +439,18 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 	}
 	now := q.opts.Clock()
 	jobs := make([]*Job, len(batch))
+	seq := q.nextSeq
 	for i, nj := range batch {
+		// A journal this queue did not write may name a job apart from its
+		// Seq: skip an ID in use rather than overwrite that job.
+		id := fmt.Sprintf("j%06d", seq)
+		for q.jobs[id] != nil {
+			seq++
+			id = fmt.Sprintf("j%06d", seq)
+		}
 		j := &Job{
-			Seq:        q.nextSeq + uint64(i),
+			ID:         id,
+			Seq:        seq,
 			Kind:       nj.Kind,
 			Spec:       nj.Spec,
 			State:      StatePending,
@@ -458,7 +458,7 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 			EnqueuedAt: now,
 			UpdatedAt:  now,
 		}
-		j.ID = fmt.Sprintf("j%06d", j.Seq)
+		seq++
 		if nj.Waiting {
 			j.State = StateWaiting
 		}
@@ -473,7 +473,7 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 	if err := q.append(entry{Jobs: jobs}); err != nil {
 		return nil, err
 	}
-	q.nextSeq += uint64(len(jobs))
+	q.nextSeq = seq
 	out := make([]*Job, len(jobs))
 	for i, j := range jobs {
 		q.jobs[j.ID] = j
@@ -490,20 +490,18 @@ func (q *Queue) Enqueue(batch ...NewJob) ([]*Job, error) {
 	return out, nil
 }
 
-// Lease hands the oldest ready pending job to worker, stamping a lease
-// deadline of now+LeaseTTL. ok is false when nothing is ready; retryAt is
-// then the earliest NotBefore among backing-off jobs (zero when the queue
-// has no pending work at all).
-func (q *Queue) Lease(worker string) (job *Job, ok bool, retryAt time.Time, err error) {
+// Lease hands the oldest ready pending job to the caller, which holds it
+// until it calls Complete, Fail or Release, or until the process dies and
+// Open reverts it. ok is false when nothing is ready; retryAt is then the
+// earliest NotBefore among backing-off jobs (zero when the queue has no
+// pending work at all).
+func (q *Queue) Lease() (job *Job, ok bool, retryAt time.Time, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil, false, time.Time{}, ErrClosed
 	}
 	now := q.opts.Clock()
-	if _, err := q.reclaimLocked(now); err != nil {
-		return nil, false, time.Time{}, err
-	}
 	for q.ready.Len() > 0 {
 		head := q.ready[0]
 		if head.State != StatePending {
@@ -515,8 +513,6 @@ func (q *Queue) Lease(worker string) (job *Job, ok bool, retryAt time.Time, err 
 		}
 		next := *head
 		next.State = StateLeased
-		next.Worker = worker
-		next.LeaseDeadline = now.Add(q.opts.LeaseTTL)
 		next.NotBefore = time.Time{}
 		next.Version++
 		next.UpdatedAt = now
@@ -532,62 +528,46 @@ func (q *Queue) Lease(worker string) (job *Job, ok bool, retryAt time.Time, err 
 	return nil, false, time.Time{}, nil
 }
 
-// Heartbeat extends worker's lease on a job. Deadlines are in-memory only
-// (a restart voids every lease anyway), so heartbeats cost no journal I/O.
-func (q *Queue) Heartbeat(id, worker string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	if j.State != StateLeased || j.Worker != worker {
-		return ErrNotLeased
-	}
-	j.LeaseDeadline = q.opts.Clock().Add(q.opts.LeaseTTL)
-	return nil
-}
-
-// Complete marks worker's leased job done with the given result.
-func (q *Queue) Complete(id, worker string, result json.RawMessage) error {
-	return q.settle(id, worker, func(j *Job, now time.Time) string {
+// Complete marks a leased job done with the given result.
+func (q *Queue) Complete(id string, result json.RawMessage) error {
+	return q.settle(id, func(j *Job, now time.Time) string {
 		j.State = StateDone
 		j.Result = result
 		j.Error = ""
-		j.Worker = ""
-		j.LeaseDeadline = time.Time{}
 		return EvCompleted
 	})
 }
 
-// Fail records a failed attempt on worker's leased job: the job returns
-// to pending after an exponential, seeded-jitter backoff, or moves to the
+// Fail records a failed attempt on a leased job: the job returns to
+// pending after an exponential, seeded-jitter backoff, or moves to the
 // dead-letter state once MaxAttempts is exhausted.
-func (q *Queue) Fail(id, worker, cause string) error {
-	return q.settle(id, worker, func(j *Job, now time.Time) string {
-		return q.failLocked(j, now, cause)
+func (q *Queue) Fail(id, cause string) error {
+	return q.settle(id, func(j *Job, now time.Time) string {
+		j.Attempts++
+		j.Error = cause
+		if j.Attempts >= q.opts.MaxAttempts {
+			j.State = StateDead
+			return EvDead
+		}
+		j.State = StatePending
+		j.NotBefore = now.Add(q.backoff(j.Attempts))
+		return EvFailed
 	})
 }
 
-// Release hands worker's lease back without a verdict (graceful drain):
-// the job is immediately pending again and the attempt budget is
-// untouched.
-func (q *Queue) Release(id, worker string) error {
-	return q.settle(id, worker, func(j *Job, now time.Time) string {
+// Release hands a lease back without a verdict (graceful drain): the job
+// is immediately pending again and the attempt budget is untouched.
+func (q *Queue) Release(id string) error {
+	return q.settle(id, func(j *Job, now time.Time) string {
 		j.State = StatePending
-		j.Worker = ""
-		j.LeaseDeadline = time.Time{}
 		j.NotBefore = time.Time{}
 		return EvReleased
 	})
 }
 
-// settle is the shared leased-job transition: validate ownership, apply fn
-// to a copy, journal the copy, install it, emit.
-func (q *Queue) settle(id, worker string, fn func(j *Job, now time.Time) string) error {
+// settle is the shared leased-job transition: check the job is leased,
+// apply fn to a copy, journal the copy, install it, emit.
+func (q *Queue) settle(id string, fn func(j *Job, now time.Time) string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -597,7 +577,7 @@ func (q *Queue) settle(id, worker string, fn func(j *Job, now time.Time) string)
 	if !ok {
 		return ErrNotFound
 	}
-	if j.State != StateLeased || j.Worker != worker {
+	if j.State != StateLeased {
 		return ErrNotLeased
 	}
 	now := q.opts.Clock()
@@ -612,22 +592,6 @@ func (q *Queue) settle(id, worker string, fn func(j *Job, now time.Time) string)
 	q.compact()
 	q.emit(q.eventFor(kind, j))
 	return nil
-}
-
-// failLocked applies the retry/dead-letter policy to a copy of a leased
-// job.
-func (q *Queue) failLocked(j *Job, now time.Time, cause string) string {
-	j.Attempts++
-	j.Error = cause
-	j.Worker = ""
-	j.LeaseDeadline = time.Time{}
-	if j.Attempts >= q.opts.MaxAttempts {
-		j.State = StateDead
-		return EvDead
-	}
-	j.State = StatePending
-	j.NotBefore = now.Add(q.backoff(j.Attempts))
-	return EvFailed
 }
 
 // backoff computes the delay before attempt+1: RetryBase·2^(attempts-1),
@@ -678,50 +642,6 @@ func (q *Queue) Finalize(id string, result json.RawMessage, errMsg string) error
 	q.compact()
 	q.emit(q.eventFor(EvFinalized, j))
 	return nil
-}
-
-// Reclaim returns every job whose lease deadline has passed to pending
-// (counting a failed attempt — a silent worker and a failing worker look
-// the same from the queue). It reports how many leases it reclaimed.
-func (q *Queue) Reclaim() (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return 0, ErrClosed
-	}
-	return q.reclaimLocked(q.opts.Clock())
-}
-
-func (q *Queue) reclaimLocked(now time.Time) (int, error) {
-	var expired []*Job
-	for _, j := range q.jobs {
-		if j.State == StateLeased && now.After(j.LeaseDeadline) {
-			expired = append(expired, j)
-		}
-	}
-	if len(expired) == 0 {
-		return 0, nil
-	}
-	sort.Slice(expired, func(a, b int) bool { return expired[a].Seq < expired[b].Seq })
-	next := make([]*Job, len(expired))
-	for i, j := range expired {
-		cp := *j
-		q.failLocked(&cp, now, "lease expired: worker silent past deadline")
-		cp.Version++
-		cp.UpdatedAt = now
-		next[i] = &cp
-	}
-	if err := q.append(entry{Jobs: next}); err != nil {
-		return 0, err
-	}
-	for i, j := range expired {
-		q.install(j, next[i])
-	}
-	q.compact()
-	for _, j := range expired {
-		q.emit(q.eventFor(EvReclaimed, j))
-	}
-	return len(expired), nil
 }
 
 // Get returns a copy of the job.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced wall clock for deterministic lease and
-// backoff tests.
+// fakeClock is a manually advanced wall clock for deterministic backoff
+// tests.
 type fakeClock struct{ t time.Time }
 
 func newFakeClock() *fakeClock {
@@ -45,14 +46,14 @@ func mustEnqueue(t *testing.T, q *Queue, batch ...NewJob) []*Job {
 	return jobs
 }
 
-func mustLease(t *testing.T, q *Queue, worker string) *Job {
+func mustLease(t *testing.T, q *Queue) *Job {
 	t.Helper()
-	j, ok, _, err := q.Lease(worker)
+	j, ok, _, err := q.Lease()
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
 	if !ok {
-		t.Fatalf("Lease(%s): no job ready", worker)
+		t.Fatal("Lease: no job ready")
 	}
 	return j
 }
@@ -68,14 +69,14 @@ func TestEnqueueLeaseCompleteRoundTrip(t *testing.T) {
 	}
 
 	// FIFO order.
-	a := mustLease(t, q, "w1")
+	a := mustLease(t, q)
 	if a.ID != jobs[0].ID {
 		t.Fatalf("leased %s, want oldest %s", a.ID, jobs[0].ID)
 	}
-	if a.State != StateLeased || a.Worker != "w1" {
-		t.Fatalf("lease state = %s/%q", a.State, a.Worker)
+	if a.State != StateLeased {
+		t.Fatalf("lease state = %s", a.State)
 	}
-	if err := q.Complete(a.ID, "w1", json.RawMessage(`"done-a"`)); err != nil {
+	if err := q.Complete(a.ID, json.RawMessage(`"done-a"`)); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	got, _ := q.Get(a.ID)
@@ -83,11 +84,11 @@ func TestEnqueueLeaseCompleteRoundTrip(t *testing.T) {
 		t.Fatalf("after complete: %s %s", got.State, got.Result)
 	}
 
-	b := mustLease(t, q, "w2")
+	b := mustLease(t, q)
 	if b.ID != jobs[1].ID {
 		t.Fatalf("leased %s, want %s", b.ID, jobs[1].ID)
 	}
-	if err := q.Complete(b.ID, "w2", nil); err != nil {
+	if err := q.Complete(b.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := q.Depths(); d[StateDone] != 2 || d[StatePending] != 0 {
@@ -98,14 +99,10 @@ func TestEnqueueLeaseCompleteRoundTrip(t *testing.T) {
 func TestCompleteRequiresOwnership(t *testing.T) {
 	q, _ := openTest(t, t.TempDir(), nil)
 	jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
-	if err := q.Complete(jobs[0].ID, "ghost", nil); !errors.Is(err, ErrNotLeased) {
+	if err := q.Complete(jobs[0].ID, nil); !errors.Is(err, ErrNotLeased) {
 		t.Fatalf("complete of unleased job: %v", err)
 	}
-	mustLease(t, q, "w1")
-	if err := q.Complete(jobs[0].ID, "w2", nil); !errors.Is(err, ErrNotLeased) {
-		t.Fatalf("complete by wrong worker: %v", err)
-	}
-	if err := q.Complete("j999999", "w1", nil); !errors.Is(err, ErrNotFound) {
+	if err := q.Complete("j999999", nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("complete of unknown job: %v", err)
 	}
 }
@@ -123,11 +120,11 @@ func TestFailBacksOffThenDeadLetters(t *testing.T) {
 
 	var lastBackoff time.Duration
 	for attempt := 1; attempt < 3; attempt++ {
-		j := mustLease(t, q, "w")
+		j := mustLease(t, q)
 		if j.ID != id {
 			t.Fatalf("attempt %d leased %s", attempt, j.ID)
 		}
-		if err := q.Fail(id, "w", "boom"); err != nil {
+		if err := q.Fail(id, "boom"); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := q.Get(id)
@@ -146,15 +143,15 @@ func TestFailBacksOffThenDeadLetters(t *testing.T) {
 		lastBackoff = backoff
 
 		// Not ready until the backoff passes.
-		if _, ok, retryAt, _ := q.Lease("w"); ok || !retryAt.Equal(got.NotBefore) {
+		if _, ok, retryAt, _ := q.Lease(); ok || !retryAt.Equal(got.NotBefore) {
 			t.Fatalf("leased during backoff (ok=%v retryAt=%v want %v)", ok, retryAt, got.NotBefore)
 		}
 		clock.Advance(backoff + time.Millisecond)
 	}
 
 	// Third failure exhausts MaxAttempts: dead letter, never dispatched again.
-	mustLease(t, q, "w")
-	if err := q.Fail(id, "w", "boom 3"); err != nil {
+	mustLease(t, q)
+	if err := q.Fail(id, "boom 3"); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := q.Get(id)
@@ -162,7 +159,7 @@ func TestFailBacksOffThenDeadLetters(t *testing.T) {
 		t.Fatalf("after final fail: %+v", got)
 	}
 	clock.Advance(time.Hour)
-	if _, ok, _, _ := q.Lease("w"); ok {
+	if _, ok, _, _ := q.Lease(); ok {
 		t.Fatal("dead-lettered job was leased again")
 	}
 }
@@ -178,8 +175,8 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 		jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
 		var out []time.Duration
 		for i := 0; i < 6; i++ {
-			mustLease(t, q, "w")
-			if err := q.Fail(jobs[0].ID, "w", "x"); err != nil {
+			mustLease(t, q)
+			if err := q.Fail(jobs[0].ID, "x"); err != nil {
 				t.Fatal(err)
 			}
 			got, _ := q.Get(jobs[0].ID)
@@ -206,53 +203,11 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiryReclaim(t *testing.T) {
-	clock := newFakeClock()
-	q, _ := openTest(t, t.TempDir(), func(o *Options) {
-		o.Clock = clock.Now
-		o.LeaseTTL = 10 * time.Second
-	})
-	jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
-	j := mustLease(t, q, "w1")
-	if want := clock.Now().Add(10 * time.Second); !j.LeaseDeadline.Equal(want) {
-		t.Fatalf("lease deadline %v, want %v", j.LeaseDeadline, want)
-	}
-
-	// Heartbeats push the deadline out.
-	clock.Advance(8 * time.Second)
-	if err := q.Heartbeat(j.ID, "w1"); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(8 * time.Second) // 16s after lease: alive only thanks to the heartbeat
-	if n, _ := q.Reclaim(); n != 0 {
-		t.Fatalf("reclaimed %d heartbeated leases", n)
-	}
-
-	// Silence past the deadline: reclaimed, attempt counted.
-	clock.Advance(3 * time.Second)
-	n, err := q.Reclaim()
-	if err != nil || n != 1 {
-		t.Fatalf("Reclaim = %d, %v", n, err)
-	}
-	got, _ := q.Get(jobs[0].ID)
-	if got.State != StatePending || got.Attempts != 1 || got.Worker != "" {
-		t.Fatalf("after reclaim: %+v", got)
-	}
-	// The stale worker's completion must now be rejected.
-	if err := q.Complete(jobs[0].ID, "w1", nil); !errors.Is(err, ErrNotLeased) {
-		t.Fatalf("stale lease completion: %v", err)
-	}
-	// Heartbeat from the stale worker likewise.
-	if err := q.Heartbeat(jobs[0].ID, "w1"); !errors.Is(err, ErrNotLeased) {
-		t.Fatalf("stale heartbeat: %v", err)
-	}
-}
-
 func TestReleaseIsAttemptNeutral(t *testing.T) {
 	q, _ := openTest(t, t.TempDir(), nil)
 	jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
-	j := mustLease(t, q, "w1")
-	if err := q.Release(j.ID, "w1"); err != nil {
+	j := mustLease(t, q)
+	if err := q.Release(j.ID); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := q.Get(jobs[0].ID)
@@ -260,7 +215,7 @@ func TestReleaseIsAttemptNeutral(t *testing.T) {
 		t.Fatalf("after release: state=%s attempts=%d", got.State, got.Attempts)
 	}
 	// Immediately leasable again.
-	j2 := mustLease(t, q, "w2")
+	j2 := mustLease(t, q)
 	if j2.ID != jobs[0].ID {
 		t.Fatalf("re-lease got %s", j2.ID)
 	}
@@ -281,7 +236,7 @@ func TestSweepBatchAtomicityAndFinalize(t *testing.T) {
 		t.Fatalf("children parents: %q %q", jobs[1].Parent, jobs[2].Parent)
 	}
 	// The waiting parent is never leased.
-	j := mustLease(t, q, "w")
+	j := mustLease(t, q)
 	if j.ID == parent.ID {
 		t.Fatal("leased the waiting parent")
 	}
@@ -317,11 +272,11 @@ func TestReopenPreservesStateAndRevertsLeases(t *testing.T) {
 		NewJob{Kind: "run", Spec: json.RawMessage(`{"b":2}`), ParentIndex: -1},
 		NewJob{Kind: "run", Spec: json.RawMessage(`{"c":3}`), ParentIndex: -1},
 	)
-	mustLease(t, q, "w1") // jobs[0] leased
-	if err := q.Complete(jobs[0].ID, "w1", json.RawMessage(`"r0"`)); err != nil {
+	mustLease(t, q) // jobs[0] leased
+	if err := q.Complete(jobs[0].ID, json.RawMessage(`"r0"`)); err != nil {
 		t.Fatal(err)
 	}
-	mustLease(t, q, "w1") // jobs[1] leased and abandoned (simulated crash: no Close flush needed, every record synced)
+	mustLease(t, q) // jobs[1] leased and abandoned (simulated crash: no Close flush needed, every record synced)
 	q.Close()
 
 	q2, stats2 := openTest(t, dir, nil)
@@ -338,14 +293,76 @@ func TestReopenPreservesStateAndRevertsLeases(t *testing.T) {
 	}
 	// Both unfinished jobs dispatch again, oldest first; the completed one
 	// does not.
-	if j := mustLease(t, q2, "w2"); j.ID != jobs[1].ID {
+	if j := mustLease(t, q2); j.ID != jobs[1].ID {
 		t.Fatalf("first re-lease %s, want %s", j.ID, jobs[1].ID)
 	}
-	if j := mustLease(t, q2, "w2"); j.ID != jobs[2].ID {
+	if j := mustLease(t, q2); j.ID != jobs[2].ID {
 		t.Fatalf("second re-lease %s, want %s", j.ID, jobs[2].ID)
 	}
-	if _, ok, _, _ := q2.Lease("w2"); ok {
+	if _, ok, _, _ := q2.Lease(); ok {
 		t.Fatal("third lease produced a job")
+	}
+}
+
+// TestUndecodableJournalRecordIsDropped puts a record that passes its
+// checksum but does not decode after a journal's one enqueue, and another
+// record after that. Open must drop both and append where replay stopped,
+// so that what the reopened queue acknowledges survives the next restart.
+func TestUndecodableJournalRecordIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := openTest(t, dir, nil)
+	mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
+	q.Close()
+	path := filepath.Join(dir, journalName)
+	rec, err := recoverJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, err := openJournal(path, rec.Tail, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte(`{"jobs":"not a list"}`)
+	later := []byte(`{"jobs":[{"id":"j000009","seq":9,"kind":"run","state":"pending","version":1}]}`)
+	for _, p := range [][]byte{bad, later} {
+		if err := jnl.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+
+	q2, stats := openTest(t, dir, nil)
+	wantDropped := int64(2*recordHeaderLen + len(bad) + len(later))
+	if len(q2.List()) != 1 || stats.JournalRecords != 1 || stats.DroppedRecords != 2 || stats.DroppedBytes != wantDropped {
+		t.Fatalf("reopened with %d jobs and %+v, want 1 job, 1 record replayed, 2 records and %d bytes dropped",
+			len(q2.List()), stats, wantDropped)
+	}
+	added := mustEnqueue(t, q2, NewJob{Kind: "run", ParentIndex: -1}, NewJob{Kind: "run", ParentIndex: -1})
+	if added[0].ID != "j000001" || added[1].ID != "j000002" {
+		t.Fatalf("enqueued %s and %s, want j000001 and j000002", added[0].ID, added[1].ID)
+	}
+	done := mustLease(t, q2)
+	if err := q2.Complete(done.ID, json.RawMessage(`"r"`)); err != nil {
+		t.Fatal(err)
+	}
+	q2.Close()
+
+	q3, stats := openTest(t, dir, nil)
+	if stats.DroppedBytes != 0 || stats.DroppedRecords != 0 {
+		t.Fatalf("second reopen dropped %d records and %d bytes", stats.DroppedRecords, stats.DroppedBytes)
+	}
+	want := []State{StateDone, StatePending, StatePending}
+	jobs := q3.List()
+	if len(jobs) != len(want) {
+		t.Fatalf("second reopen has %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, j := range jobs {
+		if j.ID != fmt.Sprintf("j%06d", i) || j.State != want[i] {
+			t.Fatalf("job %d: %s %s, want j%06d %s", i, j.ID, j.State, i, want[i])
+		}
+	}
+	if nj := mustEnqueue(t, q3, NewJob{Kind: "run", ParentIndex: -1}); nj[0].ID != "j000003" {
+		t.Fatalf("next enqueue got %s, want j000003", nj[0].ID)
 	}
 }
 
@@ -356,16 +373,16 @@ func TestCheckpointCompactsAndSurvivesReopen(t *testing.T) {
 		NewJob{Kind: "run", ParentIndex: -1},
 		NewJob{Kind: "run", ParentIndex: -1},
 	)
-	mustLease(t, q, "w")
-	if err := q.Complete(jobs[0].ID, "w", json.RawMessage(`"r"`)); err != nil {
+	mustLease(t, q)
+	if err := q.Complete(jobs[0].ID, json.RawMessage(`"r"`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// More mutations after the checkpoint land in the fresh journal.
-	mustLease(t, q, "w")
-	if err := q.Fail(jobs[1].ID, "w", "later"); err != nil {
+	mustLease(t, q)
+	if err := q.Fail(jobs[1].ID, "later"); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
@@ -400,8 +417,8 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
-		mustLease(t, q, "w")
-		if err := q.Complete(jobs[0].ID, "w", nil); err != nil {
+		mustLease(t, q)
+		if err := q.Complete(jobs[0].ID, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -433,8 +450,8 @@ func TestEventsCarryDepths(t *testing.T) {
 	}
 	defer q.Close()
 	jobs := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})
-	mustLease(t, q, "w")
-	if err := q.Complete(jobs[0].ID, "w", nil); err != nil {
+	mustLease(t, q)
+	if err := q.Complete(jobs[0].ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	var kinds []string
@@ -463,10 +480,10 @@ func TestClosedQueueRejectsEverything(t *testing.T) {
 	if _, err := q.Enqueue(NewJob{Kind: "run", ParentIndex: -1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after close: %v", err)
 	}
-	if _, _, _, err := q.Lease("w"); !errors.Is(err, ErrClosed) {
+	if _, _, _, err := q.Lease(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("lease after close: %v", err)
 	}
-	if err := q.Complete(jobs[0].ID, "w", nil); !errors.Is(err, ErrClosed) {
+	if err := q.Complete(jobs[0].ID, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("complete after close: %v", err)
 	}
 	if err := q.Close(); err != nil {
@@ -479,56 +496,41 @@ func TestClosedQueueRejectsEverything(t *testing.T) {
 // the job, the depth counts and the event stream are what they were, as
 // they would be after a restart from the journal that never received it.
 func TestFailedAppendChangesNothing(t *testing.T) {
-	enqueue := func(t *testing.T, q *Queue, _ *fakeClock) string {
+	enqueue := func(t *testing.T, q *Queue) string {
 		return mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})[0].ID
 	}
-	leased := func(t *testing.T, q *Queue, _ *fakeClock) string {
-		enqueue(t, q, nil)
-		return mustLease(t, q, "w").ID
-	}
-	expired := func(t *testing.T, q *Queue, clock *fakeClock) string {
-		id := leased(t, q, clock)
-		clock.Advance(time.Hour)
-		return id
+	leased := func(t *testing.T, q *Queue) string {
+		enqueue(t, q)
+		return mustLease(t, q).ID
 	}
 	for _, tc := range []struct {
 		name    string
-		records int64                                             // journal records the set-up writes
-		setup   func(t *testing.T, q *Queue, c *fakeClock) string // returns the job to watch
+		records int64                               // journal records the set-up writes
+		setup   func(t *testing.T, q *Queue) string // returns the job to watch
 		op      func(q *Queue, id string) error
 	}{
 		{"lease", 1, enqueue, func(q *Queue, _ string) error {
-			_, _, _, err := q.Lease("w")
+			_, _, _, err := q.Lease()
 			return err
 		}},
 		{"complete", 2, leased, func(q *Queue, id string) error {
-			return q.Complete(id, "w", json.RawMessage(`"ok"`))
+			return q.Complete(id, json.RawMessage(`"ok"`))
 		}},
-		{"fail", 2, leased, func(q *Queue, id string) error { return q.Fail(id, "w", "boom") }},
-		{"release", 2, leased, func(q *Queue, id string) error { return q.Release(id, "w") }},
-		{"finalize", 1, func(t *testing.T, q *Queue, _ *fakeClock) string {
+		{"fail", 2, leased, func(q *Queue, id string) error { return q.Fail(id, "boom") }},
+		{"release", 2, leased, func(q *Queue, id string) error { return q.Release(id) }},
+		{"finalize", 1, func(t *testing.T, q *Queue) string {
 			return mustEnqueue(t, q, NewJob{Kind: "sweep", ParentIndex: -1, Waiting: true})[0].ID
 		}, func(q *Queue, id string) error {
 			return q.Finalize(id, json.RawMessage(`[]`), "")
 		}},
-		{"reclaim", 2, expired, func(q *Queue, _ string) error {
-			_, err := q.Reclaim()
-			return err
-		}},
-		{"reclaim inside lease", 2, expired, func(q *Queue, _ string) error {
-			_, _, _, err := q.Lease("w2")
-			return err
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
 			var events []Event
 			q, _ := openTest(t, t.TempDir(), func(o *Options) {
-				o.Clock = clock.Now
 				o.Sink = func(ev Event) { events = append(events, ev) }
 				o.CrashAfterRecords = tc.records
 			})
-			id := tc.setup(t, q, clock)
+			id := tc.setup(t, q)
 			job, _ := q.Get(id)
 			depths := q.Depths()
 			nEvents := len(events)
@@ -557,8 +559,8 @@ func checkpointed(t *testing.T, n int, result json.RawMessage) string {
 	q, _ := openTest(t, dir, func(o *Options) { o.CheckpointEvery = -1; o.NoSync = true })
 	for i := 0; i < n; i++ {
 		j := mustEnqueue(t, q, NewJob{Kind: "run", ParentIndex: -1})[0]
-		mustLease(t, q, "w")
-		if err := q.Complete(j.ID, "w", result); err != nil {
+		mustLease(t, q)
+		if err := q.Complete(j.ID, result); err != nil {
 			t.Fatal(err)
 		}
 	}

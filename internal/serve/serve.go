@@ -1,16 +1,17 @@
 // Package serve is gangsimd's service layer: a persistent HTTP/JSON server
 // that accepts simulation and sweep jobs, records them in a durable queue
-// (internal/queue), dispatches them through a two-level runner — the queue
-// orders work across restarts, a runner.Pool fans leased jobs out across
-// CPUs — and streams results, metrics and queue events back out.
+// (internal/queue), runs them on a fixed set of worker goroutines that
+// lease straight from that queue, and streams results, metrics and queue
+// events back out.
 //
 // The server is built to be killed: every accepted job is journaled before
-// the HTTP response, leases revert on restart, and completed runs are
+// the HTTP response, a worker holds its lease until it settles the job or
+// the process dies, leases revert on restart, and completed runs are
 // skipped on re-dispatch because their results are already on disk. A
-// SIGTERM drains gracefully — intake stops, in-flight runs get a grace
-// period, leases are handed back verdict-free, and the queue is compacted
-// — so `kill` followed by a restart resumes exactly where the previous
-// process stopped.
+// panicking run is a failed attempt. A SIGTERM drains gracefully — intake
+// stops, in-flight runs get a grace period, leases are handed back
+// verdict-free, and the queue is compacted — so `kill` followed by a
+// restart resumes exactly where the previous process stopped.
 package serve
 
 import (
@@ -59,7 +60,6 @@ type Config struct {
 	MaxAttempts       int
 	RetryBase         time.Duration
 	RetryCap          time.Duration
-	LeaseTTL          time.Duration
 	CheckpointEvery   int
 	NoSync            bool
 	Seed              int64
@@ -75,26 +75,25 @@ type Config struct {
 
 // Server is a running gangsimd instance.
 type Server struct {
-	cfg    Config
-	q      *queue.Queue
-	store  *store.Store
-	pool   *runner.Pool
-	srv    *http.Server
-	ln     net.Listener
-	exec   Exec
-	logf   func(string, ...any)
-	worker string
+	cfg   Config
+	q     *queue.Queue
+	store *store.Store
+	srv   *http.Server
+	ln    net.Listener
+	exec  Exec
+	logf  func(string, ...any)
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
-	wake      chan struct{}
+	// wake holds at most one token for an idle worker: a submission puts
+	// it there, and so does every lease. stop closes, once, when drain or
+	// kill begins.
+	wake     chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	workers  sync.WaitGroup
 
-	dispatchDone chan struct{}
-	loops        sync.WaitGroup
-
-	mu       sync.Mutex
-	inflight map[string]struct{}
-	draining bool
+	mu sync.Mutex // serializes settleParent
 
 	// metricsMu guards the registry: obs metrics are plain values (the
 	// simulator updates them single-threaded), so the server serializes
@@ -119,15 +118,13 @@ func Start(cfg Config) (*Server, error) {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	s := &Server{
-		cfg:          cfg,
-		exec:         cfg.Exec,
-		logf:         cfg.Logf,
-		worker:       "gangsimd",
-		wake:         make(chan struct{}, 1),
-		dispatchDone: make(chan struct{}),
-		inflight:     make(map[string]struct{}),
-		crashed:      make(chan struct{}),
-		hub:          live.NewHub[queue.Event](1024),
+		cfg:     cfg,
+		exec:    cfg.Exec,
+		logf:    cfg.Logf,
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		crashed: make(chan struct{}),
+		hub:     live.NewHub[queue.Event](1024),
 	}
 	if s.exec == nil {
 		s.exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
@@ -155,7 +152,6 @@ func Start(cfg Config) (*Server, error) {
 		MaxAttempts:       cfg.MaxAttempts,
 		RetryBase:         cfg.RetryBase,
 		RetryCap:          cfg.RetryCap,
-		LeaseTTL:          cfg.LeaseTTL,
 		CheckpointEvery:   cfg.CheckpointEvery,
 		Seed:              cfg.Seed,
 		CrashAfterRecords: cfg.CrashAfterRecords,
@@ -177,9 +173,6 @@ func Start(cfg Config) (*Server, error) {
 		}
 	}
 
-	s.pool = runner.NewPool(cfg.Workers)
-	s.pool.OnPanic = func(v any) { s.logf("job panic: %v", v) }
-
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		q.Close()
@@ -190,10 +183,11 @@ func Start(cfg Config) (*Server, error) {
 	go s.srv.Serve(ln)
 
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
-	go s.dispatch()
-	s.loops.Add(2)
-	go s.heartbeatLoop()
-	go s.reclaimLoop()
+	n := runner.Workers(cfg.Workers)
+	s.workers.Add(n)
+	for range n {
+		go s.work()
+	}
 	s.logf("listening on %s (state in %s)", ln.Addr(), cfg.Dir)
 	return s, nil
 }
@@ -208,25 +202,17 @@ func (s *Server) Queue() *queue.Queue { return s.q }
 func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 
 // Drain gracefully shuts the server down: intake stops (POST returns 503),
-// the dispatcher stops leasing, in-flight runs get until ctx's deadline to
+// the workers stop leasing, in-flight runs get until ctx's deadline to
 // finish (then are cancelled and their leases handed back verdict-free),
 // the queue is compacted and closed, and the HTTP listener shuts down.
 // After Drain returns the state directory is consistent and a new Start
 // resumes the remaining work.
 func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.halt() {
 		return errors.New("serve: already draining")
 	}
-	s.draining = true
-	s.mu.Unlock()
 	s.logf("draining: intake stopped, waiting for in-flight runs")
 
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 	// Grace timer: when ctx expires, cancel in-flight runs so their
 	// workers release promptly instead of finishing multi-minute sims.
 	graceUp := make(chan struct{})
@@ -238,11 +224,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-graceUp:
 		}
 	}()
-	<-s.dispatchDone
-	s.pool.Close()
+	s.workers.Wait()
 	close(graceUp)
 	s.runCancel()
-	s.loops.Wait()
 
 	var firstErr error
 	keep := func(err error) {
@@ -263,30 +247,34 @@ func (s *Server) Drain(ctx context.Context) error {
 // Kill hard-stops the server without checkpointing or waiting out a grace
 // period — the shutdown a crash test wants.
 func (s *Server) Kill() {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
+	first := s.halt()
 	s.runCancel()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	if already {
+	if !first {
 		return
 	}
-	<-s.dispatchDone
-	s.pool.Close()
-	s.loops.Wait()
+	s.workers.Wait()
 	s.q.Close()
 	s.hub.Close()
 	s.srv.Close()
 }
 
+// halt stops intake and leasing, and wakes every idle worker to exit. It
+// reports false when drain or kill had already begun.
+func (s *Server) halt() (first bool) {
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		first = true
+	})
+	return first
+}
+
 func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // noteCrash handles ErrCrashPoint from any queue operation: the on-disk
@@ -316,7 +304,7 @@ func (s *Server) buildMetrics() {
 	s.evTotal = make(map[string]*obs.Counter)
 	for _, kind := range []string{
 		queue.EvEnqueued, queue.EvLeased, queue.EvCompleted, queue.EvFailed,
-		queue.EvDead, queue.EvReclaimed, queue.EvReleased, queue.EvFinalized,
+		queue.EvDead, queue.EvReleased, queue.EvFinalized,
 		queue.EvRecovered, queue.EvCheckpoint,
 	} {
 		s.evTotal[kind] = s.reg.Counter("gangsimd_queue_events_total",
@@ -429,10 +417,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.poke()
 	resp := submitResponse{ID: jobs[0].ID}
 	for _, j := range jobs[1:] {
 		resp.Jobs = append(resp.Jobs, j.ID)
@@ -537,7 +522,6 @@ type jobView struct {
 	Kind     string    `json:"kind"`
 	Parent   string    `json:"parent,omitempty"`
 	State    string    `json:"state"`
-	Worker   string    `json:"worker,omitempty"`
 	Attempts int       `json:"attempts"`
 	Crashes  int       `json:"crashes,omitempty"`
 	Error    string    `json:"error,omitempty"`
@@ -548,8 +532,8 @@ type jobView struct {
 func viewOf(j queue.Job) jobView {
 	return jobView{
 		ID: j.ID, Kind: j.Kind, Parent: j.Parent, State: string(j.State),
-		Worker: j.Worker, Attempts: j.Attempts, Crashes: j.Crashes,
-		Error: j.Error, Enqueued: j.EnqueuedAt, Updated: j.UpdatedAt,
+		Attempts: j.Attempts, Crashes: j.Crashes, Error: j.Error,
+		Enqueued: j.EnqueuedAt, Updated: j.UpdatedAt,
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,7 +41,6 @@ func testConfig(t *testing.T, dir string) Config {
 		Workers:   2,
 		RetryBase: time.Millisecond,
 		RetryCap:  10 * time.Millisecond,
-		LeaseTTL:  time.Minute, // long: lease expiry is not under test unless overridden
 		Logf:      t.Logf,
 	}
 }
@@ -223,6 +224,140 @@ func TestFailingJobRetriesThenDeadLettersParent(t *testing.T) {
 	parent := waitTerminal(t, s.Queue(), resp.ID, 30*time.Second)
 	if parent.State != queue.StateDead || !strings.Contains(parent.Error, child.ID) {
 		t.Fatalf("parent = %s (%q), want dead blaming %s", parent.State, parent.Error, child.ID)
+	}
+}
+
+// TestPanickingRunFailsItsAttempt: a panic in the executor is a failed
+// attempt at once, not a lease left to lapse, and the run still leaves the
+// active-runs gauge and the run-seconds histogram.
+func TestPanickingRunFailsItsAttempt(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.MaxAttempts = 3
+	cfg.Exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
+		panic("boom")
+	}
+	s := start(t, cfg)
+	defer s.Kill()
+
+	resp := submit(t, s, submitRequest{Kind: "run", Spec: ptr(fastSpec(1))})
+	job := waitTerminal(t, s.Queue(), resp.ID, 5*time.Second)
+	if job.State != queue.StateDead || job.Attempts != 3 || !strings.Contains(job.Error, "panic: boom") {
+		t.Fatalf("job %s: %s after %d attempts, error %q; want dead after 3 with panic: boom",
+			job.ID, job.State, job.Attempts, job.Error)
+	}
+	mr, err := http.Get("http://" + s.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	for _, want := range []string{"\ngangsimd_runs_active 0\n", "\ngangsimd_run_seconds_count 3\n"} {
+		if !bytes.Contains(prom, []byte(want)) {
+			t.Fatalf("/metrics lacks %q:\n%s", strings.TrimSpace(want), prom)
+		}
+	}
+}
+
+// TestUnjournalableResultFailsItsAttempt: a result over the journal's
+// 16 MiB record cap fails its attempt, so the run dead-letters after
+// MaxAttempts and its sweep parent finalizes, instead of the job staying
+// leased with no worker holding it.
+func TestUnjournalableResultFailsItsAttempt(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.MaxAttempts = 2
+	huge := bytes.Repeat([]byte("x"), 17<<20)
+	huge[0], huge[len(huge)-1] = '"', '"'
+	cfg.Exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
+		return huge, nil
+	}
+	s := start(t, cfg)
+	defer s.Kill()
+
+	resp := submit(t, s, submitRequest{Kind: "sweep", Specs: []gangsched.SpecConfig{fastSpec(1)}})
+	child := waitTerminal(t, s.Queue(), resp.Jobs[0], 10*time.Second)
+	if child.State != queue.StateDead || child.Attempts != 2 || !strings.Contains(child.Error, "complete: ") {
+		t.Fatalf("child %s: %s after %d attempts, error %q; want dead after 2 with complete: ...",
+			child.ID, child.State, child.Attempts, child.Error)
+	}
+	parent := waitTerminal(t, s.Queue(), resp.ID, 10*time.Second)
+	if parent.State != queue.StateDead || !strings.Contains(parent.Error, child.ID) {
+		t.Fatalf("parent = %s (%q), want dead blaming %s", parent.State, parent.Error, child.ID)
+	}
+}
+
+// TestSweepRunsOnEveryIdleWorker: the runs of one sweep start together on
+// idle workers. Each run waits until it sees the other.
+func TestSweepRunsOnEveryIdleWorker(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.MaxAttempts = 1
+	var mu sync.Mutex
+	started := 0
+	both := make(chan struct{})
+	cfg.Exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
+		mu.Lock()
+		if started++; started == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		select {
+		case <-both:
+			return json.RawMessage(`{}`), nil
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("ran alone for 5s: the other run never started")
+		}
+	}
+	s := start(t, cfg)
+	defer s.Kill()
+
+	resp := submit(t, s, submitRequest{Kind: "sweep", Specs: []gangsched.SpecConfig{fastSpec(1), fastSpec(2)}})
+	if parent := waitTerminal(t, s.Queue(), resp.ID, 30*time.Second); parent.State != queue.StateDone {
+		t.Fatalf("parent: %s (%s)", parent.State, parent.Error)
+	}
+}
+
+// TestRetryRunsBesideABlockedRun: while one worker is held by a run, the
+// other retries a failed run at its backoff and completes it.
+func TestRetryRunsBesideABlockedRun(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.RetryBase, cfg.RetryCap = time.Millisecond, time.Millisecond
+	release := make(chan struct{})
+	var failed atomic.Bool
+	cfg.Exec = func(ctx context.Context, job queue.Job) (json.RawMessage, error) {
+		var p runPayload
+		if err := json.Unmarshal(job.Spec, &p); err != nil {
+			return nil, err
+		}
+		if p.Label == "blocked" {
+			select {
+			case <-release:
+				return json.RawMessage(`{}`), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		if !failed.Swap(true) {
+			return nil, errors.New("first attempt fails")
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	s := start(t, cfg)
+	defer s.Kill()
+
+	resp := submit(t, s, submitRequest{
+		Kind:   "sweep",
+		Specs:  []gangsched.SpecConfig{fastSpec(1), fastSpec(2)},
+		Labels: []string{"blocked", "retried"},
+	})
+	retried := waitTerminal(t, s.Queue(), resp.Jobs[1], 10*time.Second)
+	if retried.State != queue.StateDone || retried.Attempts != 1 {
+		t.Fatalf("retried run: %s after %d failed attempts, want done after 1", retried.State, retried.Attempts)
+	}
+	if blocked, _ := s.Queue().Get(resp.Jobs[0]); blocked.State != queue.StateLeased {
+		t.Fatalf("blocked run is %s, want still leased", blocked.State)
+	}
+	close(release)
+	if parent := waitTerminal(t, s.Queue(), resp.ID, 10*time.Second); parent.State != queue.StateDone {
+		t.Fatalf("parent: %s (%s)", parent.State, parent.Error)
 	}
 }
 

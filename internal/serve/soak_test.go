@@ -198,11 +198,11 @@ func BenchmarkQueueEnqueueDispatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		j, ok, _, err := q.Lease("bench")
+		j, ok, _, err := q.Lease()
 		if err != nil || !ok || j.ID != jobs[0].ID {
 			b.Fatalf("lease: %v ok=%v", err, ok)
 		}
-		if err := q.Complete(j.ID, "bench", result); err != nil {
+		if err := q.Complete(j.ID, result); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,9 +12,13 @@
 # sweep captures the queue-event stream; after the daemon drains on SIGTERM
 # and exits 0, curl must have exited by itself (the event hub ended the
 # stream) and the capture must show every child enqueued, leased and
-# completed, and the sweep parent finalized. A last stage submits more
-# than 16 MiB of events, the cap on one queue record, as one sweep on a
-# fresh state dir: the parent must finalize, the drain must leave the
+# completed, and the sweep parent finalized. The next stage checks that a
+# kill -9 loses nothing: a sweep of two 1.5 s runs goes to a daemon with
+# two workers, which is SIGKILLed once both runs are leased and restarted
+# on the same state dir; recovery must revert both leases, and the sweep
+# must finish with every run done on its first attempt (crashes 1) and
+# equal to the CLI golden. A last stage submits more than 16 MiB of
+# events, the cap on one queue record, as one sweep on a fresh state dir: the parent must finalize, the drain must leave the
 # queue's journal and checkpoint under 1 MiB, and after a restart every
 # child's result and /events stream must still match the CLI goldens.
 # Each passing step prints one ✓ line.
@@ -38,10 +42,10 @@ $GO build -o "$workdir/gangsimd" ./cmd/gangsimd
 $GO build -o "$workdir/store" ./cmd/store
 echo "✓ binaries built"
 
-# start_daemon DIR boots gangsimd over the state dir DIR, logging to
-# DIR.log, and sets daemon_pid and addr.
+# start_daemon DIR [FLAG...] boots gangsimd over the state dir DIR with
+# any further flags, logging to DIR.log, and sets daemon_pid and addr.
 start_daemon() {
-    "$workdir/gangsimd" -addr 127.0.0.1:0 -dir "$1" -drain-grace 30s 2> "$1.log" &
+    "$workdir/gangsimd" -addr 127.0.0.1:0 -dir "$1" -drain-grace 30s "${@:2}" 2> "$1.log" &
     daemon_pid=$!
     addr=""
     for _ in $(seq 1 100); do
@@ -184,6 +188,48 @@ for child in $children; do
 done
 has_event "$parent" finalized || { echo "/events lacks finalized for sweep $parent"; exit 1; }
 echo "✓ /events showed each child enqueued, leased and completed, and the sweep finalized"
+
+# kill -9 mid-sweep. With no lease expiry, a crash is the only way a lease
+# ends without a verdict short of a failing disk; a restart must revert it
+# without charging an attempt and run the job again to the same result.
+cat > "$workdir/kill.json" <<'EOF'
+{"seed":5,"nodes":4,"memoryMB":64,"policy":"orig","quantum":"2s","jobs":[
+ {"name":"a","footprintMB":40,"iterations":3000,"touchCostUs":50},
+ {"name":"b","footprintMB":40,"iterations":3000,"touchCostUs":50}]}
+EOF
+"$workdir/gangsim" -config "$workdir/kill.json" -json | jq -S . > "$workdir/kill.golden.json"
+echo "✓ CLI golden written for the kill -9 stage"
+
+start_daemon "$workdir/kill" -workers 2
+jq -n --slurpfile s "$workdir/kill.json" '{kind:"sweep", specs:[$s[0], $s[0]]}' > "$workdir/submit_kill.json"
+victim=$(curl -sSf -X POST "http://$addr/jobs" --data-binary @"$workdir/submit_kill.json" | jq -r .id)
+echo "✓ submitted sweep $victim to two workers"
+leased=0
+for _ in $(seq 1 100); do
+    leased=$(curl -sSf "http://$addr/jobs" | jq --arg id "$victim" '[.jobs[] | select(.parent == $id and .state == "leased")] | length')
+    [ "$leased" -eq 2 ] && break
+    sleep 0.05
+done
+[ "$leased" -eq 2 ] || { echo "sweep $victim has $leased leased children, want 2"; exit 1; }
+echo "✓ both children leased"
+{ kill -9 "$daemon_pid"; wait "$daemon_pid"; } 2>/dev/null || true
+daemon_pid=""
+start_daemon "$workdir/kill" -workers 2
+grep -q "revertedLeases=2" "$workdir/kill.log" || { echo "restart did not revert 2 leases:"; cat "$workdir/kill.log"; exit 1; }
+echo "✓ kill -9 and restart on $addr: revertedLeases=2"
+wait_done "$victim" "sweep after kill -9"
+echo "✓ parent done"
+curl -sSf "http://$addr/jobs" | jq -e --arg id "$victim" \
+    '[.jobs[] | select(.parent == $id)] | length == 2 and all(.state == "done" and .attempts == 0 and .crashes == 1)' > /dev/null \
+    || { echo "children after kill -9:"; curl -s "http://$addr/jobs" | jq --arg id "$victim" '.jobs[] | select(.parent == $id)'; exit 1; }
+echo "✓ every child done with attempts 0 and crashes 1"
+for kid in $(curl -sSf "http://$addr/jobs" | jq -r --arg id "$victim" '.jobs[] | select(.parent == $id) | .id'); do
+    curl -sSf "http://$addr/jobs/$kid" | jq -S .result.result | diff -u "$workdir/kill.golden.json" - \
+        || { echo "child $kid result differs from the CLI golden"; exit 1; }
+done
+echo "✓ every child's result matches the CLI golden"
+stop_daemon "$workdir/kill"
+echo "✓ SIGTERM drained cleanly (exit 0)"
 
 # More than 16 MiB of events: the five class B orig pairs of Figure 7 as
 # one event-capturing sweep (about 17 MB of JSONL). Each spec sets the
